@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FamilyDomainError, NonSymmetricMatrixError
+from .errors import NonSymmetricMatrixError
+from .graphs import Cycle
 from .spectrum import Spectrum, spectrum_from_values
 
 __all__ = [
@@ -200,8 +201,7 @@ def block_spectrum_union(hs: Sequence[np.ndarray], tol: float = 1e-6) -> Spectru
 
 def cycle_adjacency_eigenvalues(n: int) -> np.ndarray:
     """Adjacency eigenvalues of C_n: 2*cos(2*pi*j/n), j = 0..n-1."""
-    if n < 3:
-        raise FamilyDomainError(f"cycle needs n >= 3, got {n}")
+    Cycle(n)  # domain check
     return 2.0 * np.cos(2.0 * math.pi * (np.arange(n) % n) / n)
 
 
@@ -211,8 +211,7 @@ def cycle_distance_row(n: int) -> list[int]:
     Even n: (0, 1, ..., n/2 - 1, n/2, n/2 - 1, ..., 1).
     Odd n:  (0, 1, ..., (n-1)/2, (n-1)/2, ..., 1).
     """
-    if n < 3:
-        raise FamilyDomainError(f"cycle needs n >= 3, got {n}")
+    Cycle(n)  # domain check
     return [min(k, n - k) for k in range(n)]
 
 
@@ -231,8 +230,7 @@ def cycle_combo_eigenvalues(n: int, s: float, t: float) -> np.ndarray:
     The even-n / even-j entry carries no t term: the distance eigenvalue is
     exactly 0 there.
     """
-    if n < 3:
-        raise FamilyDomainError(f"cycle needs n >= 3, got {n}")
+    Cycle(n)  # domain check
     out = np.empty(n)
     for j in range(n):
         cosj = 2.0 * s * math.cos(2.0 * math.pi * j / n)

@@ -258,7 +258,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     passed = failed = 0
     try:
         # JSON lines stream as cases finish, so long sweeps show progress
-        for report in iter_grid(cases, tol=args.tol, jobs=args.jobs):
+        for report in iter_grid(cases, tol=args.tol):
             out.write(json.dumps(report.to_dict()) + "\n")
             out.flush()
             if report.match:
@@ -294,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-6,
                        help="grouping/comparison tolerance (default 1e-6)")
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved; everything here is deterministic")
 
     p_gen = sub.add_parser("gen", help="write a family as edge-list text")
     p_gen.add_argument("--family", required=True)
@@ -325,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_grid, family=False)
     p_grid.add_argument("--max-order", type=int, default=1200,
                         help="skip cases with more vertices than this")
-    p_grid.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for grid cases")
     p_grid.set_defaults(func=cmd_grid)
     return parser
 

@@ -1,27 +1,33 @@
-"""Closed-form adjacency and distance spectra.
+"""Closed-form adjacency and distance spectra from one product law.
 
-Base families first (Johnson, Hamming, cycles, complete graphs), then the
-distance spectra of K_n (x) G for G a cycle, a complete graph, a Johnson
-graph or a Hamming graph.  Every product spectrum is assembled from the
-block-circulant reduction of the product's distance matrix: one
-distinguished block H_0 plus n-1 copies of a common repeated block, so
-full multiplicities come out of the construction rather than being quoted.
+Each base family (cycle, complete, Johnson, Hamming) has one eigen-table:
+rows (a, d, t, mult), the joint eigenvalues of its adjacency matrix A, its
+distance matrix D and its matrix T of the edges with no common neighbour,
+with their multiplicity.  The base spectra are its a and d columns.  T is A
+on triangle-free graphs (C_len with len >= 4, K_2, hypercubes) and 0 on the
+others, whose edges all lie in a triangle.
 
-Integer-valued spectra are computed in exact integer arithmetic and carry
-grouping tolerance 0; the cycle products are trigonometric and grouped at
-1e-6.
+For n >= 3 the distance matrix of K_n (x) G is block circulant with
+diagonal block D + A + T (adjacent pairs meet through a common neighbour at
+distance 2, otherwise at 3) and off-diagonal blocks D + 2I (a vertex
+reaches its copy in another block in two steps via a third block).  So
+every product spectrum is one law on G's table: each row gives
+n*d + a + t + 2(n-1) with multiplicity mult and a + t - 2 with
+multiplicity (n-1)*mult.  Johnson and Hamming tables hold only integers, so
+K_n (x) J(m, r) and K_n (x) H(d, q) with q >= 3 are distance integral; they
+stay in exact integer arithmetic (grouping tolerance 0), while cycle tables
+are float columns grouped at 1e-6.
 
-Validity domains are enforced strictly.  Three of them are narrower than a
-naive reading suggests, each pinned by the brute-force oracle:
-
-* K_n (x) K_m needs BOTH n, m >= 3 (a K_2 factor puts same-position pairs
-  at distance 3, not 2);
-* K_n (x) C_len needs n >= 3 and len >= 4, with len == 3 handled as
-  K_n (x) K_3 since C_3 is K_3;
-* K_n (x) H(d, q) needs q >= 3: for q = 2 the Hamming factor is bipartite,
-  adjacent factor pairs sit at product distance 3, and the formula's
-  diagonal blocks are wrong (H(2,2) is the 4-cycle and is served by the
-  even-cycle form instead).
+The three enumeration fixes in the verification notes are rows of the law:
+the even-cycle row j = 0 (a = t = 2) gives the repeated value 2 with
+multiplicity n-1; C_{2m+1} has 2m+1 rows, so the secant family runs
+p = 1..m; the Hamming row with distance eigenvalue -q^(d-1) enters the
+distinguished block multiplied by n.  Each excluded case fails a condition
+of the law: a K_2 left factor has no third block, so its off-diagonal
+blocks are not D + 2I; K_2 and hypercube right factors have t = a, not the
+t = 0 the published complete, Johnson and Hamming forms assume (H(2,2) is
+C_4 and takes the even-cycle form); C_3 is K_3, with t = 0 rather than the
+cycle forms' t = a, and takes the complete-product form.
 """
 
 from __future__ import annotations
@@ -29,13 +35,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from .circulant import cycle_adjacency_eigenvalues, cycle_combo_eigenvalues
-from .errors import FamilyDomainError
+from .errors import FamilyDomainError, NoClosedFormError
+from .graphs import Complete, Cycle, FamilySpec, Hamming, Johnson
 from .spectrum import Spectrum, spectrum_from_values
 
 __all__ = [
     "IntersectionArray",
     "IntegralityReport",
+    "EigenTable",
+    "eigen_table",
+    "kron_complete_law",
     "johnson_intersection",
     "hamming_intersection",
     "johnson_adjacency_eigenvalues",
@@ -77,19 +89,9 @@ class IntersectionArray:
             raise ValueError("need b_0 > 0 and c_1 >= 1")
 
 
-def _check_johnson(m: int, r: int) -> None:
-    if not (m >= 2 * r >= 2):
-        raise FamilyDomainError(f"Johnson needs m >= 2r >= 2, got m={m}, r={r}")
-
-
-def _check_hamming(d: int, q: int) -> None:
-    if d < 1 or q < 2:
-        raise FamilyDomainError(f"Hamming needs d >= 1 and q >= 2, got d={d}, q={q}")
-
-
 def johnson_intersection(m: int, r: int) -> IntersectionArray:
     """J(m, r): c_i = i^2, b_i = (r-i)(m-r-i), diameter r."""
-    _check_johnson(m, r)
+    Johnson(m, r)  # domain check
     b = tuple((r - i) * (m - r - i) for i in range(r))
     c = tuple(i * i for i in range(1, r + 1))
     return IntersectionArray(b, c, r)
@@ -97,10 +99,99 @@ def johnson_intersection(m: int, r: int) -> IntersectionArray:
 
 def hamming_intersection(d: int, q: int) -> IntersectionArray:
     """H(d, q): c_i = i, b_i = (d-i)(q-1), diameter d."""
-    _check_hamming(d, q)
+    Hamming(d, q)  # domain check
     b = tuple((d - i) * (q - 1) for i in range(d))
     c = tuple(range(1, d + 1))
     return IntersectionArray(b, c, d)
+
+
+# ---------------------------------------------------------------------------
+# Eigen-tables and the product law
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class EigenTable:
+    """Joint eigenvalues (a, d, t) of A, D and T with multiplicity, by row.
+
+    Columns are numpy arrays of equal length.  Integer tables hold Python
+    ints (dtype object), so sums stay exact at any size; cycle tables hold
+    float64 values with an int64 multiplicity column.
+    """
+
+    a: np.ndarray
+    d: np.ndarray
+    t: np.ndarray
+    mult: np.ndarray
+
+    def adjacency_spectrum(self) -> Spectrum:
+        return _grouped(self.a, self.mult, 1e-6)
+
+    def distance_spectrum(self, group_tol: float = 1e-6) -> Spectrum:
+        return _grouped(self.d, self.mult, group_tol)
+
+
+def _grouped(values: np.ndarray, mults: np.ndarray, group_tol: float) -> Spectrum:
+    """Exact pairs for an integer column, float grouping otherwise."""
+    if values.dtype == object:
+        return Spectrum.from_pairs(zip(values.tolist(), mults.tolist()))
+    return spectrum_from_values(np.repeat(values, mults), group_tol)
+
+
+def _integer_table(a: list[int], d: list[int], mult: list[int],
+                   triangle_free: bool) -> EigenTable:
+    # distance-regular: every edge has the same number of common
+    # neighbours, so T is A (none) or 0 (at least one)
+    a_col = np.array(a, dtype=object)
+    t_col = a_col if triangle_free else 0 * a_col
+    return EigenTable(a_col, np.array(d, dtype=object), t_col,
+                      np.array(mult, dtype=object))
+
+
+def eigen_table(spec: FamilySpec) -> EigenTable:
+    """The (a, d, t, mult) table of a cycle, complete, Johnson or Hamming graph."""
+    if isinstance(spec, Cycle):
+        a = cycle_adjacency_eigenvalues(spec.n)
+        d = cycle_combo_eigenvalues(spec.n, 0.0, 1.0)
+        t = a if spec.n >= 4 else np.zeros(spec.n)
+        return EigenTable(a, d, t, np.ones(spec.n, dtype=np.int64))
+    if isinstance(spec, Complete):
+        # D = A = J - I
+        n = spec.n
+        a, mult = ([n - 1, -1], [1, n - 1]) if n > 1 else ([0], [1])
+        return _integer_table(a, a, mult, n == 2)
+    if isinstance(spec, Johnson):
+        m, r = spec.m, spec.r
+        s = johnson_distance_total(m, r)
+        if s % (m - 1):
+            raise ArithmeticError(f"s={s} not divisible by m-1={m - 1}")
+        d = [s, -(s // (m - 1))] + [0] * (r - 1)
+        return _integer_table(johnson_adjacency_eigenvalues(m, r), d,
+                              johnson_adjacency_multiplicities(m, r), m == 2)
+    if isinstance(spec, Hamming):
+        d, q = spec.d, spec.q
+        dist = [d * q ** (d - 1) * (q - 1), -(q ** (d - 1))] + [0] * (d - 1)
+        return _integer_table(hamming_adjacency_eigenvalues(d, q), dist,
+                              hamming_adjacency_multiplicities(d, q), q == 2)
+    raise NoClosedFormError("eigen-tables cover the base families only")
+
+
+def kron_complete_law(n: int, table: EigenTable, group_tol: float = 1e-6) -> Spectrum:
+    """Distance spectrum of K_n (x) G for n >= 3 from the eigen-table of G.
+
+    Reduces the block circulant with diagonal block D + A + T and
+    off-diagonal blocks D + 2I: one block nD + A + T + 2(n-1)I and n-1
+    copies of A + T - 2I, evaluated row by row on the table.
+    """
+    if n < 3:
+        raise FamilyDomainError(
+            f"product closed forms need a complete factor K_n with n >= 3, got n={n};"
+            " with n = 2 the off-diagonal distance blocks are wrong"
+            " (no third block to route distance-2 detours through)"
+        )
+    a_t = table.a + table.t
+    values = np.concatenate([n * table.d + a_t + 2 * (n - 1), a_t - 2])
+    mults = np.concatenate([table.mult, (n - 1) * table.mult])
+    return _grouped(values, mults, group_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -109,20 +200,18 @@ def hamming_intersection(d: int, q: int) -> IntersectionArray:
 
 def johnson_adjacency_eigenvalues(m: int, r: int) -> list[int]:
     """lambda_i = (r-i)(m-r-i) - i for i = 0..r (strictly decreasing)."""
-    _check_johnson(m, r)
+    Johnson(m, r)  # domain check
     return [(r - i) * (m - r - i) - i for i in range(r + 1)]
 
 
 def johnson_adjacency_multiplicities(m: int, r: int) -> list[int]:
     """C(m, i) - C(m, i-1) for i = 0..r."""
-    _check_johnson(m, r)
+    Johnson(m, r)  # domain check
     return [comb(m, i) - comb(m, i - 1) if i else 1 for i in range(r + 1)]
 
 
 def johnson_adjacency_spectrum(m: int, r: int) -> Spectrum:
-    return Spectrum.from_pairs(
-        zip(johnson_adjacency_eigenvalues(m, r), johnson_adjacency_multiplicities(m, r))
-    )
+    return eigen_table(Johnson(m, r)).adjacency_spectrum()
 
 
 def johnson_distance_total(m: int, r: int) -> int:
@@ -131,7 +220,7 @@ def johnson_distance_total(m: int, r: int) -> int:
     k_j = C(r, j) * C(m-r, j) counts vertices at distance j from a fixed
     vertex, so s is also the Perron distance eigenvalue.
     """
-    _check_johnson(m, r)
+    Johnson(m, r)  # domain check
     return sum(j * comb(r, j) * comb(m - r, j) for j in range(r + 1))
 
 
@@ -142,52 +231,33 @@ def johnson_distance_spectrum(m: int, r: int) -> Spectrum:
     s/(m-1) = C(m-2, r-1) exactly, so all values are integers; the zero
     class is empty when C(m, r) == m (r = 1).
     """
-    s = johnson_distance_total(m, r)
-    if s % (m - 1):
-        raise ArithmeticError(f"s={s} not divisible by m-1={m - 1}")
-    pairs = {s: 1, -(s // (m - 1)): m - 1}
-    zero_mult = comb(m, r) - m
-    if zero_mult:
-        pairs[0] = pairs.get(0, 0) + zero_mult
-    return Spectrum.from_pairs(pairs)
+    return eigen_table(Johnson(m, r)).distance_spectrum()
 
 
 def hamming_adjacency_eigenvalues(d: int, q: int) -> list[int]:
     """lambda_i = d(q-1) - q*i for i = 0..d."""
-    _check_hamming(d, q)
+    Hamming(d, q)  # domain check
     return [d * (q - 1) - q * i for i in range(d + 1)]
 
 
 def hamming_adjacency_multiplicities(d: int, q: int) -> list[int]:
     """C(d, i) * (q-1)^i for i = 0..d."""
-    _check_hamming(d, q)
+    Hamming(d, q)  # domain check
     return [comb(d, i) * (q - 1) ** i for i in range(d + 1)]
 
 
 def hamming_adjacency_spectrum(d: int, q: int) -> Spectrum:
-    return Spectrum.from_pairs(
-        zip(hamming_adjacency_eigenvalues(d, q), hamming_adjacency_multiplicities(d, q))
-    )
+    return eigen_table(Hamming(d, q)).adjacency_spectrum()
 
 
 def hamming_distance_spectrum(d: int, q: int) -> Spectrum:
     """Distance spectrum of H(d, q): {d*q^(d-1)*(q-1), -q^(d-1), 0} with
     multiplicities 1, d(q-1) and q^d - d(q-1) - 1."""
-    _check_hamming(d, q)
-    t = d * q ** (d - 1) * (q - 1)
-    pairs = {t: 1, -(q ** (d - 1)): d * (q - 1)}
-    zero_mult = q ** d - d * (q - 1) - 1
-    if zero_mult:
-        pairs[0] = pairs.get(0, 0) + zero_mult
-    return Spectrum.from_pairs(pairs)
+    return eigen_table(Hamming(d, q)).distance_spectrum()
 
 
 def complete_adjacency_spectrum(n: int) -> Spectrum:
-    if n < 1:
-        raise FamilyDomainError(f"complete graph needs n >= 1, got {n}")
-    if n == 1:
-        return Spectrum.from_pairs({0: 1})
-    return Spectrum.from_pairs({n - 1: 1, -1: n - 1})
+    return eigen_table(Complete(n)).adjacency_spectrum()
 
 
 def complete_distance_spectrum(n: int) -> Spectrum:
@@ -196,44 +266,31 @@ def complete_distance_spectrum(n: int) -> Spectrum:
 
 
 def cycle_adjacency_spectrum(n: int, group_tol: float = 1e-6) -> Spectrum:
+    # the a column of the cycle table, without its d column's O(n) loop
     return spectrum_from_values(cycle_adjacency_eigenvalues(n), group_tol)
 
 
 def cycle_distance_spectrum(n: int, group_tol: float = 1e-6) -> Spectrum:
-    return spectrum_from_values(cycle_combo_eigenvalues(n, 0.0, 1.0), group_tol)
+    return eigen_table(Cycle(n)).distance_spectrum(group_tol)
 
 
 # ---------------------------------------------------------------------------
 # Kronecker products with a complete graph
 # ---------------------------------------------------------------------------
 
-def _check_left_complete(n: int) -> None:
-    if n < 3:
-        raise FamilyDomainError(
-            f"product closed forms need a complete factor K_n with n >= 3, got n={n};"
-            " with n = 2 the off-diagonal distance blocks are wrong"
-            " (no third block to route distance-2 detours through)"
-        )
-
-
 def kron_cycle_even_spectrum(n: int, m: int, group_tol: float = 1e-6) -> Spectrum:
     """Distance spectrum of K_n (x) C_{2m} for n >= 3, m >= 2.
 
     Blocks of the product distance matrix: diagonal 2A + D, off-diagonal
-    2I + D over the cycle's own A and D.  Reduction gives one block
-    2(n-1)I + nD + 2A and n-1 copies of 2(A - I); eigenvalues come from
-    the cycle closed forms.  The repeated block contributes
+    2I + D over the cycle's own A and D (the law with T = A).  Reduction
+    gives one block 2(n-1)I + nD + 2A and n-1 copies of 2(A - I); eigenvalues
+    come from the cycle closed forms.  The repeated block contributes
     4*cos(pi*r/m) - 2 for r = 0..2m-1: the r = 0 value 2 is included,
     which the multiplicity count and the zero-trace identity both require.
     """
-    _check_left_complete(n)
     if m < 2:
         raise FamilyDomainError(f"even cycle factor needs length >= 4, got {2 * m}")
-    length = 2 * m
-    values = list(2.0 * (n - 1) + cycle_combo_eigenvalues(length, 2.0, float(n)))
-    repeated = list(2.0 * cycle_adjacency_eigenvalues(length) - 2.0)
-    values.extend(repeated * (n - 1))
-    return spectrum_from_values(values, group_tol)
+    return kron_complete_law(n, eigen_table(Cycle(2 * m)), group_tol)
 
 
 def kron_cycle_odd_spectrum(n: int, m: int, group_tol: float = 1e-6) -> Spectrum:
@@ -246,37 +303,23 @@ def kron_cycle_odd_spectrum(n: int, m: int, group_tol: float = 1e-6) -> Spectrum
     and same-block adjacent pairs then sit at distance 2, not 3, so the
     complete-graph form applies instead.
     """
-    _check_left_complete(n)
     if m < 2:
         raise FamilyDomainError(
             f"odd cycle factor needs length >= 5, got {2 * m + 1}; "
             "length 3 is the complete graph K_3 (use the complete-product form)"
         )
-    length = 2 * m + 1
-    values = list(2.0 * (n - 1) + cycle_combo_eigenvalues(length, 2.0, float(n)))
-    repeated = list(2.0 * cycle_adjacency_eigenvalues(length) - 2.0)
-    values.extend(repeated * (n - 1))
-    return spectrum_from_values(values, group_tol)
+    return kron_complete_law(n, eigen_table(Cycle(2 * m + 1)), group_tol)
 
 
 def kron_complete_spectrum(n: int, m: int) -> Spectrum:
     """Distance spectrum of K_n (x) K_m for n, m >= 3:
     {mn+m+n-3: 1, n-3: m-1, m-3: n-1, -3: (n-1)(m-1)}."""
-    _check_left_complete(n)
     if m < 3:
         raise FamilyDomainError(
             f"complete-product form needs both factors >= 3, got m={m}; "
             "with a K_2 factor same-position pairs sit at distance 3, not 2"
         )
-    pairs: dict[int, int] = {}
-    for value, mult in (
-        (m * n + m + n - 3, 1),
-        (n - 3, m - 1),
-        (m - 3, n - 1),
-        (-3, (n - 1) * (m - 1)),
-    ):
-        pairs[value] = pairs.get(value, 0) + mult
-    return Spectrum.from_pairs(pairs)
+    return kron_complete_law(n, eigen_table(Complete(m)))
 
 
 def kron_johnson_spectrum(n: int, m: int, r: int) -> Spectrum:
@@ -290,29 +333,13 @@ def kron_johnson_spectrum(n: int, m: int, r: int) -> Spectrum:
     plus n-1 copies of the repeated block A - 2I.  All values are exact
     integers, so the family is distance integral.
     """
-    _check_left_complete(n)
-    _check_johnson(m, r)
+    factor = Johnson(m, r)
     if comb(m, r) <= 2:
         raise FamilyDomainError(
             "J(2,1) is K_2; the product closed form needs a factor with more"
             " than two vertices (adjacent pairs must have a common neighbor)"
         )
-    lam = johnson_adjacency_eigenvalues(m, r)
-    mult = johnson_adjacency_multiplicities(m, r)
-    s = johnson_distance_total(m, r)
-    mu1 = -(s // (m - 1))
-    pairs: dict[int, int] = {}
-
-    def add(value: int, count: int) -> None:
-        pairs[value] = pairs.get(value, 0) + count
-
-    add(2 * n - 2 + n * s + lam[0], mult[0])
-    add(2 * n - 2 + n * mu1 + lam[1], mult[1])
-    for i in range(2, r + 1):
-        add(2 * n - 2 + lam[i], mult[i])
-    for value, count in zip(lam, mult):
-        add(value - 2, count * (n - 1))
-    return Spectrum.from_pairs(pairs)
+    return kron_complete_law(n, eigen_table(factor))
 
 
 def kron_hamming_spectrum(n: int, d: int, q: int) -> Spectrum:
@@ -328,29 +355,14 @@ def kron_hamming_spectrum(n: int, d: int, q: int) -> Spectrum:
     q = 2 is rejected: the hypercube factor is bipartite and the diagonal
     distance blocks differ (H(2,2) is the 4-cycle; use the even-cycle form).
     """
-    _check_left_complete(n)
-    _check_hamming(d, q)
+    factor = Hamming(d, q)
     if q < 3:
         raise FamilyDomainError(
             "hamming factor with q = 2 is bipartite: adjacent factor pairs sit"
             " at product distance 3, not 2, so this closed form does not apply"
             " (H(2,2) is the 4-cycle; use the even-cycle product form)"
         )
-    lam = hamming_adjacency_eigenvalues(d, q)
-    mult = hamming_adjacency_multiplicities(d, q)
-    t = d * q ** (d - 1) * (q - 1)
-    pairs: dict[int, int] = {}
-
-    def add(value: int, count: int) -> None:
-        pairs[value] = pairs.get(value, 0) + count
-
-    add(2 * n - 2 + n * t + lam[0], mult[0])
-    add(2 * n - 2 - n * q ** (d - 1) + lam[1], mult[1])
-    for i in range(2, d + 1):
-        add(2 * n - 2 + lam[i], mult[i])
-    for value, count in zip(lam, mult):
-        add(value - 2, count * (n - 1))
-    return Spectrum.from_pairs(pairs)
+    return kron_complete_law(n, eigen_table(factor))
 
 
 # ---------------------------------------------------------------------------

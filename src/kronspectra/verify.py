@@ -14,13 +14,12 @@ implements and the oracle check on the same report line is the evidence.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import closedform
-from .errors import FamilyDomainError, NoClosedFormError
+from .errors import NoClosedFormError
 from .graphs import (
     Complete,
     Cycle,
@@ -32,7 +31,6 @@ from .graphs import (
     distance_matrix,
     family_order,
     family_to_string,
-    is_connected,
 )
 from .numeric import symmetric_eigenvalues
 from .polynomials import verify_distance_polynomial
@@ -364,38 +362,18 @@ def _run_case(spec: FamilySpec, kind: str, tol: float) -> FamilyReport:
 def iter_grid(
     cases: list[tuple[FamilySpec, str]],
     tol: float = 1e-6,
-    jobs: int = 1,
 ):
-    """Yield verification reports in input order, optionally from a pool.
+    """Yield verification reports one case at a time, in input order.
 
     Input-order delivery keeps report streams reproducible byte for byte
     while long sweeps still emit partial results as they complete.
     """
-    if jobs <= 1:
-        for spec, kind in cases:
-            yield _run_case(spec, kind, tol)
-        return
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_case, spec, kind, tol) for spec, kind in cases]
-        for future in futures:
-            yield future.result()
+    for spec, kind in cases:
+        yield _run_case(spec, kind, tol)
 
 
 def run_grid(
     cases: list[tuple[FamilySpec, str]],
     tol: float = 1e-6,
-    jobs: int = 1,
 ) -> list[FamilyReport]:
-    return list(iter_grid(cases, tol, jobs))
-
-
-def connectivity_agreement(left: FamilySpec, right: FamilySpec) -> bool:
-    """Parity-based connectivity prediction vs BFS on the actual product."""
-    from .graphs import kronecker_connectivity_predicted, kronecker_product
-
-    g, h = build_family(left), build_family(right)
-    if not (is_connected(g) and is_connected(h)):
-        raise FamilyDomainError("factors must be connected")
-    predicted = kronecker_connectivity_predicted(g, h)
-    actual = is_connected(kronecker_product(g, h))
-    return predicted == actual
+    return list(iter_grid(cases, tol))
