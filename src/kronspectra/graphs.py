@@ -17,8 +17,8 @@ K_n (x) G literally block circulant, which downstream modules rely on.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Union
@@ -67,69 +67,160 @@ PRODUCT_VERTEX_CAP = 20_000
 # Core graph type
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph with sorted adjacency lists.
+    """Simple undirected graph in compressed sparse row (CSR) form.
+
+    The neighbours of vertex u are ``indices[indptr[u]:indptr[u + 1]]``,
+    strictly increasing; ``indptr`` is int64 and ``indices`` int32, both
+    read-only.  ``Graph(adjacency, labels)`` takes per-vertex neighbour
+    tuples and :meth:`from_csr` takes the two arrays; either way one
+    vectorized pass rejects out-of-range neighbours, self-loops, unsorted or
+    repeated neighbours and asymmetric edges.
 
     ``labels``, when present, are human-readable vertex names (subset or
     tuple notation for Johnson/Hamming vertices); they carry no algorithmic
-    weight and exist to make failures debuggable.
+    weight and exist to make failures debuggable.  Family builders supply
+    them as a function, called the first time ``labels`` is read.
     """
 
-    adjacency: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = None
+    def __init__(self, adjacency, labels=None):
+        indptr = np.zeros(len(adjacency) + 1, dtype=np.int64)
+        np.cumsum([len(nbrs) for nbrs in adjacency], out=indptr[1:])
+        indices = np.fromiter(itertools.chain.from_iterable(adjacency),
+                              dtype=np.int64, count=int(indptr[-1]))
+        self._set_arrays(indptr, indices, labels)
 
-    def __post_init__(self):
-        n = len(self.adjacency)
-        for u, nbrs in enumerate(self.adjacency):
-            prev = -1
-            for v in nbrs:
-                if not 0 <= v < n:
-                    raise ValueError(f"neighbor {v} of {u} out of range")
-                if v == u:
-                    raise ValueError(f"self-loop at vertex {u}")
-                if v <= prev:
-                    raise ValueError(f"adjacency of {u} not strictly sorted")
-                prev = v
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if u not in self.adjacency[v]:
-                    raise ValueError(f"edge {u}-{v} not symmetric")
-        if self.labels is not None:
-            if len(self.labels) != n:
-                raise ValueError("labels length must equal vertex count")
-            if len(set(self.labels)) != n:
-                raise ValueError("labels must be pairwise distinct")
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.adjacency)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges as (u, v) with u < v, sorted."""
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
-
-    def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.vertex_count, self.vertex_count), dtype=np.int64)
-        for u, nbrs in enumerate(self.adjacency):
-            a[u, list(nbrs)] = 1
-        return a
+    @classmethod
+    def from_csr(cls, indptr, indices, labels=None) -> "Graph":
+        """Graph from CSR arrays; ``labels`` may be a sequence of names or a
+        function returning one, called when ``labels`` is first read."""
+        graph = cls.__new__(cls)
+        graph._set_arrays(np.asarray(indptr), np.asarray(indices), labels)
+        return graph
 
     @staticmethod
     def from_neighbor_lists(neighbors: list[list[int]],
                             labels: list[str] | None = None) -> "Graph":
         adj = tuple(tuple(sorted(set(ns))) for ns in neighbors)
         return Graph(adj, tuple(labels) if labels is not None else None)
+
+    def _set_arrays(self, indptr: np.ndarray, indices: np.ndarray, labels) -> None:
+        if indptr.ndim != 1 or indptr.size == 0 or indices.ndim != 1:
+            raise ValueError("indptr and indices must be one-dimensional, indptr nonempty")
+        if indptr.dtype.kind not in "iu" or (indices.size and indices.dtype.kind not in "iu"):
+            raise ValueError("indptr and indices must hold integers")
+        n = indptr.size - 1
+        counts = np.diff(indptr)
+        if indptr[0] != 0 or indptr[-1] != indices.size or (counts < 0).any():
+            raise ValueError("indptr must rise from 0 to the number of stored neighbours")
+        rows = np.repeat(np.arange(n, dtype=np.int64), counts)
+        cols = indices.astype(np.int64)
+        bad = np.flatnonzero((cols < 0) | (cols >= n))
+        if bad.size:
+            raise ValueError(f"neighbor {cols[bad[0]]} of {rows[bad[0]]} out of range")
+        loops = np.flatnonzero(cols == rows)
+        if loops.size:
+            raise ValueError(f"self-loop at vertex {rows[loops[0]]}")
+        # row-major keys rise across rows whenever neighbours are in range, so
+        # a key that fails to rise marks an unsorted or repeated neighbour
+        keys = rows * n + cols
+        unsorted = np.flatnonzero(np.diff(keys) <= 0)
+        if unsorted.size:
+            raise ValueError(f"adjacency of {rows[unsorted[0]]} not strictly sorted")
+        # symmetric iff the transposed keys, sorted, are the keys themselves
+        transposed = cols * n
+        transposed += rows
+        del rows, cols
+        transposed.sort()
+        asymmetric = np.flatnonzero(transposed != keys)
+        if asymmetric.size:
+            first = asymmetric[0]
+            if keys[first] < transposed[first]:
+                u, v = divmod(int(keys[first]), n)
+            else:
+                v, u = divmod(int(transposed[first]), n)
+            raise ValueError(f"edge {u}-{v} not symmetric")
+        # copies, so the graph alone holds its (read-only) arrays
+        self.indptr = indptr.astype(np.int64)
+        self.indices = indices.astype(np.int32)
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
+        if labels is None or callable(labels):
+            self._labels = labels
+        else:
+            self._labels = _checked_labels(labels, n)
+
+    @functools.cached_property
+    def labels(self) -> tuple[str, ...] | None:
+        if callable(self._labels):
+            return _checked_labels(self._labels(), self.vertex_count)
+        return self._labels
+
+    @functools.cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Per-vertex neighbour tuples, built once on first read."""
+        flat = self.indices.tolist()
+        bounds = self.indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    @property
+    def vertex_count(self) -> int:
+        return self.indptr.size - 1
+
+    @property
+    def edge_count(self) -> int:
+        return self.indices.size // 2
+
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    def degree(self, v: int) -> int:
+        return int(self.indptr[v + 1] - self.indptr[v])
+
+    def _rows(self) -> np.ndarray:
+        """Source vertex of every stored neighbour, aligned with ``indices``."""
+        return np.repeat(np.arange(self.vertex_count), self.degrees())
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Edges as (u, v) with u < v, sorted."""
+        rows = self._rows()
+        upper = rows < self.indices
+        return zip(rows[upper].tolist(), self.indices[upper].tolist())
+
+    def adjacency_matrix(self, dtype=np.int64) -> np.ndarray:
+        a = np.zeros((self.vertex_count, self.vertex_count), dtype=dtype)
+        a[self._rows(), self.indices] = 1
+        return a
+
+
+def _checked_labels(labels, n: int) -> tuple[str, ...]:
+    labels = tuple(labels)
+    if len(labels) != n:
+        raise ValueError("labels length must equal vertex count")
+    if len(set(labels)) != n:
+        raise ValueError("labels must be pairwise distinct")
+    return labels
+
+
+def _gather(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of ``values[starts[k]:starts[k] + lengths[k]]`` over k."""
+    ends = np.cumsum(lengths)
+    positions = np.repeat(starts - ends + lengths, lengths)
+    positions += np.arange(positions.size)
+    return values[positions]
+
+
+def _from_boolean_rows(blocks, labels=None) -> Graph:
+    """Graph whose symmetric boolean adjacency matrix is the given blocks of
+    consecutive rows, read one block at a time."""
+    counts, cols = [], []
+    for block in blocks:
+        counts.append(np.count_nonzero(block, axis=1))
+        cols.append(np.nonzero(block)[1])
+    counts = np.concatenate(counts)
+    indptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return Graph.from_csr(indptr, np.concatenate(cols), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +314,11 @@ def build_family(spec: FamilySpec) -> Graph:
     """Construct the graph for a family spec in its canonical vertex order."""
     if isinstance(spec, Cycle):
         n = spec.n
-        return Graph.from_neighbor_lists([[(i - 1) % n, (i + 1) % n] for i in range(n)])
+        i = np.arange(n)
+        nbrs = np.sort(np.stack([(i - 1) % n, (i + 1) % n], axis=1), axis=1)
+        return Graph.from_csr(2 * np.arange(n + 1), nbrs.ravel())
     if isinstance(spec, Complete):
-        n = spec.n
-        return Graph.from_neighbor_lists(
-            [[j for j in range(n) if j != i] for i in range(n)]
-        )
+        return _from_boolean_rows([~np.eye(spec.n, dtype=bool)])
     if isinstance(spec, Johnson):
         return _build_johnson(spec.m, spec.r)
     if isinstance(spec, Hamming):
@@ -240,14 +330,18 @@ def build_family(spec: FamilySpec) -> Graph:
 
 def _build_johnson(m: int, r: int) -> Graph:
     verts = list(itertools.combinations(range(1, m + 1), r))
-    sets = [frozenset(v) for v in verts]
     n = len(verts)
-    neighbors = [
-        [j for j in range(n) if j != i and len(sets[i] & sets[j]) == r - 1]
-        for i in range(n)
-    ]
-    labels = ["{" + ",".join(map(str, v)) + "}" for v in verts]
-    return Graph.from_neighbor_lists(neighbors, labels)
+    members = np.zeros((n, m), dtype=np.float32)
+    members[np.repeat(np.arange(n), r), np.asarray(verts).ravel() - 1] = 1
+    # adjacent iff the intersection has r - 1 elements (exact in float32);
+    # rows go in blocks of at most 2^22 intersections to bound memory
+    step = max(1, (1 << 22) // n)
+    blocks = (members[i:i + step] @ members.T == r - 1 for i in range(0, n, step))
+
+    def labels():
+        return ["{" + ",".join(map(str, v)) + "}" for v in verts]
+
+    return _from_boolean_rows(blocks, labels)
 
 
 def _build_hamming(d: int, q: int) -> Graph:
@@ -256,20 +350,19 @@ def _build_hamming(d: int, q: int) -> Graph:
         raise OrderCapError(f"H({d},{q}) has {n} vertices, cap is {PRODUCT_VERTEX_CAP}")
     # vertex index is the base-q numeral of the tuple, so lexicographic order
     # is automatic and neighbors come from single-digit edits.
-    weights = [q ** (d - 1 - i) for i in range(d)]
-    neighbors: list[list[int]] = []
-    for idx in range(n):
-        digits = [(idx // w) % q for w in weights]
-        nbrs = []
-        for pos, w in enumerate(weights):
-            base = idx - digits[pos] * w
-            nbrs.extend(base + v * w for v in range(q) if v != digits[pos])
-        neighbors.append(nbrs)
+    weights = q ** np.arange(d - 1, -1, -1)
+    idx = np.arange(n)
+    digits = idx[:, None] // weights % q
+    values = np.arange(q)
+    edits = (values - digits[:, :, None]) * weights[:, None] + idx[:, None, None]
+    changed = values != digits[:, :, None]
+    nbrs = np.sort(edits[changed].reshape(n, d * (q - 1)), axis=1)
     sep = "" if q <= 10 else ","
-    labels = [
-        sep.join(str((idx // w) % q) for w in weights) for idx in range(n)
-    ]
-    return Graph.from_neighbor_lists(neighbors, labels)
+
+    def labels():
+        return [sep.join(map(str, row)) for row in digits.tolist()]
+
+    return Graph.from_csr(d * (q - 1) * np.arange(n + 1), nbrs.ravel(), labels)
 
 
 def kronecker_product(g: Graph, h: Graph) -> Graph:
@@ -284,58 +377,61 @@ def kronecker_product(g: Graph, h: Graph) -> Graph:
     if n > PRODUCT_VERTEX_CAP:
         raise OrderCapError(f"product has {n} vertices, cap is {PRODUCT_VERTEX_CAP}")
     nh = h.vertex_count
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for u, g_nbrs in enumerate(g.adjacency):
-        for v, h_nbrs in enumerate(h.adjacency):
-            base = [u2 * nh for u2 in g_nbrs]
-            neighbors[u * nh + v] = [b + v2 for b in base for v2 in h_nbrs]
-    g_labels = g.labels or tuple(str(u) for u in range(g.vertex_count))
-    h_labels = h.labels or tuple(str(v) for v in range(h.vertex_count))
-    labels = [f"({gl},{hl})" for gl in g_labels for hl in h_labels]
-    return Graph.from_neighbor_lists(neighbors, labels)
+    g_deg, h_deg = g.degrees(), h.degrees()
+    u = np.repeat(np.arange(g.vertex_count), nh)
+    v = np.tile(np.arange(nh), g.vertex_count)
+    # The row of (u, v) is, for each neighbour u' of u in increasing order,
+    # the row of v in h shifted into block u': one run per (u, v, u').
+    run_block = _gather(g.indices, g.indptr[u], g_deg[u]) * nh
+    run_v = np.repeat(v, g_deg[u])
+    indices = _gather(h.indices, h.indptr[run_v], h_deg[run_v])
+    indices += np.repeat(run_block, h_deg[run_v])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.outer(g_deg, h_deg).ravel(), out=indptr[1:])
+
+    def labels():
+        g_labels = g.labels or tuple(str(u) for u in range(g.vertex_count))
+        h_labels = h.labels or tuple(str(v) for v in range(h.vertex_count))
+        return [f"({gl},{hl})" for gl in g_labels for hl in h_labels]
+
+    return Graph.from_csr(indptr, indices, labels)
 
 
 # ---------------------------------------------------------------------------
 # Connectivity and parity
 # ---------------------------------------------------------------------------
 
+def _bfs_depths(g: Graph) -> tuple[np.ndarray, int]:
+    """BFS depth of every vertex from the lowest vertex of its component,
+    and the number of components."""
+    n = g.vertex_count
+    degrees = g.degrees()
+    depth = np.full(n, -1, dtype=np.int64)
+    components = start = 0
+    while start < n:
+        components += 1
+        depth[start] = level = 0
+        frontier = np.array([start])
+        while frontier.size:
+            level += 1
+            nbrs = _gather(g.indices, g.indptr[frontier], degrees[frontier])
+            frontier = np.unique(nbrs[depth[nbrs] < 0])
+            depth[frontier] = level
+        unreached = np.flatnonzero(depth < 0)
+        start = int(unreached[0]) if unreached.size else n
+    return depth, components
+
+
 def is_connected(g: Graph) -> bool:
     """True iff one BFS from vertex 0 reaches every vertex."""
-    n = g.vertex_count
-    if n == 0:
-        return True
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == n
+    return _bfs_depths(g)[1] <= 1
 
 
 def has_odd_cycle(g: Graph) -> bool:
-    """True iff the graph is non-bipartite (BFS 2-coloring fails somewhere)."""
-    n = g.vertex_count
-    color = [-1] * n
-    for start in range(n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if color[v] == -1:
-                    color[v] = color[u] ^ 1
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return True
-    return False
+    """True iff the graph is non-bipartite: some edge joins two vertices
+    whose BFS depths have the same parity, so BFS 2-coloring fails."""
+    parity = _bfs_depths(g)[0] % 2
+    return bool((parity[g._rows()] == parity[g.indices]).any())
 
 
 def kronecker_connectivity_predicted(g: Graph, h: Graph) -> bool:
@@ -354,12 +450,29 @@ def kronecker_connectivity_predicted(g: Graph, h: Graph) -> bool:
 # Distances
 # ---------------------------------------------------------------------------
 
+# The all-sources BFS pushes along its frontier's edges while they number
+# fewer than this fraction of n^3, the multiply-adds of one dense level step.
+# Timed per level on one core of an x86-64 Xeon with single-threaded
+# OpenBLAS, a push costs about as much as a dense step at 7e-4 n^3 edges
+# for n = 250..2200 (J(10,5), H(10,2), kron(K36,K33), kron(K3,H(6,3))).
+_PUSH_EDGES_PER_CUBE = 1 / 1500
+
+
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs shortest-path lengths as a dense symmetric integer matrix.
 
-    Runs breadth-first level expansion from all sources simultaneously via
-    boolean matrix products; level sets are exactly the per-source BFS
-    levels.  Raises DisconnectedGraphError if any pair is unreachable.
+    Runs breadth-first search from all sources at once, level by level.
+    The frontier is the set of (source, vertex) pairs reached at the
+    previous level, and each level takes one of two steps (Beamer, Asanovic
+    and Patterson, "Direction-Optimizing Breadth-First Search", SC 2012):
+
+    * push: expand every frontier pair along its vertex's edges, while the
+      frontier's edges are few next to n^3;
+    * dense: one float32 product of the frontier matrix with A, otherwise.
+      It is exact, since an entry counts at most max-degree < 2^24 paths.
+
+    Either step yields exactly the per-source BFS levels.  Raises
+    DisconnectedGraphError if any pair is unreachable.
     """
     n = g.vertex_count
     cap = dense_matrix_cap()
@@ -367,24 +480,52 @@ def distance_matrix(g: Graph) -> np.ndarray:
         raise OrderCapError(f"distance matrix order {n} exceeds dense cap {cap}")
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    a = g.adjacency_matrix().astype(np.float64)
+    degrees = g.degrees()
     dist = np.full((n, n), -1, dtype=np.int64)
     np.fill_diagonal(dist, 0)
-    reached = np.eye(n, dtype=bool)
-    frontier = reached
+    flat = dist.ravel()
+    frontier = np.arange(n) * (n + 1)  # pairs as flat keys source * n + vertex
+    adjacency = None
     level = 0
-    while True:
-        grown = (frontier.astype(np.float64) @ a) > 0
-        newly = grown & ~reached
-        if not newly.any():
-            break
+    while frontier.size:
         level += 1
-        dist[newly] = level
-        reached |= newly
-        frontier = newly
+        vertex = frontier % n
+        lengths = degrees[vertex]
+        if lengths.sum() < _PUSH_EDGES_PER_CUBE * n ** 3:
+            frontier = _push_level(g, frontier, vertex, lengths, flat)
+        else:
+            if adjacency is None:
+                adjacency = g.adjacency_matrix(np.float32)
+            frontier = _dense_level(adjacency, frontier, dist)
+        flat[frontier] = level
     if (dist < 0).any():
         raise DisconnectedGraphError("graph is disconnected")
     return dist
+
+
+def _push_level(g: Graph, frontier: np.ndarray, vertex: np.ndarray,
+                lengths: np.ndarray, flat_dist: np.ndarray) -> np.ndarray:
+    """Unreached pairs next to the frontier, found edge by edge."""
+    nbrs = np.repeat(frontier - vertex, lengths)
+    nbrs += _gather(g.indices, g.indptr[vertex], lengths)
+    fresh = nbrs[flat_dist[nbrs] < 0]
+    # A pair reached along several edges appears once per edge.  Every copy
+    # writes its own stamp into the pair's (still negative) entry; exactly one
+    # write survives, and the copy that reads its own stamp back is kept.
+    stamps = -2 - np.arange(fresh.size)
+    flat_dist[fresh] = stamps
+    return fresh[flat_dist[fresh] == stamps]
+
+
+def _dense_level(adjacency: np.ndarray, frontier: np.ndarray,
+                 dist: np.ndarray) -> np.ndarray:
+    """Unreached pairs next to the frontier, by one product with A."""
+    front = np.zeros(dist.shape, dtype=np.float32)
+    front.ravel()[frontier] = 1
+    found = (front @ adjacency) > 0
+    del front
+    found &= dist < 0
+    return np.flatnonzero(found)
 
 
 def diameter(g: Graph) -> int:
@@ -430,7 +571,7 @@ def walk_gamma(g: Graph, x: int, y: int, bound: int | None = None) -> int:
     """
     bound = _check_walk_preconditions(g, bound)
     n = g.vertex_count
-    a = g.adjacency_matrix().astype(np.float64)
+    a = g.adjacency_matrix(np.float64)
     reach = np.zeros(n, dtype=bool)
     reach[x] = True
     achievable = [bool(reach[y])]
@@ -453,7 +594,7 @@ def gamma(g: Graph, bound: int | None = None) -> int:
     n = g.vertex_count
     if bound - n + 1 < 0:
         raise _not_stabilized(n, bound)
-    a = g.adjacency_matrix().astype(np.float64)
+    a = g.adjacency_matrix(np.float64)
     reach = np.eye(n, dtype=bool)
     last_missing = np.full((n, n), -1, dtype=np.int64)
     last_missing[~reach] = 0
@@ -476,35 +617,24 @@ def gamma(g: Graph, bound: int | None = None) -> int:
 def complete_multipartite_parts(g: Graph) -> list[list[int]] | None:
     """Partition into independent parts with all cross edges, or None.
 
-    A graph is complete multipartite iff non-adjacency is transitive; the
-    parts are then the connected components of the complement.
+    In a complete multipartite graph the non-neighbours of u, u included,
+    are its part, so the smallest of them names the part.  The graph is
+    complete multipartite iff no edge stays inside a part so named and every
+    vertex is adjacent to all vertices outside its part.
     """
     n = g.vertex_count
-    adj = [set(nbrs) for nbrs in g.adjacency]
-    part_of = [-1] * n
-    parts: list[list[int]] = []
-    for start in range(n):
-        if part_of[start] != -1:
-            continue
-        members = [start]
-        part_of[start] = len(parts)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in range(n):
-                if part_of[v] == -1 and v not in adj[u] and v != u:
-                    part_of[v] = len(parts)
-                    members.append(v)
-                    queue.append(v)
-        parts.append(members)
-    for u in range(n):
-        for v in range(u + 1, n):
-            same = part_of[u] == part_of[v]
-            if same and v in adj[u]:
-                return None
-            if not same and v not in adj[u]:
-                return None
-    return parts
+    rows, degrees = g._rows(), g.degrees()
+    # neighbours equal to their position in a sorted row form a prefix of
+    # it, whose length is the smallest non-neighbour
+    position = np.arange(g.indices.size) - np.repeat(g.indptr[:-1], degrees)
+    part = np.bincount(rows[g.indices == position], minlength=n)
+    sizes = np.bincount(part, minlength=n)
+    if (part[rows] == part[g.indices]).any() or (degrees != n - sizes[part]).any():
+        return None
+    members = np.argsort(part, kind="stable")
+    ends = np.cumsum(sizes[sizes > 0])
+    return [members[end - size:end].tolist()
+            for size, end in zip(sizes[sizes > 0].tolist(), ends.tolist())]
 
 
 def predicted_kron_diameter(g: Graph, t_partite_h: Graph) -> int:

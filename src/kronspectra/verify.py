@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closedform
-from .errors import NoClosedFormError
+from .errors import KronSpectraError, NoClosedFormError
 from .graphs import (
     Complete,
     Cycle,
@@ -231,9 +231,10 @@ class FamilyReport:
     match: bool
     max_abs_gap: float
     discrepancy_notes: tuple[str, ...] = field(default_factory=tuple)
+    error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "family": self.family,
             "check": self.check,
             "closed_form": self.closed_form.to_dict() if self.closed_form else None,
@@ -242,6 +243,9 @@ class FamilyReport:
             "max_abs_gap": self.max_abs_gap if math.isfinite(self.max_abs_gap) else None,
             "discrepancy_notes": list(self.discrepancy_notes),
         }
+        if self.error is not None:
+            out["error"] = self.error
+        return out
 
 
 def _elementwise_gap(closed: Spectrum, oracle_values: np.ndarray) -> float:
@@ -366,10 +370,20 @@ def iter_grid(
     """Yield verification reports one case at a time, in input order.
 
     Input-order delivery keeps report streams reproducible byte for byte
-    while long sweeps still emit partial results as they complete.
+    while long sweeps still emit partial results as they complete.  A case
+    that raises a KronSpectraError (over the order cap, say) yields a failed
+    report carrying the error, and the sweep goes on; any other exception is
+    a defect and ends it.
     """
     for spec, kind in cases:
-        yield _run_case(spec, kind, tol)
+        try:
+            report = _run_case(spec, kind, tol)
+        except KronSpectraError as err:
+            report = FamilyReport(family=family_to_string(spec), check=kind,
+                                  closed_form=None, oracle=None, match=False,
+                                  max_abs_gap=math.nan,
+                                  error=f"{type(err).__name__}: {err}")
+        yield report
 
 
 def run_grid(

@@ -160,3 +160,22 @@ def test_grid_small_subset(tmp_path, capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["spectrum", "--family", "J(3,2)"]) == 1
+
+
+def test_grid_over_cap_cases_are_reported_not_fatal(tmp_path, monkeypatch):
+    # every default case with more than 300 vertices must become a failed
+    # line carrying its error while the run goes on
+    monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", "300")
+    out_path = tmp_path / "grid.jsonl"
+    code = main(["grid", "--output", str(out_path)])
+    records = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert len(records) == 554
+    reports, summary = records[:-1], records[-1]["summary"]
+    errors = [r for r in reports if "error" in r]
+    assert errors
+    assert all(r["match"] is False and r["error"].startswith("OrderCapError")
+               for r in errors)
+    assert all(r["match"] is True for r in reports if "error" not in r)
+    assert summary == {"cases": 553, "passed": 553 - len(errors),
+                       "failed": len(errors)}
+    assert code == 2

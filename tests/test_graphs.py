@@ -1,10 +1,12 @@
 """Graph families, products, metric data and walk-length closure."""
 
+import math
 from collections import deque
 
 import numpy as np
 import pytest
 
+from kronspectra import graphs
 from kronspectra.errors import (
     BipartiteGraphError,
     DisconnectedGraphError,
@@ -135,6 +137,7 @@ def test_k3_by_k3_regularity():
     (Cycle(4), Cycle(6)),
     (Johnson(4, 2), Complete(3)),
     (Hamming(2, 2), Complete(4)),
+    (Complete(5), Hamming(2, 3)),
 ])
 def test_product_adjacency_bit_exhaustive(left, right):
     g, h = build_family(left), build_family(right)
@@ -213,21 +216,34 @@ def test_distance_complete():
     assert (d == 1 - np.eye(4)).all()
 
 
-def test_distance_disconnected_raises():
+# _PUSH_EDGES_PER_CUBE values that force every BFS level onto one step
+PUSH_ONLY, DENSE_ONLY = math.inf, 0.0
+
+
+def test_distance_disconnected_raises(monkeypatch):
     g = build_family(Kron(Complete(2), Complete(2)))
     with pytest.raises(DisconnectedGraphError):
         distance_matrix(g)
+    monkeypatch.setattr(graphs, "_PUSH_EDGES_PER_CUBE", PUSH_ONLY)
+    with pytest.raises(DisconnectedGraphError):
+        distance_matrix(build_family(Kron(Complete(2), Cycle(200))))
 
 
 @pytest.mark.parametrize("spec", [
     Cycle(9), Complete(5), Johnson(5, 2), Johnson(6, 3),
     Hamming(3, 2), Hamming(2, 4), Kron(Complete(3), Cycle(6)),
     Kron(Complete(4), Johnson(4, 2)),
+    Cycle(301), Kron(Complete(4), Cycle(61)), Hamming(8, 2),
+    Kron(Complete(9), Complete(8)),
 ])
-def test_distance_matrix_against_naive_bfs(spec):
+def test_distance_matrix_against_naive_bfs(spec, monkeypatch):
     g = build_family(spec)
     d = distance_matrix(g)
+    assert d.dtype == np.int64
     assert (d == naive_bfs_distances(g)).all()
+    for forced in (PUSH_ONLY, DENSE_ONLY):
+        monkeypatch.setattr(graphs, "_PUSH_EDGES_PER_CUBE", forced)
+        assert (distance_matrix(g) == d).all()
     assert (d == d.T).all()
     assert (np.diag(d) == 0).all()
     # triangle inequality
@@ -350,3 +366,24 @@ def test_graph_rejects_self_loop_and_asymmetry():
         Graph(((1,), (0,)), labels=("a",))
     with pytest.raises(ValueError):
         Graph(((1,), (0,)), labels=("a", "a"))
+    bad = {
+        "self-loop": ((0,),),
+        "asymmetric": ((1,), ()),
+        "unsorted": ((2, 1), (0,), (0,)),
+        "duplicate": ((1, 1), (0,)),
+        "out of range": ((1,), (0, 2)),
+        "negative": ((-1,), (0,)),
+    }
+    for adjacency in bad.values():
+        with pytest.raises(ValueError):
+            Graph(adjacency)
+        indptr = np.cumsum([0] + [len(nbrs) for nbrs in adjacency])
+        indices = [v for nbrs in adjacency for v in nbrs]
+        with pytest.raises(ValueError):
+            Graph.from_csr(indptr, indices)
+    with pytest.raises(ValueError):
+        Graph.from_csr([0, 1, 2], [1, 0], labels=("a", "a"))
+    with pytest.raises(ValueError):
+        Graph.from_csr([0, 2, 1], [1, 0])  # indptr falls
+    g = Graph.from_csr([0, 1, 2], [1, 0], labels=("a", "b"))
+    assert g.adjacency == ((1,), (0,)) and g.labels == ("a", "b")
