@@ -231,21 +231,14 @@ def cycle_combo_eigenvalues(n: int, s: float, t: float) -> np.ndarray:
     exactly 0 there.
     """
     Cycle(n)  # domain check
-    out = np.empty(n)
-    for j in range(n):
-        cosj = 2.0 * s * math.cos(2.0 * math.pi * j / n)
-        if j == 0:
-            out[j] = 2.0 * s + (n * n / 4.0 if n % 2 == 0 else (n * n - 1) / 4.0) * t
-        elif n % 2 == 0:
-            if j % 2 == 0:
-                out[j] = cosj
-            else:
-                out[j] = cosj - t / math.sin(math.pi * j / n) ** 2
-        else:
-            if j % 2 == 0:
-                out[j] = cosj - (t / 4.0) / math.cos(math.pi * j / (2 * n)) ** 2
-            else:
-                out[j] = cosj - (t / 4.0) / math.sin(math.pi * j / (2 * n)) ** 2
+    j = np.arange(n)
+    out = 2.0 * s * np.cos(2.0 * math.pi * j / n)
+    out[0] = 2.0 * s + (n * n / 4.0 if n % 2 == 0 else (n * n - 1) / 4.0) * t
+    if n % 2 == 0:
+        out[1::2] -= t / np.sin(math.pi * j[1::2] / n) ** 2
+    else:
+        out[2::2] -= (t / 4.0) / np.cos(math.pi * j[2::2] / (2 * n)) ** 2
+        out[1::2] -= (t / 4.0) / np.sin(math.pi * j[1::2] / (2 * n)) ** 2
     return out
 
 

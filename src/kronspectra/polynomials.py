@@ -248,9 +248,16 @@ def matrix_polynomial_eval(p: Polynomial, a: np.ndarray) -> np.ndarray:
         raise NonSymmetricMatrixError("matrix must be symmetric")
     n = mat.shape[0]
     coeffs = p.as_floats()
-    result = coeffs[-1] * np.eye(n)
-    for c in coeffs[-2::-1]:
-        result = result @ mat + c * np.eye(n)
+    if coeffs.size == 1:
+        result = coeffs[0] * np.eye(n)
+    else:
+        # the first Horner step is c_d A + c_{d-1} I; each coefficient after
+        # it goes onto the diagonal in place
+        result = coeffs[-1] * mat
+        result.flat[::n + 1] += coeffs[-2]
+        for c in coeffs[-3::-1]:
+            result = result @ mat
+            result.flat[::n + 1] += c
     if n and np.max(np.abs(result - result.T)) > 1e-9:
         raise NonSymmetricMatrixError("evaluation lost symmetry beyond tolerance")
     return result

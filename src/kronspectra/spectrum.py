@@ -13,7 +13,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 __all__ = ["Spectrum", "MatchReport", "spectrum_from_values", "spectra_match"]
+
+# Once no more than this many groups are still open, spectrum_from_values
+# sums each of them (long runs of close eigenvalues) in one call rather than
+# one array step per member.
+_FEW_GROUPS = 64
 
 
 def _render(value: float) -> float:
@@ -31,21 +38,25 @@ class Spectrum:
     grouping_tol: float = 0.0
 
     def __post_init__(self):
-        for value, mult in self.pairs:
-            if mult <= 0:
+        values = np.array([v for v, _ in self.pairs], dtype=float)
+        mult_list = [m for _, m in self.pairs]
+        mults = np.array(mult_list)
+        # the first offending pair names the error, multiplicity first
+        bad_mult = mults <= 0
+        bad = bad_mult | ~np.isfinite(values)
+        if bad.any():
+            if bad_mult[np.argmax(bad)]:
                 raise ValueError("multiplicities must be positive")
-            if not math.isfinite(value):
-                raise ValueError("eigenvalues must be finite")
-        values = [v for v, _ in self.pairs]
-        if values != sorted(values, reverse=True):
+            raise ValueError("eigenvalues must be finite")
+        if (values[:-1] < values[1:]).any():
             raise ValueError("pairs must be sorted by descending value")
-        for a, b in zip(values, values[1:]):
-            if a - b <= self.grouping_tol:
-                raise ValueError("consecutive values must differ by more than grouping_tol")
+        if (values[:-1] - values[1:] <= self.grouping_tol).any():
+            raise ValueError("consecutive values must differ by more than grouping_tol")
+        object.__setattr__(self, "_order", sum(mult_list))
 
     @property
     def order(self) -> int:
-        return sum(m for _, m in self.pairs)
+        return self._order
 
     def values(self) -> list[float]:
         return [v for v, _ in self.pairs]
@@ -101,20 +112,34 @@ def spectrum_from_values(values: Sequence[float], group_tol: float) -> Spectrum:
 
     Adjacent sorted values within ``group_tol`` are merged into one group
     represented by the group mean; the total multiplicity is preserved.
+    Each group is summed left to right from 0.0, so a mean is the same
+    float as ``sum(group) / len(group)`` with Python's float ``sum`` before
+    3.12.
     """
     if group_tol < 0:
         raise ValueError("group_tol must be nonnegative")
-    ordered = sorted(float(v) for v in values)
-    groups: list[list[float]] = []
-    for v in ordered:
-        if groups and v - groups[-1][-1] <= group_tol:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    pairs = tuple(
-        (sum(g) / len(g), len(g)) for g in reversed(groups)
-    )
-    return Spectrum(pairs, group_tol)
+    ordered = np.sort(np.asarray(values, dtype=float))
+    if ordered.size == 0:
+        return Spectrum((), group_tol)
+    if not np.isfinite(ordered).all():
+        raise ValueError("eigenvalues must be finite")
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(ordered) > group_tol) + 1))
+    sizes = np.diff(starts, append=ordered.size)
+    sums = np.zeros(starts.size)
+    # Add the k-th member of every group still open, one array step per
+    # position; np.add.reduceat would sum pairwise and move the last bits.
+    open_groups = np.arange(starts.size)
+    k = 0
+    while open_groups.size > _FEW_GROUPS:
+        sums[open_groups] += ordered[starts[open_groups] + k]
+        k += 1
+        open_groups = open_groups[sizes[open_groups] > k]
+    for g in open_groups.tolist():
+        tail = ordered[starts[g] + k:starts[g] + sizes[g]]
+        # accumulate adds strictly left to right
+        sums[g] = np.add.accumulate(np.concatenate((sums[g:g + 1], tail)))[-1]
+    means = sums / sizes
+    return Spectrum(tuple(zip(means[::-1].tolist(), sizes[::-1].tolist())), group_tol)
 
 
 @dataclass(frozen=True)

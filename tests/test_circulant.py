@@ -1,5 +1,7 @@
 """Circulant eigenvalue formulas against dense eigensolves."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -234,3 +236,38 @@ def test_cycle_combo_full_st_grid_matches_dense(n):
             closed = np.sort(cycle_combo_eigenvalues(n, s, t))
             dense = np.sort(np.linalg.eigvalsh(s * a + t * d))
             assert np.max(np.abs(closed - dense)) < 1e-8, (n, s, t)
+
+
+def _scalar_cycle_combo(n, s, t):
+    """The per-index loop cycle_combo_eigenvalues replaced.
+
+    Returns the values and, per index, the larger magnitude of the two
+    terms the entry subtracts: the scale its rounding errors are relative to.
+    """
+    values, scales = np.empty(n), np.empty(n)
+    for j in range(n):
+        cosj = 2.0 * s * math.cos(2.0 * math.pi * j / n)
+        second = 0.0
+        if j == 0:
+            cosj = 2.0 * s + (n * n / 4.0 if n % 2 == 0 else (n * n - 1) / 4.0) * t
+        elif n % 2 == 0:
+            if j % 2 == 1:
+                second = t / math.sin(math.pi * j / n) ** 2
+        elif j % 2 == 0:
+            second = (t / 4.0) / math.cos(math.pi * j / (2 * n)) ** 2
+        else:
+            second = (t / 4.0) / math.sin(math.pi * j / (2 * n)) ** 2
+        values[j] = cosj - second
+        scales[j] = max(abs(cosj), abs(second))
+    return values, scales
+
+
+@pytest.mark.parametrize("n", list(range(3, 41)) + [999, 1000, 4001])
+def test_cycle_combo_table_matches_scalar_loop(n):
+    for s, t in ((0, 1), (1, 0), (0.7, 1.3)):
+        table = cycle_combo_eigenvalues(n, s, t)
+        values, scales = _scalar_cycle_combo(n, s, t)
+        # numpy squares where `x ** 2` calls libm pow, one ulp apart at times
+        assert np.all(np.abs(table - values) <= 4 * np.spacing(scales)), (n, s, t)
+        exact = [0] + (list(range(2, n, 2)) if n % 2 == 0 else [])
+        assert np.array_equal(table[exact], values[exact]), (n, s, t)

@@ -33,6 +33,7 @@ from kronspectra.graphs import (
     distance_matrix,
 )
 from kronspectra.numeric import symmetric_eigenvalues
+from kronspectra.verify import closed_form_distance_spectrum
 
 
 def oracle_distance_values(spec):
@@ -121,6 +122,14 @@ def test_cycle_and_complete_distance_spectra():
     assert complete_distance_spectrum(4).pairs == ((3.0, 1), (-1.0, 3))
     sp = cycle_distance_spectrum(4)
     assert sp.values() == pytest.approx([4, 0, -2], abs=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="values are chained at an absolute 1e-6, "
+                   "which merges three distinct eigenvalues near -1/4 (ROADMAP item 4)")
+def test_odd_cycle_distance_groups_are_distinct_values():
+    # j and n - j give one value, j = 0 its own: (n + 1) / 2 distinct values
+    sp, _ = closed_form_distance_spectrum(Cycle(3999))
+    assert len(sp.pairs) == 2000
 
 
 # ---------------------------------------------------------------------------

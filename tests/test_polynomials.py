@@ -10,7 +10,7 @@ from kronspectra.closedform import (
     johnson_adjacency_eigenvalues,
     johnson_distance_total,
 )
-from kronspectra.errors import FamilyDomainError
+from kronspectra.errors import FamilyDomainError, NonSymmetricMatrixError
 from kronspectra.graphs import (
     Complete,
     Cycle,
@@ -189,6 +189,38 @@ def test_matrix_eval_rejects_nonsquare():
     p = Polynomial.from_coefficients([1, 1])
     with pytest.raises(ValueError):
         matrix_polynomial_eval(p, np.zeros((2, 3)))
+
+
+def _identity_horner(p, a):
+    """Horner from c_d * I, the form matrix_polynomial_eval replaced."""
+    n = a.shape[0]
+    coeffs = p.as_floats()
+    result = coeffs[-1] * np.eye(n)
+    for c in coeffs[-2::-1]:
+        result = result @ a + c * np.eye(n)
+    return result
+
+
+@pytest.mark.parametrize("spec", [Cycle(7), Johnson(6, 3), Hamming(3, 3), Complete(5)])
+def test_matrix_eval_matches_identity_horner(spec):
+    a = build_family(spec).adjacency_matrix().astype(float)
+    rng = np.random.default_rng(3)
+    for degree in range(5):
+        coeffs = [F(int(x), int(y)) for x, y in zip(rng.integers(-9, 10, degree + 1),
+                                                      rng.integers(1, 7, degree + 1))]
+        coeffs[-1] = coeffs[-1] or F(1)
+        p = Polynomial.from_coefficients(coeffs)
+        assert p.degree == degree
+        # same products and sums; only the sign of a zero entry may differ
+        assert np.array_equal(matrix_polynomial_eval(p, a), _identity_horner(p, a))
+    assert np.array_equal(matrix_polynomial_eval(Polynomial.from_coefficients([F(5, 2)]),
+                                                 np.zeros((0, 0))), np.zeros((0, 0)))
+
+
+def test_matrix_eval_rejects_asymmetric_input():
+    with pytest.raises(NonSymmetricMatrixError):
+        matrix_polynomial_eval(Polynomial.from_coefficients([0, 1]),
+                               np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
