@@ -232,7 +232,8 @@ def cycle_combo_eigenvalues(n: int, s: float, t: float) -> np.ndarray:
     """
     Cycle(n)  # domain check
     j = np.arange(n)
-    out = 2.0 * s * np.cos(2.0 * math.pi * j / n)
+    # s = 0 (the d column of every cycle eigen-table) needs no cosines
+    out = 2.0 * s * np.cos(2.0 * math.pi * j / n) if s else np.zeros(n)
     out[0] = 2.0 * s + (n * n / 4.0 if n % 2 == 0 else (n * n - 1) / 4.0) * t
     if n % 2 == 0:
         out[1::2] -= t / np.sin(math.pi * j[1::2] / n) ** 2

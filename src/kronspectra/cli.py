@@ -31,11 +31,7 @@ from .graphs import (
     family_to_string,
     to_edge_list_text,
 )
-from .polynomials import (
-    hamming_distance_polynomial,
-    johnson_distance_polynomial,
-    verify_distance_polynomial,
-)
+from .polynomials import distance_polynomial, verify_distance_polynomial
 from .spectrum import Spectrum, spectra_match
 from .verify import (
     closed_form_adjacency_spectrum,
@@ -206,13 +202,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_poly(args: argparse.Namespace) -> int:
     spec = parse_family(args.family)
-    if isinstance(spec, Johnson):
-        poly = johnson_distance_polynomial(spec.m, spec.r)
-    elif isinstance(spec, Hamming):
-        poly = hamming_distance_polynomial(spec.d, spec.q)
-    else:
-        print("poly requires a Johnson or Hamming family", file=sys.stderr)
-        return EXIT_ERROR
+    poly = distance_polynomial(spec)
     check = verify_distance_polynomial(spec)
     payload = {
         "family": family_to_string(spec),

@@ -13,10 +13,12 @@ distance 2, otherwise at 3) and off-diagonal blocks D + 2I (a vertex
 reaches its copy in another block in two steps via a third block).  So
 every product spectrum is one law on G's table: each row gives
 n*d + a + t + 2(n-1) with multiplicity mult and a + t - 2 with
-multiplicity (n-1)*mult.  Johnson and Hamming tables hold only integers, so
-K_n (x) J(m, r) and K_n (x) H(d, q) with q >= 3 are distance integral; they
-stay in exact integer arithmetic (grouping tolerance 0), while cycle tables
-are float columns grouped at 1e-6.
+multiplicity (n-1)*mult.  Johnson and Hamming tables hold only integers
+(their d column is p(a) for the polynomial p with D = p(A) that the
+intersection array gives), so K_n (x) J(m, r) and K_n (x) H(d, q) with
+q >= 3 are distance integral; they stay in exact integer arithmetic
+(grouping tolerance 0), while cycle tables are float columns grouped at
+1e-6.
 
 The three enumeration fixes in the verification notes are rows of the law:
 the even-cycle row j = 0 (a = t = 2) gives the repeated value 2 with
@@ -33,13 +35,14 @@ cycle forms' t = a, and takes the complete-product form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
 import numpy as np
 
 from .circulant import cycle_adjacency_eigenvalues, cycle_combo_eigenvalues
 from .errors import FamilyDomainError, NoClosedFormError
-from .graphs import Complete, Cycle, FamilySpec, Hamming, Johnson
+from .graphs import Complete, Cycle, FamilySpec, Hamming, Johnson, family_to_string
 from .spectrum import Spectrum, spectrum_from_values
 
 __all__ = [
@@ -48,6 +51,7 @@ __all__ = [
     "EigenTable",
     "eigen_table",
     "kron_complete_law",
+    "intersection_array",
     "johnson_intersection",
     "hamming_intersection",
     "johnson_adjacency_eigenvalues",
@@ -74,7 +78,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntersectionArray:
-    """Intersection numbers of a distance-regular graph: b_0..b_{d-1}, c_1..c_d."""
+    """Intersection numbers of a distance-regular graph: b_0..b_{d-1}, c_1..c_d.
+
+    A vertex at distance i from x has c_i neighbours at distance i-1 from x,
+    a_i = b_0 - b_i - c_i at distance i and b_i at distance i+1 (c_0 = b_d = 0).
+    """
 
     b: tuple[int, ...]
     c: tuple[int, ...]
@@ -85,8 +93,33 @@ class IntersectionArray:
             raise ValueError("diameter must be positive")
         if len(self.b) != self.diameter or len(self.c) != self.diameter:
             raise ValueError("b and c must each have length equal to the diameter")
-        if self.b[0] <= 0 or self.c[0] < 1:
-            raise ValueError("need b_0 > 0 and c_1 >= 1")
+        if min(self.b) < 1 or min(self.c) < 1:
+            raise ValueError("need every b_i >= 1 and every c_i >= 1")
+        if any(self.a(i) < 0 for i in range(self.diameter + 1)):
+            raise ValueError("need every a_i = b_0 - b_i - c_i >= 0")
+
+    def a(self, i: int) -> int:
+        """a_i = b_0 - b_i - c_i for i = 0..d."""
+        b_i = self.b[i] if i < self.diameter else 0
+        c_i = self.c[i - 1] if i else 0
+        return self.b[0] - b_i - c_i
+
+    def distance_polynomial(self) -> list[Fraction]:
+        """Ascending coefficients of p = sum_i i * v_i, so that p(A) = D.
+
+        v_i(A) is the distance-i matrix: v_0 = 1, v_1 = x and
+        c_{i+1} v_{i+1} = (x - a_i) v_i - b_{i-1} v_{i-1} (Brouwer, Cohen and
+        Neumaier, Distance-Regular Graphs, 1989, 4.1).
+        """
+        zero = np.full(self.diameter + 1, Fraction(0), dtype=object)
+        prev, cur, p = zero, zero.copy(), zero
+        cur[0] = Fraction(1)
+        for i in range(self.diameter):
+            b_prev = self.b[i - 1] if i else 0
+            # np.roll multiplies by x: v_i has degree i < d, so nothing wraps
+            prev, cur = cur, (np.roll(cur, 1) - self.a(i) * cur - b_prev * prev) / self.c[i]
+            p = p + (i + 1) * cur
+        return p.tolist()
 
 
 def johnson_intersection(m: int, r: int) -> IntersectionArray:
@@ -103,6 +136,16 @@ def hamming_intersection(d: int, q: int) -> IntersectionArray:
     b = tuple((d - i) * (q - 1) for i in range(d))
     c = tuple(range(1, d + 1))
     return IntersectionArray(b, c, d)
+
+
+def intersection_array(spec: FamilySpec) -> IntersectionArray:
+    """The intersection array of a Johnson or Hamming graph."""
+    if isinstance(spec, Johnson):
+        return johnson_intersection(spec.m, spec.r)
+    if isinstance(spec, Hamming):
+        return hamming_intersection(spec.d, spec.q)
+    raise FamilyDomainError(f"{family_to_string(spec)}: intersection arrays and distance"
+                            " polynomials cover Johnson and Hamming families only")
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +190,16 @@ def _integer_table(a: list[int], d: list[int], mult: list[int],
                       np.array(mult, dtype=object))
 
 
+def _integer_value(coeffs: list[Fraction], x: int) -> int:
+    """The polynomial with these ascending coefficients at x, required integral."""
+    value = Fraction(0)
+    for coeff in reversed(coeffs):
+        value = value * x + coeff
+    if value.denominator != 1:
+        raise ArithmeticError(f"distance eigenvalue {value} at {x} is not an integer")
+    return value.numerator
+
+
 def eigen_table(spec: FamilySpec) -> EigenTable:
     """The (a, d, t, mult) table of a cycle, complete, Johnson or Hamming graph."""
     if isinstance(spec, Cycle):
@@ -159,19 +212,18 @@ def eigen_table(spec: FamilySpec) -> EigenTable:
         n = spec.n
         a, mult = ([n - 1, -1], [1, n - 1]) if n > 1 else ([0], [1])
         return _integer_table(a, a, mult, n == 2)
-    if isinstance(spec, Johnson):
-        m, r = spec.m, spec.r
-        s = johnson_distance_total(m, r)
-        if s % (m - 1):
-            raise ArithmeticError(f"s={s} not divisible by m-1={m - 1}")
-        d = [s, -(s // (m - 1))] + [0] * (r - 1)
-        return _integer_table(johnson_adjacency_eigenvalues(m, r), d,
-                              johnson_adjacency_multiplicities(m, r), m == 2)
-    if isinstance(spec, Hamming):
-        d, q = spec.d, spec.q
-        dist = [d * q ** (d - 1) * (q - 1), -(q ** (d - 1))] + [0] * (d - 1)
-        return _integer_table(hamming_adjacency_eigenvalues(d, q), dist,
-                              hamming_adjacency_multiplicities(d, q), q == 2)
+    if isinstance(spec, (Johnson, Hamming)):
+        # D = p(A) gives d = p(a); T = A when no edge is in a triangle (a_1 = 0)
+        arr = intersection_array(spec)
+        if isinstance(spec, Johnson):
+            a = johnson_adjacency_eigenvalues(spec.m, spec.r)
+            mult = johnson_adjacency_multiplicities(spec.m, spec.r)
+        else:
+            a = hamming_adjacency_eigenvalues(spec.d, spec.q)
+            mult = hamming_adjacency_multiplicities(spec.d, spec.q)
+        p = arr.distance_polynomial()
+        return _integer_table(a, [_integer_value(p, x) for x in a], mult,
+                              arr.a(1) == 0)
     raise NoClosedFormError("eigen-tables cover the base families only")
 
 

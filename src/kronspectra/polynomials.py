@@ -1,16 +1,12 @@
 """Distance matrix as a polynomial of the adjacency matrix.
 
-For a distance-regular graph of diameter d there is a degree-d polynomial p
-with p(A) = D.  For Johnson and Hamming graphs it is explicit: with
-adjacency eigenvalues lambda_0 > ... > lambda_d as interpolation nodes,
-
-    p = mu_0 * L_0 + mu_1 * L_1,
-
-where L_j are the Lagrange basis polynomials on the nodes and mu_0, mu_1
-are the nonzero distance eigenvalues (p vanishes on lambda_i for i >= 2).
-Coefficients are kept exact as fractions; the same polynomials also have a
-product form in the intersection numbers, implemented separately so the two
-routes can be checked against each other.
+In a distance-regular graph of diameter d the distance-i matrix is v_i(A),
+where v_0 = 1, v_1 = x and c_{i+1} v_{i+1} = (x - a_i) v_i - b_{i-1} v_{i-1}
+in the intersection numbers, so D = p(A) with p = sum_i i * v_i of degree d.
+`distance_polynomial` takes p, in exact fractions, from the intersection
+array of a Johnson or Hamming graph (`closedform.IntersectionArray`);
+`verify_distance_polynomial` checks p(A) entrywise against BFS distances.
+Lagrange/Vandermonde interpolation stays as an exact general tool.
 """
 
 from __future__ import annotations
@@ -22,24 +18,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .closedform import (
-    hamming_adjacency_eigenvalues,
-    hamming_intersection,
-    johnson_adjacency_eigenvalues,
-    johnson_distance_total,
-    johnson_intersection,
-)
-from .errors import FamilyDomainError, NonSymmetricMatrixError
+from .closedform import intersection_array
+from .errors import NonSymmetricMatrixError
 from .graphs import FamilySpec, Hamming, Johnson, build_family, distance_matrix
 
 __all__ = [
     "Polynomial",
     "lagrange_basis",
     "vandermonde_solve",
+    "distance_polynomial",
     "johnson_distance_polynomial",
-    "johnson_distance_polynomial_product_form",
     "hamming_distance_polynomial",
-    "hamming_distance_polynomial_product_form",
     "matrix_polynomial_eval",
     "verify_distance_polynomial",
     "PolynomialCheck",
@@ -159,80 +148,20 @@ def vandermonde_solve(nodes: Sequence[Number], rhs: Sequence[Number]) -> Polynom
 # Johnson and Hamming distance polynomials
 # ---------------------------------------------------------------------------
 
+def distance_polynomial(spec: FamilySpec) -> Polynomial:
+    """p with p(A) = D for a Johnson or Hamming family, from its
+    intersection array; any other family raises FamilyDomainError."""
+    return Polynomial.from_coefficients(intersection_array(spec).distance_polynomial())
+
+
 def johnson_distance_polynomial(m: int, r: int) -> Polynomial:
-    """p with p(A) = D for J(m, r): p = s*L_0 - (s/(m-1))*L_1 on the
-    adjacency eigenvalues."""
-    nodes = johnson_adjacency_eigenvalues(m, r)
-    s = johnson_distance_total(m, r)
-    mu1 = Fraction(-s, m - 1)
-    return lagrange_basis(nodes, 0).scale(s) + lagrange_basis(nodes, 1).scale(mu1)
-
-
-def johnson_distance_polynomial_product_form(m: int, r: int) -> Polynomial:
-    """Same polynomial written through the intersection numbers:
-
-    s * [ prod_{i=1..r} (x - b_i + i)/(b_0 - b_i + i)
-          - 1/(m-1) * prod_{i=0..r, i != 1} (x - b_i + i)/(b_1 - b_i + i - 1) ].
-
-    The denominators are the node gaps in disguise: b_0 - b_i + i is
-    lambda_0 - lambda_i and b_1 - b_i + i - 1 is lambda_1 - lambda_i.
-    """
-    arr = johnson_intersection(m, r)
-    b = list(arr.b) + [0]  # b_r = (r-r)(m-r-r) = 0
-    s = johnson_distance_total(m, r)
-
-    first = Polynomial.from_coefficients([1])
-    for i in range(1, r + 1):
-        first = _multiply_linear(first, Fraction(b[i] - i))
-        first = first.scale(Fraction(1, b[0] - b[i] + i))
-    second = Polynomial.from_coefficients([1])
-    for i in range(0, r + 1):
-        if i == 1:
-            continue
-        second = _multiply_linear(second, Fraction(b[i] - i))
-        second = second.scale(Fraction(1, b[1] - b[i] + i - 1))
-    return (first + second.scale(Fraction(-1, m - 1))).scale(s)
+    """p with p(A) = D for J(m, r)."""
+    return distance_polynomial(Johnson(m, r))
 
 
 def hamming_distance_polynomial(d: int, q: int) -> Polynomial:
-    """p with p(A) = D for H(d, q): p = t*L_0 - q^(d-1)*L_1 on the
-    adjacency eigenvalues, t = d*q^(d-1)*(q-1)."""
-    nodes = hamming_adjacency_eigenvalues(d, q)
-    t = d * q ** (d - 1) * (q - 1)
-    mu1 = -(q ** (d - 1))
-    return lagrange_basis(nodes, 0).scale(t) + lagrange_basis(nodes, 1).scale(mu1)
-
-
-def hamming_distance_polynomial_product_form(d: int, q: int) -> Polynomial:
-    """Intersection-number form:
-
-    t * [ prod_{i=1..d} (x - b_0 + q*c_i)/(q*c_i)
-          - 1/(d(q-1)) * prod_{i=0..d, i != 1} (x - b_0 + q*c_i)/(q*(c_i - 1)) ].
-    """
-    arr = hamming_intersection(d, q)
-    b0 = arr.b[0]
-    c = [0] + list(arr.c)  # c_0 = 0 so the i = 0 factor reads (x - b_0)/(-q)
-    t = d * q ** (d - 1) * (q - 1)
-
-    first = Polynomial.from_coefficients([1])
-    for i in range(1, d + 1):
-        first = _multiply_linear(first, Fraction(b0 - q * c[i]))
-        first = first.scale(Fraction(1, q * c[i]))
-    second = Polynomial.from_coefficients([1])
-    for i in range(0, d + 1):
-        if i == 1:
-            continue
-        second = _multiply_linear(second, Fraction(b0 - q * c[i]))
-        second = second.scale(Fraction(1, q * (c[i] - 1)))
-    return (first + second.scale(Fraction(-1, d * (q - 1)))).scale(t)
-
-
-def _multiply_linear(p: Polynomial, root: Fraction) -> Polynomial:
-    """p(x) * (x - root)."""
-    coeffs = [Fraction(0)] + list(p.coefficients)
-    for i in range(len(coeffs) - 1):
-        coeffs[i] -= root * coeffs[i + 1]
-    return Polynomial.from_coefficients(coeffs)
+    """p with p(A) = D for H(d, q)."""
+    return distance_polynomial(Hamming(d, q))
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +214,7 @@ def verify_distance_polynomial(spec: FamilySpec, tol: float = 1e-8) -> Polynomia
     """Build the graph, evaluate its distance polynomial on A, compare to D."""
     from .graphs import family_to_string
 
-    if isinstance(spec, Johnson):
-        poly = johnson_distance_polynomial(spec.m, spec.r)
-    elif isinstance(spec, Hamming):
-        poly = hamming_distance_polynomial(spec.d, spec.q)
-    else:
-        raise FamilyDomainError(
-            "distance polynomials are available for Johnson and Hamming families only"
-        )
+    poly = distance_polynomial(spec)
     graph = build_family(spec)
     d = distance_matrix(graph).astype(np.float64)
     evaluated = matrix_polynomial_eval(poly, graph.adjacency_matrix())

@@ -144,6 +144,12 @@ def test_poly_command(capsys):
 
 def test_poly_rejects_cycle(capsys):
     assert main(["poly", "--family", "C5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: C5: intersection arrays and distance polynomials cover"
+        " Johnson and Hamming families only\n"
+    )
 
 
 def test_grid_small_subset(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kronspectra.closedform import (
+    IntersectionArray,
     check_integrality,
     complete_distance_spectrum,
     cycle_distance_spectrum,
@@ -67,6 +68,16 @@ def test_intersection_domain_errors():
         johnson_intersection(3, 2)
     with pytest.raises(FamilyDomainError):
         hamming_intersection(0, 2)
+
+
+def test_intersection_array_rejects_malformed_numbers():
+    # the distance recurrence divides by every c_{i+1}
+    with pytest.raises(ValueError, match="every c_i >= 1"):
+        IntersectionArray((2, 1), (1, 0), 2)
+    with pytest.raises(ValueError, match="every b_i >= 1"):
+        IntersectionArray((2, 0), (1, 1), 2)
+    with pytest.raises(ValueError, match="every a_i"):
+        IntersectionArray((3, 1), (1, 4), 2)  # a_2 = 3 - 0 - 4
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,7 @@ from kronspectra.graphs import (
 from kronspectra.polynomials import (
     Polynomial,
     hamming_distance_polynomial,
-    hamming_distance_polynomial_product_form,
     johnson_distance_polynomial,
-    johnson_distance_polynomial_product_form,
     lagrange_basis,
     matrix_polynomial_eval,
     vandermonde_solve,
@@ -112,7 +110,7 @@ def hamming_grid(max_order):
     ]
 
 
-@pytest.mark.parametrize("m, r", johnson_grid(10))
+@pytest.mark.parametrize("m, r", johnson_grid(12))
 def test_johnson_polynomial_node_values(m, r):
     p = johnson_distance_polynomial(m, r)
     lam = johnson_adjacency_eigenvalues(m, r)
@@ -124,7 +122,7 @@ def test_johnson_polynomial_node_values(m, r):
         assert p(value) == 0
 
 
-@pytest.mark.parametrize("d, q", hamming_grid(256))
+@pytest.mark.parametrize("d, q", hamming_grid(4096))
 def test_hamming_polynomial_node_values(d, q):
     p = hamming_distance_polynomial(d, q)
     lam = hamming_adjacency_eigenvalues(d, q)
@@ -133,22 +131,6 @@ def test_hamming_polynomial_node_values(d, q):
     assert p(lam[1]) == -(q ** (d - 1))
     for value in lam[2:]:
         assert p(value) == 0
-
-
-@pytest.mark.parametrize("m, r", johnson_grid(10))
-def test_johnson_product_form_equals_lagrange_form(m, r):
-    assert (
-        johnson_distance_polynomial_product_form(m, r).coefficients
-        == johnson_distance_polynomial(m, r).coefficients
-    )
-
-
-@pytest.mark.parametrize("d, q", hamming_grid(256))
-def test_hamming_product_form_equals_lagrange_form(d, q):
-    assert (
-        hamming_distance_polynomial_product_form(d, q).coefficients
-        == hamming_distance_polynomial(d, q).coefficients
-    )
 
 
 @pytest.mark.parametrize("m, r", johnson_grid(12))
