@@ -133,6 +133,25 @@ def test_hamming_polynomial_node_values(d, q):
         assert p(value) == 0
 
 
+# The intersection-number recurrence against the Lagrange form, interpolated
+# independently through the adjacency eigenvalues and the distance eigenvalues.
+
+@pytest.mark.parametrize("m, r", johnson_grid(10))
+def test_johnson_product_form_equals_lagrange_form(m, r):
+    lam = johnson_adjacency_eigenvalues(m, r)
+    s = johnson_distance_total(m, r)
+    lagrange = vandermonde_solve(lam, [s, F(-s, m - 1)] + [0] * (len(lam) - 2))
+    assert johnson_distance_polynomial(m, r).coefficients == lagrange.coefficients
+
+
+@pytest.mark.parametrize("d, q", hamming_grid(256))
+def test_hamming_product_form_equals_lagrange_form(d, q):
+    lam = hamming_adjacency_eigenvalues(d, q)
+    values = [d * q ** (d - 1) * (q - 1), -(q ** (d - 1))] + [0] * (len(lam) - 2)
+    lagrange = vandermonde_solve(lam, values)
+    assert hamming_distance_polynomial(d, q).coefficients == lagrange.coefficients
+
+
 @pytest.mark.parametrize("m, r", johnson_grid(12))
 def test_product_form_denominators_are_node_gaps(m, r):
     # b_1 - b_i + i - 1 must equal lambda_1 - lambda_i
