@@ -15,11 +15,12 @@ mismatch.  Output is deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import IO
+from typing import IO, Iterator
 
-from .errors import FamilyParseError, KronSpectraError
+from .errors import FamilyDomainError, FamilyParseError, KronSpectraError
 from .graphs import (
     Complete,
     Cycle,
@@ -40,6 +41,7 @@ from .verify import (
     iter_grid,
     oracle_adjacency_spectrum,
     oracle_distance_spectrum,
+    poly_report,
     verify_family,
 )
 
@@ -122,8 +124,14 @@ class _FamilyParser:
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _open_output(path: str | None) -> IO[str]:
-    return open(path, "w") if path else sys.stdout
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[IO[str]]:
+    """The ``--output`` file, closed on exit, or stdout, left open."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w") as out:
+        yield out
 
 
 def _emit_spectrum(sp: Spectrum, fmt: str, out: IO[str], label: dict) -> None:
@@ -144,12 +152,8 @@ def _emit_spectrum(sp: Spectrum, fmt: str, out: IO[str], label: dict) -> None:
 def cmd_gen(args: argparse.Namespace) -> int:
     spec = parse_family(args.family)
     graph = build_family(spec)
-    out = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         out.write(to_edge_list_text(graph))
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -170,9 +174,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             oracle = oracle_distance_spectrum(spec, args.tol)
         else:
             oracle = oracle_adjacency_spectrum(spec, args.tol)
-    out = _open_output(args.output)
     code = EXIT_OK
-    try:
+    with _output(args.output) as out:
         if args.method == "closed":
             _emit_spectrum(closed, args.format,
                            out, {"family": name, "method": "closed",
@@ -194,9 +197,6 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             out.write(json.dumps(payload) + "\n")
             if not report.matches:
                 code = EXIT_MISMATCH
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return code
 
 
@@ -211,12 +211,8 @@ def cmd_poly(args: argparse.Namespace) -> int:
         "max_entry_gap": check.max_entry_gap,
         "pass": check.passed,
     }
-    out = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         out.write(json.dumps(payload) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK if check.passed else EXIT_MISMATCH
 
 
@@ -225,28 +221,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports = []
     if args.check in ("spectrum", "all"):
         reports.append(verify_family(spec, args.tol))
-    if args.check in ("poly", "all") and isinstance(spec, (Johnson, Hamming)):
-        from .verify import poly_report
-
-        reports.append(poly_report(spec))
+    if args.check in ("poly", "all"):
+        try:
+            reports.append(poly_report(spec))
+        except FamilyDomainError:
+            pass  # the family has no distance polynomial
     if not reports:
         print("nothing to verify for this family/check combination", file=sys.stderr)
         return EXIT_ERROR
-    out = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         for report in reports:
             out.write(json.dumps(report.to_dict()) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK if all(r.match for r in reports) else EXIT_MISMATCH
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
     cases = default_grid(args.max_order)
-    out = _open_output(args.output)
     passed = failed = 0
-    try:
+    with _output(args.output) as out:
         # JSON lines stream as cases finish, so long sweeps show progress
         for report in iter_grid(cases, tol=args.tol):
             out.write(json.dumps(report.to_dict()) + "\n")
@@ -258,9 +250,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
         out.write(json.dumps({"summary": {"cases": passed + failed,
                                           "passed": passed,
                                           "failed": failed}}) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK if failed == 0 else EXIT_MISMATCH
 
 
@@ -277,17 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, family: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser, family: bool = True,
+                   tol: bool = True) -> None:
         if family:
             p.add_argument("--family", required=True,
                            help="family string, e.g. 'kron(K3,C4)' or 'J(4,2)'")
-        p.add_argument("--tol", type=float, default=1e-6,
-                       help="grouping/comparison tolerance (default 1e-6)")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-6,
+                           help="grouping/comparison tolerance (default 1e-6)")
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
     p_gen = sub.add_parser("gen", help="write a family as edge-list text")
-    p_gen.add_argument("--family", required=True)
-    p_gen.add_argument("--output", default=None)
+    add_common(p_gen, tol=False)
     p_gen.set_defaults(func=cmd_gen)
 
     p_spec = sub.add_parser("spectrum", help="spectrum of one family")
@@ -300,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_poly = sub.add_parser("poly", help="distance polynomial p with p(A) = D")
-    add_common(p_poly)
+    # p(A) = D is checked entrywise at verify_distance_polynomial's own 1e-8
+    add_common(p_poly, tol=False)
     p_poly.set_defaults(func=cmd_poly)
 
     p_verify = sub.add_parser("verify", help="closed-vs-oracle report for one family")

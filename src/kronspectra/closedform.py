@@ -109,17 +109,27 @@ class IntersectionArray:
 
         v_i(A) is the distance-i matrix: v_0 = 1, v_1 = x and
         c_{i+1} v_{i+1} = (x - a_i) v_i - b_{i-1} v_{i-1} (Brouwer, Cohen and
-        Neumaier, Distance-Regular Graphs, 1989, 4.1).
+        Neumaier, Distance-Regular Graphs, 1989, 4.1).  The recurrence runs
+        on the integer polynomials w_i = c_1...c_i v_i, with
+        w_{i+1} = (x - a_i) w_i - b_{i-1} c_i w_{i-1}; only adding
+        i * w_i / (c_1...c_i) into p divides.
         """
-        zero = np.full(self.diameter + 1, Fraction(0), dtype=object)
-        prev, cur, p = zero, zero.copy(), zero
-        cur[0] = Fraction(1)
+        prev, cur = [], [1]
+        scale = 1
+        p = [Fraction(0)] * (self.diameter + 1)
         for i in range(self.diameter):
-            b_prev = self.b[i - 1] if i else 0
-            # np.roll multiplies by x: v_i has degree i < d, so nothing wraps
-            prev, cur = cur, (np.roll(cur, 1) - self.a(i) * cur - b_prev * prev) / self.c[i]
-            p = p + (i + 1) * cur
-        return p.tolist()
+            a_i = self.a(i)
+            bc = self.b[i - 1] * self.c[i - 1] if i else 0
+            nxt = [0] + cur
+            for k, coeff in enumerate(cur):
+                nxt[k] -= a_i * coeff
+            for k, coeff in enumerate(prev):
+                nxt[k] -= bc * coeff
+            prev, cur = cur, nxt
+            scale *= self.c[i]
+            for k, coeff in enumerate(cur):
+                p[k] += Fraction((i + 1) * coeff, scale)
+        return p
 
 
 def johnson_intersection(m: int, r: int) -> IntersectionArray:
@@ -318,7 +328,7 @@ def complete_distance_spectrum(n: int) -> Spectrum:
 
 
 def cycle_adjacency_spectrum(n: int, group_tol: float = 1e-6) -> Spectrum:
-    # the a column of the cycle table, without its d column's O(n) loop
+    # the a column of the cycle table, without computing its d column
     return spectrum_from_values(cycle_adjacency_eigenvalues(n), group_tol)
 
 

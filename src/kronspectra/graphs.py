@@ -70,41 +70,22 @@ PRODUCT_VERTEX_CAP = 20_000
 class Graph:
     """Simple undirected graph in compressed sparse row (CSR) form.
 
-    The neighbours of vertex u are ``indices[indptr[u]:indptr[u + 1]]``,
-    strictly increasing; ``indptr`` is int64 and ``indices`` int32, both
-    read-only.  ``Graph(adjacency, labels)`` takes per-vertex neighbour
-    tuples and :meth:`from_csr` takes the two arrays; either way one
-    vectorized pass rejects out-of-range neighbours, self-loops, unsorted or
-    repeated neighbours and asymmetric edges.
+    ``Graph(indptr, indices, labels=None)``: the neighbours of vertex u are
+    ``indices[indptr[u]:indptr[u + 1]]``, strictly increasing.  The graph
+    keeps read-only copies, ``indptr`` as int64 and ``indices`` as int32.
+    One vectorized pass rejects a malformed ``indptr``, out-of-range
+    neighbours, self-loops, unsorted or repeated neighbours and asymmetric
+    edges.
 
     ``labels``, when present, are human-readable vertex names (subset or
     tuple notation for Johnson/Hamming vertices); they carry no algorithmic
-    weight and exist to make failures debuggable.  Family builders supply
-    them as a function, called the first time ``labels`` is read.
+    weight and exist to make failures debuggable.  They may be a sequence
+    of names or a function returning one, called the first time ``labels``
+    is read; family builders supply a function.
     """
 
-    def __init__(self, adjacency, labels=None):
-        indptr = np.zeros(len(adjacency) + 1, dtype=np.int64)
-        np.cumsum([len(nbrs) for nbrs in adjacency], out=indptr[1:])
-        indices = np.fromiter(itertools.chain.from_iterable(adjacency),
-                              dtype=np.int64, count=int(indptr[-1]))
-        self._set_arrays(indptr, indices, labels)
-
-    @classmethod
-    def from_csr(cls, indptr, indices, labels=None) -> "Graph":
-        """Graph from CSR arrays; ``labels`` may be a sequence of names or a
-        function returning one, called when ``labels`` is first read."""
-        graph = cls.__new__(cls)
-        graph._set_arrays(np.asarray(indptr), np.asarray(indices), labels)
-        return graph
-
-    @staticmethod
-    def from_neighbor_lists(neighbors: list[list[int]],
-                            labels: list[str] | None = None) -> "Graph":
-        adj = tuple(tuple(sorted(set(ns))) for ns in neighbors)
-        return Graph(adj, tuple(labels) if labels is not None else None)
-
-    def _set_arrays(self, indptr: np.ndarray, indices: np.ndarray, labels) -> None:
+    def __init__(self, indptr, indices, labels=None):
+        indptr, indices = np.asarray(indptr), np.asarray(indices)
         if indptr.ndim != 1 or indptr.size == 0 or indices.ndim != 1:
             raise ValueError("indptr and indices must be one-dimensional, indptr nonempty")
         if indptr.dtype.kind not in "iu" or (indices.size and indices.dtype.kind not in "iu"):
@@ -155,13 +136,6 @@ class Graph:
         if callable(self._labels):
             return _checked_labels(self._labels(), self.vertex_count)
         return self._labels
-
-    @functools.cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex neighbour tuples, built once on first read."""
-        flat = self.indices.tolist()
-        bounds = self.indptr.tolist()
-        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @property
     def vertex_count(self) -> int:
@@ -220,7 +194,7 @@ def _from_boolean_rows(blocks, labels=None) -> Graph:
     counts = np.concatenate(counts)
     indptr = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return Graph.from_csr(indptr, np.concatenate(cols), labels)
+    return Graph(indptr, np.concatenate(cols), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +290,7 @@ def build_family(spec: FamilySpec) -> Graph:
         n = spec.n
         i = np.arange(n)
         nbrs = np.sort(np.stack([(i - 1) % n, (i + 1) % n], axis=1), axis=1)
-        return Graph.from_csr(2 * np.arange(n + 1), nbrs.ravel())
+        return Graph(2 * np.arange(n + 1), nbrs.ravel())
     if isinstance(spec, Complete):
         return _from_boolean_rows([~np.eye(spec.n, dtype=bool)])
     if isinstance(spec, Johnson):
@@ -362,7 +336,7 @@ def _build_hamming(d: int, q: int) -> Graph:
     def labels():
         return [sep.join(map(str, row)) for row in digits.tolist()]
 
-    return Graph.from_csr(d * (q - 1) * np.arange(n + 1), nbrs.ravel(), labels)
+    return Graph(d * (q - 1) * np.arange(n + 1), nbrs.ravel(), labels)
 
 
 def kronecker_product(g: Graph, h: Graph) -> Graph:
@@ -394,7 +368,7 @@ def kronecker_product(g: Graph, h: Graph) -> Graph:
         h_labels = h.labels or tuple(str(v) for v in range(h.vertex_count))
         return [f"({gl},{hl})" for gl in g_labels for hl in h_labels]
 
-    return Graph.from_csr(indptr, indices, labels)
+    return Graph(indptr, indices, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +660,6 @@ def from_edge_list_text(text: str) -> Graph:
     n, e = int(header[1]), int(header[2])
     if n < 0 or e < 0:
         raise ValueError("vertex and edge counts must be nonnegative")
-    neighbors: list[list[int]] = [[] for _ in range(n)]
     seen: set[tuple[int, int]] = set()
     for ln in lines[1:]:
         parts = ln.split()
@@ -698,8 +671,11 @@ def from_edge_list_text(text: str) -> Graph:
         if (u, v) in seen:
             raise ValueError(f"duplicate edge {u} {v}")
         seen.add((u, v))
-        neighbors[u].append(v)
-        neighbors[v].append(u)
     if len(seen) != e:
         raise ValueError(f"header declares {e} edges, found {len(seen)}")
-    return Graph.from_neighbor_lists(neighbors)
+    upper = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
+    rows, cols = np.concatenate([upper, upper[:, ::-1]]).T
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return Graph(indptr, cols[order])

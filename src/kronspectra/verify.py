@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closedform
-from .errors import KronSpectraError, NoClosedFormError
+from .errors import FamilyDomainError, KronSpectraError, NoClosedFormError
 from .graphs import (
     Complete,
     Cycle,
@@ -125,7 +125,10 @@ def closed_form_distance_spectrum(
 def _kron_closed_form(
     spec: Kron, group_tol: float
 ) -> tuple[Spectrum, list[str]]:
+    """Normalise the product and dispatch it to the closedform function
+    whose domain check rules on it."""
     left, right = spec.left, spec.right
+    family = family_to_string(spec)
     notes: list[str] = []
     if _as_complete(left) is None and _as_complete(right) is not None:
         left, right = right, left
@@ -133,51 +136,34 @@ def _kron_closed_form(
     complete_left = _as_complete(left)
     if complete_left is None or isinstance(right, Kron):
         raise NoClosedFormError(
-            f"no closed form for {family_to_string(spec)}: products are covered"
+            f"no closed form for {family}: products are covered"
             " only with a complete factor against a cycle, complete, Johnson"
             " or Hamming factor"
         )
-    n = complete_left.n
-    if n < 3:
-        raise NoClosedFormError(
-            f"no closed form for {family_to_string(spec)}: the complete factor"
-            " must have at least 3 vertices (K_2 products put same-position"
-            " pairs at distance 3, which no published form covers)"
-        )
-
-    right_complete = _as_complete(right)
-    if right_complete is not None:
+    n, right_complete = complete_left.n, _as_complete(right)
+    try:
+        if right_complete is not None:
+            if isinstance(right, Cycle):
+                notes.append(NOTE_TRIANGLE_IS_COMPLETE)
+            return closedform.kron_complete_spectrum(n, right_complete.n), notes
         if isinstance(right, Cycle):
-            notes.append(NOTE_TRIANGLE_IS_COMPLETE)
-        if right_complete.n < 3:
-            raise NoClosedFormError(
-                f"no closed form for {family_to_string(spec)}: the second factor"
-                " is K_2 (same-position pairs sit at distance 3)"
-            )
-        return closedform.kron_complete_spectrum(n, right_complete.n), notes
-
-    if isinstance(right, Cycle):
-        if right.n % 2 == 0:
-            notes.append(NOTE_EVEN_CYCLE_INDEX_ZERO)
-            return closedform.kron_cycle_even_spectrum(n, right.n // 2, group_tol), notes
-        notes.append(NOTE_ODD_CYCLE_INDEX_RANGE)
-        return closedform.kron_cycle_odd_spectrum(n, (right.n - 1) // 2, group_tol), notes
-    if isinstance(right, Johnson):
-        return closedform.kron_johnson_spectrum(n, right.m, right.r), notes
-    if isinstance(right, Hamming):
-        if right.q == 2:
-            if right.d == 2:
+            if right.n % 2 == 0:
+                notes.append(NOTE_EVEN_CYCLE_INDEX_ZERO)
+                return closedform.kron_cycle_even_spectrum(n, right.n // 2, group_tol), notes
+            notes.append(NOTE_ODD_CYCLE_INDEX_RANGE)
+            return closedform.kron_cycle_odd_spectrum(n, (right.n - 1) // 2, group_tol), notes
+        if isinstance(right, Johnson):
+            return closedform.kron_johnson_spectrum(n, right.m, right.r), notes
+        if isinstance(right, Hamming):
+            if (right.d, right.q) == (2, 2):
                 notes.append(NOTE_H22_IS_CYCLE)
                 notes.append(NOTE_EVEN_CYCLE_INDEX_ZERO)
                 return closedform.kron_cycle_even_spectrum(n, 2, group_tol), notes
-            raise NoClosedFormError(
-                f"no closed form for {family_to_string(spec)}: the Hamming factor"
-                " with q=2 is bipartite, adjacent factor pairs sit at product"
-                " distance 3, and no published form covers hypercube factors"
-            )
-        notes.append(NOTE_HAMMING_FACTOR_N)
-        return closedform.kron_hamming_spectrum(n, right.d, right.q), notes
-    raise NoClosedFormError(f"no closed form for {family_to_string(spec)}")
+            notes.append(NOTE_HAMMING_FACTOR_N)
+            return closedform.kron_hamming_spectrum(n, right.d, right.q), notes
+    except FamilyDomainError as err:
+        raise NoClosedFormError(f"no closed form for {family}: {err}") from err
+    raise NoClosedFormError(f"no closed form for {family}")
 
 
 def closed_form_adjacency_spectrum(

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from kronspectra.cli import main, parse_family
@@ -54,8 +55,9 @@ def test_parse_syntax_errors_carry_position():
 def test_gen_round_trip(capsys):
     assert main(["gen", "--family", "J(4,2)"]) == 0
     text = capsys.readouterr().out
-    g = from_edge_list_text(text)
-    assert g.adjacency == build_family(Johnson(4, 2)).adjacency
+    g, expected = from_edge_list_text(text), build_family(Johnson(4, 2))
+    assert np.array_equal(g.indptr, expected.indptr)
+    assert np.array_equal(g.indices, expected.indices)
 
 
 def test_spectrum_both_match_exits_zero(capsys):
@@ -140,6 +142,27 @@ def test_poly_command(capsys):
     assert code == 0
     assert payload["coeffs"] == ["-2", "0", "0.5"]
     assert payload["pass"] is True
+
+
+def test_poly_has_no_tol_flag():
+    # p(A) = D is always checked at 1e-8, so a --tol would do nothing
+    with pytest.raises(SystemExit):
+        main(["poly", "--family", "J(4,2)", "--tol", "1e-3"])
+
+
+def test_verify_poly_without_polynomial_is_an_error(capsys):
+    assert main(["verify", "--family", "K4", "--check", "poly"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nothing to verify" in captured.err
+
+
+def test_verify_all_prints_both_reports(capsys):
+    code = main(["verify", "--family", "J(5,2)", "--check", "all"])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == 0
+    assert [r["check"] for r in records] == ["distance-spectrum", "distance-polynomial"]
+    assert all(r["match"] for r in records)
 
 
 def test_poly_rejects_cycle(capsys):

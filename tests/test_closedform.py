@@ -23,7 +23,7 @@ from kronspectra.closedform import (
     kron_hamming_spectrum,
     kron_johnson_spectrum,
 )
-from kronspectra.errors import FamilyDomainError
+from kronspectra.errors import FamilyDomainError, NoClosedFormError
 from kronspectra.graphs import (
     Complete,
     Cycle,
@@ -32,6 +32,7 @@ from kronspectra.graphs import (
     Kron,
     build_family,
     distance_matrix,
+    family_to_string,
 )
 from kronspectra.numeric import symmetric_eigenvalues
 from kronspectra.verify import closed_form_distance_spectrum
@@ -269,6 +270,17 @@ def test_k2_complete_product_formula_really_fails():
         [2 * 3 + 2 + 3 - 3] + [2 - 3] * 2 + [3 - 3] * 1 + [-3] * 2
     )
     assert np.max(np.abs(np.sort(oracle) - np.array(formula, float))) > 0.5
+
+
+@pytest.mark.parametrize("spec", [
+    Kron(Complete(2), Cycle(5)),
+    Kron(Complete(2), Complete(3)),
+    Kron(Complete(3), Complete(2)),
+])
+def test_product_dispatch_reports_k2_factor_as_no_closed_form(spec):
+    with pytest.raises(NoClosedFormError) as info:
+        closed_form_distance_spectrum(spec)
+    assert str(info.value).startswith(f"no closed form for {family_to_string(spec)}")
 
 
 # ---------------------------------------------------------------------------
