@@ -424,12 +424,18 @@ def kronecker_connectivity_predicted(g: Graph, h: Graph) -> bool:
 # Distances
 # ---------------------------------------------------------------------------
 
-# The all-sources BFS pushes along its frontier's edges while they number
-# fewer than this fraction of n^3, the multiply-adds of one dense level step.
-# Timed per level on one core of an x86-64 Xeon with single-threaded
-# OpenBLAS, a push costs about as much as a dense step at 7e-4 n^3 edges
-# for n = 250..2200 (J(10,5), H(10,2), kron(K36,K33), kron(K3,H(6,3))).
-_PUSH_EDGES_PER_CUBE = 1 / 1500
+# Modelled seconds of one all-sources BFS level for each step, fitted per
+# level on one core of a 2-vCPU x86-64 Xeon with single-threaded OpenBLAS
+# (H(10,2), kron(K3,H(6,3)), kron(K30,K40), kron(K6,C200)):
+# push about 30 ns per frontier edge, bitset about 1.5 ns per pair plus
+# 12 ns per gathered 64-bit word, dense about 25 ps per multiply-add.
+_PUSH_S_PER_EDGE = 30e-9
+_BITSET_S_PER_PAIR = 1.5e-9
+_BITSET_S_PER_WORD = 12e-9
+_DENSE_S_PER_CUBE = 25e-12
+# the bitset step gathers neighbour bitsets in row blocks of at most this
+# many 64-bit words, the bound `_build_johnson` puts on its blocks
+_BITSET_BLOCK_WORDS = 1 << 22
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
@@ -437,15 +443,20 @@ def distance_matrix(g: Graph) -> np.ndarray:
 
     Runs breadth-first search from all sources at once, level by level.
     The frontier is the set of (source, vertex) pairs reached at the
-    previous level, and each level takes one of two steps (Beamer, Asanovic
-    and Patterson, "Direction-Optimizing Breadth-First Search", SC 2012):
+    previous level; it is symmetric, since a pair's distance is.  Each
+    level takes whichever of three steps has the lowest modelled cost:
 
-    * push: expand every frontier pair along its vertex's edges, while the
-      frontier's edges are few next to n^3;
-    * dense: one float32 product of the frontier matrix with A, otherwise.
-      It is exact, since an entry counts at most max-degree < 2^24 paths.
+    * push: expand every frontier pair along its vertex's edges, which pays
+      while the frontier's edges are few (Beamer, Asanovic and Patterson,
+      "Direction-Optimizing Breadth-First Search", SC 2012);
+    * bitset: keep the frontier's sources of each vertex as one bitset of
+      64-bit words and OR those of every vertex's neighbours (Then et al.,
+      "The More the Merrier: Efficient Multi-Source Graph Traversal",
+      PVLDB 2014), which pays while n * edges / 64 is small next to n^3;
+    * dense: one float32 product of the frontier matrix with A.  It is
+      exact, since an entry counts at most max-degree < 2^24 paths.
 
-    Either step yields exactly the per-source BFS levels.  Raises
+    Every step yields exactly the per-source BFS levels.  Raises
     DisconnectedGraphError if any pair is unreachable.
     """
     n = g.vertex_count
@@ -455,6 +466,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
     degrees = g.degrees()
+    least_degree = int(degrees.min())
     dist = np.full((n, n), -1, dtype=np.int64)
     np.fill_diagonal(dist, 0)
     flat = dist.ravel()
@@ -463,10 +475,17 @@ def distance_matrix(g: Graph) -> np.ndarray:
     level = 0
     while frontier.size:
         level += 1
-        vertex = frontier % n
-        lengths = degrees[vertex]
-        if lengths.sum() < _PUSH_EDGES_PER_CUBE * n ** 3:
+        # the frontier has at least size * least-degree edges, so they are
+        # counted only when push is the cheapest step at that bound
+        step = _level_step(n, g.indices.size, frontier.size * least_degree)
+        if step == "push":
+            vertex = frontier % n
+            lengths = degrees[vertex]
+            step = _level_step(n, g.indices.size, int(lengths.sum()))
+        if step == "push":
             frontier = _push_level(g, frontier, vertex, lengths, flat)
+        elif step == "bitset":
+            frontier = _bitset_level(g, frontier, dist)
         else:
             if adjacency is None:
                 adjacency = g.adjacency_matrix(np.float32)
@@ -475,6 +494,17 @@ def distance_matrix(g: Graph) -> np.ndarray:
     if (dist < 0).any():
         raise DisconnectedGraphError("graph is disconnected")
     return dist
+
+
+def _level_step(n: int, stored: int, frontier_edges: int) -> str:
+    """The step with the lowest modelled cost for one level of an order-n
+    graph with ``stored`` CSR neighbours; ties go to push, then bitset."""
+    costs = {
+        "push": _PUSH_S_PER_EDGE * frontier_edges,
+        "bitset": _BITSET_S_PER_PAIR * n * n + _BITSET_S_PER_WORD * stored * -(-n // 64),
+        "dense": _DENSE_S_PER_CUBE * n ** 3,
+    }
+    return min(costs, key=costs.get)
 
 
 def _push_level(g: Graph, frontier: np.ndarray, vertex: np.ndarray,
@@ -489,6 +519,46 @@ def _push_level(g: Graph, frontier: np.ndarray, vertex: np.ndarray,
     stamps = -2 - np.arange(fresh.size)
     flat_dist[fresh] = stamps
     return fresh[flat_dist[fresh] == stamps]
+
+
+def _bitset_level(g: Graph, frontier: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Unreached pairs next to the frontier, by OR-ing source bitsets.
+
+    Row v of ``bits`` holds the sources s with (s, v) in the frontier, so
+    the OR over the neighbours v of w holds every source one step from w.
+    """
+    n = g.vertex_count
+    words = -(-n // 64)
+    front = np.zeros((n, n), dtype=bool)
+    front.ravel()[frontier] = True
+    bits = np.zeros((n, words), dtype=np.uint64)
+    packed = bits.view(np.uint8)
+    packed[:, :-(-n // 8)] = np.packbits(front, axis=1, bitorder="little")
+    del front
+    reached = np.zeros_like(bits)
+    indptr, degrees = g.indptr, g.degrees()
+    # rows [start, stop) gather at most a block of words (a row that alone
+    # exceeds it is a block of its own)
+    budget = max(1, _BITSET_BLOCK_WORDS // words)
+    start = 0
+    while start < n:
+        stop = int(np.searchsorted(indptr, indptr[start] + budget, side="right")) - 1
+        stop = max(start + 1, stop)
+        # reduceat hands a zero-degree row the next row's first bitset (or
+        # fails past the end), so it runs over the rows with neighbours only
+        rows = start + np.flatnonzero(degrees[start:stop])
+        if rows.size:
+            gathered = bits[g.indices[indptr[start]:indptr[stop]]]
+            reached[rows] = np.bitwise_or.reduceat(
+                gathered, indptr[rows] - indptr[start], axis=0)
+        start = stop
+    found = np.unpackbits(reached.view(np.uint8), axis=1, count=n,
+                          bitorder="little").view(bool)
+    del reached
+    # found[w, s] marks the pair (s, w); the new pairs are symmetric, so the
+    # keys of found are theirs
+    found &= dist < 0
+    return np.flatnonzero(found)
 
 
 def _dense_level(adjacency: np.ndarray, frontier: np.ndarray,

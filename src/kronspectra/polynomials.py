@@ -210,13 +210,24 @@ class PolynomialCheck:
         }
 
 
-def verify_distance_polynomial(spec: FamilySpec, tol: float = 1e-8) -> PolynomialCheck:
-    """Build the graph, evaluate its distance polynomial on A, compare to D."""
+def verify_distance_polynomial(spec: FamilySpec, tol: float = 1e-8,
+                               oracle=None) -> PolynomialCheck:
+    """Evaluate the family's distance polynomial on A and compare it with
+    the BFS distance matrix D entrywise.
+
+    ``oracle``, when given, is read only once the polynomial exists: its
+    ``graph`` attribute is the family's graph and ``distances`` its D as
+    float64 (``verify.FamilyOracle`` shares them between checks).
+    Otherwise the graph is built and D computed here.
+    """
     from .graphs import family_to_string
 
     poly = distance_polynomial(spec)
-    graph = build_family(spec)
-    d = distance_matrix(graph).astype(np.float64)
-    evaluated = matrix_polynomial_eval(poly, graph.adjacency_matrix())
+    if oracle is None:
+        graph = build_family(spec)
+        d = distance_matrix(graph).astype(np.float64)
+    else:
+        graph, d = oracle.graph, oracle.distances
+    evaluated = matrix_polynomial_eval(poly, graph.adjacency_matrix(np.float64))
     gap = float(np.max(np.abs(evaluated - d))) if d.size else 0.0
     return PolynomialCheck(family_to_string(spec), poly.degree, gap, gap < tol)

@@ -13,6 +13,7 @@ implements and the oracle check on the same report line is the evidence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -24,6 +25,7 @@ from .graphs import (
     Complete,
     Cycle,
     FamilySpec,
+    Graph,
     Hamming,
     Johnson,
     Kron,
@@ -45,6 +47,7 @@ __all__ = [
     "NOTE_FACTORS_SWAPPED",
     "closed_form_distance_spectrum",
     "closed_form_adjacency_spectrum",
+    "FamilyOracle",
     "oracle_distance_spectrum",
     "oracle_adjacency_spectrum",
     "FamilyReport",
@@ -187,18 +190,43 @@ def closed_form_adjacency_spectrum(
 # Oracle side
 # ---------------------------------------------------------------------------
 
-def oracle_distance_eigenvalues(spec: FamilySpec) -> np.ndarray:
-    graph = build_family(spec)
-    return symmetric_eigenvalues(distance_matrix(graph).astype(np.float64))
+class FamilyOracle:
+    """A family's graph and BFS distance matrix, each computed the first
+    time a check reads it and then shared by the family's later checks.
+
+    A computation that raises stores nothing, so every check that reads it
+    raises the same error.
+    """
+
+    def __init__(self, spec: FamilySpec):
+        self.spec = spec
+
+    @functools.cached_property
+    def graph(self) -> Graph:
+        return build_family(self.spec)
+
+    @functools.cached_property
+    def distances(self) -> np.ndarray:
+        """D as float64, the form the eigensolve and the p(A) check read."""
+        return distance_matrix(self.graph).astype(np.float64)
+
+
+def _oracle_for(spec: FamilySpec, oracle: FamilyOracle | None) -> FamilyOracle:
+    if oracle is None:
+        return FamilyOracle(spec)
+    if oracle.spec != spec:
+        raise ValueError(f"oracle of {oracle.spec!r} passed for {spec!r}")
+    return oracle
 
 
 def oracle_distance_spectrum(spec: FamilySpec, group_tol: float = 1e-6) -> Spectrum:
-    return spectrum_from_values(oracle_distance_eigenvalues(spec), group_tol)
+    vals = symmetric_eigenvalues(FamilyOracle(spec).distances)
+    return spectrum_from_values(vals, group_tol)
 
 
 def oracle_adjacency_spectrum(spec: FamilySpec, group_tol: float = 1e-6) -> Spectrum:
     graph = build_family(spec)
-    vals = symmetric_eigenvalues(graph.adjacency_matrix().astype(np.float64))
+    vals = symmetric_eigenvalues(graph.adjacency_matrix(np.float64))
     return spectrum_from_values(vals, group_tol)
 
 
@@ -245,41 +273,46 @@ def verify_family(
     spec: FamilySpec,
     tol: float = 1e-6,
     matrix: str = "distance",
+    oracle: FamilyOracle | None = None,
 ) -> FamilyReport:
     """Compare the closed-form spectrum of a family against the oracle.
 
     The match requires groupwise agreement (values within tol, identical
     multiplicities) and the reported gap is the largest elementwise
-    difference between the two sorted eigenvalue multisets.
+    difference between the two sorted eigenvalue multisets.  ``oracle``
+    supplies the family's graph and D when a caller shares them between
+    checks; otherwise they are computed here.
     """
     name = family_to_string(spec)
+    oracle = _oracle_for(spec, oracle)
     if matrix == "distance":
         closed, notes = closed_form_distance_spectrum(spec, tol)
-        oracle_values = oracle_distance_eigenvalues(spec)
+        oracle_values = symmetric_eigenvalues(oracle.distances)
     elif matrix == "adjacency":
         closed, notes = closed_form_adjacency_spectrum(spec, tol)
-        graph = build_family(spec)
-        oracle_values = symmetric_eigenvalues(graph.adjacency_matrix().astype(float))
+        oracle_values = symmetric_eigenvalues(oracle.graph.adjacency_matrix(np.float64))
     else:
         raise ValueError(f"unknown matrix kind {matrix!r}")
-    oracle = spectrum_from_values(oracle_values, tol)
-    report = spectra_match(closed, oracle, tol)
+    oracle_spectrum = spectrum_from_values(oracle_values, tol)
+    report = spectra_match(closed, oracle_spectrum, tol)
     gap = _elementwise_gap(closed, oracle_values)
     matched = report.matches and gap <= tol
     return FamilyReport(
         family=name,
         check=f"{matrix}-spectrum",
         closed_form=closed,
-        oracle=oracle,
+        oracle=oracle_spectrum,
         match=matched,
         max_abs_gap=gap,
         discrepancy_notes=tuple(notes),
     )
 
 
-def poly_report(spec: FamilySpec, tol: float = 1e-8) -> FamilyReport:
-    """Entrywise p(A) = D check wrapped in the common report shape."""
-    check = verify_distance_polynomial(spec, tol)
+def poly_report(spec: FamilySpec, tol: float = 1e-8,
+                oracle: FamilyOracle | None = None) -> FamilyReport:
+    """Entrywise p(A) = D check wrapped in the common report shape; the
+    graph and D come from ``oracle`` when given."""
+    check = verify_distance_polynomial(spec, tol, _oracle_for(spec, oracle))
     return FamilyReport(
         family=check.family,
         check="distance-polynomial",
@@ -341,12 +374,12 @@ def default_grid(max_order: int = 1200) -> list[tuple[FamilySpec, str]]:
     return [(spec, kind) for spec, kind in cases if family_order(spec) <= max_order]
 
 
-def _run_case(spec: FamilySpec, kind: str, tol: float) -> FamilyReport:
+def _run_case(oracle: FamilyOracle, kind: str, tol: float) -> FamilyReport:
     if kind == "distance-polynomial":
         # entrywise p(A) = D carries its own, tighter tolerance
-        return poly_report(spec, 1e-8)
+        return poly_report(oracle.spec, 1e-8, oracle)
     matrix = "adjacency" if kind == "adjacency-spectrum" else "distance"
-    return verify_family(spec, tol, matrix)
+    return verify_family(oracle.spec, tol, matrix, oracle)
 
 
 def iter_grid(
@@ -359,11 +392,15 @@ def iter_grid(
     while long sweeps still emit partial results as they complete.  A case
     that raises a KronSpectraError (over the order cap, say) yields a failed
     report carrying the error, and the sweep goes on; any other exception is
-    a defect and ends it.
+    a defect and ends it.  Consecutive cases of one family share a
+    FamilyOracle, so the family is built and BFS'd at most once for them.
     """
+    oracle = None
     for spec, kind in cases:
+        if oracle is None or oracle.spec != spec:
+            oracle = FamilyOracle(spec)
         try:
-            report = _run_case(spec, kind, tol)
+            report = _run_case(oracle, kind, tol)
         except KronSpectraError as err:
             report = FamilyReport(family=family_to_string(spec), check=kind,
                                   closed_form=None, oracle=None, match=False,

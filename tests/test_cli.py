@@ -1,10 +1,12 @@
 """Command-line interface: parsing, commands, exit codes, formats."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from kronspectra import polynomials, verify
 from kronspectra.cli import main, parse_family
 from kronspectra.errors import FamilyDomainError, FamilyParseError
 from kronspectra.graphs import (
@@ -150,6 +152,20 @@ def test_poly_has_no_tol_flag():
         main(["poly", "--family", "J(4,2)", "--tol", "1e-3"])
 
 
+def test_poly_past_the_dense_cap_prints_the_polynomial(capsys, monkeypatch):
+    monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", "100")
+    code = main(["poly", "--family", "H(5,3)"])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert code == 1
+    assert payload["family"] == "H(5,3)"
+    assert payload["degree"] == 5 and len(payload["coeffs"]) == 6
+    assert payload["max_entry_gap"] is None and payload["pass"] is False
+    assert payload["error"] == (
+        "OrderCapError: distance matrix order 243 exceeds dense cap 100")
+    assert "exceeds dense cap 100" in captured.err
+
+
 def test_verify_poly_without_polynomial_is_an_error(capsys):
     assert main(["verify", "--family", "K4", "--check", "poly"]) == 1
     captured = capsys.readouterr()
@@ -185,6 +201,35 @@ def test_grid_small_subset(tmp_path, capsys):
     assert summary["failed"] == 0
     assert summary["cases"] == len(records) - 1
     assert all(r["match"] for r in records[:-1])
+
+
+def test_grid_builds_and_bfs_each_family_once(tmp_path, monkeypatch):
+    builds, bfs = Counter(), Counter()
+    family_of = {}  # id of each built graph -> its family
+
+    def counted_build(build):
+        def wrapper(spec):
+            graph = build(spec)
+            builds[spec] += 1
+            family_of[id(graph)] = spec
+            return graph
+        return wrapper
+
+    def counted_bfs(distance_matrix):
+        def wrapper(graph):
+            bfs[family_of[id(graph)]] += 1
+            return distance_matrix(graph)
+        return wrapper
+
+    for module in (verify, polynomials):
+        monkeypatch.setattr(module, "build_family", counted_build(module.build_family))
+        monkeypatch.setattr(module, "distance_matrix", counted_bfs(module.distance_matrix))
+    code = main(["grid", "--max-order", "64", "--output", str(tmp_path / "grid.jsonl")])
+    assert code == 0
+    cases = verify.default_grid(64)
+    assert builds == Counter({spec: 1 for spec, _ in cases})
+    assert bfs == Counter({spec: 1 for spec, kind in cases
+                           if kind != "adjacency-spectrum"})
 
 
 def test_usage_error_exit_code(capsys):

@@ -216,17 +216,39 @@ def test_distance_complete():
     assert (d == 1 - np.eye(4)).all()
 
 
-# _PUSH_EDGES_PER_CUBE values that force every BFS level onto one step
-PUSH_ONLY, DENSE_ONLY = math.inf, 0.0
+BFS_STEPS = ("push", "bitset", "dense")
+
+
+def force_step(monkeypatch, step):
+    """Make every BFS level take the named step."""
+    monkeypatch.setattr(graphs, "_level_step", lambda *counts: step)
+
+
+def test_distance_single_vertex(monkeypatch):
+    for step in BFS_STEPS:
+        force_step(monkeypatch, step)
+        assert distance_matrix(build_family(Complete(1))).tolist() == [[0]]
 
 
 def test_distance_disconnected_raises(monkeypatch):
     g = build_family(Kron(Complete(2), Complete(2)))
     with pytest.raises(DisconnectedGraphError):
         distance_matrix(g)
-    monkeypatch.setattr(graphs, "_PUSH_EDGES_PER_CUBE", PUSH_ONLY)
-    with pytest.raises(DisconnectedGraphError):
-        distance_matrix(build_family(Kron(Complete(2), Cycle(200))))
+    disconnected = [
+        g,
+        build_family(Kron(Complete(2), Cycle(200))),
+        # vertex 1 has no neighbours: a bare reduceat over indptr would hand
+        # it vertex 2's bitset and mark the pair (1, 0) reached
+        Graph([0, 1, 1, 2], [2, 0]),
+        # the last vertex has no neighbours: a bare reduceat indexes past
+        # the end of the gathered bitsets
+        Graph([0, 1, 2, 2], [1, 0]),
+    ]
+    for step in BFS_STEPS:
+        force_step(monkeypatch, step)
+        for h in disconnected:
+            with pytest.raises(DisconnectedGraphError):
+                distance_matrix(h)
 
 
 @pytest.mark.parametrize("spec", [
@@ -235,14 +257,16 @@ def test_distance_disconnected_raises(monkeypatch):
     Kron(Complete(4), Johnson(4, 2)),
     Cycle(301), Kron(Complete(4), Cycle(61)), Hamming(8, 2),
     Kron(Complete(9), Complete(8)),
+    # orders 243, 243 and 126: bitsets end in a partly used byte and word
+    Hamming(5, 3), Kron(Complete(3), Hamming(4, 3)), Johnson(9, 4),
 ])
 def test_distance_matrix_against_naive_bfs(spec, monkeypatch):
     g = build_family(spec)
     d = distance_matrix(g)
     assert d.dtype == np.int64
     assert (d == naive_bfs_distances(g)).all()
-    for forced in (PUSH_ONLY, DENSE_ONLY):
-        monkeypatch.setattr(graphs, "_PUSH_EDGES_PER_CUBE", forced)
+    for step in BFS_STEPS:
+        force_step(monkeypatch, step)
         assert (distance_matrix(g) == d).all()
     assert (d == d.T).all()
     assert (np.diag(d) == 0).all()
@@ -250,6 +274,29 @@ def test_distance_matrix_against_naive_bfs(spec, monkeypatch):
     n = g.vertex_count
     for i in range(n):
         assert (d[i, None, :] <= d[i, :, None] + d).all()
+
+
+@pytest.mark.parametrize("block_words", [1, 64])
+def test_bitset_step_in_small_blocks(block_words, monkeypatch):
+    # row blocks of one or a few rows, some of them ending in a zero-degree
+    # row, give the same levels as one block
+    force_step(monkeypatch, "bitset")
+    monkeypatch.setattr(graphs, "_BITSET_BLOCK_WORDS", block_words)
+    for spec in (Johnson(6, 3), Kron(Complete(3), Cycle(7)), Hamming(5, 3)):
+        g = build_family(spec)
+        assert (distance_matrix(g) == naive_bfs_distances(g)).all()
+    for g in (Graph([0, 1, 1, 2], [2, 0]), Graph([0, 1, 2, 2], [1, 0])):
+        with pytest.raises(DisconnectedGraphError):
+            distance_matrix(g)
+
+
+def test_level_step_follows_the_cost_model():
+    # H(10,2) at its widest level: bitset is ~4 ms, push ~80 ms, dense ~27 ms
+    assert graphs._level_step(1024, 10240, 2_580_480) == "bitset"
+    # kron(K30,K40): 1.36M stored neighbours make bitsets dearer than dense
+    assert graphs._level_step(1200, 1_357_200, 92_289_600) == "dense"
+    # kron(K6,C200): push and bitset are close, push is kept
+    assert graphs._level_step(1200, 12_000, 144_000) == "push"
 
 
 def test_diameter_examples():

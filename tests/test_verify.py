@@ -1,0 +1,41 @@
+"""The per-family oracle context that a family's grid checks share."""
+
+import pytest
+
+from kronspectra import verify
+from kronspectra.errors import OrderCapError
+from kronspectra.graphs import Hamming, Johnson
+from kronspectra.verify import FamilyOracle, poly_report, verify_family
+
+
+def test_family_oracle_computes_each_part_on_first_use(monkeypatch):
+    calls = []
+    bfs = verify.distance_matrix
+    monkeypatch.setattr(verify, "distance_matrix", lambda g: calls.append(g) or bfs(g))
+    spec = Johnson(6, 3)
+    oracle = FamilyOracle(spec)
+    assert verify_family(spec, 1e-6, "adjacency", oracle).match
+    assert "graph" in vars(oracle) and "distances" not in vars(oracle)
+    assert not calls
+    assert verify_family(spec, 1e-6, "distance", oracle).match
+    assert poly_report(spec, 1e-8, oracle).match
+    assert calls == [oracle.graph]
+
+
+def test_family_oracle_keeps_no_failed_result(monkeypatch):
+    monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", "10")
+    spec = Hamming(2, 4)
+    oracle = FamilyOracle(spec)
+    messages = []
+    for check in (lambda: verify_family(spec, 1e-6, "distance", oracle),
+                  lambda: poly_report(spec, 1e-8, oracle)):
+        with pytest.raises(OrderCapError) as info:
+            check()
+        messages.append(str(info.value))
+    assert messages == ["distance matrix order 16 exceeds dense cap 10"] * 2
+    assert "distances" not in vars(oracle)
+
+
+def test_oracle_of_another_family_is_refused():
+    with pytest.raises(ValueError):
+        verify_family(Johnson(5, 2), 1e-6, "distance", FamilyOracle(Johnson(6, 3)))
