@@ -5,17 +5,17 @@ unity: eigenvalue j is sum_k c_k * rho_j^k with rho_j = exp(2*pi*i*j/n).
 A real symmetric block circulant Circ(b_0, ..., b_{n-1}) with k x k blocks
 reduces to n Hermitian k x k matrices
 
-    H_j = b_0 + sum_{f=1}^{h-1} (b_f rho_j^f + b_f^T conj(rho_j)^f)
-              + b_h * (-1)^j   (last term only when n = 2h is even),
+    H_j = sum_f b_f rho_j^f = b_0 + sum_{f=1}^{n-1} b_f rho_j^f,
 
-whose eigenvalues, over all j, form exactly the spectrum of the big matrix.
-All trig arguments are reduced modulo n before evaluation to keep the
-closed forms numerically clean.
+Hermitian because b_{n-f} = b_f^T pairs each term with its conjugate
+transpose; their eigenvalues, over all j, form exactly the spectrum of the
+big matrix.  Both sums are one discrete Fourier transform: n * ifft of the
+first row, or of the blocks along the block axis, gives every lambda_j or
+H_j at once.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Sequence
 
@@ -61,11 +61,9 @@ def apgp_sum(a: complex, d: complex, r: complex, n: int) -> complex:
     return (a + (n - 1) * d) * geo - d / (r - 1) * (geo - n)
 
 
-def _roots_of_unity_powers(n: int, j: int) -> np.ndarray:
-    """rho_j^k for k = 0..n-1 with exponents reduced mod n."""
-    ks = (j * np.arange(n)) % n
-    angles = 2.0 * math.pi * ks / n
-    return np.cos(angles) + 1j * np.sin(angles)
+def _shifts(n: int) -> np.ndarray:
+    """(j - i) mod n at (i, j): the index of a circulant's entry or block."""
+    return (np.arange(n) - np.arange(n)[:, None]) % n
 
 
 def circulant_eigenvalues(first_row: Sequence[complex]) -> np.ndarray:
@@ -73,8 +71,7 @@ def circulant_eigenvalues(first_row: Sequence[complex]) -> np.ndarray:
     c = np.asarray(first_row, dtype=complex)
     if c.ndim != 1 or c.size < 1:
         raise ValueError("first row must be a nonempty 1-d sequence")
-    n = c.size
-    return np.array([np.dot(c, _roots_of_unity_powers(n, j)) for j in range(n)])
+    return c.size * np.fft.ifft(c)
 
 
 def circulant_combo_eigenvalues(s: float, row_a: Sequence[complex],
@@ -94,8 +91,7 @@ def circulant_combo_eigenvalues(s: float, row_a: Sequence[complex],
 def is_symmetric_circulant(first_row: Sequence[float], tol: float = 0.0) -> bool:
     """True iff c_k == c_{n-k} for all k >= 1 (the matrix is symmetric)."""
     c = np.asarray(first_row, dtype=float)
-    n = c.size
-    return all(abs(c[k] - c[(n - k) % n]) <= tol for k in range(1, n))
+    return bool((np.abs(c[1:] - c[:0:-1]) <= tol).all())
 
 
 def real_circulant_spectrum(first_row: Sequence[float],
@@ -120,8 +116,7 @@ def real_circulant_spectrum(first_row: Sequence[float],
 def circulant_matrix(first_row: Sequence[complex]) -> np.ndarray:
     """Dense matrix with each row the previous one shifted right."""
     c = np.asarray(first_row)
-    n = c.size
-    return np.array([[c[(j - i) % n] for j in range(n)] for i in range(n)])
+    return c[_shifts(c.size)]
 
 
 # ---------------------------------------------------------------------------
@@ -157,30 +152,22 @@ def block_circulant_reduce(blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
     Hermitian to 1e-9 before being returned.
     """
     mats = _validate_block_circulant(blocks)
-    n = len(mats)
-    h = (n + 1) // 2 if n % 2 else n // 2
-    out: list[np.ndarray] = []
-    for j in range(n):
-        hj = mats[0].astype(complex)
-        for f in range(1, h):
-            rho_f = cmath.exp(2j * math.pi * ((j * f) % n) / n)
-            hj = hj + mats[f] * rho_f + mats[f].T * rho_f.conjugate()
-        if n % 2 == 0:
-            hj = hj + mats[h] * ((-1) ** j)
-        dev = float(np.max(np.abs(hj - hj.conj().T)))
-        if dev > HERMITIAN_TOL:
-            raise NonSymmetricMatrixError(
-                f"H_{j} failed the Hermitian check (deviation {dev:.3e})"
-            )
-        out.append(hj)
-    return out
+    hs = len(mats) * np.fft.ifft(np.stack(mats), axis=0)
+    devs = np.abs(hs - hs.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = np.flatnonzero(devs > HERMITIAN_TOL)
+    if bad.size:
+        j = int(bad[0])
+        raise NonSymmetricMatrixError(
+            f"H_{j} failed the Hermitian check (deviation {devs[j]:.3e})"
+        )
+    return list(hs)
 
 
 def block_circulant_matrix(blocks: Sequence[np.ndarray]) -> np.ndarray:
     """Assemble the dense n*k x n*k block circulant (for oracle checks)."""
-    mats = [np.asarray(b, dtype=float) for b in blocks]
-    n = len(mats)
-    return np.block([[mats[(j - i) % n] for j in range(n)] for i in range(n)])
+    mats = np.stack([np.asarray(b, dtype=float) for b in blocks])
+    n, rows, cols = mats.shape
+    return mats[_shifts(n)].transpose(0, 2, 1, 3).reshape(n * rows, n * cols)
 
 
 def block_spectrum_union(hs: Sequence[np.ndarray], tol: float = 1e-6) -> Spectrum:
@@ -202,7 +189,7 @@ def block_spectrum_union(hs: Sequence[np.ndarray], tol: float = 1e-6) -> Spectru
 def cycle_adjacency_eigenvalues(n: int) -> np.ndarray:
     """Adjacency eigenvalues of C_n: 2*cos(2*pi*j/n), j = 0..n-1."""
     Cycle(n)  # domain check
-    return 2.0 * np.cos(2.0 * math.pi * (np.arange(n) % n) / n)
+    return 2.0 * np.cos(2.0 * math.pi * np.arange(n) / n)
 
 
 def cycle_distance_row(n: int) -> list[int]:

@@ -176,8 +176,8 @@ class EigenTable:
     t: np.ndarray
     mult: np.ndarray
 
-    def adjacency_spectrum(self) -> Spectrum:
-        return _grouped(self.a, self.mult, 1e-6)
+    def adjacency_spectrum(self, group_tol: float = 1e-6) -> Spectrum:
+        return _grouped(self.a, self.mult, group_tol)
 
     def distance_spectrum(self, group_tol: float = 1e-6) -> Spectrum:
         return _grouped(self.d, self.mult, group_tol)
@@ -328,8 +328,7 @@ def complete_distance_spectrum(n: int) -> Spectrum:
 
 
 def cycle_adjacency_spectrum(n: int, group_tol: float = 1e-6) -> Spectrum:
-    # the a column of the cycle table, without computing its d column
-    return spectrum_from_values(cycle_adjacency_eigenvalues(n), group_tol)
+    return eigen_table(Cycle(n)).adjacency_spectrum(group_tol)
 
 
 def cycle_distance_spectrum(n: int, group_tol: float = 1e-6) -> Spectrum:

@@ -17,7 +17,6 @@ K_n (x) G literally block circulant, which downstream modules rely on.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -70,21 +69,15 @@ PRODUCT_VERTEX_CAP = 20_000
 class Graph:
     """Simple undirected graph in compressed sparse row (CSR) form.
 
-    ``Graph(indptr, indices, labels=None)``: the neighbours of vertex u are
+    ``Graph(indptr, indices)``: the neighbours of vertex u are
     ``indices[indptr[u]:indptr[u + 1]]``, strictly increasing.  The graph
-    keeps read-only copies, ``indptr`` as int64 and ``indices`` as int32.
-    One vectorized pass rejects a malformed ``indptr``, out-of-range
-    neighbours, self-loops, unsorted or repeated neighbours and asymmetric
-    edges.
-
-    ``labels``, when present, are human-readable vertex names (subset or
-    tuple notation for Johnson/Hamming vertices); they carry no algorithmic
-    weight and exist to make failures debuggable.  They may be a sequence
-    of names or a function returning one, called the first time ``labels``
-    is read; family builders supply a function.
+    keeps read-only copies, ``indptr`` as int64 and ``indices`` as int32,
+    and nothing else: a vertex is its index.  One vectorized pass rejects a
+    malformed ``indptr``, out-of-range neighbours, self-loops, unsorted or
+    repeated neighbours and asymmetric edges.
     """
 
-    def __init__(self, indptr, indices, labels=None):
+    def __init__(self, indptr, indices):
         indptr, indices = np.asarray(indptr), np.asarray(indices)
         if indptr.ndim != 1 or indptr.size == 0 or indices.ndim != 1:
             raise ValueError("indptr and indices must be one-dimensional, indptr nonempty")
@@ -126,16 +119,6 @@ class Graph:
         self.indices = indices.astype(np.int32)
         self.indptr.flags.writeable = False
         self.indices.flags.writeable = False
-        if labels is None or callable(labels):
-            self._labels = labels
-        else:
-            self._labels = _checked_labels(labels, n)
-
-    @functools.cached_property
-    def labels(self) -> tuple[str, ...] | None:
-        if callable(self._labels):
-            return _checked_labels(self._labels(), self.vertex_count)
-        return self._labels
 
     @property
     def vertex_count(self) -> int:
@@ -147,9 +130,6 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
 
     def _rows(self) -> np.ndarray:
         """Source vertex of every stored neighbour, aligned with ``indices``."""
@@ -167,15 +147,6 @@ class Graph:
         return a
 
 
-def _checked_labels(labels, n: int) -> tuple[str, ...]:
-    labels = tuple(labels)
-    if len(labels) != n:
-        raise ValueError("labels length must equal vertex count")
-    if len(set(labels)) != n:
-        raise ValueError("labels must be pairwise distinct")
-    return labels
-
-
 def _gather(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenation of ``values[starts[k]:starts[k] + lengths[k]]`` over k."""
     ends = np.cumsum(lengths)
@@ -184,7 +155,7 @@ def _gather(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.n
     return values[positions]
 
 
-def _from_boolean_rows(blocks, labels=None) -> Graph:
+def _from_boolean_rows(blocks) -> Graph:
     """Graph whose symmetric boolean adjacency matrix is the given blocks of
     consecutive rows, read one block at a time."""
     counts, cols = [], []
@@ -194,7 +165,7 @@ def _from_boolean_rows(blocks, labels=None) -> Graph:
     counts = np.concatenate(counts)
     indptr = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return Graph(indptr, np.concatenate(cols), labels)
+    return Graph(indptr, np.concatenate(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -303,19 +274,15 @@ def build_family(spec: FamilySpec) -> Graph:
 
 
 def _build_johnson(m: int, r: int) -> Graph:
-    verts = list(itertools.combinations(range(1, m + 1), r))
+    verts = np.array(list(itertools.combinations(range(m), r)))
     n = len(verts)
     members = np.zeros((n, m), dtype=np.float32)
-    members[np.repeat(np.arange(n), r), np.asarray(verts).ravel() - 1] = 1
+    members[np.repeat(np.arange(n), r), verts.ravel()] = 1
     # adjacent iff the intersection has r - 1 elements (exact in float32);
     # rows go in blocks of at most 2^22 intersections to bound memory
     step = max(1, (1 << 22) // n)
     blocks = (members[i:i + step] @ members.T == r - 1 for i in range(0, n, step))
-
-    def labels():
-        return ["{" + ",".join(map(str, v)) + "}" for v in verts]
-
-    return _from_boolean_rows(blocks, labels)
+    return _from_boolean_rows(blocks)
 
 
 def _build_hamming(d: int, q: int) -> Graph:
@@ -331,12 +298,7 @@ def _build_hamming(d: int, q: int) -> Graph:
     edits = (values - digits[:, :, None]) * weights[:, None] + idx[:, None, None]
     changed = values != digits[:, :, None]
     nbrs = np.sort(edits[changed].reshape(n, d * (q - 1)), axis=1)
-    sep = "" if q <= 10 else ","
-
-    def labels():
-        return [sep.join(map(str, row)) for row in digits.tolist()]
-
-    return Graph(d * (q - 1) * np.arange(n + 1), nbrs.ravel(), labels)
+    return Graph(d * (q - 1) * np.arange(n + 1), nbrs.ravel())
 
 
 def kronecker_product(g: Graph, h: Graph) -> Graph:
@@ -362,13 +324,7 @@ def kronecker_product(g: Graph, h: Graph) -> Graph:
     indices += np.repeat(run_block, h_deg[run_v])
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.outer(g_deg, h_deg).ravel(), out=indptr[1:])
-
-    def labels():
-        g_labels = g.labels or tuple(str(u) for u in range(g.vertex_count))
-        h_labels = h.labels or tuple(str(v) for v in range(h.vertex_count))
-        return [f"({gl},{hl})" for gl in g_labels for hl in h_labels]
-
-    return Graph(indptr, indices, labels)
+    return Graph(indptr, indices)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +560,34 @@ def _not_stabilized(n: int, bound: int) -> NotStabilizedError:
     )
 
 
+def _last_missing(g: Graph, sources, bound: int | None, targets=slice(None)) -> np.ndarray:
+    """Last walk length up to the bound with no walk, per (source, target).
+
+    One sweep of iterated boolean products with A runs from the source
+    rows; a pair with walks of every length 0..bound reads -1.  Raises
+    NotStabilizedError unless every pair has walks of each of the last
+    vertex_count lengths up to the bound (the stabilization witness).
+    """
+    bound = _check_walk_preconditions(g, bound)
+    n = g.vertex_count
+    witness_lo = bound - n + 1
+    if witness_lo < 0:
+        raise _not_stabilized(n, bound)
+    a = g.adjacency_matrix(np.float64)
+    reach = np.zeros((len(sources), n), dtype=bool)
+    reach[np.arange(len(sources)), sources] = True
+    last_missing = np.where(reach, -1, 0)
+    witness = reach.copy() if witness_lo == 0 else np.ones_like(reach)
+    for k in range(1, bound + 1):
+        reach = (reach.astype(np.float64) @ a) > 0
+        last_missing[~reach] = k
+        if k >= witness_lo:
+            witness &= reach
+    if not witness[:, targets].all():
+        raise _not_stabilized(n, bound)
+    return last_missing[:, targets]
+
+
 def walk_gamma(g: Graph, x: int, y: int, bound: int | None = None) -> int:
     """Least k0 such that an (x, y)-walk of every length >= k0 exists.
 
@@ -611,47 +595,17 @@ def walk_gamma(g: Graph, x: int, y: int, bound: int | None = None) -> int:
     to ``bound``.  The result is accepted only with a stabilization
     witness: the last vertex_count consecutive lengths must all be
     achievable (a bound of at least 2 * vertex_count is recommended).
-    Defined for connected non-bipartite graphs.
+    Defined for connected non-bipartite graphs and x, y in 0..vertex_count-1.
     """
-    bound = _check_walk_preconditions(g, bound)
     n = g.vertex_count
-    a = g.adjacency_matrix(np.float64)
-    reach = np.zeros(n, dtype=bool)
-    reach[x] = True
-    achievable = [bool(reach[y])]
-    for _ in range(bound):
-        reach = (reach.astype(np.float64) @ a) > 0
-        achievable.append(bool(reach[y]))
-    if bound - n + 1 < 0 or not all(achievable[bound - n + 1:]):
-        raise _not_stabilized(n, bound)
-    last_missing = -1
-    for k in range(bound, -1, -1):
-        if not achievable[k]:
-            last_missing = k
-            break
-    return last_missing + 1
+    if not (0 <= x < n and 0 <= y < n):
+        raise ValueError(f"vertices {x}, {y} not both in range 0..{n - 1}")
+    return int(_last_missing(g, [x], bound, y)[0]) + 1
 
 
 def gamma(g: Graph, bound: int | None = None) -> int:
-    """Maximum of walk_gamma over all vertex pairs (single streamed sweep)."""
-    bound = _check_walk_preconditions(g, bound)
-    n = g.vertex_count
-    if bound - n + 1 < 0:
-        raise _not_stabilized(n, bound)
-    a = g.adjacency_matrix(np.float64)
-    reach = np.eye(n, dtype=bool)
-    last_missing = np.full((n, n), -1, dtype=np.int64)
-    last_missing[~reach] = 0
-    witness_lo = bound - n + 1
-    witness = reach.copy() if witness_lo == 0 else np.ones((n, n), dtype=bool)
-    for k in range(1, bound + 1):
-        reach = (reach.astype(np.float64) @ a) > 0
-        last_missing[~reach] = k
-        if k >= witness_lo:
-            witness &= reach
-    if not witness.all():
-        raise _not_stabilized(n, bound)
-    return int(last_missing.max()) + 1
+    """Maximum of walk_gamma over all vertex pairs (one sweep from every vertex)."""
+    return int(_last_missing(g, np.arange(g.vertex_count), bound).max()) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -76,12 +76,11 @@ class Spectrum:
         return out
 
     @staticmethod
-    def from_pairs(pairs: Iterable[tuple[float, int]] | Mapping[float, int],
+    def from_pairs(pairs: Iterable[tuple[float, int]],
                    grouping_tol: float = 0.0) -> "Spectrum":
         """Build from unordered pairs, merging exactly equal values."""
-        items = pairs.items() if isinstance(pairs, Mapping) else pairs
         merged: dict[float, int] = {}
-        for value, mult in items:
+        for value, mult in pairs:
             key = float(value)
             merged[key] = merged.get(key, 0) + int(mult)
         ordered = tuple(sorted(merged.items(), key=lambda p: -p[0]))

@@ -67,15 +67,13 @@ def test_complete_triangle():
 def test_johnson_4_2_is_octahedron():
     g = build_family(Johnson(4, 2))
     assert g.vertex_count == 6
-    assert all(g.degree(v) == 4 for v in range(6))  # b_0 = r(m-r)
-    assert g.labels is not None and g.labels[0] == "{1,2}"
-    assert len(set(g.labels)) == 6
+    assert all(g.degrees()[v] == 4 for v in range(6))  # b_0 = r(m-r)
 
 
 def test_hamming_2_2_is_four_cycle():
     g = build_family(Hamming(2, 2))
     assert g.vertex_count == 4 and g.edge_count == 4
-    assert all(g.degree(v) == 2 for v in range(4))  # d(q-1) = 2
+    assert all(g.degrees()[v] == 2 for v in range(4))  # d(q-1) = 2
     assert not has_odd_cycle(g)  # girth 4, no triangles
     assert diameter(g) == 2
 
@@ -90,8 +88,8 @@ def test_hamming_2_2_is_four_cycle():
 ])
 def test_family_regularity_and_handshake(spec, degree):
     g = build_family(spec)
-    assert all(g.degree(v) == degree for v in range(g.vertex_count))
-    assert sum(g.degree(v) for v in range(g.vertex_count)) == 2 * g.edge_count
+    assert all(g.degrees()[v] == degree for v in range(g.vertex_count))
+    assert sum(g.degrees()[v] for v in range(g.vertex_count)) == 2 * g.edge_count
     assert g.vertex_count == family_order(spec)
 
 
@@ -129,7 +127,7 @@ def test_k3_by_c4_edge_count():
 def test_k3_by_k3_regularity():
     g = build_family(Kron(Complete(3), Complete(3)))
     assert g.vertex_count == 9
-    assert all(g.degree(v) == 4 for v in range(9))  # (n-1)^2
+    assert all(g.degrees()[v] == 4 for v in range(9))  # (n-1)^2
 
 
 @pytest.mark.parametrize("left, right", [
@@ -338,6 +336,14 @@ def test_walk_gamma_not_stabilized_on_tiny_bound():
         walk_gamma(build_family(Cycle(5)), 0, 0, bound=4)
 
 
+def test_walk_gamma_rejects_vertices_out_of_range():
+    g = build_family(Kron(Complete(3), Cycle(5)))
+    with pytest.raises(ValueError):
+        walk_gamma(g, -1, 0)  # would wrap round to vertex 14
+    with pytest.raises(ValueError):
+        walk_gamma(g, 0, 15)
+
+
 # ---------------------------------------------------------------------------
 # Complete multipartite recognition and diameter prediction
 # ---------------------------------------------------------------------------
@@ -410,10 +416,6 @@ def test_graph_rejects_self_loop_and_asymmetry():
         Graph([0, 1], [0])  # self-loop
     with pytest.raises(ValueError):
         Graph([0, 1, 1], [1])  # asymmetric
-    with pytest.raises(ValueError):
-        Graph([0, 1, 2], [1, 0], labels=("a",))
-    with pytest.raises(ValueError):
-        Graph([0, 1, 2], [1, 0], labels=("a", "a"))
     bad = {
         "self-loop": ((0,),),
         "asymmetric": ((1,), ()),
@@ -427,11 +429,7 @@ def test_graph_rejects_self_loop_and_asymmetry():
         indices = [v for nbrs in adjacency for v in nbrs]
         with pytest.raises(ValueError):
             Graph(indptr, indices)
-    lazy = Graph([0, 1, 2], [1, 0], labels=lambda: ("a",))
-    with pytest.raises(ValueError):
-        lazy.labels  # a labels function is checked when first read
     with pytest.raises(ValueError):
         Graph([0, 2, 1], [1, 0])  # indptr falls
-    g = Graph([0, 1, 2], [1, 0], labels=("a", "b"))
+    g = Graph([0, 1, 2], [1, 0])
     assert g.indptr.tolist() == [0, 1, 2] and g.indices.tolist() == [1, 0]
-    assert g.labels == ("a", "b")
