@@ -42,7 +42,6 @@ from .errors import (
     KronSpectraError,
     NoClosedFormError,
     NonSymmetricMatrixError,
-    NotStabilizedError,
     OrderCapError,
 )
 from .graphs import (

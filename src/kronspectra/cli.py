@@ -266,8 +266,17 @@ def cmd_grid(args: argparse.Namespace) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_ERROR on a usage error, where argparse exits with 2
+    (EXIT_MISMATCH here); subcommand parsers take the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kronspectra",
         description="Distance spectra of graph families and their Kronecker"
                     " products: closed forms, brute-force oracle, and"

@@ -25,10 +25,6 @@ class BipartiteGraphError(KronSpectraError):
     """Operation requires a non-bipartite graph (walk lengths of both parities)."""
 
 
-class NotStabilizedError(KronSpectraError):
-    """Walk-length enumeration did not stabilize within the given bound."""
-
-
 class NonSymmetricMatrixError(KronSpectraError, ValueError):
     """Matrix fails the symmetric/Hermitian tolerance check."""
 

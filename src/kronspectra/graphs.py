@@ -28,7 +28,6 @@ from .errors import (
     BipartiteGraphError,
     DisconnectedGraphError,
     FamilyDomainError,
-    NotStabilizedError,
     OrderCapError,
 )
 from .numeric import dense_matrix_cap
@@ -256,9 +255,13 @@ def family_to_string(spec: FamilySpec) -> str:
 # ---------------------------------------------------------------------------
 
 def build_family(spec: FamilySpec) -> Graph:
-    """Construct the graph for a family spec in its canonical vertex order."""
+    """Construct the graph for a family spec in its canonical vertex order;
+    a spec over PRODUCT_VERTEX_CAP vertices is refused before any building."""
+    n = family_order(spec)
+    if n > PRODUCT_VERTEX_CAP:
+        raise OrderCapError(
+            f"{family_to_string(spec)} has {n} vertices, cap is {PRODUCT_VERTEX_CAP}")
     if isinstance(spec, Cycle):
-        n = spec.n
         i = np.arange(n)
         nbrs = np.sort(np.stack([(i - 1) % n, (i + 1) % n], axis=1), axis=1)
         return Graph(2 * np.arange(n + 1), nbrs.ravel())
@@ -287,8 +290,6 @@ def _build_johnson(m: int, r: int) -> Graph:
 
 def _build_hamming(d: int, q: int) -> Graph:
     n = q ** d
-    if n > PRODUCT_VERTEX_CAP:
-        raise OrderCapError(f"H({d},{q}) has {n} vertices, cap is {PRODUCT_VERTEX_CAP}")
     # vertex index is the base-q numeral of the tuple, so lexicographic order
     # is automatic and neighbors come from single-digit edits.
     weights = q ** np.arange(d - 1, -1, -1)
@@ -540,72 +541,44 @@ def diameter(g: Graph) -> int:
 # Walk-length closure
 # ---------------------------------------------------------------------------
 
-def _check_walk_preconditions(g: Graph, bound: int | None) -> int:
+def _shortest_walks(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest even and shortest odd walk length between every pair.
+
+    A walk of length k from x to y is a path from (x, 0) to (y, k mod 2)
+    in the bipartite double cover g (x) K_2 (Weichsel, "The Kronecker
+    product of graphs", Proc. AMS 13, 1962), where (x, p) has index 2x + p,
+    so one BFS of the cover gives both lengths.  Defined for connected
+    non-bipartite graphs, whose cover is connected.
+    """
     if not is_connected(g):
         raise DisconnectedGraphError("walk-length closure needs a connected graph")
     if not has_odd_cycle(g):
         raise BipartiteGraphError(
             "bipartite graph: walk lengths between a fixed pair have a fixed parity"
         )
-    if bound is None:
-        bound = max(2 * g.vertex_count, 8)
-    if bound < 1:
-        raise ValueError("bound must be positive")
-    return bound
+    cover = distance_matrix(kronecker_product(g, Graph([0, 1, 2], [1, 0])))
+    return cover[::2, ::2], cover[::2, 1::2]
 
 
-def _not_stabilized(n: int, bound: int) -> NotStabilizedError:
-    return NotStabilizedError(
-        f"walk lengths not stable over the last {n} values up to bound {bound}"
-    )
-
-
-def _last_missing(g: Graph, sources, bound: int | None, targets=slice(None)) -> np.ndarray:
-    """Last walk length up to the bound with no walk, per (source, target).
-
-    One sweep of iterated boolean products with A runs from the source
-    rows; a pair with walks of every length 0..bound reads -1.  Raises
-    NotStabilizedError unless every pair has walks of each of the last
-    vertex_count lengths up to the bound (the stabilization witness).
-    """
-    bound = _check_walk_preconditions(g, bound)
-    n = g.vertex_count
-    witness_lo = bound - n + 1
-    if witness_lo < 0:
-        raise _not_stabilized(n, bound)
-    a = g.adjacency_matrix(np.float64)
-    reach = np.zeros((len(sources), n), dtype=bool)
-    reach[np.arange(len(sources)), sources] = True
-    last_missing = np.where(reach, -1, 0)
-    witness = reach.copy() if witness_lo == 0 else np.ones_like(reach)
-    for k in range(1, bound + 1):
-        reach = (reach.astype(np.float64) @ a) > 0
-        last_missing[~reach] = k
-        if k >= witness_lo:
-            witness &= reach
-    if not witness[:, targets].all():
-        raise _not_stabilized(n, bound)
-    return last_missing[:, targets]
-
-
-def walk_gamma(g: Graph, x: int, y: int, bound: int | None = None) -> int:
+def walk_gamma(g: Graph, x: int, y: int) -> int:
     """Least k0 such that an (x, y)-walk of every length >= k0 exists.
 
-    Walk lengths are enumerated by iterated boolean adjacency products up
-    to ``bound``.  The result is accepted only with a stabilization
-    witness: the last vertex_count consecutive lengths must all be
-    achievable (a bound of at least 2 * vertex_count is recommended).
-    Defined for connected non-bipartite graphs and x, y in 0..vertex_count-1.
+    Going along an edge and back lengthens a walk by 2, so the walk lengths
+    are e, e + 2, ... and o, o + 2, ... for the shortest even and odd walk
+    lengths e and o, and k0 = max(e, o) - 1.  Defined for connected
+    non-bipartite graphs and x, y in 0..vertex_count-1.
     """
     n = g.vertex_count
     if not (0 <= x < n and 0 <= y < n):
         raise ValueError(f"vertices {x}, {y} not both in range 0..{n - 1}")
-    return int(_last_missing(g, [x], bound, y)[0]) + 1
+    even, odd = _shortest_walks(g)
+    return max(int(even[x, y]), int(odd[x, y])) - 1
 
 
-def gamma(g: Graph, bound: int | None = None) -> int:
-    """Maximum of walk_gamma over all vertex pairs (one sweep from every vertex)."""
-    return int(_last_missing(g, np.arange(g.vertex_count), bound).max()) + 1
+def gamma(g: Graph) -> int:
+    """Maximum of walk_gamma over all vertex pairs."""
+    even, odd = _shortest_walks(g)
+    return int(np.maximum(even, odd).max()) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -115,8 +115,8 @@ def spectrum_from_values(values: Sequence[float], group_tol: float) -> Spectrum:
     float as ``sum(group) / len(group)`` with Python's float ``sum`` before
     3.12.
     """
-    if group_tol < 0:
-        raise ValueError("group_tol must be nonnegative")
+    if not 0 <= group_tol < math.inf:
+        raise ValueError(f"group_tol must be finite and nonnegative, got {group_tol}")
     ordered = np.sort(np.asarray(values, dtype=float))
     if ordered.size == 0:
         return Spectrum((), group_tol)
@@ -163,6 +163,8 @@ def spectra_match(a: Spectrum, b: Spectrum, tol: float) -> MatchReport:
     Matching requires equal orders, equal group counts, groupwise value gaps
     within ``tol`` and exactly equal multiplicities.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     problems: list[str] = []
     if a.order != b.order:
         problems.append(f"order {a.order} != {b.order}")

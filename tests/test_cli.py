@@ -234,6 +234,22 @@ def test_grid_builds_and_bfs_each_family_once(tmp_path, monkeypatch):
 
 def test_usage_error_exit_code(capsys):
     assert main(["spectrum", "--family", "J(3,2)"]) == 1
+    # argparse's own usage errors exit 1 too, not its default 2
+    for argv in (["spectrum", "--family", "C5", "--method", "exact"],
+                 ["verify"],
+                 ["grid", "--max-order", "many"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 1
+        assert "usage: kronspectra" in capsys.readouterr().err
+
+
+def test_nan_tolerance_is_an_error(capsys):
+    code = main(["spectrum", "--family", "C7", "--method", "both", "--tol", "nan"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "tol must be finite and nonnegative" in captured.err
 
 
 def test_grid_over_cap_cases_are_reported_not_fatal(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Graph families, products, metric data and walk-length closure."""
 
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -11,7 +12,6 @@ from kronspectra.errors import (
     BipartiteGraphError,
     DisconnectedGraphError,
     FamilyDomainError,
-    NotStabilizedError,
     OrderCapError,
 )
 from kronspectra.graphs import (
@@ -153,6 +153,14 @@ def test_product_adjacency_bit_exhaustive(left, right):
 def test_product_cap():
     with pytest.raises(OrderCapError):
         kronecker_product(build_family(Complete(150)), build_family(Complete(150)))
+
+
+@pytest.mark.parametrize("spec", [Cycle(101), Complete(101), Johnson(9, 4)])
+def test_build_family_checks_the_cap_before_building(spec, monkeypatch):
+    monkeypatch.setattr(graphs, "PRODUCT_VERTEX_CAP", 100)
+    message = f"{family_to_string(spec)} has {family_order(spec)} vertices, cap is 100"
+    with pytest.raises(OrderCapError, match=f"^{re.escape(message)}$"):
+        build_family(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +339,45 @@ def test_walk_gamma_bipartite_rejected():
         gamma(build_family(Cycle(6)))
 
 
-def test_walk_gamma_not_stabilized_on_tiny_bound():
-    with pytest.raises(NotStabilizedError):
-        walk_gamma(build_family(Cycle(5)), 0, 0, bound=4)
+def test_walk_gamma_disconnected_rejected():
+    with pytest.raises(DisconnectedGraphError):
+        walk_gamma(Graph([0, 1, 2, 2], [1, 0]), 0, 1)
+
+
+def reference_walk_gammas(g: Graph) -> np.ndarray:
+    """One more than the last length up to 4n with no walk, per pair, from
+    boolean powers of A; independent of the double-cover BFS."""
+    n = g.vertex_count
+    a = g.adjacency_matrix()
+    reach = np.eye(n, dtype=bool)
+    last_missing = np.where(reach, -1, 0)
+    for k in range(1, 4 * n + 1):
+        reach = (reach.astype(np.int64) @ a) > 0
+        last_missing[~reach] = k
+    assert reach.all()
+    return last_missing + 1
+
+
+@pytest.mark.parametrize("spec", [
+    Cycle(5), Cycle(7), Cycle(9), Complete(3), Complete(4), Johnson(5, 2),
+    Hamming(2, 3), Kron(Complete(3), Cycle(5)), Kron(Complete(3), Complete(4)),
+])
+def test_walk_closure_against_boolean_powers(spec):
+    g = build_family(spec)
+    expected = reference_walk_gammas(g)
+    n = g.vertex_count
+    got = [[walk_gamma(g, x, y) for y in range(n)] for x in range(n)]
+    assert np.array_equal(got, expected)
+    assert gamma(g) == expected.max()
+
+
+def test_walk_closure_shares_the_dense_cap(monkeypatch):
+    # the double cover of C_101 has 202 vertices
+    monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", "201")
+    with pytest.raises(OrderCapError, match="order 202 exceeds dense cap 201"):
+        gamma(build_family(Cycle(101)))
+    monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", "202")
+    assert gamma(build_family(Cycle(101))) == 100
 
 
 def test_walk_gamma_rejects_vertices_out_of_range():

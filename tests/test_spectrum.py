@@ -1,6 +1,7 @@
 """Spectrum grouping/matching and the dense eigensolver oracle."""
 
 import functools
+import math
 import operator
 import warnings
 
@@ -183,6 +184,18 @@ def test_match_catches_order_difference():
     a = spectrum_from_values([1, 1], 0.0)
     b = spectrum_from_values([1, 1, 1], 0.0)
     assert not spectra_match(a, b, 1e-6).matches
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+def test_tolerances_must_be_finite_and_nonnegative(tol):
+    # a NaN tolerance merged every value into one group and matched
+    # spectra 97 apart
+    a = spectrum_from_values([1.0], 0.0)
+    b = spectrum_from_values([98.0], 0.0)
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        spectra_match(a, b, tol)
+    with pytest.raises(ValueError, match="group_tol must be finite and nonnegative"):
+        spectrum_from_values([1.0], tol)
 
 
 def test_trace_and_frobenius_identities():
