@@ -137,7 +137,7 @@ def _output(path: str | None) -> Iterator[IO[str]]:
 def _emit_spectrum(sp: Spectrum, fmt: str, out: IO[str], label: dict) -> None:
     if fmt == "csv":
         out.write("value,multiplicity\n")
-        for value, mult in sp.pairs:
+        for value, mult in zip(sp.values(), sp.multiplicities()):
             out.write(f"{value:.12g},{mult}\n")
     else:
         payload = dict(label)

@@ -446,11 +446,9 @@ class IntegralityReport:
 
 def check_integrality(sp: Spectrum, tol: float = 1e-6) -> IntegralityReport:
     """Distance of each eigenvalue from the nearest integer."""
-    worst = 0.0
-    offending: list[float] = []
-    for value, _ in sp.pairs:
-        dev = abs(value - round(value))
-        worst = max(worst, dev)
-        if dev > tol:
-            offending.append(value)
+    values = sp.value_array
+    # np.round, like round, takes halves to even
+    deviations = np.abs(values - np.round(values))
+    worst = float(deviations.max(initial=0.0))
+    offending = values[deviations > tol].tolist()
     return IntegralityReport(worst <= tol, worst, tuple(offending))

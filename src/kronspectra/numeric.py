@@ -7,6 +7,7 @@ not share formula code with the side it validates.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -18,6 +19,7 @@ __all__ = [
     "DEFAULT_DENSE_CAP",
     "dense_matrix_cap",
     "ensure_symmetric",
+    "max_asymmetry",
     "symmetric_eigenvalues",
     "oracle_spectrum",
 ]
@@ -26,6 +28,10 @@ DEFAULT_DENSE_CAP = 4000
 SYMMETRY_TOL = 1e-9
 
 _CAP_ENV = "KRON_SPECTRA_MAX_ORDER"
+
+# entries per row tile of max_asymmetry: a tile and its transposed partner
+# stay in cache
+_ASYMMETRY_TILE = 1 << 16
 
 
 def dense_matrix_cap() -> int:
@@ -47,14 +53,37 @@ def ensure_symmetric(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarra
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSymmetricMatrixError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    deviation = max_asymmetry(a)
+    # a non-finite entry makes its own deviation non-finite, so only then
+    # can one exist
+    if not math.isfinite(deviation) and not np.isfinite(a).all():
         raise NonSymmetricMatrixError("matrix has non-finite entries")
-    deviation = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     if deviation > tol:
         raise NonSymmetricMatrixError(
             f"symmetry deviation {deviation:.3e} exceeds tolerance {tol:.1e}"
         )
     return a
+
+
+def max_asymmetry(a: np.ndarray) -> float:
+    """``max |a - a^H|`` of a square matrix (0.0 when empty), NaN when a
+    difference is NaN.
+
+    Scans row tiles of the upper triangle against the matching columns, so
+    no n x n temporary is built; the result is the same float as the
+    full-matrix expression.
+    """
+    n = a.shape[0]
+    rows = max(1, _ASYMMETRY_TILE // max(n, 1))
+    tile_max = []
+    with np.errstate(invalid="ignore"):  # inf - inf: the NaN is the answer
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
+            lower = a[r0:, r0:r1].T
+            if np.iscomplexobj(a):
+                lower = lower.conj()
+            tile_max.append(np.abs(a[r0:r1, r0:] - lower).max())
+    return float(np.max(tile_max)) if tile_max else 0.0
 
 
 def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 from .closedform import intersection_array
 from .errors import NonSymmetricMatrixError
 from .graphs import FamilySpec, Hamming, Johnson, build_family, distance_matrix
+from .numeric import max_asymmetry
 
 __all__ = [
     "Polynomial",
@@ -173,7 +174,7 @@ def matrix_polynomial_eval(p: Polynomial, a: np.ndarray) -> np.ndarray:
     mat = np.asarray(a, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if mat.size and np.max(np.abs(mat - mat.T)) > 1e-9:
+    if max_asymmetry(mat) > 1e-9:
         raise NonSymmetricMatrixError("matrix must be symmetric")
     n = mat.shape[0]
     coeffs = p.as_floats()
@@ -187,7 +188,7 @@ def matrix_polynomial_eval(p: Polynomial, a: np.ndarray) -> np.ndarray:
         for c in coeffs[-3::-1]:
             result = result @ mat
             result.flat[::n + 1] += c
-    if n and np.max(np.abs(result - result.T)) > 1e-9:
+    if max_asymmetry(result) > 1e-9:
         raise NonSymmetricMatrixError("evaluation lost symmetry beyond tolerance")
     return result
 

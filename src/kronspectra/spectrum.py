@@ -2,20 +2,23 @@
 
 A :class:`Spectrum` is the common currency of the package: every closed-form
 constructor and every numeric eigensolve is reduced to one before being
-compared.  Values are stored in descending order; multiplicities always sum
-to the order of the underlying matrix.
+compared.  It holds a float64 array of values in descending order and an
+array of multiplicities that sum to the order of the underlying matrix;
+``pairs`` is a read-only view of the two as (value, multiplicity) tuples.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["Spectrum", "MatchReport", "spectrum_from_values", "spectra_match"]
+__all__ = ["Spectrum", "SpectrumPairs", "MatchReport", "spectrum_from_values",
+           "spectra_match"]
 
 # Once no more than this many groups are still open, spectrum_from_values
 # sums each of them (long runs of close eigenvalues) in one call rather than
@@ -30,17 +33,92 @@ def _render(value: float) -> float:
     return float(f"{value:.12g}")
 
 
-@dataclass(frozen=True)
+def _multiplicity_array(mults: Sequence[int]) -> np.ndarray:
+    """int64, or Python ints as dtype object when one does not fit."""
+    exact = [operator.index(m) for m in mults]
+    try:
+        return np.array(exact, dtype=np.int64)
+    except OverflowError:
+        return np.array(exact, dtype=object)
+
+
+def _order(mults: np.ndarray) -> int:
+    """Sum of the (validated, positive) multiplicities as a Python int."""
+    if mults.dtype == object or mults.size * int(mults.max(initial=0)) > 2**63 - 1:
+        return sum(mults.tolist())
+    return int(mults.sum())
+
+
+class SpectrumPairs:
+    """Read-only (value, multiplicity) view of a Spectrum's two arrays.
+
+    Items are ``(float, int)`` tuples made when read; the view compares
+    equal to the tuple of those tuples.
+    """
+
+    __slots__ = ("_values", "_mults")
+
+    def __init__(self, values: np.ndarray, mults: np.ndarray):
+        self._values = values
+        self._mults = mults
+
+    def __len__(self) -> int:
+        return self._values.size
+
+    def __getitem__(self, index: int) -> tuple[float, int]:
+        index = operator.index(index)
+        return self._values[index].item(), int(self._mults[index])
+
+    def __iter__(self) -> Iterator[tuple[float, int]]:
+        return zip(self._values.tolist(), self._mults.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SpectrumPairs):
+            return (np.array_equal(self._values, other._values)
+                    and np.array_equal(self._mults, other._mults))
+        if isinstance(other, tuple):
+            return len(other) == len(self) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Spectrum:
-    """Multiset of eigenvalues as (value, multiplicity) pairs, descending."""
+    """Multiset of eigenvalues: distinct values, descending, with
+    multiplicities.
 
-    pairs: tuple[tuple[float, int], ...]
-    grouping_tol: float = 0.0
+    ``value_array`` is float64; ``multiplicity_array`` is int64, or Python
+    ints as dtype object when one does not fit in int64.  Both are read-only.
+    """
 
-    def __post_init__(self):
-        values = np.array([v for v, _ in self.pairs], dtype=float)
-        mult_list = [m for _, m in self.pairs]
-        mults = np.array(mult_list)
+    value_array: np.ndarray
+    multiplicity_array: np.ndarray
+    grouping_tol: float
+    order: int
+
+    def __init__(self, pairs: Iterable[tuple[float, int]], grouping_tol: float = 0.0):
+        pairs = tuple(pairs)
+        self._fill(np.array([v for v, _ in pairs], dtype=np.float64),
+                   _multiplicity_array([m for _, m in pairs]), grouping_tol)
+
+    @classmethod
+    def _from_arrays(cls, values: np.ndarray, mults: np.ndarray,
+                     grouping_tol: float) -> "Spectrum":
+        """Build from a descending value array and an int64 multiplicity
+        array (both copied), with the checks ``Spectrum(pairs)`` runs."""
+        sp = cls.__new__(cls)
+        sp._fill(np.array(values, dtype=np.float64), np.array(mults, dtype=np.int64),
+                 grouping_tol)
+        return sp
+
+    def _fill(self, values: np.ndarray, mults: np.ndarray, grouping_tol: float) -> None:
+        if not 0 <= grouping_tol < math.inf:
+            raise ValueError(f"group_tol must be finite and nonnegative, got {grouping_tol}")
         # the first offending pair names the error, multiplicity first
         bad_mult = mults <= 0
         bad = bad_mult | ~np.isfinite(values)
@@ -50,30 +128,44 @@ class Spectrum:
             raise ValueError("eigenvalues must be finite")
         if (values[:-1] < values[1:]).any():
             raise ValueError("pairs must be sorted by descending value")
-        if (values[:-1] - values[1:] <= self.grouping_tol).any():
+        if (values[:-1] - values[1:] <= grouping_tol).any():
             raise ValueError("consecutive values must differ by more than grouping_tol")
-        object.__setattr__(self, "_order", sum(mult_list))
+        values.flags.writeable = False
+        mults.flags.writeable = False
+        object.__setattr__(self, "value_array", values)
+        object.__setattr__(self, "multiplicity_array", mults)
+        object.__setattr__(self, "grouping_tol", grouping_tol)
+        object.__setattr__(self, "order", _order(mults))
 
     @property
-    def order(self) -> int:
-        return self._order
+    def pairs(self) -> SpectrumPairs:
+        return SpectrumPairs(self.value_array, self.multiplicity_array)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Spectrum):
+            return NotImplemented
+        return self.grouping_tol == other.grouping_tol and self.pairs == other.pairs
+
+    def __hash__(self) -> int:
+        return hash((len(self.value_array), self.order, self.grouping_tol))
+
+    def __repr__(self) -> str:
+        return f"Spectrum(pairs={self.pairs!r}, grouping_tol={self.grouping_tol!r})"
 
     def values(self) -> list[float]:
-        return [v for v, _ in self.pairs]
+        return self.value_array.tolist()
 
     def multiplicities(self) -> list[int]:
-        return [m for _, m in self.pairs]
+        return self.multiplicity_array.tolist()
 
     def trace(self) -> float:
-        """Sum of value * multiplicity (equals the matrix trace)."""
-        return sum(v * m for v, m in self.pairs)
+        """Sum of value * multiplicity (equals the matrix trace), added left
+        to right."""
+        return sum((self.value_array * self.multiplicity_array).tolist())
 
     def expanded(self) -> list[float]:
         """All eigenvalues with multiplicity, ascending."""
-        out: list[float] = []
-        for value, mult in reversed(self.pairs):
-            out.extend([value] * mult)
-        return out
+        return np.repeat(self.value_array[::-1], self.multiplicity_array[::-1]).tolist()
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[float, int]],
@@ -138,7 +230,7 @@ def spectrum_from_values(values: Sequence[float], group_tol: float) -> Spectrum:
         # accumulate adds strictly left to right
         sums[g] = np.add.accumulate(np.concatenate((sums[g:g + 1], tail)))[-1]
     means = sums / sizes
-    return Spectrum(tuple(zip(means[::-1].tolist(), sizes[::-1].tolist())), group_tol)
+    return Spectrum._from_arrays(means[::-1], sizes[::-1], group_tol)
 
 
 @dataclass(frozen=True)
@@ -172,12 +264,14 @@ def spectra_match(a: Spectrum, b: Spectrum, tol: float) -> MatchReport:
         problems.append(f"group count {len(a.pairs)} != {len(b.pairs)}")
     if problems:
         return MatchReport(False, math.inf, tuple(problems))
-    max_gap = 0.0
-    for (va, ma), (vb, mb) in zip(a.pairs, b.pairs):
-        gap = abs(va - vb)
-        max_gap = max(max_gap, gap)
-        if gap > tol:
-            problems.append(f"value gap {gap:.3e} at {va:.6g} vs {vb:.6g}")
-        if ma != mb:
+    gaps = np.abs(a.value_array - b.value_array)
+    max_gap = float(gaps.max(initial=0.0))
+    off_value = gaps > tol
+    off_mult = a.multiplicity_array != b.multiplicity_array
+    for i in np.flatnonzero(off_value | off_mult).tolist():
+        (va, ma), (vb, mb) = a.pairs[i], b.pairs[i]
+        if off_value[i]:
+            problems.append(f"value gap {abs(va - vb):.3e} at {va:.6g} vs {vb:.6g}")
+        if off_mult[i]:
             problems.append(f"multiplicity {ma} != {mb} at value {va:.6g}")
     return MatchReport(not problems, max_gap, tuple(problems))

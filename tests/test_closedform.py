@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kronspectra.closedform import (
+    IntegralityReport,
     IntersectionArray,
     check_integrality,
     complete_distance_spectrum,
@@ -35,6 +36,7 @@ from kronspectra.graphs import (
     family_to_string,
 )
 from kronspectra.numeric import symmetric_eigenvalues
+from kronspectra.spectrum import Spectrum, spectrum_from_values
 from kronspectra.verify import closed_form_distance_spectrum
 
 
@@ -297,3 +299,29 @@ def test_integrality_examples():
     assert any(abs(v + 2.618034) < 1e-5 for v in report.offending_values)
 
     assert check_integrality(kron_johnson_spectrum(3, 4, 2), 0.0).is_integral
+
+
+def _reference_integrality(sp, tol):
+    """The per-value loop check_integrality replaced."""
+    worst = 0.0
+    offending = []
+    for value, _ in sp.pairs:
+        dev = abs(value - round(value))
+        worst = max(worst, dev)
+        if dev > tol:
+            offending.append(value)
+    return IntegralityReport(worst <= tol, worst, tuple(offending))
+
+
+def test_integrality_agrees_with_per_value_loop():
+    rng = np.random.default_rng(12)
+    halves = [2.5, 1.5, 0.5, -0.5, -1.5, 1e300, -2.0**60 - 2048.0, 3 + 1e-7, -2.0000001]
+    values = np.concatenate([rng.normal(scale=30, size=300).round(1),
+                             rng.integers(-50, 50, 100), halves])
+    sp = spectrum_from_values(values, 0.0)
+    for tol in (0.0, 1e-6, 0.3, 0.5):
+        report = check_integrality(sp, tol)
+        assert report == _reference_integrality(sp, tol)
+        assert type(report.worst_deviation) is float
+        assert all(type(v) is float for v in report.offending_values)
+    assert check_integrality(Spectrum(()), 0.0) == IntegralityReport(True, 0.0, ())

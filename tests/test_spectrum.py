@@ -1,6 +1,7 @@
 """Spectrum grouping/matching and the dense eigensolver oracle."""
 
 import functools
+import gc
 import math
 import operator
 import warnings
@@ -10,8 +11,14 @@ import pytest
 
 from kronspectra.errors import NonSymmetricMatrixError, OrderCapError
 from kronspectra.graphs import Complete, Cycle, Kron, build_family, distance_matrix
-from kronspectra.numeric import oracle_spectrum, symmetric_eigenvalues
+from kronspectra.numeric import (
+    ensure_symmetric,
+    max_asymmetry,
+    oracle_spectrum,
+    symmetric_eigenvalues,
+)
 from kronspectra.spectrum import Spectrum, spectra_match, spectrum_from_values
+from kronspectra.verify import closed_form_distance_spectrum
 
 
 def test_grouping_merges_close_values():
@@ -241,3 +248,203 @@ def test_json_round_trip():
     assert back.order == sp.order
     assert back.multiplicities() == sp.multiplicities()
     assert back.values() == pytest.approx(sp.values(), abs=1e-9)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+def test_spectrum_rejects_nonfinite_grouping_tol(tol):
+    # a NaN tolerance passed every gap check
+    with pytest.raises(ValueError, match="group_tol must be finite and nonnegative"):
+        Spectrum(((1.0, 1),), tol)
+
+
+@pytest.mark.parametrize("tol", ["NaN", "Infinity", "-1e-09"])
+def test_from_json_rejects_nonfinite_tol(tol):
+    # json.loads reads NaN, and to_json then wrote it back, which is not JSON
+    text = f'{{"order": 1, "pairs": [{{"value": 1.0, "multiplicity": 1}}], "tol": {tol}}}'
+    with pytest.raises(ValueError, match="group_tol must be finite and nonnegative"):
+        Spectrum.from_json(text)
+
+
+def _gen0_collections(build):
+    assert gc.isenabled()
+    before = gc.get_stats()[0]["collections"]
+    result = build()
+    return gc.get_stats()[0]["collections"] - before, result
+
+
+@pytest.mark.parametrize("spec", [Cycle(100001), Kron(Complete(3), Cycle(20001))])
+def test_closed_form_spectrum_builds_no_object_per_group(spec):
+    # one (value, multiplicity) tuple per group set off dozens of
+    # collections here (63 for C100001, 26 for the product)
+    collections, (sp, _) = _gen0_collections(lambda: closed_form_distance_spectrum(spec))
+    assert len(sp.pairs) > 19_000
+    assert collections <= 2
+
+
+def test_pairs_view_reads_like_a_tuple_of_pairs():
+    sp = Spectrum(((3.0, 2), (1.0, 5), (-4.0, 1)))
+    pairs = sp.pairs
+    assert len(pairs) == 3
+    assert pairs[0] == (3.0, 2) and pairs[-1] == (-4.0, 1) and pairs[-3] == pairs[0]
+    with pytest.raises(IndexError):
+        pairs[3]
+    (top, mult), *rest = pairs
+    assert (top, mult) == (3.0, 2) and rest == [(1.0, 5), (-4.0, 1)]
+    assert pairs == ((3.0, 2), (1.0, 5), (-4.0, 1))
+    assert not pairs != ((3.0, 2), (1.0, 5), (-4.0, 1))
+    assert pairs != ((3.0, 2), (1.0, 5))
+    assert pairs != ((3.0, 2), (1.0, 4), (-4.0, 1))
+    assert pairs != [(3.0, 2), (1.0, 5), (-4.0, 1)]  # a tuple compares with tuples only
+    assert pairs == Spectrum(tuple(pairs)).pairs
+    assert list(reversed(pairs)) == [(-4.0, 1), (1.0, 5), (3.0, 2)]
+    for value, mult in [*pairs, pairs[1], pairs[-1]]:
+        assert type(value) is float and type(mult) is int
+    assert not sp.value_array.flags.writeable and not sp.multiplicity_array.flags.writeable
+    assert sp.value_array.dtype == np.float64 and sp.multiplicity_array.dtype == np.int64
+
+
+def test_spectrum_is_immutable_and_compares_by_value():
+    sp = Spectrum(((3.0, 2), (1.0, 5)), 0.5)
+    with pytest.raises(AttributeError):
+        sp.order = 3
+    with pytest.raises(ValueError):
+        sp.value_array[0] = 4.0
+    same = Spectrum(((3.0, 2), (1.0, 5)), 0.5)
+    assert sp == same and hash(sp) == hash(same)
+    assert sp != Spectrum(((3.0, 2), (1.0, 5)), 0.25)
+    assert sp != Spectrum(((3.0, 2), (1.0, 4)), 0.5)
+    assert sp != Spectrum(((3.0, 2), (1.5, 5)), 0.5)
+
+
+def test_huge_multiplicity_round_trips_through_json():
+    sp = Spectrum(((1.0, 1), (0.0, 2**70)))
+    assert sp.multiplicity_array.dtype == object
+    assert sp.order == 2**70 + 1
+    back = Spectrum.from_json(sp.to_json())
+    assert back == sp and back.pairs == ((1.0, 1), (0.0, 2**70))
+    assert back.multiplicities() == [1, 2**70]
+    assert type(back.pairs[1][1]) is int
+    # int64 multiplicities whose sum does not fit still give the exact order
+    big = 2**62
+    assert Spectrum(((1.0, big), (0.0, big), (-1.0, big))).order == 3 * big
+
+
+@pytest.mark.parametrize("pairs, tol", [
+    (((1.0, 0),), 0.0),
+    (((1.0, 1), (2.0, 1)), 0.0),
+    (((1.0, 1), (2.0, 1)), 5.0),
+    (((1.0, 1), (1.0 - 1e-9, 1)), 1e-6),
+    (((1.5, 2), (1.0, 1), (0.75, 1)), 0.25),
+    (((2.0, 1), (np.nan, 1)), 0.0),
+    (((np.inf, 1), (1.0, 1)), 0.0),
+    (((2.0, 1), (1.0, -1), (np.nan, 1)), 0.0),
+    (((np.inf, 1), (1.0, 0)), 0.0),
+    (((1.0, 1), (1.0, 1)), 0.0),
+    (((1.0, 1),), math.nan),
+    (((1.0, 0),), -1.0),
+])
+def test_array_and_tuple_constructors_raise_alike(pairs, tol):
+    with pytest.raises(ValueError) as from_tuples:
+        Spectrum(pairs, tol)
+    values = np.array([v for v, _ in pairs])
+    mults = np.array([m for _, m in pairs], dtype=np.int64)
+    with pytest.raises(ValueError) as from_arrays:
+        Spectrum._from_arrays(values, mults, tol)
+    assert str(from_arrays.value) == str(from_tuples.value)
+
+
+def test_benchmark_harness_spectrum_contract():
+    # benchmarks/tracing.py wraps from_pairs through the class __dict__, and
+    # benchmarks/test_harness.py rebuilds a spectrum with its top value moved
+    assert isinstance(Spectrum.__dict__["from_pairs"], staticmethod)
+    sp, _ = closed_form_distance_spectrum(Kron(Complete(3), Cycle(8)))
+    (top, mult), *rest = sp.pairs
+    moved = Spectrum(((top + 1.0, mult), *rest), sp.grouping_tol)
+    assert moved.order == sp.order and moved.pairs[0] == (top + 1.0, mult)
+    assert tuple(moved.pairs)[1:] == tuple(rest)
+
+
+def _reference_match(a, b, tol):
+    """The pair-by-pair loop spectra_match replaced, as (max_gap, problems)."""
+    max_gap = 0.0
+    problems = []
+    for (va, ma), (vb, mb) in zip(a.pairs, b.pairs):
+        gap = abs(va - vb)
+        max_gap = max(max_gap, gap)
+        if gap > tol:
+            problems.append(f"value gap {gap:.3e} at {va:.6g} vs {vb:.6g}")
+        if ma != mb:
+            problems.append(f"multiplicity {ma} != {mb} at value {va:.6g}")
+    return max_gap, tuple(problems)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_match_agrees_with_pairwise_loop(seed):
+    rng = np.random.default_rng(seed)
+    values = np.unique(rng.uniform(-50, 50, 200))[::-1]
+    mults = rng.integers(1, 4, values.size)
+    a = Spectrum._from_arrays(values, mults, 0.0)
+    moved = np.sort(values + rng.choice([0.0, 1e-9, 3e-6], values.size))[::-1]
+    b = Spectrum._from_arrays(moved, rng.permutation(mults), 0.0)
+    report = spectra_match(a, b, 1e-6)
+    max_gap, problems = _reference_match(a, b, 1e-6)
+    assert report.max_gap == max_gap and type(report.max_gap) is float
+    assert report.mismatches == problems and report.matches == (not problems)
+    assert any(p.startswith("value gap") for p in problems)
+    assert any(p.startswith("multiplicity") for p in problems)
+
+
+def test_trace_and_expanded_match_pairwise_loops():
+    rng = np.random.default_rng(9)
+    sp = spectrum_from_values(rng.normal(size=500).round(2), 0.0)
+    assert sp.trace() == sum(v * m for v, m in tuple(sp.pairs))
+    expanded = []
+    for value, mult in reversed(tuple(sp.pairs)):
+        expanded.extend([value] * mult)
+    assert sp.expanded() == expanded and len(expanded) == sp.order
+    assert sp.to_dict()["pairs"][0]["multiplicity"] == sp.pairs[0][1]
+    assert Spectrum(()).trace() == 0 and Spectrum(()).expanded() == []
+
+
+def _full_asymmetry(a):
+    """The whole-matrix expression max_asymmetry replaced."""
+    return float(np.max(np.abs(a - a.conj().T)))
+
+
+@pytest.mark.parametrize("n", [1, 7, 300, 1000])
+def test_symmetry_scan_finds_nonfinite_lower_triangle_entries(n):
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.ones((n, n))
+        m[n - 1, n // 3] = bad  # lower triangle (the diagonal when n == 1)
+        with warnings.catch_warnings(), \
+                pytest.raises(NonSymmetricMatrixError, match="non-finite entries"):
+            warnings.simplefilter("error")
+            ensure_symmetric(m)
+
+
+def test_symmetry_scan_reports_the_full_matrix_deviation():
+    rng = np.random.default_rng(3)
+    for n in (2, 252, 1000):
+        m = rng.normal(size=(n, n))
+        m = m + m.T
+        assert max_asymmetry(m) == 0.0
+        m[n - 1, 0] += 1e-8  # an asymmetry below the diagonal only
+        assert max_asymmetry(m) == _full_asymmetry(m) > 0.0
+        with pytest.raises(NonSymmetricMatrixError,
+                           match=r"symmetry deviation 1\.000e-08 exceeds tolerance 1\.0e-09"):
+            ensure_symmetric(m)
+    assert max_asymmetry(np.zeros((0, 0))) == 0.0
+
+
+def test_symmetry_scan_conjugates_complex_input():
+    rng = np.random.default_rng(4)
+    n = 300
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = h + h.conj().T
+    assert max_asymmetry(h) == 0.0
+    assert ensure_symmetric(h) is h
+    s = h + 1j * h.real  # complex symmetric, not Hermitian
+    assert max_asymmetry(s) == _full_asymmetry(s) > 1.0
+    off = h.copy()
+    off[17, 17] += 1j  # an imaginary diagonal is not Hermitian
+    assert max_asymmetry(off) == _full_asymmetry(off) == 2.0
