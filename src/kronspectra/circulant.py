@@ -37,6 +37,7 @@ __all__ = [
     "block_spectrum_union",
     "cycle_adjacency_eigenvalues",
     "cycle_distance_row",
+    "cycle_distance_eigenvalues",
     "cycle_combo_eigenvalues",
     "cycle_combo_spectrum",
 ]
@@ -183,7 +184,7 @@ def block_spectrum_union(hs: Sequence[np.ndarray], tol: float = 1e-6) -> Spectru
 
 
 # ---------------------------------------------------------------------------
-# Cycle graphs: closed forms for s*A + t*D
+# Cycle graphs: closed forms for A, D and s*A + t*D
 # ---------------------------------------------------------------------------
 
 def cycle_adjacency_eigenvalues(n: int) -> np.ndarray:
@@ -202,32 +203,35 @@ def cycle_distance_row(n: int) -> list[int]:
     return [min(k, n - k) for k in range(n)]
 
 
-def cycle_combo_eigenvalues(n: int, s: float, t: float) -> np.ndarray:
-    """Eigenvalues of s*A(C_n) + t*D(C_n), indexed j = 0..n-1.
+def cycle_distance_eigenvalues(n: int) -> np.ndarray:
+    """Distance eigenvalues of C_n, indexed j = 0..n-1.
 
-    Closed forms (arguments reduced: j runs 0..n-1):
-
-    even n:  j = 0        -> 2s + (n^2/4) t
-             j even, != 0 -> 2s cos(2 pi j / n)
-             j odd        -> 2s cos(2 pi j / n) - t / sin^2(pi j / n)
-    odd n:   j = 0        -> 2s + ((n^2 - 1)/4) t
-             j even, != 0 -> 2s cos(2 pi j / n) - (t/4) / cos^2(pi j / 2n)
-             j odd        -> 2s cos(2 pi j / n) - (t/4) / sin^2(pi j / 2n)
-
-    The even-n / even-j entry carries no t term: the distance eigenvalue is
-    exactly 0 there.
+    even n:  j = 0        -> n^2/4
+             j even, != 0 -> 0
+             j odd        -> -1 / sin^2(pi j / n)
+    odd n:   j = 0        -> (n^2 - 1)/4
+             j even, != 0 -> -(1/4) / cos^2(pi j / 2n)
+             j odd        -> -(1/4) / sin^2(pi j / 2n)
     """
     Cycle(n)  # domain check
     j = np.arange(n)
-    # s = 0 (the d column of every cycle eigen-table) needs no cosines
-    out = 2.0 * s * np.cos(2.0 * math.pi * j / n) if s else np.zeros(n)
-    out[0] = 2.0 * s + (n * n / 4.0 if n % 2 == 0 else (n * n - 1) / 4.0) * t
+    out = np.zeros(n)
+    out[0] = n * n / 4.0 if n % 2 == 0 else (n * n - 1) / 4.0
     if n % 2 == 0:
-        out[1::2] -= t / np.sin(math.pi * j[1::2] / n) ** 2
+        out[1::2] = -1.0 / np.sin(math.pi * j[1::2] / n) ** 2
     else:
-        out[2::2] -= (t / 4.0) / np.cos(math.pi * j[2::2] / (2 * n)) ** 2
-        out[1::2] -= (t / 4.0) / np.sin(math.pi * j[1::2] / (2 * n)) ** 2
+        out[2::2] = -0.25 / np.cos(math.pi * j[2::2] / (2 * n)) ** 2
+        out[1::2] = -0.25 / np.sin(math.pi * j[1::2] / (2 * n)) ** 2
     return out
+
+
+def cycle_combo_eigenvalues(n: int, s: float, t: float) -> np.ndarray:
+    """Eigenvalues of s*A(C_n) + t*D(C_n), indexed j = 0..n-1.
+
+    A(C_n) and D(C_n) are circulants of the same order, so the combination
+    acts eigenvalue-wise on the two closed-form columns.
+    """
+    return s * cycle_adjacency_eigenvalues(n) + t * cycle_distance_eigenvalues(n)
 
 
 def cycle_combo_spectrum(n: int, s: float, t: float,

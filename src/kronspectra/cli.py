@@ -35,6 +35,7 @@ from .graphs import (
 from .polynomials import distance_polynomial, verify_distance_polynomial
 from .spectrum import Spectrum, spectra_match
 from .verify import (
+    FamilyOracle,
     closed_form_adjacency_spectrum,
     closed_form_distance_spectrum,
     default_grid,
@@ -227,12 +228,13 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = parse_family(args.family)
+    oracle = FamilyOracle(spec)  # one build and one BFS for both checks
     reports = []
     if args.check in ("spectrum", "all"):
-        reports.append(verify_family(spec, args.tol))
+        reports.append(verify_family(spec, args.tol, oracle=oracle))
     if args.check in ("poly", "all"):
         try:
-            reports.append(poly_report(spec))
+            reports.append(poly_report(spec, oracle=oracle))
         except FamilyDomainError:
             pass  # the family has no distance polynomial
     if not reports:

@@ -1,19 +1,22 @@
 """Closed-form adjacency and distance spectra from one product law.
 
 Each base family (cycle, complete, Johnson, Hamming) has one eigen-table:
-rows (a, d, t, mult), the joint eigenvalues of its adjacency matrix A, its
-distance matrix D and its matrix T of the edges with no common neighbour,
-with their multiplicity.  The base spectra are its a and d columns.  T is A
-on triangle-free graphs (C_len with len >= 4, K_2, hypercubes) and 0 on the
-others, whose edges all lie in a triangle.
+rows (a, d, mult), the joint eigenvalues of its adjacency matrix A and its
+distance matrix D with their multiplicity, and one flag, whether the graph
+is triangle-free.  The base spectra are its a and d columns.  On a
+distance-regular graph every edge lies in a_1 triangles (Brouwer, Cohen and
+Neumaier, Distance-Regular Graphs, 1989, 4.1), so the flag is a_1 = 0:
+true for C_len with len >= 4, K_2 and hypercubes, false for the others,
+whose edges all lie in a triangle.
 
 For n >= 3 the distance matrix of K_n (x) G is block circulant with
-diagonal block D + A + T (adjacent pairs meet through a common neighbour at
-distance 2, otherwise at 3) and off-diagonal blocks D + 2I (a vertex
-reaches its copy in another block in two steps via a third block).  So
-every product spectrum is one law on G's table: each row gives
-n*d + a + t + 2(n-1) with multiplicity mult and a + t - 2 with
-multiplicity (n-1)*mult.  Johnson and Hamming tables hold only integers
+off-diagonal blocks D + 2I (a vertex reaches its copy in another block in
+two steps via a third block) and diagonal block D + A when a_1 > 0
+(adjacent pairs meet through a common neighbour at distance 2) or D + 2A
+when a_1 = 0 (they meet at distance 3).  So every product spectrum is one
+law on G's table: with a' = a (a_1 > 0) or 2a (a_1 = 0), each row gives
+n*d + a' + 2(n-1) with multiplicity mult and a' - 2 with multiplicity
+(n-1)*mult.  Johnson and Hamming tables hold only integers
 (their d column is p(a) for the polynomial p with D = p(A) that the
 intersection array gives), so K_n (x) J(m, r) and K_n (x) H(d, q) with
 q >= 3 are distance integral; they stay in exact integer arithmetic
@@ -21,15 +24,15 @@ q >= 3 are distance integral; they stay in exact integer arithmetic
 1e-6.
 
 The three enumeration fixes in the verification notes are rows of the law:
-the even-cycle row j = 0 (a = t = 2) gives the repeated value 2 with
+the even-cycle row j = 0 (a = 2, a' = 4) gives the repeated value 2 with
 multiplicity n-1; C_{2m+1} has 2m+1 rows, so the secant family runs
 p = 1..m; the Hamming row with distance eigenvalue -q^(d-1) enters the
 distinguished block multiplied by n.  Each excluded case fails a condition
 of the law: a K_2 left factor has no third block, so its off-diagonal
-blocks are not D + 2I; K_2 and hypercube right factors have t = a, not the
-t = 0 the published complete, Johnson and Hamming forms assume (H(2,2) is
-C_4 and takes the even-cycle form); C_3 is K_3, with t = 0 rather than the
-cycle forms' t = a, and takes the complete-product form.
+blocks are not D + 2I; K_2 and hypercube right factors have a_1 = 0, while
+the published complete, Johnson and Hamming forms assume a_1 > 0 (H(2,2) is
+C_4 and takes the even-cycle form); C_3 is K_3, with a_1 = 1 rather than the
+cycle forms' a_1 = 0, and takes the complete-product form.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from math import comb
 
 import numpy as np
 
-from .circulant import cycle_adjacency_eigenvalues, cycle_combo_eigenvalues
+from .circulant import cycle_adjacency_eigenvalues, cycle_distance_eigenvalues
 from .errors import FamilyDomainError, NoClosedFormError
 from .graphs import Complete, Cycle, FamilySpec, Hamming, Johnson, family_to_string
 from .spectrum import Spectrum, spectrum_from_values
@@ -164,7 +167,8 @@ def intersection_array(spec: FamilySpec) -> IntersectionArray:
 
 @dataclass(frozen=True, eq=False)
 class EigenTable:
-    """Joint eigenvalues (a, d, t) of A, D and T with multiplicity, by row.
+    """Joint eigenvalues (a, d) of A and D with multiplicity, by row, and
+    whether the graph is triangle-free (a_1 = 0).
 
     Columns are numpy arrays of equal length.  Integer tables hold Python
     ints (dtype object), so sums stay exact at any size; cycle tables hold
@@ -173,8 +177,8 @@ class EigenTable:
 
     a: np.ndarray
     d: np.ndarray
-    t: np.ndarray
     mult: np.ndarray
+    triangle_free: bool
 
     def adjacency_spectrum(self, group_tol: float = 1e-6) -> Spectrum:
         return _grouped(self.a, self.mult, group_tol)
@@ -190,16 +194,6 @@ def _grouped(values: np.ndarray, mults: np.ndarray, group_tol: float) -> Spectru
     return spectrum_from_values(np.repeat(values, mults), group_tol)
 
 
-def _integer_table(a: list[int], d: list[int], mult: list[int],
-                   triangle_free: bool) -> EigenTable:
-    # distance-regular: every edge has the same number of common
-    # neighbours, so T is A (none) or 0 (at least one)
-    a_col = np.array(a, dtype=object)
-    t_col = a_col if triangle_free else 0 * a_col
-    return EigenTable(a_col, np.array(d, dtype=object), t_col,
-                      np.array(mult, dtype=object))
-
-
 def _integer_value(coeffs: list[Fraction], x: int) -> int:
     """The polynomial with these ascending coefficients at x, required integral."""
     value = Fraction(0)
@@ -211,19 +205,19 @@ def _integer_value(coeffs: list[Fraction], x: int) -> int:
 
 
 def eigen_table(spec: FamilySpec) -> EigenTable:
-    """The (a, d, t, mult) table of a cycle, complete, Johnson or Hamming graph."""
+    """The (a, d, mult) table and a_1 = 0 flag of a cycle, complete, Johnson
+    or Hamming graph."""
     if isinstance(spec, Cycle):
-        a = cycle_adjacency_eigenvalues(spec.n)
-        d = cycle_combo_eigenvalues(spec.n, 0.0, 1.0)
-        t = a if spec.n >= 4 else np.zeros(spec.n)
-        return EigenTable(a, d, t, np.ones(spec.n, dtype=np.int64))
+        return EigenTable(cycle_adjacency_eigenvalues(spec.n),
+                          cycle_distance_eigenvalues(spec.n),
+                          np.ones(spec.n, dtype=np.int64), spec.n >= 4)
     if isinstance(spec, Complete):
-        # D = A = J - I
-        n = spec.n
-        a, mult = ([n - 1, -1], [1, n - 1]) if n > 1 else ([0], [1])
-        return _integer_table(a, a, mult, n == 2)
+        if spec.n == 1:
+            zero, one = np.array([0], dtype=object), np.array([1], dtype=object)
+            return EigenTable(zero, zero, one, False)
+        spec = Johnson(spec.n, 1)  # K_n is J(n, 1)
     if isinstance(spec, (Johnson, Hamming)):
-        # D = p(A) gives d = p(a); T = A when no edge is in a triangle (a_1 = 0)
+        # D = p(A) gives d = p(a)
         arr = intersection_array(spec)
         if isinstance(spec, Johnson):
             a = johnson_adjacency_eigenvalues(spec.m, spec.r)
@@ -232,17 +226,19 @@ def eigen_table(spec: FamilySpec) -> EigenTable:
             a = hamming_adjacency_eigenvalues(spec.d, spec.q)
             mult = hamming_adjacency_multiplicities(spec.d, spec.q)
         p = arr.distance_polynomial()
-        return _integer_table(a, [_integer_value(p, x) for x in a], mult,
-                              arr.a(1) == 0)
+        d = [_integer_value(p, x) for x in a]
+        return EigenTable(*(np.array(col, dtype=object) for col in (a, d, mult)),
+                          arr.a(1) == 0)
     raise NoClosedFormError("eigen-tables cover the base families only")
 
 
 def kron_complete_law(n: int, table: EigenTable, group_tol: float = 1e-6) -> Spectrum:
     """Distance spectrum of K_n (x) G for n >= 3 from the eigen-table of G.
 
-    Reduces the block circulant with diagonal block D + A + T and
-    off-diagonal blocks D + 2I: one block nD + A + T + 2(n-1)I and n-1
-    copies of A + T - 2I, evaluated row by row on the table.
+    Reduces the block circulant with diagonal block D + A' and
+    off-diagonal blocks D + 2I, where A' is A when every edge lies in a
+    triangle and 2A when none does (a_1 = 0): one block nD + A' + 2(n-1)I
+    and n-1 copies of A' - 2I, evaluated row by row on the table.
     """
     if n < 3:
         raise FamilyDomainError(
@@ -250,8 +246,8 @@ def kron_complete_law(n: int, table: EigenTable, group_tol: float = 1e-6) -> Spe
             " with n = 2 the off-diagonal distance blocks are wrong"
             " (no third block to route distance-2 detours through)"
         )
-    a_t = table.a + table.t
-    values = np.concatenate([n * table.d + a_t + 2 * (n - 1), a_t - 2])
+    a = 2 * table.a if table.triangle_free else table.a
+    values = np.concatenate([n * table.d + a + 2 * (n - 1), a - 2])
     mults = np.concatenate([table.mult, (n - 1) * table.mult])
     return _grouped(values, mults, group_tol)
 
@@ -343,7 +339,7 @@ def kron_cycle_even_spectrum(n: int, m: int, group_tol: float = 1e-6) -> Spectru
     """Distance spectrum of K_n (x) C_{2m} for n >= 3, m >= 2.
 
     Blocks of the product distance matrix: diagonal 2A + D, off-diagonal
-    2I + D over the cycle's own A and D (the law with T = A).  Reduction
+    2I + D over the cycle's own A and D (the law with a_1 = 0).  Reduction
     gives one block 2(n-1)I + nD + 2A and n-1 copies of 2(A - I); eigenvalues
     come from the cycle closed forms.  The repeated block contributes
     4*cos(pi*r/m) - 2 for r = 0..2m-1: the r = 0 value 2 is included,
@@ -435,13 +431,6 @@ class IntegralityReport:
     is_integral: bool
     worst_deviation: float
     offending_values: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "is_integral": self.is_integral,
-            "worst_deviation": self.worst_deviation,
-            "offending_values": list(self.offending_values),
-        }
 
 
 def check_integrality(sp: Spectrum, tol: float = 1e-6) -> IntegralityReport:

@@ -141,7 +141,12 @@ class Graph:
         return zip(rows[upper].tolist(), self.indices[upper].tolist())
 
     def adjacency_matrix(self, dtype=np.int64) -> np.ndarray:
-        a = np.zeros((self.vertex_count, self.vertex_count), dtype=dtype)
+        """Dense A; an order past the dense cap is refused before allocating."""
+        n = self.vertex_count
+        cap = dense_matrix_cap()
+        if n > cap:
+            raise OrderCapError(f"matrix order {n} exceeds dense cap {cap}")
+        a = np.zeros((n, n), dtype=dtype)
         a[self._rows(), self.indices] = 1
         return a
 

@@ -91,12 +91,14 @@ def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
     The backward-stable dense solve delivers a few ulps times the spectral
     radius.  Deterministic for identical input: no randomized or
-    timing-dependent steps.
+    timing-dependent steps.  A square matrix past the dense cap is refused
+    before its symmetry scan.
     """
-    a = ensure_symmetric(matrix, SYMMETRY_TOL)
+    a = np.asarray(matrix)
     cap = dense_matrix_cap()
-    if a.shape[0] > cap:
+    if a.ndim == 2 and a.shape[0] == a.shape[1] and a.shape[0] > cap:
         raise OrderCapError(f"matrix order {a.shape[0]} exceeds dense cap {cap}")
+    ensure_symmetric(a, SYMMETRY_TOL)
     if a.shape[0] == 0:
         return np.zeros(0)
     return np.linalg.eigvalsh(a)

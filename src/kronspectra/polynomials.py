@@ -202,14 +202,6 @@ class PolynomialCheck:
     max_entry_gap: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "degree": self.degree,
-            "max_entry_gap": self.max_entry_gap,
-            "pass": self.passed,
-        }
-
 
 def verify_distance_polynomial(spec: FamilySpec, tol: float = 1e-8,
                                oracle=None) -> PolynomialCheck:

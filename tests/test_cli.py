@@ -138,6 +138,34 @@ def test_verify_poly_check(capsys):
     assert payload["match"] is True and payload["max_abs_gap"] < 1e-8
 
 
+def test_verify_all_builds_and_bfs_once(capsys, monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("build_family", "distance_matrix"):
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    code = main(["verify", "--family", "J(6,3)", "--check", "all"])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == 0
+    assert [r["check"] for r in records] == ["distance-spectrum", "distance-polynomial"]
+    assert calls == Counter({"build_family": 1, "distance_matrix": 1})
+
+
+def test_spectrum_adjacency_past_the_dense_cap(capsys, monkeypatch):
+    monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", "10")
+    code = main(["spectrum", "--family", "C11", "--method", "oracle",
+                 "--matrix", "adjacency"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: matrix order 11 exceeds dense cap 10\n"
+
+
 def test_poly_command(capsys):
     code = main(["poly", "--family", "J(4,2)"])
     payload = json.loads(capsys.readouterr().out)

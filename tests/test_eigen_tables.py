@@ -1,4 +1,5 @@
-"""Eigen-tables (a, d, t, mult) against dense A, D and T, and the product law."""
+"""Eigen-tables (a, d, mult) and their a_1 = 0 flag against dense A, D and
+T (the edges with no common neighbour), and the product law."""
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ FACTORS = (
     [Cycle(n) for n in range(4, 10)]
     + [Complete(n) for n in range(3, 7)]
     + [Johnson(5, 2), Johnson(6, 3), Hamming(2, 3), Hamming(3, 3)]
-    # outside the product forms: t = a on triangle-free factors, 0 on C_3
+    # outside the product forms: triangle-free factors, and C_3 with a_1 = 1
     + [Cycle(3), Complete(2), Johnson(2, 1), Hamming(3, 2)]
 )
 COMBOS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 3), (0.5, 3, -2)]
@@ -37,11 +38,14 @@ def dense_a_d_t(spec):
 def test_table_rows_are_joint_eigenvalues(spec):
     a, d, t = dense_a_d_t(spec)
     table = eigen_table(spec)
+    # what the law reads off the flag: T is A (a_1 = 0) or 0 (a_1 > 0)
+    assert np.array_equal(t, a if table.triangle_free else 0 * a)
     mult = table.mult.astype(np.int64)
     assert mult.sum() == a.shape[0]
+    t_col = table.a if table.triangle_free else 0 * table.a
     for x, y, z in COMBOS:
         dense = symmetric_eigenvalues(x * a + y * d + z * t)
-        rows = (x * table.a + y * table.d + z * table.t).astype(float)
+        rows = (x * table.a + y * table.d + z * t_col).astype(float)
         closed = np.sort(np.repeat(rows, mult))
         radius = max(1.0, float(np.abs(dense).max()))
         assert np.max(np.abs(closed - dense)) <= 1e-9 * radius, (x, y, z)

@@ -380,6 +380,13 @@ def test_walk_closure_shares_the_dense_cap(monkeypatch):
     assert gamma(build_family(Cycle(101))) == 100
 
 
+def test_adjacency_matrix_refuses_an_over_cap_order(monkeypatch):
+    monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", "10")
+    with pytest.raises(OrderCapError, match="^matrix order 11 exceeds dense cap 10$"):
+        build_family(Cycle(11)).adjacency_matrix()
+    assert build_family(Cycle(10)).adjacency_matrix().shape == (10, 10)
+
+
 def test_walk_gamma_rejects_vertices_out_of_range():
     g = build_family(Kron(Complete(3), Cycle(5)))
     with pytest.raises(ValueError):

@@ -237,6 +237,19 @@ def test_order_cap_env_override(monkeypatch):
     assert symmetric_eigenvalues(np.eye(3)) == pytest.approx([1, 1, 1])
 
 
+def test_over_cap_matrix_is_refused_before_its_symmetry_scan(monkeypatch):
+    import kronspectra.numeric as numeric
+
+    def no_scan(a):
+        raise AssertionError("symmetry scan ran on an over-cap matrix")
+
+    monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", "10")
+    monkeypatch.setattr(numeric, "max_asymmetry", no_scan)
+    # asymmetric too: the cap is what is reported
+    with pytest.raises(OrderCapError, match="^matrix order 11 exceeds dense cap 10$"):
+        symmetric_eigenvalues(np.triu(np.ones((11, 11))))
+
+
 def test_hermitian_input_supported():
     h = np.array([[2.0, 1j], [-1j, 2.0]])
     assert symmetric_eigenvalues(h) == pytest.approx([1.0, 3.0])
