@@ -386,18 +386,31 @@ def kronecker_connectivity_predicted(g: Graph, h: Graph) -> bool:
 # Distances
 # ---------------------------------------------------------------------------
 
-# Modelled seconds of one all-sources BFS level for each step, fitted per
-# level on one core of a 2-vCPU x86-64 Xeon with single-threaded OpenBLAS
-# (H(10,2), kron(K3,H(6,3)), kron(K30,K40), kron(K6,C200)):
-# push about 30 ns per frontier edge, bitset about 1.5 ns per pair plus
-# 12 ns per gathered 64-bit word, dense about 25 ps per multiply-add.
+# Modelled seconds of one all-sources BFS level for each step, fitted on one
+# core of a 2-vCPU x86-64 Xeon (2 MB of L2 cache a core) with numpy 2.4 and
+# single-threaded OpenBLAS, over C600-C3999, kron(K_n,C_m) of orders 600 to
+# 4000, H(10,2), H(6,3), H(3,10) and kron(K_n,K_m) of orders 240 to 3960:
+# * push: 30 us a level and 30 ns per frontier edge;
+# * bitset: 2 us per neighbour slot, counting 6 slots more for the masking
+#   and bookkeeping of a level, and per row of a slot 12 ns plus 0.022 ns
+#   times the squared row length in words (words cost more once the
+#   bitsets outgrow the cache);
+# * dense: 23 ps per multiply-add and 3 ns per pair to unpack and pack;
+# * a conversion between pair keys and bitsets, with the unpacking of the
+#   levels into D that it entails: 6 ns per pair.
+_PUSH_S_PER_LEVEL = 30e-6
 _PUSH_S_PER_EDGE = 30e-9
-_BITSET_S_PER_PAIR = 1.5e-9
-_BITSET_S_PER_WORD = 12e-9
-_DENSE_S_PER_CUBE = 25e-12
-# the bitset step gathers neighbour bitsets in row blocks of at most this
-# many 64-bit words, the bound `_build_johnson` puts on its blocks
-_BITSET_BLOCK_WORDS = 1 << 22
+_BITSET_S_PER_SLOT = 2e-6
+_BITSET_S_PER_ROW = 12e-9
+_BITSET_S_PER_SQUARED_WORDS = 0.022e-9
+_BITSET_EXTRA_SLOTS = 6
+_DENSE_S_PER_CUBE = 23e-12
+_DENSE_S_PER_SQUARE = 3e-9
+_SWITCH_S_PER_SQUARE = 6e-9
+
+# masks of the SWAR population count (Hacker's Delight, section 5-1)
+_SWAR_MASKS = tuple(np.uint64(m) for m in (
+    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
@@ -405,21 +418,33 @@ def distance_matrix(g: Graph) -> np.ndarray:
 
     Runs breadth-first search from all sources at once, level by level.
     The frontier is the set of (source, vertex) pairs reached at the
-    previous level; it is symmetric, since a pair's distance is.  Each
-    level takes whichever of three steps has the lowest modelled cost:
+    previous level; it is symmetric, since a pair's distance is.  Level 1
+    is the edge set.  Each later level takes whichever of three steps has
+    the lowest modelled cost:
 
     * push: expand every frontier pair along its vertex's edges, which pays
       while the frontier's edges are few (Beamer, Asanovic and Patterson,
       "Direction-Optimizing Breadth-First Search", SC 2012);
     * bitset: keep the frontier's sources of each vertex as one bitset of
-      64-bit words and OR those of every vertex's neighbours (Then et al.,
-      "The More the Merrier: Efficient Multi-Source Graph Traversal",
-      PVLDB 2014), which pays while n * edges / 64 is small next to n^3;
-    * dense: one float32 product of the frontier matrix with A.  It is
-      exact, since an entry counts at most max-degree < 2^24 paths.
+      64-bit words and OR those of every vertex's neighbours, one neighbour
+      slot at a time (Then et al., "The More the Merrier: Efficient
+      Multi-Source Graph Traversal", PVLDB 2014), which pays once the
+      frontier has about as many edges as the rows have neighbour slots,
+      n * max-degree;
+    * dense: one float32 product of the frontier matrix with A, which pays
+      only on small graphs of high degree.  It is exact, since an entry
+      counts at most max-degree < 2^24 paths.
 
-    Every step yields exactly the per-source BFS levels.  Raises
-    DisconnectedGraphError if any pair is unreachable.
+    Push holds the frontier as pair keys and writes each level into D.  The
+    bitset and dense steps share a packed state that persists across
+    levels: the unvisited pairs and the frontier as bitsets, and the levels
+    as bit planes that are unpacked into D once, when the packed phase
+    ends.  Entering the packed phase is charged a conversion spread over the
+    levels the frontier suggests are left, and leaving it a conversion
+    within one level, so a BFS changes form a few times at most.  The
+    search stops as soon as every pair has a distance.  Every step yields
+    exactly the per-source BFS levels.  Raises DisconnectedGraphError if
+    any pair is unreachable.
     """
     n = g.vertex_count
     cap = dense_matrix_cap()
@@ -428,44 +453,77 @@ def distance_matrix(g: Graph) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
     degrees = g.degrees()
-    least_degree = int(degrees.min())
+    max_degree, least_degree = int(degrees.max()), int(degrees.min())
     dist = np.full((n, n), -1, dtype=np.int64)
     np.fill_diagonal(dist, 0)
     flat = dist.ravel()
-    frontier = np.arange(n) * (n + 1)  # pairs as flat keys source * n + vertex
-    adjacency = None
-    level = 0
-    while frontier.size:
-        level += 1
-        # the frontier has at least size * least-degree edges, so they are
-        # counted only when push is the cheapest step at that bound
-        step = _level_step(n, g.indices.size, frontier.size * least_degree)
-        if step == "push":
+    # level 1 needs no step: its pairs are the edges, each stored once, as
+    # flat keys source * n + vertex
+    frontier = g._rows() * n + g.indices
+    flat[frontier] = level = 1
+    reached = n + frontier.size  # pairs with a distance, while push holds the frontier
+    packed = None
+    while True:
+        if packed is None:
+            if not frontier.size or reached == n * n:
+                break
             vertex = frontier % n
             lengths = degrees[vertex]
-            step = _level_step(n, g.indices.size, int(lengths.sum()))
-        if step == "push":
-            frontier = _push_level(g, frontier, vertex, lengths, flat)
-        elif step == "bitset":
-            frontier = _bitset_level(g, frontier, dist)
+            edges = int(lengths.sum())
+            levels_left = (n * n - reached) / frontier.size
         else:
-            if adjacency is None:
-                adjacency = g.adjacency_matrix(np.float32)
-            frontier = _dense_level(adjacency, frontier, dist)
-        flat[frontier] = level
+            if packed.finished:
+                break
+            edges = packed.frontier_edges(degrees, least_degree, max_degree)
+            levels_left = 1.0
+        step = _level_step(n, max_degree, edges, packed is not None, levels_left)
+        level += 1
+        if step == "push":
+            if packed is not None:
+                packed.fold(dist)
+                frontier, reached = packed.pairs()
+                packed = None
+                vertex = frontier % n
+                lengths = degrees[vertex]
+            frontier = _push_level(g, frontier, vertex, lengths, flat)
+            flat[frontier] = level
+            reached += frontier.size
+        else:
+            if packed is None:
+                packed = _PackedBFS(g, dist, frontier)
+            packed.advance(step, level)
+    if packed is not None:
+        packed.fold(dist)
     if (dist < 0).any():
         raise DisconnectedGraphError("graph is disconnected")
     return dist
 
 
-def _level_step(n: int, stored: int, frontier_edges: int) -> str:
-    """The step with the lowest modelled cost for one level of an order-n
-    graph with ``stored`` CSR neighbours; ties go to push, then bitset."""
-    costs = {
-        "push": _PUSH_S_PER_EDGE * frontier_edges,
-        "bitset": _BITSET_S_PER_PAIR * n * n + _BITSET_S_PER_WORD * stored * -(-n // 64),
-        "dense": _DENSE_S_PER_CUBE * n ** 3,
+def _step_costs(n: int, max_degree: int, frontier_edges: int, packed: bool,
+                levels_left: float) -> dict[str, float]:
+    """Modelled seconds of one level of an order-n graph for each step.  A
+    step that changes the frontier's form is charged the conversion spread
+    over ``levels_left`` levels."""
+    switch = _SWITCH_S_PER_SQUARE * n * n / max(1.0, levels_left)
+    words = -(-n // 64)
+    return {
+        "push": (_PUSH_S_PER_LEVEL + _PUSH_S_PER_EDGE * frontier_edges
+                 + (switch if packed else 0.0)),
+        "bitset": ((max_degree + _BITSET_EXTRA_SLOTS)
+                   * (_BITSET_S_PER_SLOT + n * (_BITSET_S_PER_ROW
+                                                + _BITSET_S_PER_SQUARED_WORDS * words * words))
+                   + (0.0 if packed else switch)),
+        "dense": (_DENSE_S_PER_CUBE * n ** 3 + _DENSE_S_PER_SQUARE * n * n
+                  + (0.0 if packed else switch)),
     }
+
+
+def _level_step(n: int, max_degree: int, frontier_edges: int, packed: bool,
+                levels_left: float) -> str:
+    """The step with the lowest modelled cost for one level, given the
+    frontier's edges, whether it is packed and the levels that would repay
+    a conversion; ties go to push, then bitset."""
+    costs = _step_costs(n, max_degree, frontier_edges, packed, levels_left)
     return min(costs, key=costs.get)
 
 
@@ -483,55 +541,149 @@ def _push_level(g: Graph, frontier: np.ndarray, vertex: np.ndarray,
     return fresh[flat_dist[fresh] == stamps]
 
 
-def _bitset_level(g: Graph, frontier: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Unreached pairs next to the frontier, by OR-ing source bitsets.
+def _bit_counts(words: np.ndarray) -> np.ndarray:
+    """Set bits of each row of a uint64 array, by a SWAR population count
+    (np.bitwise_count needs numpy 2)."""
+    m1, m2, m4, h01 = _SWAR_MASKS
+    x = words - ((words >> np.uint64(1)) & m1)
+    x = (x & m2) + ((x >> np.uint64(2)) & m2)
+    x = (x + (x >> np.uint64(4))) & m4
+    x *= h01
+    x >>= np.uint64(56)
+    return x.sum(axis=-1, dtype=np.int64)
 
-    Row v of ``bits`` holds the sources s with (s, v) in the frontier, so
-    the OR over the neighbours v of w holds every source one step from w.
+
+def _pack_rows(rows: np.ndarray, words: int) -> np.ndarray:
+    """Rows of booleans as (rows, words) uint64 bitsets: bit j of a row is
+    bit j % 8 of the row's byte j // 8, and bits past the row's end are
+    clear."""
+    out = np.zeros((rows.shape[0], words), dtype=np.uint64)
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    out.view(np.uint8)[:, :packed.shape[1]] = packed
+    return out
+
+
+def _unpack_rows(bits: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits of each bitset row, as uint8 zeros and ones."""
+    return np.unpackbits(bits.view(np.uint8), axis=1, count=n, bitorder="little")
+
+
+class _PackedBFS:
+    """The bitset and dense steps' BFS state, kept packed across levels.
+
+    Row w of an (n, words) uint64 bitset holds the sources s of the pairs
+    (s, w); the pairs are symmetric, so row w equally holds the vertices
+    of source w.  ``unvisited`` holds the pairs still without a distance
+    and ``frontier`` those reached at the last level, bits past n clear in
+    both.  A pair reached at level L adds L + 1 to bit planes: plane p
+    holds the pairs whose L + 1 has bit p set.  Levels are below the dense
+    cap 4000 < 2^16, so the planes are summed in uint16 and added to D,
+    where those pairs hold -1, when the packed phase ends.
     """
-    n = g.vertex_count
-    words = -(-n // 64)
-    front = np.zeros((n, n), dtype=bool)
-    front.ravel()[frontier] = True
-    bits = np.zeros((n, words), dtype=np.uint64)
-    packed = bits.view(np.uint8)
-    packed[:, :-(-n // 8)] = np.packbits(front, axis=1, bitorder="little")
-    del front
-    reached = np.zeros_like(bits)
-    indptr, degrees = g.indptr, g.degrees()
-    # rows [start, stop) gather at most a block of words (a row that alone
-    # exceeds it is a block of its own)
-    budget = max(1, _BITSET_BLOCK_WORDS // words)
-    start = 0
-    while start < n:
-        stop = int(np.searchsorted(indptr, indptr[start] + budget, side="right")) - 1
-        stop = max(start + 1, stop)
-        # reduceat hands a zero-degree row the next row's first bitset (or
-        # fails past the end), so it runs over the rows with neighbours only
-        rows = start + np.flatnonzero(degrees[start:stop])
-        if rows.size:
-            gathered = bits[g.indices[indptr[start]:indptr[stop]]]
-            reached[rows] = np.bitwise_or.reduceat(
-                gathered, indptr[rows] - indptr[start], axis=0)
-        start = stop
-    found = np.unpackbits(reached.view(np.uint8), axis=1, count=n,
-                          bitorder="little").view(bool)
-    del reached
-    # found[w, s] marks the pair (s, w); the new pairs are symmetric, so the
-    # keys of found are theirs
-    found &= dist < 0
-    return np.flatnonzero(found)
 
+    def __init__(self, g: Graph, dist: np.ndarray, frontier: np.ndarray):
+        n = dist.shape[0]
+        self.graph, self.n, self.words = g, n, -(-n // 64)
+        self.unvisited = _pack_rows(dist < 0, self.words)
+        front = np.zeros((n, n), dtype=bool)
+        front.ravel()[frontier] = True
+        self.frontier = _pack_rows(front, self.words)
+        del front
+        self.spare = np.empty_like(self.frontier)
+        self.planes: list[np.ndarray] = []
+        self.finished = False
+        self._slots = self._adjacency = None
 
-def _dense_level(adjacency: np.ndarray, frontier: np.ndarray,
-                 dist: np.ndarray) -> np.ndarray:
-    """Unreached pairs next to the frontier, by one product with A."""
-    front = np.zeros(dist.shape, dtype=np.float32)
-    front.ravel()[frontier] = 1
-    found = (front @ adjacency) > 0
-    del front
-    found &= dist < 0
-    return np.flatnonzero(found)
+    def frontier_edges(self, degrees: np.ndarray, least_degree: int,
+                       max_degree: int) -> int:
+        """The frontier's edges, or a lower bound on them when the bound
+        alone rules push out."""
+        bound = np.count_nonzero(self.frontier) * least_degree
+        costs = _step_costs(self.n, max_degree, bound, True, 1.0)
+        if min(costs, key=costs.get) != "push":
+            return bound
+        return int(_bit_counts(self.frontier) @ degrees)
+
+    def advance(self, step: str, level: int) -> None:
+        """One level by the bitset or the dense step."""
+        found = self._bitset_reach() if step == "bitset" else self._dense_reach()
+        found &= self.unvisited
+        self.unvisited ^= found
+        value = level + 1
+        for p in range(value.bit_length()):
+            if p == len(self.planes):
+                self.planes.append(np.zeros_like(found))
+            if value >> p & 1:
+                self.planes[p] |= found
+        self.finished = not (found.any() and self.unvisited.any())
+        self.spare, self.frontier = self.frontier, found
+
+    def _bitset_reach(self) -> np.ndarray:
+        """Row w: the OR of the frontier rows of w's neighbours, gathered
+        one neighbour slot at a time over the rows that have that slot."""
+        if self._slots is None:
+            self._slots = self._neighbour_slots()
+        rank, slots = self._slots
+        out, gathered = self.spare, np.empty_like(self.spare)
+        out[slots[0].size if slots else 0:] = 0
+        for j, nbrs in enumerate(slots):
+            target = out[:nbrs.size] if j == 0 else gathered[:nbrs.size]
+            np.take(self.frontier, nbrs, axis=0, out=target, mode="clip")
+            if j:
+                out[:nbrs.size] |= target
+        if rank is not None:
+            np.take(out, rank, axis=0, out=gathered, mode="clip")
+            out[...] = gathered
+        return out
+
+    def _neighbour_slots(self) -> tuple[np.ndarray | None, list[np.ndarray]]:
+        """Each vertex's rank by falling degree (None when that is its
+        index) and, for each neighbour slot j, the j-th neighbour of every
+        vertex with one, in rank order."""
+        g = self.graph
+        degrees = g.degrees()
+        order = np.argsort(-degrees, kind="stable")
+        starts = g.indptr[order]
+        above = self.n - np.cumsum(np.bincount(degrees))
+        slots = [g.indices[starts[:above[j]] + j].astype(np.intp)
+                 for j in range(above.size - 1)]
+        rank = None
+        if (order != np.arange(self.n)).any():
+            rank = np.argsort(order)
+        return rank, slots
+
+    def _dense_reach(self) -> np.ndarray:
+        """The frontier matrix times float32 A, packed where positive."""
+        if self._adjacency is None:
+            self._adjacency = self.graph.adjacency_matrix(np.float32)
+        front = _unpack_rows(self.frontier, self.n).astype(np.float32)
+        product = front @ self._adjacency
+        del front
+        return _pack_rows(product > 0, self.words)
+
+    def fold(self, dist: np.ndarray) -> None:
+        """Add the planes into D, in blocks of rows of about 2^17 pairs."""
+        n = self.n
+        block = max(1, (1 << 17) // n)
+        acc = np.empty((block, n), dtype=np.uint16)
+        for start in range(0, n, block):
+            rows = acc[:min(block, n - start)]
+            rows.fill(0)
+            for plane in reversed(self.planes):
+                rows += rows
+                rows |= _unpack_rows(plane[start:start + block], n)
+            dist[start:start + block] += rows
+        self.planes = []
+
+    def pairs(self) -> tuple[np.ndarray, int]:
+        """The frontier as flat pair keys, and the number of pairs with a
+        distance."""
+        n = self.n
+        rows, cols = np.nonzero(self.frontier)
+        bits = np.unpackbits(self.frontier[rows, cols].view(np.uint8), bitorder="little")
+        word, bit = np.nonzero(bits.reshape(-1, 64))
+        keys = rows[word] * n + cols[word] * 64 + bit
+        return keys, n * n - int(_bit_counts(self.unvisited).sum())
 
 
 def diameter(g: Graph) -> int:

@@ -209,9 +209,9 @@ def verify_distance_polynomial(spec: FamilySpec, tol: float = 1e-8,
     the BFS distance matrix D entrywise.
 
     ``oracle``, when given, is read only once the polynomial exists: its
-    ``graph`` attribute is the family's graph and ``distances`` its D as
+    ``adjacency`` and ``distances`` attributes are the family's A and D as
     float64 (``verify.FamilyOracle`` shares them between checks).
-    Otherwise the graph is built and D computed here.
+    Otherwise the graph is built and A and D computed here.
     """
     from .graphs import family_to_string
 
@@ -219,8 +219,11 @@ def verify_distance_polynomial(spec: FamilySpec, tol: float = 1e-8,
     if oracle is None:
         graph = build_family(spec)
         d = distance_matrix(graph).astype(np.float64)
+        a = graph.adjacency_matrix(np.float64)
     else:
-        graph, d = oracle.graph, oracle.distances
-    evaluated = matrix_polynomial_eval(poly, graph.adjacency_matrix(np.float64))
-    gap = float(np.max(np.abs(evaluated - d))) if d.size else 0.0
+        d, a = oracle.distances, oracle.adjacency
+    evaluated = matrix_polynomial_eval(poly, a)
+    # |p(A) - D| in place, so no temporary matrix joins the shared A and D
+    np.abs(np.subtract(evaluated, d, out=evaluated), out=evaluated)
+    gap = float(np.max(evaluated)) if d.size else 0.0
     return PolynomialCheck(family_to_string(spec), poly.degree, gap, gap < tol)

@@ -191,8 +191,9 @@ def closed_form_adjacency_spectrum(
 # ---------------------------------------------------------------------------
 
 class FamilyOracle:
-    """A family's graph and BFS distance matrix, each computed the first
-    time a check reads it and then shared by the family's later checks.
+    """A family's graph, adjacency matrix and BFS distance matrix, each
+    computed the first time a check reads it and then shared by the
+    family's later checks.
 
     A computation that raises stores nothing, so every check that reads it
     raises the same error.
@@ -204,6 +205,11 @@ class FamilyOracle:
     @functools.cached_property
     def graph(self) -> Graph:
         return build_family(self.spec)
+
+    @functools.cached_property
+    def adjacency(self) -> np.ndarray:
+        """A as float64, the form the eigensolve and p(A) read."""
+        return self.graph.adjacency_matrix(np.float64)
 
     @functools.cached_property
     def distances(self) -> np.ndarray:
@@ -280,7 +286,7 @@ def verify_family(
     The match requires groupwise agreement (values within tol, identical
     multiplicities) and the reported gap is the largest elementwise
     difference between the two sorted eigenvalue multisets.  ``oracle``
-    supplies the family's graph and D when a caller shares them between
+    supplies the family's A and D when a caller shares them between
     checks; otherwise they are computed here.
     """
     name = family_to_string(spec)
@@ -290,7 +296,7 @@ def verify_family(
         oracle_values = symmetric_eigenvalues(oracle.distances)
     elif matrix == "adjacency":
         closed, notes = closed_form_adjacency_spectrum(spec, tol)
-        oracle_values = symmetric_eigenvalues(oracle.graph.adjacency_matrix(np.float64))
+        oracle_values = symmetric_eigenvalues(oracle.adjacency)
     else:
         raise ValueError(f"unknown matrix kind {matrix!r}")
     oracle_spectrum = spectrum_from_values(oracle_values, tol)
@@ -310,8 +316,8 @@ def verify_family(
 
 def poly_report(spec: FamilySpec, tol: float = 1e-8,
                 oracle: FamilyOracle | None = None) -> FamilyReport:
-    """Entrywise p(A) = D check wrapped in the common report shape; the
-    graph and D come from ``oracle`` when given."""
+    """Entrywise p(A) = D check wrapped in the common report shape; A and
+    D come from ``oracle`` when given."""
     check = verify_distance_polynomial(spec, tol, _oracle_for(spec, oracle))
     return FamilyReport(
         family=check.family,
@@ -393,7 +399,8 @@ def iter_grid(
     that raises a KronSpectraError (over the order cap, say) yields a failed
     report carrying the error, and the sweep goes on; any other exception is
     a defect and ends it.  Consecutive cases of one family share a
-    FamilyOracle, so the family is built and BFS'd at most once for them.
+    FamilyOracle, so the family is built, BFS'd and given a float A at most
+    once for them.
     """
     oracle = None
     for spec, kind in cases:

@@ -1,5 +1,6 @@
 """Graph families, products, metric data and walk-length closure."""
 
+import itertools
 import math
 import re
 from collections import deque
@@ -223,11 +224,25 @@ def test_distance_complete():
 
 
 BFS_STEPS = ("push", "bitset", "dense")
+# Level schedules, repeated from level 2 on: each step alone, and mixes that
+# change the frontier's form mid-BFS in both directions, pair keys to
+# bitsets and back, dense to push.
+BFS_SCHEDULES = tuple((step,) for step in BFS_STEPS) + (
+    ("push", "bitset"),
+    ("dense", "push"),
+    ("push", "push", "bitset", "dense", "bitset", "push"),
+)
+
+
+def force_schedule(monkeypatch, schedule):
+    """Make BFS levels 2, 3, ... take the schedule's steps, over and over."""
+    steps = itertools.cycle(schedule)
+    monkeypatch.setattr(graphs, "_level_step", lambda *counts: next(steps))
 
 
 def force_step(monkeypatch, step):
     """Make every BFS level take the named step."""
-    monkeypatch.setattr(graphs, "_level_step", lambda *counts: step)
+    force_schedule(monkeypatch, (step,))
 
 
 def test_distance_single_vertex(monkeypatch):
@@ -243,16 +258,15 @@ def test_distance_disconnected_raises(monkeypatch):
     disconnected = [
         g,
         build_family(Kron(Complete(2), Cycle(200))),
-        # vertex 1 has no neighbours: a bare reduceat over indptr would hand
-        # it vertex 2's bitset and mark the pair (1, 0) reached
+        # vertex 1 has no neighbours: a zero-degree row takes no neighbour
+        # slot and must not be handed another row's bitset
         Graph([0, 1, 1, 2], [2, 0]),
-        # the last vertex has no neighbours: a bare reduceat indexes past
-        # the end of the gathered bitsets
+        # the last vertex has no neighbours
         Graph([0, 1, 2, 2], [1, 0]),
     ]
-    for step in BFS_STEPS:
-        force_step(monkeypatch, step)
+    for schedule in BFS_SCHEDULES:
         for h in disconnected:
+            force_schedule(monkeypatch, schedule)
             with pytest.raises(DisconnectedGraphError):
                 distance_matrix(h)
 
@@ -268,12 +282,15 @@ def test_distance_disconnected_raises(monkeypatch):
 ])
 def test_distance_matrix_against_naive_bfs(spec, monkeypatch):
     g = build_family(spec)
+    expected = naive_bfs_distances(g)
     d = distance_matrix(g)
     assert d.dtype == np.int64
-    assert (d == naive_bfs_distances(g)).all()
-    for step in BFS_STEPS:
-        force_step(monkeypatch, step)
-        assert (distance_matrix(g) == d).all()
+    assert (d == expected).all()
+    for schedule in BFS_SCHEDULES:
+        force_schedule(monkeypatch, schedule)
+        forced = distance_matrix(g)
+        assert forced.dtype == np.int64
+        assert (forced == expected).all(), schedule
     assert (d == d.T).all()
     assert (np.diag(d) == 0).all()
     # triangle inequality
@@ -282,27 +299,90 @@ def test_distance_matrix_against_naive_bfs(spec, monkeypatch):
         assert (d[i, None, :] <= d[i, :, None] + d).all()
 
 
-@pytest.mark.parametrize("block_words", [1, 64])
-def test_bitset_step_in_small_blocks(block_words, monkeypatch):
-    # row blocks of one or a few rows, some of them ending in a zero-degree
-    # row, give the same levels as one block
-    force_step(monkeypatch, "bitset")
-    monkeypatch.setattr(graphs, "_BITSET_BLOCK_WORDS", block_words)
-    for spec in (Johnson(6, 3), Kron(Complete(3), Cycle(7)), Hamming(5, 3)):
+def test_bfs_stops_once_every_pair_has_a_distance(monkeypatch):
+    # levels 2 .. diameter take one step each; none is left to find nothing
+    for spec in (Johnson(6, 3), Hamming(5, 3), Kron(Complete(4), Cycle(61)),
+                 Kron(Complete(9), Complete(8))):
         g = build_family(spec)
-        assert (distance_matrix(g) == naive_bfs_distances(g)).all()
-    for g in (Graph([0, 1, 1, 2], [2, 0]), Graph([0, 1, 2, 2], [1, 0])):
-        with pytest.raises(DisconnectedGraphError):
+        levels = int(distance_matrix(g).max())
+        for schedule in BFS_SCHEDULES:
+            steps, calls = itertools.cycle(schedule), []
+            monkeypatch.setattr(graphs, "_level_step",
+                                lambda *counts: calls.append(counts) or next(steps))
             distance_matrix(g)
+            assert len(calls) == levels - 1, (spec, schedule)
+
+
+def uneven_graph(n: int, extra: int, seed: int) -> Graph:
+    """A connected graph of uneven degrees: a random tree plus random chords."""
+    rng = np.random.default_rng(seed)
+    edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    while len(edges) < n - 1 + extra:
+        u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
+        edges.add((u, v))
+    text = f"p {n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges))
+    return from_edge_list_text(text)
+
+
+@pytest.mark.parametrize("n, extra", [(70, 10), (130, 60)])
+def test_bitset_step_on_uneven_degrees(n, extra, monkeypatch):
+    # rows take neighbour slots in order of falling degree, so rows of
+    # lower degree gather a row subset and are then put back in place
+    g = uneven_graph(n, extra, seed=n)
+    assert len(set(g.degrees().tolist())) > 2
+    expected = naive_bfs_distances(g)
+    for schedule in BFS_SCHEDULES:
+        force_schedule(monkeypatch, schedule)
+        assert (distance_matrix(g) == expected).all(), schedule
+
+
+def test_bit_counts_match_int_bit_count():
+    rng = np.random.default_rng(7)
+    words = rng.integers(0, 1 << 63, size=(5, 9), dtype=np.uint64)
+    words[:, ::2] |= np.uint64(1 << 63)
+    words[0, 0], words[1, 1] = 0, np.uint64(2**64 - 1)
+    expected = [sum(int(w).bit_count() for w in row) for row in words.tolist()]
+    assert graphs._bit_counts(words).tolist() == expected
 
 
 def test_level_step_follows_the_cost_model():
-    # H(10,2) at its widest level: bitset is ~4 ms, push ~80 ms, dense ~27 ms
-    assert graphs._level_step(1024, 10240, 2_580_480) == "bitset"
-    # kron(K30,K40): 1.36M stored neighbours make bitsets dearer than dense
-    assert graphs._level_step(1200, 1_357_200, 92_289_600) == "dense"
-    # kron(K6,C200): push and bitset are close, push is kept
-    assert graphs._level_step(1200, 12_000, 144_000) == "push"
+    # H(10,2) at its widest level: bitset ~0.4 ms, push ~77 ms, dense ~27 ms
+    assert graphs._level_step(1024, 10, 2_580_480, True, 1.0) == "bitset"
+    # kron(K15,K16) at level 2: rows of 4 words make the gather of 216 slots
+    # dearer than one dense product
+    assert graphs._level_step(240, 210, 10_584_000, False, 1.0) == "dense"
+    # kron(K36,K33) at level 2: rows of 19 words, and the gather wins
+    assert graphs._level_step(1188, 1120, 1_490_227_200, False, 1.0) == "bitset"
+    # C3999: 16000 frontier edges a level, push stays cheaper than bitsets
+    # of 63 words a row
+    assert graphs._level_step(3999, 2, 16_000, False, 1000.0) == "push"
+    # kron(K6,C197) at level 2: push ~3.5 ms against bitset ~0.6 ms, and the
+    # conversion is spread over the ~118 levels that the frontier suggests
+    assert graphs._level_step(1182, 10, 118_200, False, 118.0) == "bitset"
+    # but a conversion that must pay for itself within one level is refused
+    assert graphs._level_step(1182, 10, 118_200, False, 1.0) == "push"
+    # a thin packed frontier goes back to push once the gain repays the
+    # conversion: kron(K60,K66), whose packed steps take ~1.3 s a level
+    assert graphs._level_step(3960, 3835, 10_000, True, 1.0) == "push"
+    assert graphs._level_step(1182, 10, 10_000, True, 1.0) == "bitset"
+
+
+def test_bfs_changes_form_a_few_times(monkeypatch):
+    forms = []
+    model = graphs._level_step
+
+    def spy(*counts):
+        step = model(*counts)
+        forms.append(step == "push")
+        return step
+
+    monkeypatch.setattr(graphs, "_level_step", spy)
+    for spec in (Kron(Complete(6), Cycle(197)), Hamming(10, 2), Cycle(301),
+                 Kron(Complete(30), Complete(18))):
+        forms.clear()
+        distance_matrix(build_family(spec))
+        changes = sum(a != b for a, b in zip([True] + forms, forms))
+        assert changes <= 2, (spec, forms)
 
 
 def test_diameter_examples():

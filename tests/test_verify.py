@@ -1,11 +1,12 @@
 """The per-family oracle context that a family's grid checks share."""
 
+import numpy as np
 import pytest
 
 from kronspectra import verify
 from kronspectra.errors import OrderCapError
-from kronspectra.graphs import Hamming, Johnson
-from kronspectra.verify import FamilyOracle, poly_report, verify_family
+from kronspectra.graphs import Graph, Hamming, Johnson
+from kronspectra.verify import FamilyOracle, poly_report, run_grid, verify_family
 
 
 def test_family_oracle_computes_each_part_on_first_use(monkeypatch):
@@ -39,3 +40,20 @@ def test_family_oracle_keeps_no_failed_result(monkeypatch):
 def test_oracle_of_another_family_is_refused():
     with pytest.raises(ValueError):
         verify_family(Johnson(5, 2), 1e-6, "distance", FamilyOracle(Johnson(6, 3)))
+
+
+def test_grid_family_builds_one_float_adjacency(monkeypatch):
+    dtypes = []
+    build = Graph.adjacency_matrix
+
+    def counting(self, dtype=np.int64):
+        dtypes.append(np.dtype(dtype))
+        return build(self, dtype)
+
+    monkeypatch.setattr(Graph, "adjacency_matrix", counting)
+    spec = Hamming(3, 3)
+    kinds = ("adjacency-spectrum", "distance-spectrum", "distance-polynomial")
+    assert all(report.match for report in run_grid([(spec, kind) for kind in kinds]))
+    # the BFS may build its own float32 A for a dense step; the float64 A
+    # that the eigensolve and p(A) read is built once
+    assert dtypes.count(np.dtype(np.float64)) == 1
