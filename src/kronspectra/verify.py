@@ -2,9 +2,10 @@
 
 The two routes are kept strictly separate.  The closed-form side dispatches
 a family spec to the applicable formula; the oracle side builds the graph,
-runs breadth-first distances and a dense eigensolve.  A report records both
-spectra, the match verdict, the largest eigenvalue gap and any discrepancy
-notes attached to the closed form used.
+runs breadth-first distances and an eigensolve: one DFT of a proven group
+matrix for a family with a translation shape, a dense solve otherwise.  A
+report records both spectra, the match verdict, the largest eigenvalue gap
+and any discrepancy notes attached to the closed form used.
 
 The notes are first-class output: where a published enumeration of these
 spectra is ambiguous or wrong, the note states the resolution this package
@@ -33,6 +34,7 @@ from .graphs import (
     distance_matrix,
     family_order,
     family_to_string,
+    translation_shape,
 )
 from .numeric import symmetric_eigenvalues
 from .polynomials import verify_distance_polynomial
@@ -193,7 +195,8 @@ def closed_form_adjacency_spectrum(
 class FamilyOracle:
     """A family's graph, adjacency matrix and BFS distance matrix, each
     computed the first time a check reads it and then shared by the
-    family's later checks.
+    family's later checks, plus the family's translation shape, which
+    routes both eigensolves (``eigenvalues``).
 
     A computation that raises stores nothing, so every check that reads it
     raises the same error.
@@ -201,6 +204,7 @@ class FamilyOracle:
 
     def __init__(self, spec: FamilySpec):
         self.spec = spec
+        self.shape = translation_shape(spec)
 
     @functools.cached_property
     def graph(self) -> Graph:
@@ -216,6 +220,16 @@ class FamilyOracle:
         """D as float64, the form the eigensolve and the p(A) check read."""
         return distance_matrix(self.graph).astype(np.float64)
 
+    def eigenvalues(self, matrix: str) -> np.ndarray:
+        """Ascending eigenvalues of D (``"distance"``) or A
+        (``"adjacency"``), solved as group matrices over the family's shape
+        when it has one."""
+        if matrix == "distance":
+            return symmetric_eigenvalues(self.distances, self.shape)
+        if matrix == "adjacency":
+            return symmetric_eigenvalues(self.adjacency, self.shape)
+        raise ValueError(f"unknown matrix kind {matrix!r}")
+
 
 def _oracle_for(spec: FamilySpec, oracle: FamilyOracle | None) -> FamilyOracle:
     if oracle is None:
@@ -226,14 +240,11 @@ def _oracle_for(spec: FamilySpec, oracle: FamilyOracle | None) -> FamilyOracle:
 
 
 def oracle_distance_spectrum(spec: FamilySpec, group_tol: float = 1e-6) -> Spectrum:
-    vals = symmetric_eigenvalues(FamilyOracle(spec).distances)
-    return spectrum_from_values(vals, group_tol)
+    return spectrum_from_values(FamilyOracle(spec).eigenvalues("distance"), group_tol)
 
 
 def oracle_adjacency_spectrum(spec: FamilySpec, group_tol: float = 1e-6) -> Spectrum:
-    graph = build_family(spec)
-    vals = symmetric_eigenvalues(graph.adjacency_matrix(np.float64))
-    return spectrum_from_values(vals, group_tol)
+    return spectrum_from_values(FamilyOracle(spec).eigenvalues("adjacency"), group_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +304,11 @@ def verify_family(
     oracle = _oracle_for(spec, oracle)
     if matrix == "distance":
         closed, notes = closed_form_distance_spectrum(spec, tol)
-        oracle_values = symmetric_eigenvalues(oracle.distances)
     elif matrix == "adjacency":
         closed, notes = closed_form_adjacency_spectrum(spec, tol)
-        oracle_values = symmetric_eigenvalues(oracle.adjacency)
     else:
         raise ValueError(f"unknown matrix kind {matrix!r}")
+    oracle_values = oracle.eigenvalues(matrix)
     oracle_spectrum = spectrum_from_values(oracle_values, tol)
     report = spectra_match(closed, oracle_spectrum, tol)
     gap = _elementwise_gap(closed, oracle_values)

@@ -36,8 +36,10 @@ from kronspectra.graphs import (
     kronecker_product,
     predicted_kron_diameter,
     to_edge_list_text,
+    translation_shape,
     walk_gamma,
 )
+from kronspectra.verify import default_grid
 
 
 def naive_bfs_distances(g: Graph) -> np.ndarray:
@@ -162,6 +164,60 @@ def test_build_family_checks_the_cap_before_building(spec, monkeypatch):
     message = f"{family_to_string(spec)} has {family_order(spec)} vertices, cap is 100"
     with pytest.raises(OrderCapError, match=f"^{re.escape(message)}$"):
         build_family(spec)
+
+
+def test_translation_shapes():
+    assert translation_shape(Cycle(7)) == (7,)
+    assert translation_shape(Complete(5)) == (5,)
+    assert translation_shape(Johnson(6, 1)) == (6,)
+    assert translation_shape(Hamming(3, 4)) == (4, 4, 4)
+    assert translation_shape(Kron(Complete(3), Kron(Cycle(5), Hamming(2, 3)))) == (3, 5, 3, 3)
+    assert translation_shape(Johnson(6, 2)) is None
+    assert translation_shape(Kron(Complete(3), Johnson(6, 3))) is None
+    assert translation_shape(Kron(Johnson(5, 2), Cycle(4))) is None
+
+
+def unit_translation(shape, axis):
+    """Flat index of x + e_axis for every flat (C-order) x of Z_shape."""
+    coords = list(np.unravel_index(np.arange(math.prod(shape)), shape))
+    coords[axis] = (coords[axis] + 1) % shape[axis]
+    return np.ravel_multi_index(coords, shape)
+
+
+def is_automorphism(g: Graph, perm: np.ndarray) -> bool:
+    n = g.vertex_count
+    rows = np.repeat(np.arange(n), g.degrees())
+    keys = rows * n + g.indices
+    return np.array_equal(np.sort(perm[rows] * n + perm[g.indices]), keys)
+
+
+def test_unit_translations_are_automorphisms_of_the_built_graph():
+    specs = dict.fromkeys(spec for spec, _ in default_grid(300)
+                          if translation_shape(spec) is not None)
+    assert any(isinstance(spec, Kron) for spec in specs)
+    for spec in specs:
+        g, shape = build_family(spec), translation_shape(spec)
+        for axis in range(len(shape)):
+            assert is_automorphism(g, unit_translation(shape, axis)), family_to_string(spec)
+    # the check can fail: the factors of kron(K4,C5) in the wrong order
+    g = build_family(Kron(Complete(4), Cycle(5)))
+    assert not all(is_automorphism(g, unit_translation((5, 4), axis)) for axis in (0, 1))
+
+
+def test_product_factors_are_built_once(monkeypatch):
+    graphs._build_atom.cache_clear()
+    inits = []
+    init = Graph.__init__
+    monkeypatch.setattr(Graph, "__init__", lambda self, *a: inits.append(1) or init(self, *a))
+    build_family(Kron(Complete(3), Cycle(5)))
+    assert len(inits) == 3
+    build_family(Kron(Complete(4), Kron(Complete(3), Cycle(5))))
+    assert len(inits) == 6  # K4 and two products; K3 and C5 come from the memo
+    build_family(Cycle(5))  # a top-level family is not kept
+    assert len(inits) == 7
+    # every product holds the memo's arrays, so none may write to them
+    shared = graphs._build_atom(Cycle(5))
+    assert not shared.indices.flags.writeable and not shared.indptr.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 
 from kronspectra.errors import NonSymmetricMatrixError, OrderCapError
-from kronspectra.graphs import Complete, Cycle, Kron, build_family, distance_matrix
+from kronspectra.graphs import (
+    Complete,
+    Cycle,
+    Hamming,
+    Kron,
+    build_family,
+    distance_matrix,
+    family_to_string,
+    translation_shape,
+)
 from kronspectra.numeric import (
     ensure_symmetric,
     max_asymmetry,
@@ -18,7 +27,7 @@ from kronspectra.numeric import (
     symmetric_eigenvalues,
 )
 from kronspectra.spectrum import Spectrum, spectra_match, spectrum_from_values
-from kronspectra.verify import closed_form_distance_spectrum
+from kronspectra.verify import closed_form_distance_spectrum, default_grid
 
 
 def test_grouping_merges_close_values():
@@ -253,6 +262,112 @@ def test_over_cap_matrix_is_refused_before_its_symmetry_scan(monkeypatch):
 def test_hermitian_input_supported():
     h = np.array([[2.0, 1j], [-1j, 2.0]])
     assert symmetric_eigenvalues(h) == pytest.approx([1.0, 3.0])
+
+
+def shaped_families():
+    """Every family of default_grid(400) with a translation shape, plus a
+    long cycle and a cycle product."""
+    specs = dict.fromkeys(spec for spec, _ in default_grid(400)
+                          if translation_shape(spec) is not None)
+    return [*specs, Cycle(97), Kron(Complete(4), Cycle(25))]
+
+
+def distance_and_adjacency(spec):
+    g = build_family(spec)
+    return distance_matrix(g).astype(float), g.adjacency_matrix(np.float64)
+
+
+def test_group_matrix_route_agrees_with_the_dense_solve():
+    families = shaped_families()
+    assert len(families) > 150
+    for spec in families:
+        shape = translation_shape(spec)
+        for matrix in distance_and_adjacency(spec):
+            dense = np.linalg.eigvalsh(matrix)
+            radius = max(1.0, float(np.abs(dense).max()))
+            gap = np.abs(symmetric_eigenvalues(matrix, shape) - dense).max()
+            assert gap <= 1e-12 * radius, family_to_string(spec)
+
+
+def test_oracle_spectrum_takes_the_shape():
+    d, _ = distance_and_adjacency(Kron(Complete(3), Complete(3)))
+    sp = oracle_spectrum(d, 1e-6, (3, 3))
+    assert sp.values() == pytest.approx([12, 0, -3], abs=1e-12)
+    assert sp.multiplicities() == [1, 4, 4]
+
+
+def refuse_dense_solve(monkeypatch):
+    def no_solve(a):
+        raise AssertionError("a shaped matrix fell back to the dense solve")
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+
+
+@pytest.mark.parametrize("spec", [Cycle(9), Hamming(3, 3), Kron(Complete(4), Cycle(5)),
+                                  Kron(Complete(3), Hamming(2, 3))])
+def test_group_matrix_route_refuses_a_mutated_distance_matrix(spec, monkeypatch):
+    refuse_dense_solve(monkeypatch)
+    d, _ = distance_and_adjacency(spec)
+    shape = translation_shape(spec)
+    # still symmetric, still an integer matrix: only translation invariance breaks
+    for i, j in ((0, 1), (2, d.shape[0] - 1)):
+        bumped = d.copy()
+        bumped[i, j] += 1
+        bumped[j, i] += 1
+        with pytest.raises(NonSymmetricMatrixError, match="unit translation"):
+            symmetric_eigenvalues(bumped, shape)
+
+
+def test_group_matrix_route_refuses_an_asymmetric_group_matrix(monkeypatch):
+    refuse_dense_solve(monkeypatch)
+    row = np.arange(5.0)
+    circulant = row[(np.arange(5)[None, :] - np.arange(5)[:, None]) % 5]
+    with pytest.raises(NonSymmetricMatrixError, match="conjugate-symmetric"):
+        symmetric_eigenvalues(circulant, (5,))
+
+
+def test_group_matrix_route_checks_the_wrapped_translations(monkeypatch):
+    refuse_dense_solve(monkeypatch)
+    # Toeplitz, and row 0 is the C5 distance row, mirror-symmetric; only the
+    # entries whose translation wraps round tell it from a group matrix
+    i, j = np.indices((5, 5))
+    toeplitz = np.where(j >= i, np.minimum(j - i, 5 - (j - i)), i - j).astype(float)
+    with pytest.raises(NonSymmetricMatrixError, match="unit translation of axis 0"):
+        symmetric_eigenvalues(toeplitz, (5,))
+
+
+def test_group_matrix_route_checks_every_axis(monkeypatch):
+    refuse_dense_solve(monkeypatch)
+    c3 = np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    scaled = np.diag([1.0, 2.0, 3.0])
+    # each is invariant along one axis of Z_(3, 3) only
+    for matrix, axis in ((np.kron(scaled, c3), 0), (np.kron(c3, scaled), 1)):
+        with pytest.raises(NonSymmetricMatrixError, match=f"unit translation of axis {axis}"):
+            symmetric_eigenvalues(matrix, (3, 3))
+
+
+def test_group_matrix_route_refuses_a_wrong_shape(monkeypatch):
+    refuse_dense_solve(monkeypatch)
+    d, a = distance_and_adjacency(Kron(Complete(4), Cycle(5)))
+    for matrix in (d, a):
+        with pytest.raises(NonSymmetricMatrixError, match="unit translation"):
+            symmetric_eigenvalues(matrix, (5, 4))  # the factors swapped
+        with pytest.raises(NonSymmetricMatrixError, match="not a group matrix"):
+            symmetric_eigenvalues(matrix, (3, 5))
+
+
+def test_group_matrix_route_refuses_nonfinite_entries(monkeypatch):
+    refuse_dense_solve(monkeypatch)
+    d, _ = distance_and_adjacency(Cycle(6))
+    for bad in (np.nan, np.inf):
+        # still a symmetric group matrix: every antipodal entry changed
+        with pytest.raises(NonSymmetricMatrixError, match="non-finite"):
+            symmetric_eigenvalues(np.where(d == 3, bad, d), (6,))
+
+
+def test_group_matrix_route_checks_the_cap_first(monkeypatch):
+    monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", "10")
+    with pytest.raises(OrderCapError, match="^matrix order 11 exceeds dense cap 10$"):
+        symmetric_eigenvalues(np.triu(np.ones((11, 11))), (11,))
 
 
 def test_json_round_trip():

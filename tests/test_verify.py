@@ -5,8 +5,15 @@ import pytest
 
 from kronspectra import verify
 from kronspectra.errors import OrderCapError
-from kronspectra.graphs import Graph, Hamming, Johnson
-from kronspectra.verify import FamilyOracle, poly_report, run_grid, verify_family
+from kronspectra.graphs import Complete, Cycle, Graph, Hamming, Johnson, Kron
+from kronspectra.verify import (
+    FamilyOracle,
+    oracle_adjacency_spectrum,
+    oracle_distance_spectrum,
+    poly_report,
+    run_grid,
+    verify_family,
+)
 
 
 def test_family_oracle_computes_each_part_on_first_use(monkeypatch):
@@ -57,3 +64,18 @@ def test_grid_family_builds_one_float_adjacency(monkeypatch):
     # the BFS may build its own float32 A for a dense step; the float64 A
     # that the eigensolve and p(A) read is built once
     assert dtypes.count(np.dtype(np.float64)) == 1
+
+
+@pytest.mark.parametrize("spec", [Hamming(3, 3), Kron(Complete(4), Cycle(5)), Johnson(6, 3)])
+def test_spectrum_and_verify_share_the_oracle_values(spec):
+    assert oracle_distance_spectrum(spec) == verify_family(spec).oracle
+    if not isinstance(spec, Kron):
+        adjacency = verify_family(spec, matrix="adjacency").oracle
+        assert oracle_adjacency_spectrum(spec) == adjacency
+
+
+def test_family_oracle_carries_the_translation_shape():
+    assert FamilyOracle(Kron(Complete(3), Hamming(2, 4))).shape == (3, 4, 4)
+    assert FamilyOracle(Johnson(6, 3)).shape is None
+    with pytest.raises(ValueError, match="unknown matrix kind"):
+        FamilyOracle(Johnson(6, 3)).eigenvalues("laplacian")
