@@ -193,10 +193,11 @@ def closed_form_adjacency_spectrum(
 # ---------------------------------------------------------------------------
 
 class FamilyOracle:
-    """A family's graph, adjacency matrix and BFS distance matrix, each
-    computed the first time a check reads it and then shared by the
-    family's later checks, plus the family's translation shape, which
-    routes both eigensolves (``eigenvalues``).
+    """A family's graph, adjacency matrix, BFS distance matrix and the
+    eigenvalues of both matrices, each computed the first time a check
+    reads it and then shared by the family's later checks, plus the
+    family's translation shape, which routes both eigensolves
+    (``eigenvalues``).
 
     A computation that raises stores nothing, so every check that reads it
     raises the same error.
@@ -205,6 +206,7 @@ class FamilyOracle:
     def __init__(self, spec: FamilySpec):
         self.spec = spec
         self.shape = translation_shape(spec)
+        self._eigenvalues: dict[str, np.ndarray] = {}
 
     @functools.cached_property
     def graph(self) -> Graph:
@@ -222,13 +224,20 @@ class FamilyOracle:
 
     def eigenvalues(self, matrix: str) -> np.ndarray:
         """Ascending eigenvalues of D (``"distance"``) or A
-        (``"adjacency"``), solved as group matrices over the family's shape
-        when it has one."""
-        if matrix == "distance":
-            return symmetric_eigenvalues(self.distances, self.shape)
-        if matrix == "adjacency":
-            return symmetric_eigenvalues(self.adjacency, self.shape)
-        raise ValueError(f"unknown matrix kind {matrix!r}")
+        (``"adjacency"``), read-only, solved as group matrices over the
+        family's shape when it has one.  For a shaped family, a result
+        exists only once its matrix is proven a symmetric group matrix,
+        which the p(A) = D check relies on."""
+        if matrix not in self._eigenvalues:
+            if matrix == "distance":
+                values = symmetric_eigenvalues(self.distances, self.shape)
+            elif matrix == "adjacency":
+                values = symmetric_eigenvalues(self.adjacency, self.shape)
+            else:
+                raise ValueError(f"unknown matrix kind {matrix!r}")
+            values.setflags(write=False)
+            self._eigenvalues[matrix] = values
+        return self._eigenvalues[matrix]
 
 
 def _oracle_for(spec: FamilySpec, oracle: FamilyOracle | None) -> FamilyOracle:

@@ -18,9 +18,11 @@ from kronspectra.graphs import (
     Johnson,
     build_family,
     distance_matrix,
+    family_to_string,
 )
 from kronspectra.polynomials import (
     Polynomial,
+    distance_polynomial,
     hamming_distance_polynomial,
     johnson_distance_polynomial,
     lagrange_basis,
@@ -28,6 +30,7 @@ from kronspectra.polynomials import (
     vandermonde_solve,
     verify_distance_polynomial,
 )
+from kronspectra.verify import default_grid
 
 F = Fraction
 
@@ -216,6 +219,37 @@ def test_matrix_eval_matches_identity_horner(spec):
         assert np.array_equal(matrix_polynomial_eval(p, a), _identity_horner(p, a))
     assert np.array_equal(matrix_polynomial_eval(Polynomial.from_coefficients([F(5, 2)]),
                                                  np.zeros((0, 0))), np.zeros((0, 0)))
+
+
+def _grid_base_families(max_order):
+    specs = dict.fromkeys(spec for spec, _ in default_grid(max_order)
+                          if isinstance(spec, (Johnson, Hamming)))
+    return list(specs)
+
+
+def _assert_row_block_matches(p, a, rows, scale):
+    full = matrix_polynomial_eval(p, a)
+    block = matrix_polynomial_eval(p, a, rows=rows)
+    assert block.shape == (len(rows), a.shape[0])
+    assert np.max(np.abs(block - full[rows])) <= 1e-12 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("spec", _grid_base_families(300), ids=family_to_string)
+def test_matrix_eval_row_block_is_the_row_of_the_full_evaluation(spec):
+    g = build_family(spec)
+    a = g.adjacency_matrix(np.float64)
+    _assert_row_block_matches(distance_polynomial(spec), a, [0],
+                              float(distance_matrix(g).max()))
+
+
+@pytest.mark.parametrize("spec", [Hamming(3, 3), Johnson(6, 3)])
+def test_matrix_eval_row_block_of_low_degrees_and_two_rows(spec):
+    a = build_family(spec).adjacency_matrix(np.float64)
+    for coeffs in ([F(5, 2)], [F(-3), F(7, 4)], [F(1), F(-2), F(1, 3), F(2)]):
+        p = Polynomial.from_coefficients(coeffs)
+        scale = float(np.abs(matrix_polynomial_eval(p, a)).max())
+        for rows in ([0], [0, 5]):
+            _assert_row_block_matches(p, a, rows, scale)
 
 
 def test_matrix_eval_rejects_asymmetric_input():

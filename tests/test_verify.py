@@ -1,11 +1,14 @@
 """The per-family oracle context that a family's grid checks share."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from kronspectra import verify
-from kronspectra.errors import OrderCapError
+from kronspectra import polynomials, verify
+from kronspectra.errors import NonSymmetricMatrixError, OrderCapError
 from kronspectra.graphs import Complete, Cycle, Graph, Hamming, Johnson, Kron
+from kronspectra.polynomials import Polynomial, verify_distance_polynomial
 from kronspectra.verify import (
     FamilyOracle,
     oracle_adjacency_spectrum,
@@ -79,3 +82,73 @@ def test_family_oracle_carries_the_translation_shape():
     assert FamilyOracle(Johnson(6, 3)).shape is None
     with pytest.raises(ValueError, match="unknown matrix kind"):
         FamilyOracle(Johnson(6, 3)).eigenvalues("laplacian")
+
+
+def _with_symmetric_pair_changed(matrix, change):
+    """A copy of ``matrix`` with entries (5, 7) and (7, 5) changed: off
+    row 0, so a comparison of row 0 alone would not see it."""
+    out = matrix.copy()
+    out[5, 7] = out[7, 5] = change(out[5, 7])
+    return out
+
+
+@pytest.mark.parametrize("attribute, change", [
+    ("distances", lambda entry: entry + 1),
+    ("adjacency", lambda entry: 1 - entry),
+], ids=["distances", "adjacency"])
+def test_poly_check_refuses_a_mutation_off_row_zero(attribute, change):
+    oracle = FamilyOracle(Hamming(3, 3))
+    planted = _with_symmetric_pair_changed(getattr(oracle, attribute), change)
+    setattr(oracle, attribute, planted)
+    with pytest.raises(NonSymmetricMatrixError, match="not invariant"):
+        poly_report(oracle.spec, 1e-8, oracle)
+
+
+def test_poly_check_sees_a_wrong_polynomial(monkeypatch):
+    exact = polynomials.distance_polynomial
+    shift = Polynomial.from_coefficients([Fraction(1, 10**6)])
+    monkeypatch.setattr(polynomials, "distance_polynomial", lambda spec: exact(spec) + shift)
+    report = poly_report(Hamming(3, 3))
+    assert not report.match
+    assert abs(report.max_abs_gap - 1e-6) < 1e-12
+
+
+def test_poly_check_evaluates_row_zero_of_a_group_matrix_only(monkeypatch):
+    shapes = []
+    evaluate = polynomials.matrix_polynomial_eval
+
+    def spy(*args):
+        result = evaluate(*args)
+        shapes.append(result.shape)
+        return result
+
+    monkeypatch.setattr(polynomials, "matrix_polynomial_eval", spy)
+    for spec in (Hamming(3, 3), Johnson(6, 3)):
+        assert verify_distance_polynomial(spec).passed
+    assert shapes == [(1, 27), (20, 20)]
+
+
+def test_family_oracle_solves_each_matrix_once(monkeypatch):
+    calls = []
+    solve = verify.symmetric_eigenvalues
+    monkeypatch.setattr(verify, "symmetric_eigenvalues",
+                        lambda *args: calls.append(args[1]) or solve(*args))
+    oracle = FamilyOracle(Hamming(3, 3))
+    first = oracle.eigenvalues("distance")
+    second = oracle.eigenvalues("distance")
+    assert second is first and not first.flags.writeable
+    assert np.array_equal(first, solve(oracle.distances, (3, 3, 3)))
+    assert calls == [(3, 3, 3)]
+
+
+def test_family_oracle_keeps_no_failed_solve(monkeypatch):
+    calls = []
+    solve = verify.symmetric_eigenvalues
+    monkeypatch.setattr(verify, "symmetric_eigenvalues",
+                        lambda *args: calls.append(args[1]) or solve(*args))
+    oracle = FamilyOracle(Hamming(3, 3))
+    oracle.distances = _with_symmetric_pair_changed(oracle.distances, lambda e: e + 1)
+    for _ in range(2):
+        with pytest.raises(NonSymmetricMatrixError):
+            oracle.eigenvalues("distance")
+    assert calls == [(3, 3, 3)] * 2
