@@ -13,14 +13,20 @@ Vertices are always 0-indexed with a canonical ordering per family:
 
 The block-by-left-factor ordering is what makes the distance matrices of
 K_n (x) G literally block circulant, which downstream modules rely on.
+
+Metric data comes in two forms.  ``distance_matrix`` is the all-sources
+bitset BFS behind the dense D.  A family with a translation shape is
+instead proven a Cayley graph on its CSR (``translation_neighbours``), so
+its D and A are group matrices that row 0 determines: ``distance_row``, one
+BFS from vertex 0, and the neighbours of vertex 0.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
-from math import comb
 from typing import Iterator, Union
 
 import numpy as np
@@ -29,6 +35,7 @@ from .errors import (
     BipartiteGraphError,
     DisconnectedGraphError,
     FamilyDomainError,
+    NonSymmetricMatrixError,
     OrderCapError,
 )
 from .numeric import dense_matrix_cap
@@ -44,12 +51,14 @@ __all__ = [
     "family_order",
     "family_to_string",
     "translation_shape",
+    "translation_neighbours",
     "build_family",
     "kronecker_product",
     "is_connected",
     "has_odd_cycle",
     "kronecker_connectivity_predicted",
     "distance_matrix",
+    "distance_row",
     "diameter",
     "walk_gamma",
     "gamma",
@@ -234,7 +243,7 @@ def family_order(spec: FamilySpec) -> int:
     if isinstance(spec, (Cycle, Complete)):
         return spec.n
     if isinstance(spec, Johnson):
-        return comb(spec.m, spec.r)
+        return math.comb(spec.m, spec.r)
     if isinstance(spec, Hamming):
         return spec.q ** spec.d
     if isinstance(spec, Kron):
@@ -266,8 +275,8 @@ def translation_shape(spec: FamilySpec) -> tuple[int, ...] | None:
     C_n, K_n and J(m, 1) = K_m are Cayley graphs of Z_n; H(d, q) of Z_q^d,
     one axis per coordinate; a Kronecker product of the groups of its
     factors, left axes first.  None for J(m, r >= 2) and every product with
-    such a factor.  The shape is a claim about the builders, which the
-    oracle proves exactly on each matrix it reads.
+    such a factor.  The shape is a claim about the builders, which
+    ``translation_neighbours`` proves exactly on the graph.
     """
     if isinstance(spec, (Cycle, Complete)):
         return (spec.n,)
@@ -425,68 +434,75 @@ def kronecker_connectivity_predicted(g: Graph, h: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Distances
+# Translation shapes
 # ---------------------------------------------------------------------------
 
-# Modelled seconds of one all-sources BFS level for each step, fitted on one
-# core of a 2-vCPU x86-64 Xeon (2 MB of L2 cache a core) with numpy 2.4 and
-# single-threaded OpenBLAS, over C600-C3999, kron(K_n,C_m) of orders 600 to
-# 4000, H(10,2), H(6,3), H(3,10) and kron(K_n,K_m) of orders 240 to 3960:
-# * push: 30 us a level and 30 ns per frontier edge;
-# * bitset: 2 us per neighbour slot, counting 6 slots more for the masking
-#   and bookkeeping of a level, and per row of a slot 12 ns plus 0.022 ns
-#   times the squared row length in words (words cost more once the
-#   bitsets outgrow the cache);
-# * dense: 23 ps per multiply-add and 3 ns per pair to unpack and pack;
-# * a conversion between pair keys and bitsets, with the unpacking of the
-#   levels into D that it entails: 6 ns per pair.
-_PUSH_S_PER_LEVEL = 30e-6
-_PUSH_S_PER_EDGE = 30e-9
-_BITSET_S_PER_SLOT = 2e-6
-_BITSET_S_PER_ROW = 12e-9
-_BITSET_S_PER_SQUARED_WORDS = 0.022e-9
-_BITSET_EXTRA_SLOTS = 6
-_DENSE_S_PER_CUBE = 23e-12
-_DENSE_S_PER_SQUARE = 3e-9
-_SWITCH_S_PER_SQUARE = 6e-9
+# stored edges per block of the translation proof, so that its temporaries
+# stay small at every order
+_PROOF_BLOCK_EDGES = 1 << 16
 
-# masks of the SWAR population count (Hacker's Delight, section 5-1)
-_SWAR_MASKS = tuple(np.uint64(m) for m in (
-    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
 
+def translation_neighbours(g: Graph, shape: tuple[int, ...]) -> np.ndarray:
+    """The (n, degree) array of every vertex's neighbours, once ``g`` is
+    proven to be exactly the Cayley graph ``Cay(Z_shape, N(0))``, vertex x
+    the mixed-radix (C-order) numeral of its group element.
+
+    The proof: the order is ``prod(shape)``, every vertex has the degree of
+    vertex 0, and for every stored edge (x, y) the difference y - x, taken
+    axis by axis modulo the shape, lies in N(0).  Then N(x) lies in
+    x + N(0), a set of the same size, so N(x) = x + N(0) for every x: each
+    translation is an automorphism, and A and D are symmetric group
+    matrices over ``Z_shape``, M[x, y] = m[y - x] (Babai, "Spectra of
+    Cayley graphs", J. Combin. Theory B 27, 1979).  A graph that fails any
+    part of the proof raises NonSymmetricMatrixError.
+    """
+    n = g.vertex_count
+    if not shape or min(shape) < 1 or math.prod(shape) != n:
+        raise NonSymmetricMatrixError(
+            f"graph of order {n} is not a Cayley graph over Z_{shape}")
+    degree = int(g.indptr[1])
+    if (g.degrees() != degree).any():
+        raise NonSymmetricMatrixError(
+            f"graph is not regular, so not a Cayley graph over Z_{shape}")
+    nbrs = g.indices.reshape(n, degree)
+    connection = np.zeros(n, dtype=bool)
+    connection[nbrs[0]] = True
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+    block = max(1, _PROOF_BLOCK_EDGES // max(degree, 1))
+    for start in range(0, n, block):
+        y = nbrs[start:start + block].astype(np.int64)
+        x = np.arange(start, start + y.shape[0])[:, None]
+        difference = np.zeros_like(y)
+        for size, stride in zip(shape, strides):
+            difference += (y // stride - x // stride) % size * stride
+        outside = np.flatnonzero(~connection[difference])
+        if outside.size:
+            row, slot = divmod(int(outside[0]), degree)
+            raise NonSymmetricMatrixError(
+                f"edge {start + row}-{y[row, slot]} is no translate of an edge"
+                f" at vertex 0 in Z_{shape}")
+    return nbrs
+
+
+# ---------------------------------------------------------------------------
+# Distances
+# ---------------------------------------------------------------------------
 
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs shortest-path lengths as a dense symmetric integer matrix.
 
-    Runs breadth-first search from all sources at once, level by level.
-    The frontier is the set of (source, vertex) pairs reached at the
-    previous level; it is symmetric, since a pair's distance is.  Level 1
-    is the edge set.  Each later level takes whichever of three steps has
-    the lowest modelled cost:
-
-    * push: expand every frontier pair along its vertex's edges, which pays
-      while the frontier's edges are few (Beamer, Asanovic and Patterson,
-      "Direction-Optimizing Breadth-First Search", SC 2012);
-    * bitset: keep the frontier's sources of each vertex as one bitset of
-      64-bit words and OR those of every vertex's neighbours, one neighbour
-      slot at a time (Then et al., "The More the Merrier: Efficient
-      Multi-Source Graph Traversal", PVLDB 2014), which pays once the
-      frontier has about as many edges as the rows have neighbour slots,
-      n * max-degree;
-    * dense: one float32 product of the frontier matrix with A, which pays
-      only on small graphs of high degree.  It is exact, since an entry
-      counts at most max-degree < 2^24 paths.
-
-    Push holds the frontier as pair keys and writes each level into D.  The
-    bitset and dense steps share a packed state that persists across
-    levels: the unvisited pairs and the frontier as bitsets, and the levels
-    as bit planes that are unpacked into D once, when the packed phase
-    ends.  Entering the packed phase is charged a conversion spread over the
-    levels the frontier suggests are left, and leaving it a conversion
-    within one level, so a BFS changes form a few times at most.  The
-    search stops as soon as every pair has a distance.  Every step yields
-    exactly the per-source BFS levels.  Raises DisconnectedGraphError if
-    any pair is unreachable.
+    Runs breadth-first search from all sources at once, level by level, on
+    bitsets (Then et al., "The More the Merrier: Efficient Multi-Source
+    Graph Traversal", PVLDB 2014).  Row w of an (n, words) uint64 bitset
+    holds the sources s of the pairs (s, w); the pairs of a level are
+    symmetric, so row w equally holds the vertices of source w.  Level 1 is
+    the edge set; each later level is the OR of the frontier rows of every
+    vertex's neighbours (``_bitset_reach``) less the pairs already reached,
+    and the search stops once every pair has a distance.  A pair reached at
+    level L adds L + 1 to bit planes: plane p holds the pairs whose L + 1
+    has bit p set.  Levels are below the dense cap 4000 < 2^16, so the
+    planes are summed in uint16 and added once to D, where those pairs hold
+    -1.  Raises DisconnectedGraphError if any pair is unreachable.
     """
     n = g.vertex_count
     cap = dense_matrix_cap()
@@ -494,105 +510,59 @@ def distance_matrix(g: Graph) -> np.ndarray:
         raise OrderCapError(f"distance matrix order {n} exceeds dense cap {cap}")
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    degrees = g.degrees()
-    max_degree, least_degree = int(degrees.max()), int(degrees.min())
     dist = np.full((n, n), -1, dtype=np.int64)
     np.fill_diagonal(dist, 0)
-    flat = dist.ravel()
-    # level 1 needs no step: its pairs are the edges, each stored once, as
-    # flat keys source * n + vertex
-    frontier = g._rows() * n + g.indices
-    flat[frontier] = level = 1
-    reached = n + frontier.size  # pairs with a distance, while push holds the frontier
-    packed = None
-    while True:
-        if packed is None:
-            if not frontier.size or reached == n * n:
-                break
-            vertex = frontier % n
-            lengths = degrees[vertex]
-            edges = int(lengths.sum())
-            levels_left = (n * n - reached) / frontier.size
-        else:
-            if packed.finished:
-                break
-            edges = packed.frontier_edges(degrees, least_degree, max_degree)
-            levels_left = 1.0
-        step = _level_step(n, max_degree, edges, packed is not None, levels_left)
+    rows = g._rows()
+    dist[rows, g.indices] = 1
+    words = -(-n // 64)
+    unvisited = _pack_rows(dist < 0, words)
+    # slot j holds the j-th neighbour of every vertex, or the spare zero
+    # row n of the frontier for a vertex with fewer neighbours
+    degrees = g.degrees()
+    slots = np.full((int(degrees.max()), n), n, dtype=g.indices.dtype)
+    slots[np.arange(g.indices.size) - np.repeat(g.indptr[:-1], degrees), rows] = g.indices
+    del rows
+    frontier = np.zeros((n + 1, words), dtype=np.uint64)
+    frontier[:n] = _pack_rows(dist == 1, words)
+    planes: list[np.ndarray] = []
+    level = 1
+    while unvisited.any():
+        found = _bitset_reach(frontier, slots)
+        found &= unvisited
+        if not found.any():
+            break
+        unvisited ^= found
         level += 1
-        if step == "push":
-            if packed is not None:
-                packed.fold(dist)
-                frontier, reached = packed.pairs()
-                packed = None
-                vertex = frontier % n
-                lengths = degrees[vertex]
-            frontier = _push_level(g, frontier, vertex, lengths, flat)
-            flat[frontier] = level
-            reached += frontier.size
-        else:
-            if packed is None:
-                packed = _PackedBFS(g, dist, frontier)
-            packed.advance(step, level)
-    if packed is not None:
-        packed.fold(dist)
+        for p in range((level + 1).bit_length()):
+            if p == len(planes):
+                planes.append(np.zeros_like(found))
+            if (level + 1) >> p & 1:
+                planes[p] |= found
+        frontier[:n] = found
+    # add the planes into D in blocks of rows of about 2^17 pairs
+    block = max(1, (1 << 17) // n)
+    acc = np.empty((block, n), dtype=np.uint16)
+    for start in range(0, n, block):
+        acc_rows = acc[:min(block, n - start)]
+        acc_rows.fill(0)
+        for plane in reversed(planes):
+            acc_rows += acc_rows
+            acc_rows |= _unpack_rows(plane[start:start + block], n)
+        dist[start:start + block] += acc_rows
     if (dist < 0).any():
         raise DisconnectedGraphError("graph is disconnected")
     return dist
 
 
-def _step_costs(n: int, max_degree: int, frontier_edges: int, packed: bool,
-                levels_left: float) -> dict[str, float]:
-    """Modelled seconds of one level of an order-n graph for each step.  A
-    step that changes the frontier's form is charged the conversion spread
-    over ``levels_left`` levels."""
-    switch = _SWITCH_S_PER_SQUARE * n * n / max(1.0, levels_left)
-    words = -(-n // 64)
-    return {
-        "push": (_PUSH_S_PER_LEVEL + _PUSH_S_PER_EDGE * frontier_edges
-                 + (switch if packed else 0.0)),
-        "bitset": ((max_degree + _BITSET_EXTRA_SLOTS)
-                   * (_BITSET_S_PER_SLOT + n * (_BITSET_S_PER_ROW
-                                                + _BITSET_S_PER_SQUARED_WORDS * words * words))
-                   + (0.0 if packed else switch)),
-        "dense": (_DENSE_S_PER_CUBE * n ** 3 + _DENSE_S_PER_SQUARE * n * n
-                  + (0.0 if packed else switch)),
-    }
-
-
-def _level_step(n: int, max_degree: int, frontier_edges: int, packed: bool,
-                levels_left: float) -> str:
-    """The step with the lowest modelled cost for one level, given the
-    frontier's edges, whether it is packed and the levels that would repay
-    a conversion; ties go to push, then bitset."""
-    costs = _step_costs(n, max_degree, frontier_edges, packed, levels_left)
-    return min(costs, key=costs.get)
-
-
-def _push_level(g: Graph, frontier: np.ndarray, vertex: np.ndarray,
-                lengths: np.ndarray, flat_dist: np.ndarray) -> np.ndarray:
-    """Unreached pairs next to the frontier, found edge by edge."""
-    nbrs = np.repeat(frontier - vertex, lengths)
-    nbrs += _gather(g.indices, g.indptr[vertex], lengths)
-    fresh = nbrs[flat_dist[nbrs] < 0]
-    # A pair reached along several edges appears once per edge.  Every copy
-    # writes its own stamp into the pair's (still negative) entry; exactly one
-    # write survives, and the copy that reads its own stamp back is kept.
-    stamps = -2 - np.arange(fresh.size)
-    flat_dist[fresh] = stamps
-    return fresh[flat_dist[fresh] == stamps]
-
-
-def _bit_counts(words: np.ndarray) -> np.ndarray:
-    """Set bits of each row of a uint64 array, by a SWAR population count
-    (np.bitwise_count needs numpy 2)."""
-    m1, m2, m4, h01 = _SWAR_MASKS
-    x = words - ((words >> np.uint64(1)) & m1)
-    x = (x & m2) + ((x >> np.uint64(2)) & m2)
-    x = (x + (x >> np.uint64(4))) & m4
-    x *= h01
-    x >>= np.uint64(56)
-    return x.sum(axis=-1, dtype=np.int64)
+def _bitset_reach(frontier: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Row w: the OR of the frontier rows of w's neighbours, gathered one
+    neighbour slot at a time."""
+    reach = np.zeros((slots.shape[1], frontier.shape[1]), dtype=np.uint64)
+    gathered = np.empty_like(reach)
+    for slot in slots:
+        np.take(frontier, slot, axis=0, out=gathered)
+        reach |= gathered
+    return reach
 
 
 def _pack_rows(rows: np.ndarray, words: int) -> np.ndarray:
@@ -610,122 +580,13 @@ def _unpack_rows(bits: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(bits.view(np.uint8), axis=1, count=n, bitorder="little")
 
 
-class _PackedBFS:
-    """The bitset and dense steps' BFS state, kept packed across levels.
-
-    Row w of an (n, words) uint64 bitset holds the sources s of the pairs
-    (s, w); the pairs are symmetric, so row w equally holds the vertices
-    of source w.  ``unvisited`` holds the pairs still without a distance
-    and ``frontier`` those reached at the last level, bits past n clear in
-    both.  A pair reached at level L adds L + 1 to bit planes: plane p
-    holds the pairs whose L + 1 has bit p set.  Levels are below the dense
-    cap 4000 < 2^16, so the planes are summed in uint16 and added to D,
-    where those pairs hold -1, when the packed phase ends.
-    """
-
-    def __init__(self, g: Graph, dist: np.ndarray, frontier: np.ndarray):
-        n = dist.shape[0]
-        self.graph, self.n, self.words = g, n, -(-n // 64)
-        self.unvisited = _pack_rows(dist < 0, self.words)
-        front = np.zeros((n, n), dtype=bool)
-        front.ravel()[frontier] = True
-        self.frontier = _pack_rows(front, self.words)
-        del front
-        self.spare = np.empty_like(self.frontier)
-        self.planes: list[np.ndarray] = []
-        self.finished = False
-        self._slots = self._adjacency = None
-
-    def frontier_edges(self, degrees: np.ndarray, least_degree: int,
-                       max_degree: int) -> int:
-        """The frontier's edges, or a lower bound on them when the bound
-        alone rules push out."""
-        bound = np.count_nonzero(self.frontier) * least_degree
-        costs = _step_costs(self.n, max_degree, bound, True, 1.0)
-        if min(costs, key=costs.get) != "push":
-            return bound
-        return int(_bit_counts(self.frontier) @ degrees)
-
-    def advance(self, step: str, level: int) -> None:
-        """One level by the bitset or the dense step."""
-        found = self._bitset_reach() if step == "bitset" else self._dense_reach()
-        found &= self.unvisited
-        self.unvisited ^= found
-        value = level + 1
-        for p in range(value.bit_length()):
-            if p == len(self.planes):
-                self.planes.append(np.zeros_like(found))
-            if value >> p & 1:
-                self.planes[p] |= found
-        self.finished = not (found.any() and self.unvisited.any())
-        self.spare, self.frontier = self.frontier, found
-
-    def _bitset_reach(self) -> np.ndarray:
-        """Row w: the OR of the frontier rows of w's neighbours, gathered
-        one neighbour slot at a time over the rows that have that slot."""
-        if self._slots is None:
-            self._slots = self._neighbour_slots()
-        rank, slots = self._slots
-        out, gathered = self.spare, np.empty_like(self.spare)
-        out[slots[0].size if slots else 0:] = 0
-        for j, nbrs in enumerate(slots):
-            target = out[:nbrs.size] if j == 0 else gathered[:nbrs.size]
-            np.take(self.frontier, nbrs, axis=0, out=target, mode="clip")
-            if j:
-                out[:nbrs.size] |= target
-        if rank is not None:
-            np.take(out, rank, axis=0, out=gathered, mode="clip")
-            out[...] = gathered
-        return out
-
-    def _neighbour_slots(self) -> tuple[np.ndarray | None, list[np.ndarray]]:
-        """Each vertex's rank by falling degree (None when that is its
-        index) and, for each neighbour slot j, the j-th neighbour of every
-        vertex with one, in rank order."""
-        g = self.graph
-        degrees = g.degrees()
-        order = np.argsort(-degrees, kind="stable")
-        starts = g.indptr[order]
-        above = self.n - np.cumsum(np.bincount(degrees))
-        slots = [g.indices[starts[:above[j]] + j].astype(np.intp)
-                 for j in range(above.size - 1)]
-        rank = None
-        if (order != np.arange(self.n)).any():
-            rank = np.argsort(order)
-        return rank, slots
-
-    def _dense_reach(self) -> np.ndarray:
-        """The frontier matrix times float32 A, packed where positive."""
-        if self._adjacency is None:
-            self._adjacency = self.graph.adjacency_matrix(np.float32)
-        front = _unpack_rows(self.frontier, self.n).astype(np.float32)
-        product = front @ self._adjacency
-        del front
-        return _pack_rows(product > 0, self.words)
-
-    def fold(self, dist: np.ndarray) -> None:
-        """Add the planes into D, in blocks of rows of about 2^17 pairs."""
-        n = self.n
-        block = max(1, (1 << 17) // n)
-        acc = np.empty((block, n), dtype=np.uint16)
-        for start in range(0, n, block):
-            rows = acc[:min(block, n - start)]
-            rows.fill(0)
-            for plane in reversed(self.planes):
-                rows += rows
-                rows |= _unpack_rows(plane[start:start + block], n)
-            dist[start:start + block] += rows
-        self.planes = []
-
-    def pairs(self) -> tuple[np.ndarray, int]:
-        """The frontier as flat pair keys, and the number of pairs with a
-        distance."""
-        n = self.n
-        rows, cols = np.nonzero(self.frontier)
-        bits = np.unpackbits(self.frontier[rows, cols].view(np.uint8), bitorder="little")
-        word, bit = np.nonzero(bits.reshape(-1, 64))
-        keys = rows[word] * n + cols[word] * 64 + bit
-        return keys, n * n - int(_bit_counts(self.unvisited).sum())
+def distance_row(g: Graph) -> np.ndarray:
+    """Row 0 of D: the BFS depth of every vertex from vertex 0.  Raises
+    DisconnectedGraphError unless that BFS reaches every vertex."""
+    depth, components = _bfs_depths(g)
+    if components > 1:
+        raise DisconnectedGraphError("graph is disconnected")
+    return depth
 
 
 def diameter(g: Graph) -> int:

@@ -1,4 +1,6 @@
-"""Dense symmetric/Hermitian eigensolver used as independent ground truth.
+"""Eigensolvers used as independent ground truth: the dense
+symmetric/Hermitian solve, and one DFT for a symmetric group matrix over
+a product of cyclic groups, given its row 0.
 
 Everything here is deliberately decoupled from the closed-form and circulant
 modules: this is the brute-force side of every dual-route check, so it must
@@ -21,6 +23,7 @@ __all__ = [
     "ensure_symmetric",
     "max_asymmetry",
     "symmetric_eigenvalues",
+    "group_matrix_eigenvalues",
     "oracle_spectrum",
 ]
 
@@ -86,72 +89,34 @@ def max_asymmetry(a: np.ndarray) -> float:
     return float(np.max(tile_max)) if tile_max else 0.0
 
 
-def symmetric_eigenvalues(matrix: np.ndarray,
-                          shape: tuple[int, ...] | None = None) -> np.ndarray:
+def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric/Hermitian matrix, ascending.
 
-    Without ``shape``, the backward-stable dense solve delivers a few ulps
-    times the spectral radius.  With ``shape = (n_1, ..., n_k)``, the matrix
-    must be a Hermitian group matrix over ``Z_{n_1} x ... x Z_{n_k}``, its
-    indices the mixed-radix (C-order) numerals of the group elements: that
-    is proven exactly (``_group_row``), and the eigenvalues are then the
-    character sums of row 0, one k-dimensional DFT (Babai 1979).  A matrix
-    that fails the proof raises NonSymmetricMatrixError; it never falls
-    back to the dense solve.  Deterministic for identical input: no
-    randomized or timing-dependent steps.  A square matrix past the dense
-    cap is refused before any scan.
+    The backward-stable dense solve delivers a few ulps times the spectral
+    radius.  Deterministic for identical input: no randomized or
+    timing-dependent steps.  A square matrix past the dense cap is refused
+    before any scan.
     """
     a = np.asarray(matrix)
     cap = dense_matrix_cap()
     if a.ndim == 2 and a.shape[0] == a.shape[1] and a.shape[0] > cap:
         raise OrderCapError(f"matrix order {a.shape[0]} exceeds dense cap {cap}")
-    if shape is not None:
-        return np.sort(np.fft.fftn(_group_row(a, tuple(shape))).real, axis=None)
     ensure_symmetric(a, SYMMETRY_TOL)
     if a.shape[0] == 0:
         return np.zeros(0)
     return np.linalg.eigvalsh(a)
 
 
-def _group_row(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Row 0 of ``a`` as an array of ``shape``, once ``a`` is proven a
-    Hermitian group matrix over ``Z_shape`` by exact comparisons.
-
-    The unit translations ``x -> x + e_k`` generate the group, so
-    invariance under each of them, on rows and columns together, gives
-    ``a[x, y] = row[y - x]``; ``row[-x] = conj(row[x])`` then makes ``a``
-    Hermitian.  Each translation is compared as four slice pairs of one
-    reshaped view (by whether the row and the column index wrap round), so
-    no temporary larger than an n x n boolean is built.
+def group_matrix_eigenvalues(row: np.ndarray) -> np.ndarray:
+    """All eigenvalues, ascending, of the symmetric group matrix over
+    ``Z_{n_1} x ... x Z_{n_k}`` whose row 0 is ``row``, an array of shape
+    ``(n_1, ..., n_k)``: the character sums of row 0, one k-dimensional DFT
+    (Babai 1979).  That the matrix is such a group matrix is the caller's
+    proof (``graphs.translation_neighbours``); nothing here checks it.
     """
-    n = math.prod(shape)
-    if not shape or min(shape) < 1 or a.shape != (n, n):
-        raise NonSymmetricMatrixError(
-            f"matrix of shape {a.shape} is not a group matrix over Z_{shape}")
-    row = a[0].reshape(shape)
-    if not np.isfinite(row).all():
-        raise NonSymmetricMatrixError("matrix has non-finite entries")
-    # (slice of x_k + 1, slice of x_k): no wrap, and the wrap size - 1 -> 0
-    steps = ((slice(1, None), slice(None, -1)), (slice(0, 1), slice(-1, None)))
-    for k, size in enumerate(shape):
-        before = math.prod(shape[:k])
-        after = n // (before * size)
-        t = a.reshape(before, size, after, before, size, after)
-        for new_x, old_x in steps:
-            for new_y, old_y in steps:
-                if not (t[:, new_x, :, :, new_y] == t[:, old_x, :, :, old_y]).all():
-                    raise NonSymmetricMatrixError(
-                        f"matrix is not invariant under the unit translation of"
-                        f" axis {k} of Z_{shape}")
-    mirror = row[np.ix_(*(-np.arange(size) % size for size in shape))]
-    if not (mirror == row.conj()).all():
-        raise NonSymmetricMatrixError(f"row 0 of the group matrix over Z_{shape}"
-                                      " is not conjugate-symmetric")
-    return row
+    return np.sort(np.fft.fftn(row).real, axis=None)
 
 
-def oracle_spectrum(matrix: np.ndarray, group_tol: float = 1e-6,
-                    shape: tuple[int, ...] | None = None) -> Spectrum:
-    """Eigensolve then group: the standard oracle pipeline for one matrix;
-    ``shape`` as for ``symmetric_eigenvalues``."""
-    return spectrum_from_values(symmetric_eigenvalues(matrix, shape), group_tol)
+def oracle_spectrum(matrix: np.ndarray, group_tol: float = 1e-6) -> Spectrum:
+    """Eigensolve then group: the standard oracle pipeline for one matrix."""
+    return spectrum_from_values(symmetric_eigenvalues(matrix), group_tol)

@@ -9,13 +9,13 @@ array of a Johnson or Hamming graph (`closedform.IntersectionArray`);
 Lagrange/Vandermonde interpolation stays as an exact general tool.
 
 For a family with a translation shape (every Hamming graph and J(m, 1)) the
-check reads row 0 alone.  Its A and D are first proven group matrices over
-the shape's group by the eigensolves (`numeric.symmetric_eigenvalues`):
-M[x, y] = m[y - x].  Sums and products of group matrices are group
-matrices, so p(A) - D is one too, and every entry of it occurs on row 0:
-the largest entrywise gap is the largest gap on row 0.  The row block
-p(A)[[0]] costs d - 1 vector-matrix products instead of d - 1 n x n
-matrix products.
+check reads row 0 alone.  Its graph is proven a Cayley graph over the
+shape's group (``graphs.translation_neighbours``), so A and D are group
+matrices, M[x, y] = m[y - x].  Sums and products of group matrices are
+group matrices, so p(A) - D is one too, and every entry of it occurs on
+row 0: the largest entrywise gap is the largest gap on row 0.  Row 0 of
+p(A) is d steps of a sparse Horner over the neighbour array
+(``polynomial_row``), instead of d - 1 n x n matrix products.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
     "johnson_distance_polynomial",
     "hamming_distance_polynomial",
     "matrix_polynomial_eval",
+    "polynomial_row",
     "verify_distance_polynomial",
     "PolynomialCheck",
 ]
@@ -181,42 +182,43 @@ def hamming_distance_polynomial(d: int, q: int) -> Polynomial:
 # Matrix evaluation and end-to-end verification
 # ---------------------------------------------------------------------------
 
-def matrix_polynomial_eval(p: Polynomial, a: np.ndarray,
-                           rows: Sequence[int] | None = None) -> np.ndarray:
-    """Horner evaluation p(A) for a square symmetric matrix A.
-
-    With ``rows``, only the row block ``p(A)[rows]`` is evaluated, by the
-    same recurrence on the block: each step is a block times A, so the
-    cost is O(len(rows) n^2) per coefficient rather than O(n^3).
-    """
+def matrix_polynomial_eval(p: Polynomial, a: np.ndarray) -> np.ndarray:
+    """Horner evaluation p(A) for a square symmetric matrix A."""
     mat = np.asarray(a, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     if max_asymmetry(mat) > 1e-9:
         raise NonSymmetricMatrixError("matrix must be symmetric")
-    n = mat.shape[0]
-    if rows is None:
-        block, cols = mat, np.arange(n)
-    else:
-        cols = np.asarray(rows, dtype=np.intp)
-        block = mat[cols]
-    # (i, cols[i]) is the diagonal of the block: the entries of I[rows]
-    diagonal = (np.arange(cols.size), cols)
+    diagonal = np.diag_indices(mat.shape[0])
     coeffs = p.as_floats()
     if coeffs.size == 1:
-        result = np.zeros(block.shape)
+        result = np.zeros(mat.shape)
         result[diagonal] = coeffs[0]
     else:
         # the first Horner step is c_d A + c_{d-1} I; each coefficient after
         # it goes onto the diagonal in place
-        result = coeffs[-1] * block
+        result = coeffs[-1] * mat
         result[diagonal] += coeffs[-2]
         for c in coeffs[-3::-1]:
             result = result @ mat
             result[diagonal] += c
-    if rows is None and max_asymmetry(result) > 1e-9:
+    if max_asymmetry(result) > 1e-9:
         raise NonSymmetricMatrixError("evaluation lost symmetry beyond tolerance")
     return result
+
+
+def polynomial_row(p: Polynomial, nbrs: np.ndarray) -> np.ndarray:
+    """Row 0 of p(A) for the adjacency matrix A of a regular graph whose
+    vertex x has the neighbours ``nbrs[x]``, by Horner on row 0: each step
+    is r <- r A, the sum of r over each vertex's neighbours, and each
+    coefficient goes onto vertex 0.  That is d steps of O(n * degree)."""
+    coeffs = p.as_floats()
+    row = np.zeros(nbrs.shape[0])
+    row[0] = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        row = row[nbrs].sum(axis=1)
+        row[0] += c
+    return row
 
 
 @dataclass(frozen=True)
@@ -235,10 +237,10 @@ def verify_distance_polynomial(spec: FamilySpec, tol: float = 1e-8,
     the BFS distance matrix D entrywise.
 
     ``oracle`` is a ``verify.FamilyOracle`` of ``spec``, built here when
-    not given; it is read only once the polynomial exists.  For a family
-    with a translation shape, both eigensolves run first: each proves its
-    matrix a group matrix or raises, and the gap is then taken on row 0
-    (module docstring).  Any other family evaluates p(A) in full.
+    not given; it is read only once the polynomial exists.  A family with a
+    translation shape is compared on row 0 alone, over the oracle's proven
+    neighbour array (module docstring); any other family evaluates p(A) in
+    full.
     """
     from .graphs import family_to_string
     from .verify import FamilyOracle
@@ -246,15 +248,13 @@ def verify_distance_polynomial(spec: FamilySpec, tol: float = 1e-8,
     poly = distance_polynomial(spec)
     if oracle is None:
         oracle = FamilyOracle(spec)
-    rows = None
     if oracle.shape is not None:
-        oracle.eigenvalues("distance")
-        oracle.eigenvalues("adjacency")
-        rows = [0]
-    d, a = oracle.distances, oracle.adjacency
-    evaluated = matrix_polynomial_eval(poly, a, rows)
+        target = oracle.row("distance").ravel()
+        evaluated = polynomial_row(poly, oracle.neighbours)
+    else:
+        target = oracle.distances
+        evaluated = matrix_polynomial_eval(poly, oracle.adjacency)
     # |p(A) - D| in place, so no temporary matrix joins the shared A and D
-    target = d if rows is None else d[rows]
     np.abs(np.subtract(evaluated, target, out=evaluated), out=evaluated)
-    gap = float(np.max(evaluated)) if d.size else 0.0
+    gap = float(np.max(evaluated)) if target.size else 0.0
     return PolynomialCheck(family_to_string(spec), poly.degree, gap, gap < tol)

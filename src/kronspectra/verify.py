@@ -2,10 +2,11 @@
 
 The two routes are kept strictly separate.  The closed-form side dispatches
 a family spec to the applicable formula; the oracle side builds the graph,
-runs breadth-first distances and an eigensolve: one DFT of a proven group
-matrix for a family with a translation shape, a dense solve otherwise.  A
-report records both spectra, the match verdict, the largest eigenvalue gap
-and any discrepancy notes attached to the closed form used.
+runs breadth-first distances and an eigensolve.  A family with a
+translation shape is proven a Cayley graph on its CSR, and its spectra are
+one DFT of row 0; any other family gets the dense D and A and a dense
+solve.  A report records both spectra, the match verdict, the largest
+eigenvalue gap and any discrepancy notes attached to the closed form used.
 
 The notes are first-class output: where a published enumeration of these
 spectra is ambiguous or wrong, the note states the resolution this package
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closedform
-from .errors import FamilyDomainError, KronSpectraError, NoClosedFormError
+from .errors import FamilyDomainError, KronSpectraError, NoClosedFormError, OrderCapError
 from .graphs import (
     Complete,
     Cycle,
@@ -32,11 +33,13 @@ from .graphs import (
     Kron,
     build_family,
     distance_matrix,
+    distance_row,
     family_order,
     family_to_string,
+    translation_neighbours,
     translation_shape,
 )
-from .numeric import symmetric_eigenvalues
+from .numeric import dense_matrix_cap, group_matrix_eigenvalues, symmetric_eigenvalues
 from .polynomials import verify_distance_polynomial
 from .spectrum import Spectrum, spectra_match, spectrum_from_values
 
@@ -193,11 +196,17 @@ def closed_form_adjacency_spectrum(
 # ---------------------------------------------------------------------------
 
 class FamilyOracle:
-    """A family's graph, adjacency matrix, BFS distance matrix and the
-    eigenvalues of both matrices, each computed the first time a check
-    reads it and then shared by the family's later checks, plus the
-    family's translation shape, which routes both eigensolves
-    (``eigenvalues``).
+    """A family's graph and the eigenvalues of its D and A, each computed
+    the first time a check reads it and then shared by the family's later
+    checks.
+
+    A family with a translation shape (``graphs.translation_shape``) is
+    proven a Cayley graph on its CSR (``neighbours``), so D and A are
+    symmetric group matrices and row 0 carries them (``row``): row 0 of D
+    is one BFS from vertex 0, and the eigenvalues are one DFT of it.  No
+    n x n matrix is built for it, but orders past the dense cap are refused
+    as the dense matrices would be.  Any other family gets the float64
+    ``adjacency`` and the BFS ``distances``, and a dense solve.
 
     A computation that raises stores nothing, so every check that reads it
     raises the same error.
@@ -206,6 +215,7 @@ class FamilyOracle:
     def __init__(self, spec: FamilySpec):
         self.spec = spec
         self.shape = translation_shape(spec)
+        self._rows: dict[str, np.ndarray] = {}
         self._eigenvalues: dict[str, np.ndarray] = {}
 
     @functools.cached_property
@@ -222,17 +232,44 @@ class FamilyOracle:
         """D as float64, the form the eigensolve and the p(A) check read."""
         return distance_matrix(self.graph).astype(np.float64)
 
+    @functools.cached_property
+    def neighbours(self) -> np.ndarray:
+        """The (n, degree) neighbour array of a shaped family's graph, once
+        it is proven ``Cay(Z_shape, N(0))``."""
+        return translation_neighbours(self.graph, self.shape)
+
+    def row(self, matrix: str) -> np.ndarray:
+        """Row 0 of a shaped family's D (``"distance"``) or A
+        (``"adjacency"``) as float64 over its shape, read off the proven
+        graph; refused past the dense cap, as its n x n matrix would be."""
+        if matrix not in self._rows:
+            n, cap = self.graph.vertex_count, dense_matrix_cap()
+            if n > cap:
+                name = "distance matrix" if matrix == "distance" else "matrix"
+                raise OrderCapError(f"{name} order {n} exceeds dense cap {cap}")
+            nbrs = self.neighbours
+            if matrix == "distance":
+                row = distance_row(self.graph).astype(np.float64)
+            elif matrix == "adjacency":
+                row = np.zeros(n)
+                row[nbrs[0]] = 1
+            else:
+                raise ValueError(f"unknown matrix kind {matrix!r}")
+            row = row.reshape(self.shape)
+            row.setflags(write=False)
+            self._rows[matrix] = row
+        return self._rows[matrix]
+
     def eigenvalues(self, matrix: str) -> np.ndarray:
         """Ascending eigenvalues of D (``"distance"``) or A
-        (``"adjacency"``), read-only, solved as group matrices over the
-        family's shape when it has one.  For a shaped family, a result
-        exists only once its matrix is proven a symmetric group matrix,
-        which the p(A) = D check relies on."""
+        (``"adjacency"``), read-only."""
         if matrix not in self._eigenvalues:
-            if matrix == "distance":
-                values = symmetric_eigenvalues(self.distances, self.shape)
+            if self.shape is not None:
+                values = group_matrix_eigenvalues(self.row(matrix))
+            elif matrix == "distance":
+                values = symmetric_eigenvalues(self.distances)
             elif matrix == "adjacency":
-                values = symmetric_eigenvalues(self.adjacency, self.shape)
+                values = symmetric_eigenvalues(self.adjacency)
             else:
                 raise ValueError(f"unknown matrix kind {matrix!r}")
             values.setflags(write=False)

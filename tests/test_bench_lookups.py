@@ -7,6 +7,7 @@ routes around it, would only break the benchmark; these tests catch it here.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 import kronspectra
 import kronspectra.cli  # noqa: F401  (the tracer wraps cli.main)
 from kronspectra import closedform, verify
-from kronspectra.graphs import Complete, Cycle, Hamming, Johnson, Kron
+from kronspectra.graphs import Complete, Cycle, Graph, Hamming, Johnson, Kron
 from kronspectra.spectrum import Spectrum
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
@@ -55,18 +56,23 @@ def test_complete_like_products_route_through_kron_complete_spectrum(monkeypatch
 
 
 def test_shaped_families_reach_the_eigensolve_without_the_dense_solve(monkeypatch):
-    """The tracer's ``numeric.eig`` span wraps ``verify.symmetric_eigenvalues``;
-    a family with a translation shape passes through it to one DFT, and
-    only an unshaped one reaches ``np.linalg.eigvalsh``."""
-    routed, dense = [], []
-    solve, eigvalsh = verify.symmetric_eigenvalues, np.linalg.eigvalsh
-    monkeypatch.setattr(verify, "symmetric_eigenvalues",
-                        lambda *args: routed.append(args[1]) or solve(*args))
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: dense.append(a.shape) or eigvalsh(a))
+    """The tracer's ``numeric.eig`` and ``graphs.bfs`` spans wrap
+    ``verify.symmetric_eigenvalues`` and ``verify.distance_matrix``.  A
+    family with a translation shape reaches neither: its checks build no
+    n x n matrix at all, so it makes no ``Graph.adjacency_matrix`` and no
+    ``np.linalg.eigvalsh`` call either.  An unshaped one makes each of its
+    two dense solves through them, and one all-sources BFS."""
+    calls = Counter()
+
+    def count(name, fn):
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    for namespace, name in ((verify, "symmetric_eigenvalues"), (verify, "distance_matrix"),
+                            (Graph, "adjacency_matrix"), (np.linalg, "eigvalsh")):
+        monkeypatch.setattr(namespace, name, count(name, getattr(namespace, name)))
     kinds = ("adjacency-spectrum", "distance-spectrum", "distance-polynomial")
-    for spec, shape, solves in ((Hamming(3, 3), (3, 3, 3), 0), (Johnson(6, 3), None, 2)):
-        routed.clear()
-        dense.clear()
+    dense = Counter(symmetric_eigenvalues=2, eigvalsh=2, distance_matrix=1, adjacency_matrix=1)
+    for spec, expected in ((Hamming(3, 3), Counter()), (Johnson(6, 3), dense)):
+        calls.clear()
         assert all(report.match for report in verify.run_grid([(spec, k) for k in kinds]))
-        assert routed == [shape, shape]
-        assert len(dense) == solves
+        assert calls == expected, spec

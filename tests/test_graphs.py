@@ -1,6 +1,5 @@
 """Graph families, products, metric data and walk-length closure."""
 
-import itertools
 import math
 import re
 from collections import deque
@@ -279,52 +278,23 @@ def test_distance_complete():
     assert (d == 1 - np.eye(4)).all()
 
 
-BFS_STEPS = ("push", "bitset", "dense")
-# Level schedules, repeated from level 2 on: each step alone, and mixes that
-# change the frontier's form mid-BFS in both directions, pair keys to
-# bitsets and back, dense to push.
-BFS_SCHEDULES = tuple((step,) for step in BFS_STEPS) + (
-    ("push", "bitset"),
-    ("dense", "push"),
-    ("push", "push", "bitset", "dense", "bitset", "push"),
-)
+def test_distance_single_vertex():
+    assert distance_matrix(build_family(Complete(1))).tolist() == [[0]]
 
 
-def force_schedule(monkeypatch, schedule):
-    """Make BFS levels 2, 3, ... take the schedule's steps, over and over."""
-    steps = itertools.cycle(schedule)
-    monkeypatch.setattr(graphs, "_level_step", lambda *counts: next(steps))
-
-
-def force_step(monkeypatch, step):
-    """Make every BFS level take the named step."""
-    force_schedule(monkeypatch, (step,))
-
-
-def test_distance_single_vertex(monkeypatch):
-    for step in BFS_STEPS:
-        force_step(monkeypatch, step)
-        assert distance_matrix(build_family(Complete(1))).tolist() == [[0]]
-
-
-def test_distance_disconnected_raises(monkeypatch):
-    g = build_family(Kron(Complete(2), Complete(2)))
-    with pytest.raises(DisconnectedGraphError):
-        distance_matrix(g)
+def test_distance_disconnected_raises():
     disconnected = [
-        g,
+        build_family(Kron(Complete(2), Complete(2))),
         build_family(Kron(Complete(2), Cycle(200))),
-        # vertex 1 has no neighbours: a zero-degree row takes no neighbour
-        # slot and must not be handed another row's bitset
+        # vertex 1 has no neighbours: each of its neighbour slots gathers the
+        # spare zero row and must not be handed another row's bitset
         Graph([0, 1, 1, 2], [2, 0]),
         # the last vertex has no neighbours
         Graph([0, 1, 2, 2], [1, 0]),
     ]
-    for schedule in BFS_SCHEDULES:
-        for h in disconnected:
-            force_schedule(monkeypatch, schedule)
-            with pytest.raises(DisconnectedGraphError):
-                distance_matrix(h)
+    for g in disconnected:
+        with pytest.raises(DisconnectedGraphError):
+            distance_matrix(g)
 
 
 @pytest.mark.parametrize("spec", [
@@ -336,17 +306,11 @@ def test_distance_disconnected_raises(monkeypatch):
     # orders 243, 243 and 126: bitsets end in a partly used byte and word
     Hamming(5, 3), Kron(Complete(3), Hamming(4, 3)), Johnson(9, 4),
 ])
-def test_distance_matrix_against_naive_bfs(spec, monkeypatch):
+def test_distance_matrix_against_naive_bfs(spec):
     g = build_family(spec)
-    expected = naive_bfs_distances(g)
     d = distance_matrix(g)
     assert d.dtype == np.int64
-    assert (d == expected).all()
-    for schedule in BFS_SCHEDULES:
-        force_schedule(monkeypatch, schedule)
-        forced = distance_matrix(g)
-        assert forced.dtype == np.int64
-        assert (forced == expected).all(), schedule
+    assert (d == naive_bfs_distances(g)).all()
     assert (d == d.T).all()
     assert (np.diag(d) == 0).all()
     # triangle inequality
@@ -356,17 +320,16 @@ def test_distance_matrix_against_naive_bfs(spec, monkeypatch):
 
 
 def test_bfs_stops_once_every_pair_has_a_distance(monkeypatch):
-    # levels 2 .. diameter take one step each; none is left to find nothing
-    for spec in (Johnson(6, 3), Hamming(5, 3), Kron(Complete(4), Cycle(61)),
+    # levels 2 .. diameter take one bitset step each; none is left to find
+    # nothing
+    step, calls = graphs._bitset_reach, []
+    monkeypatch.setattr(graphs, "_bitset_reach",
+                        lambda *args: calls.append(1) or step(*args))
+    for spec in (Complete(5), Johnson(6, 3), Hamming(5, 3), Kron(Complete(4), Cycle(61)),
                  Kron(Complete(9), Complete(8))):
-        g = build_family(spec)
-        levels = int(distance_matrix(g).max())
-        for schedule in BFS_SCHEDULES:
-            steps, calls = itertools.cycle(schedule), []
-            monkeypatch.setattr(graphs, "_level_step",
-                                lambda *counts: calls.append(counts) or next(steps))
-            distance_matrix(g)
-            assert len(calls) == levels - 1, (spec, schedule)
+        calls.clear()
+        levels = int(distance_matrix(build_family(spec)).max())
+        assert len(calls) == levels - 1, spec
 
 
 def uneven_graph(n: int, extra: int, seed: int) -> Graph:
@@ -381,64 +344,29 @@ def uneven_graph(n: int, extra: int, seed: int) -> Graph:
 
 
 @pytest.mark.parametrize("n, extra", [(70, 10), (130, 60)])
-def test_bitset_step_on_uneven_degrees(n, extra, monkeypatch):
-    # rows take neighbour slots in order of falling degree, so rows of
-    # lower degree gather a row subset and are then put back in place
+def test_bitset_step_on_uneven_degrees(n, extra):
+    # a vertex with fewer neighbours than the most gathers the spare zero
+    # row in its last slots
     g = uneven_graph(n, extra, seed=n)
     assert len(set(g.degrees().tolist())) > 2
-    expected = naive_bfs_distances(g)
-    for schedule in BFS_SCHEDULES:
-        force_schedule(monkeypatch, schedule)
-        assert (distance_matrix(g) == expected).all(), schedule
+    assert (distance_matrix(g) == naive_bfs_distances(g)).all()
 
 
-def test_bit_counts_match_int_bit_count():
-    rng = np.random.default_rng(7)
-    words = rng.integers(0, 1 << 63, size=(5, 9), dtype=np.uint64)
-    words[:, ::2] |= np.uint64(1 << 63)
-    words[0, 0], words[1, 1] = 0, np.uint64(2**64 - 1)
-    expected = [sum(int(w).bit_count() for w in row) for row in words.tolist()]
-    assert graphs._bit_counts(words).tolist() == expected
+@pytest.mark.parametrize("spec", [
+    Complete(1), Cycle(9), Johnson(6, 3), Hamming(5, 3), Kron(Complete(4), Cycle(61)),
+])
+def test_distance_row_is_row_zero_of_the_distance_matrix(spec):
+    g = build_family(spec)
+    row = graphs.distance_row(g)
+    assert row.dtype == np.int64
+    assert row.tolist() == naive_bfs_distances(g)[0].tolist()
 
 
-def test_level_step_follows_the_cost_model():
-    # H(10,2) at its widest level: bitset ~0.4 ms, push ~77 ms, dense ~27 ms
-    assert graphs._level_step(1024, 10, 2_580_480, True, 1.0) == "bitset"
-    # kron(K15,K16) at level 2: rows of 4 words make the gather of 216 slots
-    # dearer than one dense product
-    assert graphs._level_step(240, 210, 10_584_000, False, 1.0) == "dense"
-    # kron(K36,K33) at level 2: rows of 19 words, and the gather wins
-    assert graphs._level_step(1188, 1120, 1_490_227_200, False, 1.0) == "bitset"
-    # C3999: 16000 frontier edges a level, push stays cheaper than bitsets
-    # of 63 words a row
-    assert graphs._level_step(3999, 2, 16_000, False, 1000.0) == "push"
-    # kron(K6,C197) at level 2: push ~3.5 ms against bitset ~0.6 ms, and the
-    # conversion is spread over the ~118 levels that the frontier suggests
-    assert graphs._level_step(1182, 10, 118_200, False, 118.0) == "bitset"
-    # but a conversion that must pay for itself within one level is refused
-    assert graphs._level_step(1182, 10, 118_200, False, 1.0) == "push"
-    # a thin packed frontier goes back to push once the gain repays the
-    # conversion: kron(K60,K66), whose packed steps take ~1.3 s a level
-    assert graphs._level_step(3960, 3835, 10_000, True, 1.0) == "push"
-    assert graphs._level_step(1182, 10, 10_000, True, 1.0) == "bitset"
-
-
-def test_bfs_changes_form_a_few_times(monkeypatch):
-    forms = []
-    model = graphs._level_step
-
-    def spy(*counts):
-        step = model(*counts)
-        forms.append(step == "push")
-        return step
-
-    monkeypatch.setattr(graphs, "_level_step", spy)
-    for spec in (Kron(Complete(6), Cycle(197)), Hamming(10, 2), Cycle(301),
-                 Kron(Complete(30), Complete(18))):
-        forms.clear()
-        distance_matrix(build_family(spec))
-        changes = sum(a != b for a, b in zip([True] + forms, forms))
-        assert changes <= 2, (spec, forms)
+def test_distance_row_of_a_disconnected_graph_raises():
+    # vertex 0 reaches only vertex 2, and the BFS from 1 finds a second part
+    for g in (build_family(Kron(Complete(2), Cycle(8))), Graph([0, 1, 1, 2], [2, 0])):
+        with pytest.raises(DisconnectedGraphError, match="^graph is disconnected$"):
+            graphs.distance_row(g)
 
 
 def test_diameter_examples():

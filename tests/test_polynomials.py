@@ -27,6 +27,7 @@ from kronspectra.polynomials import (
     johnson_distance_polynomial,
     lagrange_basis,
     matrix_polynomial_eval,
+    polynomial_row,
     vandermonde_solve,
     verify_distance_polynomial,
 )
@@ -227,29 +228,38 @@ def _grid_base_families(max_order):
     return list(specs)
 
 
-def _assert_row_block_matches(p, a, rows, scale):
-    full = matrix_polynomial_eval(p, a)
-    block = matrix_polynomial_eval(p, a, rows=rows)
-    assert block.shape == (len(rows), a.shape[0])
-    assert np.max(np.abs(block - full[rows])) <= 1e-12 * max(1.0, scale)
+def _neighbours(g):
+    """The (n, degree) neighbour array of a regular graph."""
+    return g.indices.reshape(g.vertex_count, -1)
+
+
+def _assert_row_matches(p, a, nbrs, scale):
+    row = polynomial_row(p, nbrs)
+    assert row.shape == (a.shape[0],)
+    assert np.max(np.abs(row - matrix_polynomial_eval(p, a)[0])) <= 1e-12 * max(1.0, scale)
 
 
 @pytest.mark.parametrize("spec", _grid_base_families(300), ids=family_to_string)
 def test_matrix_eval_row_block_is_the_row_of_the_full_evaluation(spec):
+    # every base family is regular, shaped or not, so the sparse Horner on
+    # row 0 applies to each of them
     g = build_family(spec)
-    a = g.adjacency_matrix(np.float64)
-    _assert_row_block_matches(distance_polynomial(spec), a, [0],
-                              float(distance_matrix(g).max()))
+    _assert_row_matches(distance_polynomial(spec), g.adjacency_matrix(np.float64),
+                        _neighbours(g), float(distance_matrix(g).max()))
 
 
 @pytest.mark.parametrize("spec", [Hamming(3, 3), Johnson(6, 3)])
 def test_matrix_eval_row_block_of_low_degrees_and_two_rows(spec):
-    a = build_family(spec).adjacency_matrix(np.float64)
+    g = build_family(spec)
+    a, nbrs = g.adjacency_matrix(np.float64), _neighbours(g)
+    # row 5 is row 0 once vertices 0 and 5 trade labels
+    swap = np.arange(g.vertex_count)
+    swap[[0, 5]] = [5, 0]
     for coeffs in ([F(5, 2)], [F(-3), F(7, 4)], [F(1), F(-2), F(1, 3), F(2)]):
         p = Polynomial.from_coefficients(coeffs)
         scale = float(np.abs(matrix_polynomial_eval(p, a)).max())
-        for rows in ([0], [0, 5]):
-            _assert_row_block_matches(p, a, rows, scale)
+        _assert_row_matches(p, a, nbrs, scale)
+        _assert_row_matches(p, a[np.ix_(swap, swap)], swap[nbrs[swap]], scale)
 
 
 def test_matrix_eval_rejects_asymmetric_input():

@@ -1,7 +1,8 @@
-"""Spectrum grouping/matching and the dense eigensolver oracle."""
+"""Spectrum grouping/matching and the oracle's eigensolves."""
 
 import functools
 import gc
+import itertools
 import math
 import operator
 import warnings
@@ -18,6 +19,8 @@ from kronspectra.graphs import (
     build_family,
     distance_matrix,
     family_to_string,
+    from_edge_list_text,
+    translation_neighbours,
     translation_shape,
 )
 from kronspectra.numeric import (
@@ -27,7 +30,7 @@ from kronspectra.numeric import (
     symmetric_eigenvalues,
 )
 from kronspectra.spectrum import Spectrum, spectra_match, spectrum_from_values
-from kronspectra.verify import closed_form_distance_spectrum, default_grid
+from kronspectra.verify import FamilyOracle, closed_form_distance_spectrum, default_grid
 
 
 def test_grouping_merges_close_values():
@@ -281,19 +284,12 @@ def test_group_matrix_route_agrees_with_the_dense_solve():
     families = shaped_families()
     assert len(families) > 150
     for spec in families:
-        shape = translation_shape(spec)
-        for matrix in distance_and_adjacency(spec):
+        oracle = FamilyOracle(spec)
+        for kind, matrix in zip(("distance", "adjacency"), distance_and_adjacency(spec)):
             dense = np.linalg.eigvalsh(matrix)
             radius = max(1.0, float(np.abs(dense).max()))
-            gap = np.abs(symmetric_eigenvalues(matrix, shape) - dense).max()
-            assert gap <= 1e-12 * radius, family_to_string(spec)
-
-
-def test_oracle_spectrum_takes_the_shape():
-    d, _ = distance_and_adjacency(Kron(Complete(3), Complete(3)))
-    sp = oracle_spectrum(d, 1e-6, (3, 3))
-    assert sp.values() == pytest.approx([12, 0, -3], abs=1e-12)
-    assert sp.multiplicities() == [1, 4, 4]
+            gap = np.abs(oracle.eigenvalues(kind) - dense).max()
+            assert gap <= 1e-12 * radius, (family_to_string(spec), kind)
 
 
 def refuse_dense_solve(monkeypatch):
@@ -302,72 +298,105 @@ def refuse_dense_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
 
 
+def graph_of_edges(n, edges):
+    edges = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    return from_edge_list_text(f"p {n} {len(edges)}\n"
+                               + "".join(f"{u} {v}\n" for u, v in edges))
+
+
+def two_switch(g):
+    """g after one degree-preserving 2-switch on edges that avoid vertex 0:
+    the first pair of edges a-b, c-d (in edge order) on four vertices whose
+    replacements a-c and b-d are not edges yet."""
+    edges = set(g.edges())
+    for (a, b), (c, d) in itertools.combinations(sorted(e for e in edges if 0 not in e), 2):
+        new = {(min(a, c), max(a, c)), (min(b, d), max(b, d))}
+        if len({a, b, c, d}) == 4 and not new & edges:
+            return graph_of_edges(g.vertex_count, edges - {(a, b), (c, d)} | new)
+    raise AssertionError("no 2-switch away from vertex 0")
+
+
+def assert_graph_route_refuses(oracle, match):
+    for kind in ("distance", "adjacency"):
+        with pytest.raises(NonSymmetricMatrixError, match=match):
+            oracle.eigenvalues(kind)
+
+
 @pytest.mark.parametrize("spec", [Cycle(9), Hamming(3, 3), Kron(Complete(4), Cycle(5)),
-                                  Kron(Complete(3), Hamming(2, 3))])
+                                  Kron(Complete(3), Hamming(2, 3)),
+                                  Kron(Complete(3), Cycle(7))])
 def test_group_matrix_route_refuses_a_mutated_distance_matrix(spec, monkeypatch):
+    # the switch keeps every degree and the edges at vertex 0, so A's row 0
+    # and row sums stay; D changes, and the proof must see it off row 0
     refuse_dense_solve(monkeypatch)
-    d, _ = distance_and_adjacency(spec)
-    shape = translation_shape(spec)
-    # still symmetric, still an integer matrix: only translation invariance breaks
-    for i, j in ((0, 1), (2, d.shape[0] - 1)):
-        bumped = d.copy()
-        bumped[i, j] += 1
-        bumped[j, i] += 1
-        with pytest.raises(NonSymmetricMatrixError, match="unit translation"):
-            symmetric_eigenvalues(bumped, shape)
+    oracle = FamilyOracle(spec)
+    original = oracle.graph
+    oracle.graph = two_switch(original)
+    assert np.array_equal(oracle.graph.degrees(), original.degrees())
+    assert np.array_equal(oracle.graph.indices[:original.indptr[1]],
+                          original.indices[:original.indptr[1]])
+    assert_graph_route_refuses(oracle, "no translate of an edge at vertex 0")
 
 
-def test_group_matrix_route_refuses_an_asymmetric_group_matrix(monkeypatch):
+def test_group_matrix_route_refuses_an_irregular_graph(monkeypatch):
     refuse_dense_solve(monkeypatch)
-    row = np.arange(5.0)
-    circulant = row[(np.arange(5)[None, :] - np.arange(5)[:, None]) % 5]
-    with pytest.raises(NonSymmetricMatrixError, match="conjugate-symmetric"):
-        symmetric_eigenvalues(circulant, (5,))
+    spec = Kron(Complete(4), Cycle(5))
+    edges = set(build_family(spec).edges())
+    away = min(e for e in edges if 0 not in e)
+    assert (1, 2) not in edges
+    for mutated in (edges - {away}, edges | {(1, 2)}):
+        oracle = FamilyOracle(spec)
+        oracle.graph = graph_of_edges(20, mutated)
+        assert_graph_route_refuses(oracle, "not regular")
 
 
-def test_group_matrix_route_checks_the_wrapped_translations(monkeypatch):
-    refuse_dense_solve(monkeypatch)
-    # Toeplitz, and row 0 is the C5 distance row, mirror-symmetric; only the
-    # entries whose translation wraps round tell it from a group matrix
-    i, j = np.indices((5, 5))
-    toeplitz = np.where(j >= i, np.minimum(j - i, 5 - (j - i)), i - j).astype(float)
-    with pytest.raises(NonSymmetricMatrixError, match="unit translation of axis 0"):
-        symmetric_eigenvalues(toeplitz, (5,))
+def test_group_matrix_route_checks_the_wrapped_translations():
+    # the wrapping edges of C_n differ by 1 mod n, like every other edge
+    for n in (5, 12):
+        cycle = build_family(Cycle(n))
+        assert np.array_equal(translation_neighbours(cycle, (n,)), cycle.indices.reshape(n, 2))
+    # over Z_3 x Z_4 the differences borrow across the axes: 3 - 4 is
+    # (0, 3) - (1, 0) = (2, 3), vertex 11, a neighbour of 0 in C12; but
+    # 4 - 3 is (1, 1), vertex 5, which is not
+    for shape in ((3, 4), (4, 3)):
+        with pytest.raises(NonSymmetricMatrixError, match="no translate"):
+            translation_neighbours(build_family(Cycle(12)), shape)
 
 
-def test_group_matrix_route_checks_every_axis(monkeypatch):
-    refuse_dense_solve(monkeypatch)
-    c3 = np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    scaled = np.diag([1.0, 2.0, 3.0])
-    # each is invariant along one axis of Z_(3, 3) only
-    for matrix, axis in ((np.kron(scaled, c3), 0), (np.kron(c3, scaled), 1)):
-        with pytest.raises(NonSymmetricMatrixError, match=f"unit translation of axis {axis}"):
-            symmetric_eigenvalues(matrix, (3, 3))
+def test_group_matrix_route_checks_every_axis():
+    # vertex (a, b) of Z_3 x Z_3 is 3a + b; swap = (1 0), fixing 2.  Each
+    # graph is 2-regular and invariant under the translations of one axis
+    # only: (a, b) ~ (a +- 1, swap(b)), and its transpose
+    swap = [1, 0, 2]
+    along_0 = [(3 * a + b, 3 * ((a + 1) % 3) + swap[b]) for a in range(3) for b in range(3)]
+    along_1 = [(3 * b + a, 3 * swap[b] + (a + 1) % 3) for a in range(3) for b in range(3)]
+    for edges in (along_0, along_1):
+        g = graph_of_edges(9, edges)
+        assert set(g.degrees().tolist()) == {2}
+        with pytest.raises(NonSymmetricMatrixError, match="no translate"):
+            translation_neighbours(g, (3, 3))
 
 
 def test_group_matrix_route_refuses_a_wrong_shape(monkeypatch):
     refuse_dense_solve(monkeypatch)
-    d, a = distance_and_adjacency(Kron(Complete(4), Cycle(5)))
-    for matrix in (d, a):
-        with pytest.raises(NonSymmetricMatrixError, match="unit translation"):
-            symmetric_eigenvalues(matrix, (5, 4))  # the factors swapped
-        with pytest.raises(NonSymmetricMatrixError, match="not a group matrix"):
-            symmetric_eigenvalues(matrix, (3, 5))
-
-
-def test_group_matrix_route_refuses_nonfinite_entries(monkeypatch):
-    refuse_dense_solve(monkeypatch)
-    d, _ = distance_and_adjacency(Cycle(6))
-    for bad in (np.nan, np.inf):
-        # still a symmetric group matrix: every antipodal entry changed
-        with pytest.raises(NonSymmetricMatrixError, match="non-finite"):
-            symmetric_eigenvalues(np.where(d == 3, bad, d), (6,))
+    g = build_family(Kron(Complete(4), Cycle(5)))
+    with pytest.raises(NonSymmetricMatrixError, match="no translate"):
+        translation_neighbours(g, (5, 4))  # the factors swapped
+    with pytest.raises(NonSymmetricMatrixError, match=r"not a Cayley graph over Z_\(3, 5\)"):
+        translation_neighbours(g, (3, 5))
+    oracle = FamilyOracle(Kron(Complete(4), Cycle(5)))
+    oracle.shape = (5, 4)
+    assert_graph_route_refuses(oracle, "no translate")
 
 
 def test_group_matrix_route_checks_the_cap_first(monkeypatch):
     monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", "10")
+    oracle = FamilyOracle(Cycle(11))
     with pytest.raises(OrderCapError, match="^matrix order 11 exceeds dense cap 10$"):
-        symmetric_eigenvalues(np.triu(np.ones((11, 11))), (11,))
+        oracle.eigenvalues("adjacency")
+    with pytest.raises(OrderCapError, match="^distance matrix order 11 exceeds dense cap 10$"):
+        oracle.eigenvalues("distance")
+    assert "neighbours" not in vars(oracle)
 
 
 def test_json_round_trip():

@@ -7,7 +7,15 @@ import pytest
 
 from kronspectra import polynomials, verify
 from kronspectra.errors import NonSymmetricMatrixError, OrderCapError
-from kronspectra.graphs import Complete, Cycle, Graph, Hamming, Johnson, Kron
+from kronspectra.graphs import (
+    Complete,
+    Cycle,
+    Graph,
+    Hamming,
+    Johnson,
+    Kron,
+    from_edge_list_text,
+)
 from kronspectra.polynomials import Polynomial, verify_distance_polynomial
 from kronspectra.verify import (
     FamilyOracle,
@@ -61,12 +69,14 @@ def test_grid_family_builds_one_float_adjacency(monkeypatch):
         return build(self, dtype)
 
     monkeypatch.setattr(Graph, "adjacency_matrix", counting)
-    spec = Hamming(3, 3)
     kinds = ("adjacency-spectrum", "distance-spectrum", "distance-polynomial")
-    assert all(report.match for report in run_grid([(spec, kind) for kind in kinds]))
-    # the BFS may build its own float32 A for a dense step; the float64 A
-    # that the eigensolve and p(A) read is built once
-    assert dtypes.count(np.dtype(np.float64)) == 1
+    # a shaped family reads A off its proven graph and builds no n x n A;
+    # an unshaped one builds the float64 A that its eigensolve and p(A)
+    # read, once
+    for spec, built in ((Hamming(3, 3), []), (Johnson(6, 3), [np.dtype(np.float64)])):
+        dtypes.clear()
+        assert all(report.match for report in run_grid([(spec, kind) for kind in kinds]))
+        assert dtypes == built
 
 
 @pytest.mark.parametrize("spec", [Hamming(3, 3), Kron(Complete(4), Cycle(5)), Johnson(6, 3)])
@@ -84,23 +94,32 @@ def test_family_oracle_carries_the_translation_shape():
         FamilyOracle(Johnson(6, 3)).eigenvalues("laplacian")
 
 
-def _with_symmetric_pair_changed(matrix, change):
-    """A copy of ``matrix`` with entries (5, 7) and (7, 5) changed: off
-    row 0, so a comparison of row 0 alone would not see it."""
-    out = matrix.copy()
-    out[5, 7] = out[7, 5] = change(out[5, 7])
-    return out
+def _with_edges_changed(graph, removed=(), added=()):
+    """A copy of ``graph`` with some edges, all off vertex 0, removed and
+    added, so that row 0 of A is the same."""
+    edges = sorted(set(graph.edges()) - set(removed) | set(added))
+    assert all(0 not in edge for edge in (*removed, *added))
+    return from_edge_list_text(f"p {graph.vertex_count} {len(edges)}\n"
+                               + "".join(f"{u} {v}\n" for u, v in edges))
 
 
-@pytest.mark.parametrize("attribute, change", [
-    ("distances", lambda entry: entry + 1),
-    ("adjacency", lambda entry: 1 - entry),
-], ids=["distances", "adjacency"])
-def test_poly_check_refuses_a_mutation_off_row_zero(attribute, change):
+# Mutations of H(3,3), whose vertex x is the base-3 numeral of its tuple:
+# the 2-switch of 1-2 and 4-5 into 1-5 and 2-4 keeps every degree and
+# changes distances; the edge 5-7, between tuples two coordinates apart,
+# changes A off row 0, as toggling A[5, 7] did
+MUTATIONS = {
+    "distances": ({"removed": [(1, 2), (4, 5)], "added": [(1, 5), (2, 4)]},
+                  "no translate"),
+    "adjacency": ({"added": [(5, 7)]}, "not regular"),
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_poly_check_refuses_a_mutation_off_row_zero(mutation):
+    change, message = MUTATIONS[mutation]
     oracle = FamilyOracle(Hamming(3, 3))
-    planted = _with_symmetric_pair_changed(getattr(oracle, attribute), change)
-    setattr(oracle, attribute, planted)
-    with pytest.raises(NonSymmetricMatrixError, match="not invariant"):
+    oracle.graph = _with_edges_changed(oracle.graph, **change)
+    with pytest.raises(NonSymmetricMatrixError, match=message):
         poly_report(oracle.spec, 1e-8, oracle)
 
 
@@ -115,40 +134,43 @@ def test_poly_check_sees_a_wrong_polynomial(monkeypatch):
 
 def test_poly_check_evaluates_row_zero_of_a_group_matrix_only(monkeypatch):
     shapes = []
-    evaluate = polynomials.matrix_polynomial_eval
 
-    def spy(*args):
-        result = evaluate(*args)
-        shapes.append(result.shape)
-        return result
+    def spy(evaluate):
+        def wrapper(*args):
+            result = evaluate(*args)
+            shapes.append(result.shape)
+            return result
+        return wrapper
 
-    monkeypatch.setattr(polynomials, "matrix_polynomial_eval", spy)
+    for name in ("matrix_polynomial_eval", "polynomial_row"):
+        monkeypatch.setattr(polynomials, name, spy(getattr(polynomials, name)))
     for spec in (Hamming(3, 3), Johnson(6, 3)):
         assert verify_distance_polynomial(spec).passed
-    assert shapes == [(1, 27), (20, 20)]
+    assert shapes == [(27,), (20, 20)]
 
 
 def test_family_oracle_solves_each_matrix_once(monkeypatch):
     calls = []
-    solve = verify.symmetric_eigenvalues
-    monkeypatch.setattr(verify, "symmetric_eigenvalues",
-                        lambda *args: calls.append(args[1]) or solve(*args))
+    solve = verify.group_matrix_eigenvalues
+    monkeypatch.setattr(verify, "group_matrix_eigenvalues",
+                        lambda row: calls.append(row.shape) or solve(row))
     oracle = FamilyOracle(Hamming(3, 3))
     first = oracle.eigenvalues("distance")
     second = oracle.eigenvalues("distance")
     assert second is first and not first.flags.writeable
-    assert np.array_equal(first, solve(oracle.distances, (3, 3, 3)))
+    assert np.array_equal(first, solve(oracle.row("distance")))
     assert calls == [(3, 3, 3)]
 
 
 def test_family_oracle_keeps_no_failed_solve(monkeypatch):
     calls = []
-    solve = verify.symmetric_eigenvalues
-    monkeypatch.setattr(verify, "symmetric_eigenvalues",
-                        lambda *args: calls.append(args[1]) or solve(*args))
+    prove = verify.translation_neighbours
+    monkeypatch.setattr(verify, "translation_neighbours",
+                        lambda g, shape: calls.append(shape) or prove(g, shape))
     oracle = FamilyOracle(Hamming(3, 3))
-    oracle.distances = _with_symmetric_pair_changed(oracle.distances, lambda e: e + 1)
+    oracle.graph = _with_edges_changed(oracle.graph, **MUTATIONS["distances"][0])
     for _ in range(2):
         with pytest.raises(NonSymmetricMatrixError):
             oracle.eigenvalues("distance")
     assert calls == [(3, 3, 3)] * 2
+    assert "neighbours" not in vars(oracle)
