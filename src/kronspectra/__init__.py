@@ -75,7 +75,6 @@ from .polynomials import (
     lagrange_basis,
     matrix_polynomial_eval,
     vandermonde_solve,
-    verify_distance_polynomial,
 )
 from .spectrum import MatchReport, Spectrum, spectra_match, spectrum_from_values
 from .verify import (

@@ -32,7 +32,7 @@ from .graphs import (
     family_to_string,
     to_edge_list_text,
 )
-from .polynomials import distance_polynomial, verify_distance_polynomial
+from .polynomials import distance_polynomial
 from .spectrum import Spectrum, spectra_match
 from .verify import (
     FamilyOracle,
@@ -210,7 +210,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
         "degree": poly.degree,
     }
     try:
-        check = verify_distance_polynomial(spec)
+        report = poly_report(spec)
     except OrderCapError as err:
         # the polynomial is exact without the dense matrices; only the
         # p(A) = D check needs them
@@ -219,8 +219,8 @@ def cmd_poly(args: argparse.Namespace) -> int:
                         "error": f"{type(err).__name__}: {err}"})
         code = EXIT_ERROR
     else:
-        payload.update({"max_entry_gap": check.max_entry_gap, "pass": check.passed})
-        code = EXIT_OK if check.passed else EXIT_MISMATCH
+        payload.update({"max_entry_gap": report.max_abs_gap, "pass": report.match})
+        code = EXIT_OK if report.match else EXIT_MISMATCH
     with _output(args.output) as out:
         out.write(json.dumps(payload) + "\n")
     return code
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_poly = sub.add_parser("poly", help="distance polynomial p with p(A) = D")
-    # p(A) = D is checked entrywise at verify_distance_polynomial's own 1e-8
+    # p(A) = D is checked entrywise at poly_report's own default tolerance, 1e-8
     add_common(p_poly, tol=False)
     p_poly.set_defaults(func=cmd_poly)
 

@@ -38,7 +38,7 @@ from .errors import (
     NonSymmetricMatrixError,
     OrderCapError,
 )
-from .numeric import dense_matrix_cap
+from .numeric import refuse_past_dense_cap
 
 __all__ = [
     "Graph",
@@ -154,9 +154,7 @@ class Graph:
     def adjacency_matrix(self, dtype=np.int64) -> np.ndarray:
         """Dense A; an order past the dense cap is refused before allocating."""
         n = self.vertex_count
-        cap = dense_matrix_cap()
-        if n > cap:
-            raise OrderCapError(f"matrix order {n} exceeds dense cap {cap}")
+        refuse_past_dense_cap(n)
         a = np.zeros((n, n), dtype=dtype)
         a[self._rows(), self.indices] = 1
         return a
@@ -505,9 +503,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
     -1.  Raises DisconnectedGraphError if any pair is unreachable.
     """
     n = g.vertex_count
-    cap = dense_matrix_cap()
-    if n > cap:
-        raise OrderCapError(f"distance matrix order {n} exceeds dense cap {cap}")
+    refuse_past_dense_cap(n, "distance matrix")
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
     dist = np.full((n, n), -1, dtype=np.int64)

@@ -20,6 +20,7 @@ from .spectrum import Spectrum, spectrum_from_values
 __all__ = [
     "DEFAULT_DENSE_CAP",
     "dense_matrix_cap",
+    "refuse_past_dense_cap",
     "ensure_symmetric",
     "max_asymmetry",
     "symmetric_eigenvalues",
@@ -49,6 +50,15 @@ def dense_matrix_cap() -> int:
     if cap <= 0:
         raise OrderCapError(f"{_CAP_ENV} must be positive, got {cap}")
     return cap
+
+
+def refuse_past_dense_cap(order: int, name: str = "matrix") -> None:
+    """Raise OrderCapError for a dense ``name`` of an order past the cap:
+    the one refusal that every dense matrix, and a shaped family's row 0,
+    goes through."""
+    cap = dense_matrix_cap()
+    if order > cap:
+        raise OrderCapError(f"{name} order {order} exceeds dense cap {cap}")
 
 
 def ensure_symmetric(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
@@ -98,9 +108,8 @@ def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     before any scan.
     """
     a = np.asarray(matrix)
-    cap = dense_matrix_cap()
-    if a.ndim == 2 and a.shape[0] == a.shape[1] and a.shape[0] > cap:
-        raise OrderCapError(f"matrix order {a.shape[0]} exceeds dense cap {cap}")
+    if a.ndim == 2 and a.shape[0] == a.shape[1]:
+        refuse_past_dense_cap(a.shape[0])
     ensure_symmetric(a, SYMMETRY_TOL)
     if a.shape[0] == 0:
         return np.zeros(0)

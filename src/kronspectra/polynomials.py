@@ -4,8 +4,9 @@ In a distance-regular graph of diameter d the distance-i matrix is v_i(A),
 where v_0 = 1, v_1 = x and c_{i+1} v_{i+1} = (x - a_i) v_i - b_{i-1} v_{i-1}
 in the intersection numbers, so D = p(A) with p = sum_i i * v_i of degree d.
 `distance_polynomial` takes p, in exact fractions, from the intersection
-array of a Johnson or Hamming graph (`closedform.IntersectionArray`);
-`verify_distance_polynomial` checks p(A) entrywise against BFS distances.
+array of a Johnson or Hamming graph (`closedform.IntersectionArray`), and
+this module evaluates it on A; `verify.poly_report` checks p(A) entrywise
+against the BFS distances of the family's shared oracle.
 Lagrange/Vandermonde interpolation stays as an exact general tool.
 
 For a family with a translation shape (every Hamming graph and J(m, 1)) the
@@ -44,8 +45,6 @@ __all__ = [
     "hamming_distance_polynomial",
     "matrix_polynomial_eval",
     "polynomial_row",
-    "verify_distance_polynomial",
-    "PolynomialCheck",
 ]
 
 Number = Fraction | int | float
@@ -179,7 +178,7 @@ def hamming_distance_polynomial(d: int, q: int) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Matrix evaluation and end-to-end verification
+# Matrix evaluation
 # ---------------------------------------------------------------------------
 
 def matrix_polynomial_eval(p: Polynomial, a: np.ndarray) -> np.ndarray:
@@ -220,41 +219,3 @@ def polynomial_row(p: Polynomial, nbrs: np.ndarray) -> np.ndarray:
         row[0] += c
     return row
 
-
-@dataclass(frozen=True)
-class PolynomialCheck:
-    """Entrywise comparison of p(A) against the BFS distance matrix."""
-
-    family: str
-    degree: int
-    max_entry_gap: float
-    passed: bool
-
-
-def verify_distance_polynomial(spec: FamilySpec, tol: float = 1e-8,
-                               oracle=None) -> PolynomialCheck:
-    """Evaluate the family's distance polynomial on A and compare it with
-    the BFS distance matrix D entrywise.
-
-    ``oracle`` is a ``verify.FamilyOracle`` of ``spec``, built here when
-    not given; it is read only once the polynomial exists.  A family with a
-    translation shape is compared on row 0 alone, over the oracle's proven
-    neighbour array (module docstring); any other family evaluates p(A) in
-    full.
-    """
-    from .graphs import family_to_string
-    from .verify import FamilyOracle
-
-    poly = distance_polynomial(spec)
-    if oracle is None:
-        oracle = FamilyOracle(spec)
-    if oracle.shape is not None:
-        target = oracle.row("distance").ravel()
-        evaluated = polynomial_row(poly, oracle.neighbours)
-    else:
-        target = oracle.distances
-        evaluated = matrix_polynomial_eval(poly, oracle.adjacency)
-    # |p(A) - D| in place, so no temporary matrix joins the shared A and D
-    np.abs(np.subtract(evaluated, target, out=evaluated), out=evaluated)
-    gap = float(np.max(evaluated)) if target.size else 0.0
-    return PolynomialCheck(family_to_string(spec), poly.degree, gap, gap < tol)

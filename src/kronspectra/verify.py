@@ -7,6 +7,9 @@ translation shape is proven a Cayley graph on its CSR, and its spectra are
 one DFT of row 0; any other family gets the dense D and A and a dense
 solve.  A report records both spectra, the match verdict, the largest
 eigenvalue gap and any discrepancy notes attached to the closed form used.
+The Johnson and Hamming certificate D = p(A) is checked here too
+(``poly_report``), on the same oracle: ``polynomials`` gives p and
+evaluates it, and reads no oracle itself.
 
 The notes are first-class output: where a published enumeration of these
 spectra is ambiguous or wrong, the note states the resolution this package
@@ -21,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import closedform
-from .errors import FamilyDomainError, KronSpectraError, NoClosedFormError, OrderCapError
+from . import closedform, polynomials
+from .errors import FamilyDomainError, KronSpectraError, NoClosedFormError
 from .graphs import (
     Complete,
     Cycle,
@@ -39,8 +42,7 @@ from .graphs import (
     translation_neighbours,
     translation_shape,
 )
-from .numeric import dense_matrix_cap, group_matrix_eigenvalues, symmetric_eigenvalues
-from .polynomials import verify_distance_polynomial
+from .numeric import group_matrix_eigenvalues, refuse_past_dense_cap, symmetric_eigenvalues
 from .spectrum import Spectrum, spectra_match, spectrum_from_values
 
 __all__ = [
@@ -171,7 +173,6 @@ def _kron_closed_form(
             return closedform.kron_hamming_spectrum(n, right.d, right.q), notes
     except FamilyDomainError as err:
         raise NoClosedFormError(f"no closed form for {family}: {err}") from err
-    raise NoClosedFormError(f"no closed form for {family}")
 
 
 def closed_form_adjacency_spectrum(
@@ -243,10 +244,8 @@ class FamilyOracle:
         (``"adjacency"``) as float64 over its shape, read off the proven
         graph; refused past the dense cap, as its n x n matrix would be."""
         if matrix not in self._rows:
-            n, cap = self.graph.vertex_count, dense_matrix_cap()
-            if n > cap:
-                name = "distance matrix" if matrix == "distance" else "matrix"
-                raise OrderCapError(f"{name} order {n} exceeds dense cap {cap}")
+            n = self.graph.vertex_count
+            refuse_past_dense_cap(n, "distance matrix" if matrix == "distance" else "matrix")
             nbrs = self.neighbours
             if matrix == "distance":
                 row = distance_row(self.graph).astype(np.float64)
@@ -372,18 +371,25 @@ def verify_family(
 
 def poly_report(spec: FamilySpec, tol: float = 1e-8,
                 oracle: FamilyOracle | None = None) -> FamilyReport:
-    """Entrywise p(A) = D check wrapped in the common report shape; A and
-    D come from ``oracle`` when given."""
-    check = verify_distance_polynomial(spec, tol, _oracle_for(spec, oracle))
-    return FamilyReport(
-        family=check.family,
-        check="distance-polynomial",
-        closed_form=None,
-        oracle=None,
-        match=check.passed,
-        max_abs_gap=check.max_entry_gap,
-        discrepancy_notes=(),
-    )
+    """Compare p(A) with D entrywise for the distance polynomial p of a
+    Johnson or Hamming family (any other raises FamilyDomainError); A and D
+    are read from ``oracle`` once p exists.  A shaped family is compared on
+    row 0 alone, over the proven neighbour array (``polynomials`` module
+    docstring); any other evaluates p(A) in full."""
+    oracle = _oracle_for(spec, oracle)
+    poly = polynomials.distance_polynomial(spec)
+    if oracle.shape is not None:
+        # row 0 of D first, so its cap message is the one a check reports
+        target = oracle.row("distance").ravel()
+        evaluated = polynomials.polynomial_row(poly, oracle.neighbours)
+    else:
+        target = oracle.distances
+        evaluated = polynomials.matrix_polynomial_eval(poly, oracle.adjacency)
+    # |p(A) - D| in place, so no temporary matrix joins the shared A and D
+    np.abs(np.subtract(evaluated, target, out=evaluated), out=evaluated)
+    gap = float(np.max(evaluated)) if target.size else 0.0
+    return FamilyReport(family=family_to_string(spec), check="distance-polynomial",
+                        closed_form=None, oracle=None, match=gap < tol, max_abs_gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +445,7 @@ def default_grid(max_order: int = 1200) -> list[tuple[FamilySpec, str]]:
 def _run_case(oracle: FamilyOracle, kind: str, tol: float) -> FamilyReport:
     if kind == "distance-polynomial":
         # entrywise p(A) = D carries its own, tighter tolerance
-        return poly_report(oracle.spec, 1e-8, oracle)
+        return poly_report(oracle.spec, oracle=oracle)
     matrix = "adjacency" if kind == "adjacency-spectrum" else "distance"
     return verify_family(oracle.spec, tol, matrix, oracle)
 

@@ -169,10 +169,13 @@ def test_spectrum_adjacency_past_the_dense_cap(capsys, monkeypatch):
 
 def test_poly_command(capsys):
     code = main(["poly", "--family", "J(4,2)"])
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    payload = json.loads(out)
     assert code == 0
     assert payload["coeffs"] == ["-2", "0", "0.5"]
     assert payload["pass"] is True
+    assert out == ('{"family": "J(4,2)", "coeffs": ["-2", "0", "0.5"], "degree": 2,'
+                   ' "max_entry_gap": 0.0, "pass": true}\n')
 
 
 def test_poly_has_no_tol_flag():

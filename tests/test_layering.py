@@ -40,6 +40,11 @@ def test_closedform_does_not_import_polynomials():
     assert "polynomials" not in imported_modules(PACKAGE / "closedform.py")
 
 
+def test_polynomials_does_not_import_verify():
+    # verify runs the p(A) = D check on its oracle; polynomials only gives p
+    assert "verify" not in imported_modules(PACKAGE / "polynomials.py")
+
+
 def test_imported_modules_sees_every_import_form(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(

@@ -29,9 +29,8 @@ from kronspectra.polynomials import (
     matrix_polynomial_eval,
     polynomial_row,
     vandermonde_solve,
-    verify_distance_polynomial,
 )
-from kronspectra.verify import default_grid
+from kronspectra.verify import default_grid, poly_report
 
 F = Fraction
 
@@ -276,13 +275,13 @@ def test_matrix_eval_rejects_asymmetric_input():
     Johnson(4, 2), Johnson(6, 3), Hamming(2, 2), Hamming(3, 3), Hamming(2, 5),
 ])
 def test_verify_distance_polynomial(spec):
-    check = verify_distance_polynomial(spec)
-    assert check.passed and check.max_entry_gap < 1e-8
+    report = poly_report(spec)
+    assert report.match and report.max_abs_gap < 1e-8
 
 
 def test_verify_rejects_other_families():
     with pytest.raises(FamilyDomainError):
-        verify_distance_polynomial(Complete(4))
+        poly_report(Complete(4))
 
 
 def test_polynomial_json():

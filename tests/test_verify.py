@@ -16,7 +16,7 @@ from kronspectra.graphs import (
     Kron,
     from_edge_list_text,
 )
-from kronspectra.polynomials import Polynomial, verify_distance_polynomial
+from kronspectra.polynomials import Polynomial
 from kronspectra.verify import (
     FamilyOracle,
     oracle_adjacency_spectrum,
@@ -145,7 +145,7 @@ def test_poly_check_evaluates_row_zero_of_a_group_matrix_only(monkeypatch):
     for name in ("matrix_polynomial_eval", "polynomial_row"):
         monkeypatch.setattr(polynomials, name, spy(getattr(polynomials, name)))
     for spec in (Hamming(3, 3), Johnson(6, 3)):
-        assert verify_distance_polynomial(spec).passed
+        assert poly_report(spec).match
     assert shapes == [(27,), (20, 20)]
 
 
@@ -174,3 +174,10 @@ def test_family_oracle_keeps_no_failed_solve(monkeypatch):
             oracle.eigenvalues("distance")
     assert calls == [(3, 3, 3)] * 2
     assert "neighbours" not in vars(oracle)
+
+
+@pytest.mark.xfail(strict=True, reason="the odd-cycle closed form's (1/4)/cos^2(pi j/2n)"
+                   " cancels near j = n - 1: 7.1e-6 off at C7001 (ROADMAP item 4)")
+def test_odd_cycle_past_the_default_cap_matches_the_oracle(monkeypatch):
+    monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", "8000")
+    assert verify_family(Cycle(7001)).match
