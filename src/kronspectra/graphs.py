@@ -18,7 +18,10 @@ Metric data comes in two forms.  ``distance_matrix`` is the all-sources
 bitset BFS behind the dense D.  A family with a translation shape is
 instead proven a Cayley graph on its CSR (``translation_neighbours``), so
 its D and A are group matrices that row 0 determines: ``distance_row``, one
-BFS from vertex 0, and the neighbours of vertex 0.
+BFS from vertex 0, and the neighbours of vertex 0.  That BFS is a hybrid
+(``_bfs_depths``): a Python queue step for narrow levels, a sort-free
+top-down numpy step, and on regular graphs a bottom-up numpy step for the
+last levels; it also serves ``is_connected`` and ``has_odd_cycle``.
 """
 
 from __future__ import annotations
@@ -386,25 +389,134 @@ def kronecker_product(g: Graph, h: Graph) -> Graph:
 # Connectivity and parity
 # ---------------------------------------------------------------------------
 
+# Frontier edge count at or below which a BFS level runs as a Python queue
+# step rather than a numpy step.  It sits at the measured crossover (2-vCPU
+# Xeon, Python 3.11, numpy 2.4, best of 200 on kron(K3,C400), kron(K9,C130)
+# and kron(K30,C40)): a queue step pays 55-150 ns an edge, a top-down numpy
+# step 9-12 us a level plus about 20 ns an edge, and the two cost the same
+# between 128 and 256 edges.  Every step writes the same depths, so no
+# result depends on the value.
+_NARROW_LEVEL_EDGES = 128
+
+
 def _bfs_depths(g: Graph) -> tuple[np.ndarray, int]:
     """BFS depth of every vertex from the lowest vertex of its component,
-    and the number of components."""
+    and the number of components.
+
+    Level-synchronous; each level takes one of three exact steps, which
+    all write the same depths:
+
+    * a queue step (``_queue_level``) in plain Python when the frontier has
+      at most ``_NARROW_LEVEL_EDGES`` edges (128: a queue edge costs
+      55-150 ns and a numpy level 9-12 us, so the two meet between 128 and
+      256 edges), on neighbour rows made into Python lists the first time
+      a level is that narrow;
+    * on a regular graph, a bottom-up step (``_bottom_up_level``; Beamer,
+      Asanovic and Patterson, "Direction-optimizing breadth-first search",
+      SC 2012) from the first wider level whose unvisited vertices are no
+      more than its frontier, and on every wider level after it: both
+      numpy steps gather (k, degree) neighbour rows, so the smaller k wins
+      and the rule needs no fitted constant;
+    * otherwise a top-down numpy step (``_top_down_level``).
+
+    Depths are read and written through a ``memoryview`` of the int64
+    array, so a change of step copies nothing.  The unvisited count is
+    kept level by level, and the search stops as soon as it reaches zero,
+    so a connected graph runs exactly as many levels as vertex 0's
+    eccentricity.  Each component starts at the next unvisited vertex,
+    found by a scan forward from the previous start, so k components cost
+    O(n), not O(k·n).
+    """
     n = g.vertex_count
-    degrees = g.degrees()
     depth = np.full(n, -1, dtype=np.int64)
-    components = start = 0
-    while start < n:
+    seen = memoryview(depth)
+    degrees = g.degrees()
+    degree = int(g.indptr[1]) if n else 0
+    table = g.indices.reshape(n, degree) if not (degrees != degree).any() else None
+    owner = np.empty(n, dtype=np.intp)
+    rows = pending = None
+    unvisited, components, start = n, 0, 0
+    while unvisited:
+        while seen[start] >= 0:
+            start += 1
         components += 1
-        depth[start] = level = 0
-        frontier = np.array([start])
-        while frontier.size:
+        seen[start] = level = 0
+        unvisited -= 1
+        frontier = [start]
+        while unvisited and len(frontier):
             level += 1
-            nbrs = _gather(g.indices, g.indptr[frontier], degrees[frontier])
-            frontier = np.unique(nbrs[depth[nbrs] < 0])
-            depth[frontier] = level
-        unreached = np.flatnonzero(depth < 0)
-        start = int(unreached[0]) if unreached.size else n
+            if table is not None:
+                edges = len(frontier) * degree
+            else:
+                edges = int(degrees[frontier].sum())
+            if edges <= _NARROW_LEVEL_EDGES:
+                if rows is None:
+                    rows = _python_rows(g, table)
+                if not isinstance(frontier, list):
+                    frontier = frontier.tolist()
+                frontier = _queue_level(rows, seen, frontier, level)
+            elif table is not None and (pending is not None or unvisited <= len(frontier)):
+                if pending is None:
+                    pending = np.flatnonzero(depth < 0)
+                pending, frontier = _bottom_up_level(table, depth, pending, level)
+            else:
+                frontier = _top_down_level(g, table, depth, owner, frontier, level)
+            unvisited -= len(frontier)
     return depth, components
+
+
+def _python_rows(g: Graph, table: np.ndarray | None) -> list[list[int]]:
+    """Every vertex's neighbours as a Python list."""
+    if table is not None:
+        return table.tolist()
+    flat, ends = g.indices.tolist(), g.indptr.tolist()
+    return [flat[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _queue_level(rows: list[list[int]], seen: memoryview, frontier: list[int],
+                 level: int) -> list[int]:
+    """Queue step: the unvisited neighbours of the frontier, in the order
+    found, each given depth ``level``."""
+    found = []
+    for u in frontier:
+        for v in rows[u]:
+            if seen[v] < 0:
+                seen[v] = level
+                found.append(v)
+    return found
+
+
+def _top_down_level(g: Graph, table: np.ndarray | None, depth: np.ndarray,
+                    owner: np.ndarray, frontier, level: int) -> np.ndarray:
+    """Top-down numpy step: gather the frontier's neighbours, drop the
+    visited ones and keep one copy of each without sorting.  ``owner`` is
+    scratch of length n: after ``owner[cand] = arange``, exactly one
+    position of each vertex holds its own index, in whatever order numpy
+    applies the writes."""
+    frontier = np.asarray(frontier)
+    if table is not None:
+        cand = table[frontier].ravel()
+    else:
+        starts = g.indptr[frontier]
+        cand = _gather(g.indices, starts, g.indptr[frontier + 1] - starts)
+    cand = cand[depth[cand] < 0]
+    positions = np.arange(cand.size)
+    owner[cand] = positions
+    cand = cand[owner[cand] == positions]
+    depth[cand] = level
+    return cand
+
+
+def _bottom_up_level(table: np.ndarray, depth: np.ndarray, pending: np.ndarray,
+                     level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bottom-up step on a regular graph: every still unvisited vertex of
+    ``pending`` with a neighbour at depth ``level - 1`` gets depth
+    ``level``.  Returns the still unvisited vertices checked and those
+    found."""
+    pending = pending[depth[pending] < 0]
+    found = pending[(depth[table[pending]] == level - 1).any(axis=1)]
+    depth[found] = level
+    return pending, found
 
 
 def is_connected(g: Graph) -> bool:
@@ -413,10 +525,17 @@ def is_connected(g: Graph) -> bool:
 
 
 def has_odd_cycle(g: Graph) -> bool:
-    """True iff the graph is non-bipartite: some edge joins two vertices
-    whose BFS depths have the same parity, so BFS 2-coloring fails."""
-    parity = _bfs_depths(g)[0] % 2
-    return bool((parity[g._rows()] == parity[g.indices]).any())
+    """True iff the graph is non-bipartite."""
+    return _connected_and_odd(g)[1]
+
+
+def _connected_and_odd(g: Graph) -> tuple[bool, bool]:
+    """``is_connected(g)`` and ``has_odd_cycle(g)`` from one BFS: the graph
+    is non-bipartite iff some edge joins two vertices whose BFS depths have
+    the same parity, so BFS 2-coloring fails."""
+    depth, components = _bfs_depths(g)
+    parity = depth % 2
+    return components <= 1, bool((parity[g._rows()] == parity[g.indices]).any())
 
 
 def kronecker_connectivity_predicted(g: Graph, h: Graph) -> bool:
@@ -426,9 +545,11 @@ def kronecker_connectivity_predicted(g: Graph, h: Graph) -> bool:
     contains an odd cycle.  Agreement with a BFS on the actual product is a
     test obligation, not an assumption.
     """
-    if not is_connected(g) or not is_connected(h):
+    g_connected, g_odd = _connected_and_odd(g)
+    h_connected, h_odd = _connected_and_odd(h)
+    if not (g_connected and h_connected):
         raise DisconnectedGraphError("both factors must be connected")
-    return has_odd_cycle(g) or has_odd_cycle(h)
+    return g_odd or h_odd
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +699,14 @@ def _unpack_rows(bits: np.ndarray, n: int) -> np.ndarray:
 
 def distance_row(g: Graph) -> np.ndarray:
     """Row 0 of D: the BFS depth of every vertex from vertex 0.  Raises
-    DisconnectedGraphError unless that BFS reaches every vertex."""
+    DisconnectedGraphError unless that BFS reaches every vertex.
+
+    The BFS (``_bfs_depths``) runs each level as a Python queue step while
+    the frontier has at most ``_NARROW_LEVEL_EDGES`` (128, the measured
+    crossover) edges, else as a sort-free top-down numpy step, and on a
+    regular graph as a bottom-up numpy step from the first wider level
+    whose unvisited vertices are no more than its frontier.  It stops at
+    the level that reaches the last vertex."""
     depth, components = _bfs_depths(g)
     if components > 1:
         raise DisconnectedGraphError("graph is disconnected")
@@ -606,9 +734,10 @@ def _shortest_walks(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     so one BFS of the cover gives both lengths.  Defined for connected
     non-bipartite graphs, whose cover is connected.
     """
-    if not is_connected(g):
+    connected, odd = _connected_and_odd(g)
+    if not connected:
         raise DisconnectedGraphError("walk-length closure needs a connected graph")
-    if not has_odd_cycle(g):
+    if not odd:
         raise BipartiteGraphError(
             "bipartite graph: walk lengths between a fixed pair have a fixed parity"
         )
@@ -679,14 +808,15 @@ def predicted_kron_diameter(g: Graph, t_partite_h: Graph) -> int:
         raise FamilyDomainError(
             "second factor must be complete multipartite with more than 3 parts"
         )
-    if not is_connected(g):
+    connected, odd = _connected_and_odd(g)
+    if not connected:
         raise DisconnectedGraphError("first factor must be connected")
     d = diameter(g)
     if d < 1:
         raise FamilyDomainError("first factor must have diameter >= 1")
     if d >= 3:
         return d
-    if not has_odd_cycle(g):
+    if not odd:
         return 3
     return 2 if gamma(g) <= 2 else 3
 

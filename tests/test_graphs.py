@@ -41,20 +41,35 @@ from kronspectra.graphs import (
 from kronspectra.verify import default_grid
 
 
-def naive_bfs_distances(g: Graph) -> np.ndarray:
-    """Reference per-source BFS, independent of the production code path."""
+def naive_bfs_distances(g: Graph, sources=None) -> np.ndarray:
+    """Reference per-source BFS, independent of the production code path:
+    one row per source (every vertex by default)."""
     n = g.vertex_count
-    out = np.full((n, n), -1, dtype=int)
-    for s in range(n):
-        out[s, s] = 0
+    sources = range(n) if sources is None else sources
+    out = np.full((len(sources), n), -1, dtype=int)
+    for i, s in enumerate(sources):
+        out[i, s] = 0
         queue = deque([s])
         while queue:
             u = queue.popleft()
             for v in g.indices[g.indptr[u]:g.indptr[u + 1]]:
-                if out[s, v] < 0:
-                    out[s, v] = out[s, u] + 1
+                if out[i, v] < 0:
+                    out[i, v] = out[i, u] + 1
                     queue.append(v)
     return out
+
+
+def naive_component_depths(g: Graph) -> tuple[np.ndarray, int]:
+    """Depth of every vertex from the lowest vertex of its component, read
+    off naive_bfs_distances rows, and the number of components."""
+    depth = np.full(g.vertex_count, -1, dtype=int)
+    components = 0
+    for s in range(g.vertex_count):
+        if depth[s] < 0:
+            row = naive_bfs_distances(g, [s])[0]
+            depth[row >= 0] = row[row >= 0]
+            components += 1
+    return depth, components
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +369,115 @@ def test_bitset_step_on_uneven_degrees(n, extra):
 
 @pytest.mark.parametrize("spec", [
     Complete(1), Cycle(9), Johnson(6, 3), Hamming(5, 3), Kron(Complete(4), Cycle(61)),
+    # queue steps only; a top-down step and then a bottom-up step
+    Cycle(600), Kron(Complete(36), Complete(33)),
 ])
 def test_distance_row_is_row_zero_of_the_distance_matrix(spec):
     g = build_family(spec)
     row = graphs.distance_row(g)
     assert row.dtype == np.int64
-    assert row.tolist() == naive_bfs_distances(g)[0].tolist()
+    assert row.tolist() == naive_bfs_distances(g, [0])[0].tolist()
+
+
+def bfs_step_graphs():
+    """Graphs whose BFS levels take every step at some narrow-level
+    constant: deep, wide, regular, uneven and disconnected."""
+    specs = [Cycle(9), Cycle(600), Kron(Complete(4), Cycle(61)),
+             Kron(Complete(36), Complete(33)), Hamming(5, 3), Johnson(6, 3),
+             # two bottom-up levels, the second of which sees vertices the
+             # first found next to each other
+             Johnson(10, 5),
+             Kron(Complete(2), Cycle(8)), Kron(Complete(2), Complete(2))]
+    return ([build_family(spec) for spec in specs]
+            + [uneven_graph(70, 10, seed=70), uneven_graph(130, 60, seed=130),
+               Graph([0, 1, 1, 2], [2, 0])])
+
+
+def test_bfs_depths_at_every_narrow_level_constant(monkeypatch):
+    # 0 runs every level that has an edge in numpy, and a constant above
+    # every edge count runs every level in the queue
+    for g in bfs_step_graphs():
+        expected, components = naive_component_depths(g)
+        for constant in (0, 10 ** 9, graphs._NARROW_LEVEL_EDGES):
+            monkeypatch.setattr(graphs, "_NARROW_LEVEL_EDGES", constant)
+            depth, count = graphs._bfs_depths(g)
+            assert depth.dtype == np.int64
+            assert depth.tolist() == expected.tolist(), (constant, g.vertex_count)
+            assert count == components
+
+
+def spy_on_bfs_steps(monkeypatch) -> list[str]:
+    steps = []
+    for name in ("_queue_level", "_top_down_level", "_bottom_up_level"):
+        def spy(*args, _step=getattr(graphs, name), _name=name):
+            steps.append(_name)
+            return _step(*args)
+        monkeypatch.setattr(graphs, name, spy)
+    return steps
+
+
+def test_bfs_steps_and_levels(monkeypatch):
+    steps = spy_on_bfs_steps(monkeypatch)
+    for spec in (Cycle(9), Cycle(600), Kron(Complete(4), Cycle(61)),
+                 Kron(Complete(36), Complete(33)), Hamming(5, 3), Johnson(6, 3),
+                 Johnson(10, 5)):
+        steps.clear()
+        depth = graphs.distance_row(build_family(spec))
+        # one step a level, and none after the level reaching the last vertex
+        assert len(steps) == depth.max(), spec
+        if spec == Cycle(600):
+            assert set(steps) == {"_queue_level"}
+        if spec == Kron(Complete(36), Complete(33)):
+            # 1120 neighbours of vertex 0, then the 67 vertices left find a parent
+            assert steps == ["_top_down_level", "_bottom_up_level"]
+        if spec == Johnson(10, 5):
+            # levels of 25, 100, 100, 25 and 1 vertices: once 26 vertices are
+            # left behind a frontier of 100, every wide level is bottom-up
+            assert steps == ["_queue_level", "_top_down_level", "_top_down_level",
+                             "_bottom_up_level", "_bottom_up_level"]
+
+
+def disjoint_copies(component: Graph, copies: int) -> Graph:
+    """The disjoint union of ``copies`` copies of ``component``, copy k on
+    vertices k * size .. k * size + size - 1."""
+    size = component.vertex_count
+    indptr = np.zeros(size * copies + 1, dtype=np.int64)
+    np.cumsum(np.tile(component.degrees(), copies), out=indptr[1:])
+    shifts = size * np.arange(copies)[:, None]
+    return Graph(indptr, (component.indices[None, :] + shifts).ravel())
+
+
+@pytest.mark.parametrize("component, copies", [
+    (Graph([0, 0], []), 20000),        # isolated vertices
+    (Graph([0, 1, 2], [1, 0]), 10000),  # a perfect matching
+], ids=["isolated", "matching"])
+def test_bfs_depths_on_many_components(component, copies):
+    g = disjoint_copies(component, copies)
+    depth, components = graphs._bfs_depths(g)
+    assert components == copies
+    assert depth.tolist() == np.tile(naive_bfs_distances(component)[0], copies).tolist()
+
+
+def test_connectivity_and_parity_take_one_bfs_a_graph(monkeypatch):
+    bfs, calls = graphs._bfs_depths, []
+    monkeypatch.setattr(graphs, "_bfs_depths", lambda g: calls.append(g) or bfs(g))
+    assert kronecker_connectivity_predicted(build_family(Cycle(4)), build_family(Cycle(5)))
+    assert len(calls) == 2
+    calls.clear()
+    assert gamma(build_family(Cycle(5))) == 4
+    assert len(calls) == 1
+
+
+def test_connectivity_prediction_keeps_its_precedence():
+    # disconnected beats bipartite, whichever factor is disconnected
+    broken, even = Graph([0, 1, 2, 2], [1, 0]), build_family(Cycle(4))
+    for g, h in ((broken, even), (even, broken)):
+        with pytest.raises(DisconnectedGraphError, match="^both factors must be connected$"):
+            kronecker_connectivity_predicted(g, h)
+    with pytest.raises(DisconnectedGraphError, match="^walk-length closure needs a connected graph$"):
+        gamma(Graph([0, 1, 2, 2, 2], [1, 0]))
+    with pytest.raises(BipartiteGraphError, match="^bipartite graph"):
+        gamma(even)
 
 
 def test_distance_row_of_a_disconnected_graph_raises():
