@@ -16,9 +16,11 @@ K_n (x) G literally block circulant, which downstream modules rely on.
 
 Metric data comes in two forms.  ``distance_matrix`` is the all-sources
 bitset BFS behind the dense D.  A family with a translation shape is
-instead proven a Cayley graph on its CSR (``translation_neighbours``), so
-its D and A are group matrices that row 0 determines: ``distance_row``, one
-BFS from vertex 0, and the neighbours of vertex 0.  That BFS is a hybrid
+instead proven a Cayley graph (``translation_table``): an atom on its CSR
+(``translation_neighbours``), a product through its factors' proofs, with
+no product graph built.  Its D and A are then group matrices that row 0
+determines: ``distance_row``, one BFS from vertex 0 over the proven
+neighbour table, and the neighbours of vertex 0.  That BFS is a hybrid
 (``_bfs_depths``): a Python queue step for narrow levels, a sort-free
 top-down numpy step, and on regular graphs a bottom-up numpy step for the
 last levels; it also serves ``is_connected`` and ``has_odd_cycle``.
@@ -55,6 +57,8 @@ __all__ = [
     "family_to_string",
     "translation_shape",
     "translation_neighbours",
+    "translation_table",
+    "refuse_past_product_cap",
     "build_family",
     "kronecker_product",
     "is_connected",
@@ -295,16 +299,23 @@ def translation_shape(spec: FamilySpec) -> tuple[int, ...] | None:
 # Family construction
 # ---------------------------------------------------------------------------
 
+def refuse_past_product_cap(spec: FamilySpec) -> int:
+    """The family's order; raises OrderCapError for one over
+    PRODUCT_VERTEX_CAP vertices, before anything is built."""
+    n = family_order(spec)
+    if n > PRODUCT_VERTEX_CAP:
+        raise OrderCapError(
+            f"{family_to_string(spec)} has {n} vertices, cap is {PRODUCT_VERTEX_CAP}")
+    return n
+
+
 def build_family(spec: FamilySpec) -> Graph:
     """Construct the graph for a family spec in its canonical vertex order;
     a spec over PRODUCT_VERTEX_CAP vertices is refused before any building.
     A product's atom factors come from a small per-process memo, so the
     factors that a grid's products share are built and validated once; a
     Graph's arrays are read-only, so sharing one is safe."""
-    n = family_order(spec)
-    if n > PRODUCT_VERTEX_CAP:
-        raise OrderCapError(
-            f"{family_to_string(spec)} has {n} vertices, cap is {PRODUCT_VERTEX_CAP}")
+    n = refuse_past_product_cap(spec)
     if isinstance(spec, Kron):
         return kronecker_product(_build_factor(spec.left), _build_factor(spec.right))
     if isinstance(spec, Cycle):
@@ -399,9 +410,10 @@ def kronecker_product(g: Graph, h: Graph) -> Graph:
 _NARROW_LEVEL_EDGES = 128
 
 
-def _bfs_depths(g: Graph) -> tuple[np.ndarray, int]:
+def _bfs_depths(g: Graph | np.ndarray) -> tuple[np.ndarray, int]:
     """BFS depth of every vertex from the lowest vertex of its component,
-    and the number of components.
+    and the number of components, for a graph or for the (n, degree)
+    neighbour table of a regular one.
 
     Level-synchronous; each level takes one of three exact steps, which
     all write the same depths:
@@ -427,12 +439,13 @@ def _bfs_depths(g: Graph) -> tuple[np.ndarray, int]:
     found by a scan forward from the previous start, so k components cost
     O(n), not O(k·n).
     """
-    n = g.vertex_count
+    table = g if isinstance(g, np.ndarray) else _regular_table(g)
+    if table is not None:
+        n, degree = table.shape
+    else:
+        n, degrees = g.vertex_count, g.degrees()
     depth = np.full(n, -1, dtype=np.int64)
     seen = memoryview(depth)
-    degrees = g.degrees()
-    degree = int(g.indptr[1]) if n else 0
-    table = g.indices.reshape(n, degree) if not (degrees != degree).any() else None
     owner = np.empty(n, dtype=np.intp)
     rows = pending = None
     unvisited, components, start = n, 0, 0
@@ -463,6 +476,15 @@ def _bfs_depths(g: Graph) -> tuple[np.ndarray, int]:
                 frontier = _top_down_level(g, table, depth, owner, frontier, level)
             unvisited -= len(frontier)
     return depth, components
+
+
+def _regular_table(g: Graph) -> np.ndarray | None:
+    """The (n, degree) neighbour table of a regular graph, or None."""
+    n = g.vertex_count
+    degree = int(g.indptr[1]) if n else 0
+    if (g.degrees() != degree).any():
+        return None
+    return g.indices.reshape(n, degree)
 
 
 def _python_rows(g: Graph, table: np.ndarray | None) -> list[list[int]]:
@@ -561,10 +583,11 @@ def kronecker_connectivity_predicted(g: Graph, h: Graph) -> bool:
 _PROOF_BLOCK_EDGES = 1 << 16
 
 
-def translation_neighbours(g: Graph, shape: tuple[int, ...]) -> np.ndarray:
-    """The (n, degree) array of every vertex's neighbours, once ``g`` is
-    proven to be exactly the Cayley graph ``Cay(Z_shape, N(0))``, vertex x
-    the mixed-radix (C-order) numeral of its group element.
+def translation_neighbours(g: Graph | np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The (n, degree) array of every vertex's neighbours, once ``g`` (a
+    graph, or the neighbour table of a regular one) is proven to be exactly
+    the Cayley graph ``Cay(Z_shape, N(0))``, vertex x the mixed-radix
+    (C-order) numeral of its group element.
 
     The proof: the order is ``prod(shape)``, every vertex has the degree of
     vertex 0, and for every stored edge (x, y) the difference y - x, taken
@@ -575,15 +598,15 @@ def translation_neighbours(g: Graph, shape: tuple[int, ...]) -> np.ndarray:
     Cayley graphs", J. Combin. Theory B 27, 1979).  A graph that fails any
     part of the proof raises NonSymmetricMatrixError.
     """
-    n = g.vertex_count
+    n = len(g) if isinstance(g, np.ndarray) else g.vertex_count
     if not shape or min(shape) < 1 or math.prod(shape) != n:
         raise NonSymmetricMatrixError(
             f"graph of order {n} is not a Cayley graph over Z_{shape}")
-    degree = int(g.indptr[1])
-    if (g.degrees() != degree).any():
+    nbrs = g if isinstance(g, np.ndarray) else _regular_table(g)
+    if nbrs is None:
         raise NonSymmetricMatrixError(
             f"graph is not regular, so not a Cayley graph over Z_{shape}")
-    nbrs = g.indices.reshape(n, degree)
+    degree = nbrs.shape[1]
     connection = np.zeros(n, dtype=bool)
     connection[nbrs[0]] = True
     strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
@@ -601,6 +624,34 @@ def translation_neighbours(g: Graph, shape: tuple[int, ...]) -> np.ndarray:
                 f"edge {start + row}-{y[row, slot]} is no translate of an edge"
                 f" at vertex 0 in Z_{shape}")
     return nbrs
+
+
+def translation_table(spec: FamilySpec) -> np.ndarray:
+    """The (n, degree) neighbour table of a shaped family's graph, proven
+    ``Cay(Z_shape, N(0))`` for ``shape = translation_shape(spec)``, with no
+    product graph built.
+
+    An atom is built (once per process) and proven on its CSR by
+    ``translation_neighbours``.  A product is read off its factors' proven
+    tables: if G = Cay(Z_a, S) and H = Cay(Z_b, T), then (x, y) ~ (u, v) in
+    G (x) H iff u - x is in S and v - y in T, so G (x) H = Cay(Z_a x Z_b,
+    S x T) (Hammack, Imrich and Klavzar, *Handbook of Product Graphs*,
+    ch. 5).  In the canonical order u * |V(H)| + v, the row of (x, y) is
+    u * |V(H)| + v over u in row x of G and v in row y of H, already sorted
+    since v < |V(H)|.  So the table is ``np.array_equal`` to, and has the
+    dtype of, ``translation_neighbours(build_family(spec), shape)``.  A
+    spec over PRODUCT_VERTEX_CAP vertices is refused before any factor is
+    built; a factor that has no shape or fails its proof raises
+    NonSymmetricMatrixError.
+    """
+    refuse_past_product_cap(spec)
+    if not isinstance(spec, Kron):
+        return translation_neighbours(_build_atom(spec), translation_shape(spec))
+    left, right = translation_table(spec.left), translation_table(spec.right)
+    table = left[:, None, :, None] * len(right) + right[None, :, None, :]
+    table = table.reshape(len(left) * len(right), left.shape[1] * right.shape[1])
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +748,9 @@ def _unpack_rows(bits: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(bits.view(np.uint8), axis=1, count=n, bitorder="little")
 
 
-def distance_row(g: Graph) -> np.ndarray:
-    """Row 0 of D: the BFS depth of every vertex from vertex 0.  Raises
+def distance_row(g: Graph | np.ndarray) -> np.ndarray:
+    """Row 0 of D, for a graph or for the (n, degree) neighbour table of a
+    regular one: the BFS depth of every vertex from vertex 0.  Raises
     DisconnectedGraphError unless that BFS reaches every vertex.
 
     The BFS (``_bfs_depths``) runs each level as a Python queue step while

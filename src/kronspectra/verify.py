@@ -4,7 +4,8 @@ The two routes are kept strictly separate.  The closed-form side dispatches
 a family spec to the applicable formula; the oracle side builds the graph,
 runs breadth-first distances and an eigensolve.  A family with a
 translation shape is proven a Cayley graph on its CSR, and its spectra are
-one DFT of row 0; any other family gets the dense D and A and a dense
+one DFT of row 0; a shaped product is proven through its factors, with no
+product graph built.  Any other family gets the dense D and A and a dense
 solve.  A report records both spectra, the match verdict, the largest
 eigenvalue gap and any discrepancy notes attached to the closed form used.
 The Johnson and Hamming certificate D = p(A) is checked here too
@@ -39,8 +40,10 @@ from .graphs import (
     distance_row,
     family_order,
     family_to_string,
+    refuse_past_product_cap,
     translation_neighbours,
     translation_shape,
+    translation_table,
 )
 from .numeric import group_matrix_eigenvalues, refuse_past_dense_cap, symmetric_eigenvalues
 from .spectrum import Spectrum, spectra_match, spectrum_from_values
@@ -202,12 +205,14 @@ class FamilyOracle:
     checks.
 
     A family with a translation shape (``graphs.translation_shape``) is
-    proven a Cayley graph on its CSR (``neighbours``), so D and A are
-    symmetric group matrices and row 0 carries them (``row``): row 0 of D
-    is one BFS from vertex 0, and the eigenvalues are one DFT of it.  No
-    n x n matrix is built for it, but orders past the dense cap are refused
-    as the dense matrices would be.  Any other family gets the float64
-    ``adjacency`` and the BFS ``distances``, and a dense solve.
+    proven a Cayley graph (``neighbours``), so D and A are symmetric group
+    matrices and row 0 carries them (``row``): row 0 of D is one BFS from
+    vertex 0, and the eigenvalues are one DFT of it.  An atom is proven on
+    its CSR; a product's neighbour table is read off its factors' proven
+    tables, so neither its graph nor any n x n matrix is built for it.
+    Orders past the dense cap are refused as the dense matrices would be.
+    Any other family gets the float64 ``adjacency`` and the BFS
+    ``distances``, and a dense solve.
 
     A computation that raises stores nothing, so every check that reads it
     raises the same error.
@@ -236,19 +241,24 @@ class FamilyOracle:
     @functools.cached_property
     def neighbours(self) -> np.ndarray:
         """The (n, degree) neighbour array of a shaped family's graph, once
-        it is proven ``Cay(Z_shape, N(0))``."""
+        it is proven ``Cay(Z_shape, N(0))``: an atom's on its ``graph``, a
+        product's from its factors (``graphs.translation_table``)."""
+        if isinstance(self.spec, Kron):
+            return translation_table(self.spec)
         return translation_neighbours(self.graph, self.shape)
 
     def row(self, matrix: str) -> np.ndarray:
         """Row 0 of a shaped family's D (``"distance"``) or A
         (``"adjacency"``) as float64 over its shape, read off the proven
-        graph; refused past the dense cap, as its n x n matrix would be."""
+        neighbour array; refused past the product cap and then past the
+        dense cap, as its graph and its n x n matrix would be, before
+        anything is built."""
         if matrix not in self._rows:
-            n = self.graph.vertex_count
+            n = refuse_past_product_cap(self.spec)
             refuse_past_dense_cap(n, "distance matrix" if matrix == "distance" else "matrix")
             nbrs = self.neighbours
             if matrix == "distance":
-                row = distance_row(self.graph).astype(np.float64)
+                row = distance_row(nbrs).astype(np.float64)
             elif matrix == "adjacency":
                 row = np.zeros(n)
                 row[nbrs[0]] = 1

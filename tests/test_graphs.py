@@ -12,6 +12,7 @@ from kronspectra.errors import (
     BipartiteGraphError,
     DisconnectedGraphError,
     FamilyDomainError,
+    NonSymmetricMatrixError,
     OrderCapError,
 )
 from kronspectra.graphs import (
@@ -35,10 +36,13 @@ from kronspectra.graphs import (
     kronecker_product,
     predicted_kron_diameter,
     to_edge_list_text,
+    translation_neighbours,
     translation_shape,
+    translation_table,
     walk_gamma,
 )
-from kronspectra.verify import default_grid
+from kronspectra.numeric import group_matrix_eigenvalues
+from kronspectra.verify import FamilyOracle, default_grid
 
 
 def naive_bfs_distances(g: Graph, sources=None) -> np.ndarray:
@@ -232,6 +236,40 @@ def test_product_factors_are_built_once(monkeypatch):
     # every product holds the memo's arrays, so none may write to them
     shared = graphs._build_atom(Cycle(5))
     assert not shared.indices.flags.writeable and not shared.indptr.flags.writeable
+
+
+def shaped_products():
+    """Every shaped product of the default grid, plus nested products and
+    products of two multi-axis factors that no closed form covers."""
+    specs = dict.fromkeys(spec for spec, _ in default_grid(1200)
+                          if isinstance(spec, Kron) and translation_shape(spec) is not None)
+    assert len(specs) == 199
+    return [*specs, Kron(Complete(4), Kron(Complete(3), Cycle(5))),
+            Kron(Kron(Cycle(5), Complete(3)), Hamming(2, 3)),
+            Kron(Hamming(2, 3), Cycle(7)), Kron(Hamming(2, 3), Hamming(2, 4))]
+
+
+def test_translation_table_is_the_proven_product_csr():
+    for spec in shaped_products():
+        g, shape, name = build_family(spec), translation_shape(spec), family_to_string(spec)
+        expected = translation_neighbours(g, shape)
+        table = translation_table(spec)
+        assert table.dtype == expected.dtype, name
+        assert np.array_equal(table, expected), name
+        assert not table.flags.writeable
+        # the BFS reads the table as it reads the regular graph
+        distances = graphs.distance_row(table)
+        assert np.array_equal(distances, graphs.distance_row(g)), name
+        adjacency = np.zeros(len(table))
+        adjacency[table[0]] = 1
+        # the oracle's values are the DFT of those rows, with no graph built
+        oracle = FamilyOracle(spec)
+        for kind, row in (("distance", distances.astype(np.float64)), ("adjacency", adjacency)):
+            expected_values = group_matrix_eigenvalues(row.reshape(shape))
+            assert np.array_equal(oracle.eigenvalues(kind), expected_values), (name, kind)
+        assert "graph" not in vars(oracle)
+    with pytest.raises(NonSymmetricMatrixError, match="not a Cayley graph"):
+        translation_table(Kron(Complete(3), Johnson(5, 2)))  # a factor without a shape
 
 
 # ---------------------------------------------------------------------------

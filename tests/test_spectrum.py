@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kronspectra import graphs
 from kronspectra.errors import NonSymmetricMatrixError, OrderCapError
 from kronspectra.graphs import (
     Complete,
@@ -22,6 +23,7 @@ from kronspectra.graphs import (
     from_edge_list_text,
     translation_neighbours,
     translation_shape,
+    translation_table,
 )
 from kronspectra.numeric import (
     ensure_symmetric,
@@ -322,32 +324,49 @@ def assert_graph_route_refuses(oracle, match):
             oracle.eigenvalues(kind)
 
 
+def mutate_graph(oracle, monkeypatch, mutate):
+    """Make ``oracle`` read ``mutate(graph)`` for its graph.  A product's
+    graph is never built, so the mutation goes into its right factor, whose
+    proven table the product's is read from."""
+    spec = oracle.spec
+    if not isinstance(spec, Kron):
+        original = oracle.graph
+        oracle.graph = mutate(original)
+        return original, oracle.graph
+    original, build = build_family(spec.right), graphs._build_atom
+    mutated = mutate(original)
+    monkeypatch.setattr(graphs, "_build_atom",
+                        lambda factor: mutated if factor == spec.right else build(factor))
+    return original, mutated
+
+
 @pytest.mark.parametrize("spec", [Cycle(9), Hamming(3, 3), Kron(Complete(4), Cycle(5)),
                                   Kron(Complete(3), Hamming(2, 3)),
                                   Kron(Complete(3), Cycle(7))])
 def test_group_matrix_route_refuses_a_mutated_distance_matrix(spec, monkeypatch):
     # the switch keeps every degree and the edges at vertex 0, so A's row 0
-    # and row sums stay; D changes, and the proof must see it off row 0
+    # and row sums stay, a product's as well as its factor's; D changes, and
+    # the proof must see it off row 0
     refuse_dense_solve(monkeypatch)
     oracle = FamilyOracle(spec)
-    original = oracle.graph
-    oracle.graph = two_switch(original)
-    assert np.array_equal(oracle.graph.degrees(), original.degrees())
-    assert np.array_equal(oracle.graph.indices[:original.indptr[1]],
+    original, switched = mutate_graph(oracle, monkeypatch, two_switch)
+    assert np.array_equal(switched.degrees(), original.degrees())
+    assert np.array_equal(switched.indices[:original.indptr[1]],
                           original.indices[:original.indptr[1]])
     assert_graph_route_refuses(oracle, "no translate of an edge at vertex 0")
 
 
 def test_group_matrix_route_refuses_an_irregular_graph(monkeypatch):
     refuse_dense_solve(monkeypatch)
-    spec = Kron(Complete(4), Cycle(5))
-    edges = set(build_family(spec).edges())
+    edges = set(build_family(Cycle(5)).edges())
     away = min(e for e in edges if 0 not in e)
-    assert (1, 2) not in edges
-    for mutated in (edges - {away}, edges | {(1, 2)}):
-        oracle = FamilyOracle(spec)
-        oracle.graph = graph_of_edges(20, mutated)
-        assert_graph_route_refuses(oracle, "not regular")
+    assert (1, 3) not in edges
+    # C5 itself, and C5 as the factor of a product
+    for spec in (Cycle(5), Kron(Complete(4), Cycle(5))):
+        for mutated in (edges - {away}, edges | {(1, 3)}):
+            oracle = FamilyOracle(spec)
+            mutate_graph(oracle, monkeypatch, lambda g, e=mutated: graph_of_edges(5, e))
+            assert_graph_route_refuses(oracle, "not regular")
 
 
 def test_group_matrix_route_checks_the_wrapped_translations():
@@ -384,9 +403,9 @@ def test_group_matrix_route_refuses_a_wrong_shape(monkeypatch):
         translation_neighbours(g, (5, 4))  # the factors swapped
     with pytest.raises(NonSymmetricMatrixError, match=r"not a Cayley graph over Z_\(3, 5\)"):
         translation_neighbours(g, (3, 5))
-    oracle = FamilyOracle(Kron(Complete(4), Cycle(5)))
-    oracle.shape = (5, 4)
-    assert_graph_route_refuses(oracle, "no translate")
+    # the same proof refuses the product's table read off its factors
+    with pytest.raises(NonSymmetricMatrixError, match="no translate"):
+        translation_neighbours(translation_table(Kron(Complete(4), Cycle(5))), (5, 4))
 
 
 def test_group_matrix_route_checks_the_cap_first(monkeypatch):

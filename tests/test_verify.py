@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kronspectra import polynomials, verify
+from kronspectra import graphs, polynomials, verify
 from kronspectra.errors import NonSymmetricMatrixError, OrderCapError
 from kronspectra.graphs import (
     Complete,
@@ -174,6 +174,83 @@ def test_family_oracle_keeps_no_failed_solve(monkeypatch):
             oracle.eigenvalues("distance")
     assert calls == [(3, 3, 3)] * 2
     assert "neighbours" not in vars(oracle)
+
+
+# Mutations of C7 away from vertex 0: the 2-switch of 1-2 and 3-4 into 1-3
+# and 2-4 keeps every degree, and the chord 2-5 does not
+FACTOR_MUTATIONS = {
+    "switched": ({"removed": [(1, 2), (3, 4)], "added": [(1, 3), (2, 4)]},
+                 r"edge 1-3 is no translate of an edge at vertex 0 in Z_\(7,\)$"),
+    "irregular": ({"added": [(2, 5)]}, r"not regular, so not a Cayley graph over Z_\(7,\)$"),
+}
+
+
+@pytest.mark.parametrize("mutation", FACTOR_MUTATIONS)
+@pytest.mark.parametrize("spec", [Kron(Complete(3), Cycle(7)),
+                                  Kron(Complete(4), Kron(Cycle(7), Complete(3)))])
+def test_product_route_refuses_a_mutated_factor(spec, mutation, monkeypatch):
+    change, message = FACTOR_MUTATIONS[mutation]
+    mutated, build = _with_edges_changed(graphs.build_family(Cycle(7)), **change), graphs._build_atom
+    # every product reads the mutated graph for its C7 factor
+    monkeypatch.setattr(graphs, "_build_atom",
+                        lambda factor: mutated if factor == Cycle(7) else build(factor))
+    for matrix in ("distance", "adjacency"):
+        oracle = FamilyOracle(spec)
+        # the C7 factor's own proof, with its vertices and its shape, raises
+        with pytest.raises(NonSymmetricMatrixError, match=message):
+            oracle.eigenvalues(matrix)
+        assert "neighbours" not in vars(oracle)
+
+
+def test_shaped_product_builds_only_its_atoms(monkeypatch):
+    graphs._build_atom.cache_clear()
+    orders = []
+    init = Graph.__init__
+    monkeypatch.setattr(Graph, "__init__",
+                        lambda self, indptr, indices: orders.append(len(indptr) - 1)
+                        or init(self, indptr, indices))
+
+    def no_product(g, h):
+        raise AssertionError("a shaped product built its CSR")
+
+    monkeypatch.setattr(graphs, "kronecker_product", no_product)
+    for spec, atoms in ((Kron(Complete(3), Cycle(7)), [3, 7]),
+                        (Kron(Complete(4), Kron(Complete(3), Cycle(7))), [4]),
+                        (Kron(Hamming(2, 3), Cycle(7)), [9])):
+        orders.clear()
+        oracle = FamilyOracle(spec)
+        for matrix in ("distance", "adjacency"):
+            assert oracle.eigenvalues(matrix).size == graphs.family_order(spec)
+        # K3 and C7 come from the memo the second time
+        assert orders == atoms, spec
+        assert "graph" not in vars(oracle)
+    orders.clear()
+    assert verify_family(Kron(Complete(3), Cycle(7))).match
+    assert orders == []  # K3 and C7 from the memo, and no product
+
+
+def test_shaped_product_refusals_keep_their_text_and_order(monkeypatch):
+    calls = []
+    for namespace, name in ((graphs, "_build_atom"), (graphs, "kronecker_product"),
+                            (verify, "translation_table")):
+        monkeypatch.setattr(namespace, name, lambda *args, _name=name: calls.append(_name))
+    big = Kron(Complete(200), Cycle(200))
+    product_cap = r"^kron\(K200,C200\) has 40000 vertices, cap is 20000$"
+    for cap in (None, "10"):
+        # the product cap comes first, with or without a dense cap below it
+        if cap is not None:
+            monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", cap)
+        for matrix in ("distance", "adjacency"):
+            with pytest.raises(OrderCapError, match=product_cap):
+                FamilyOracle(big).eigenvalues(matrix)
+    [report] = run_grid([(big, "distance-spectrum")])
+    assert report.error == "OrderCapError: kron(K200,C200) has 40000 vertices, cap is 20000"
+    small = FamilyOracle(Kron(Complete(3), Cycle(5)))
+    for matrix, name in (("distance", "distance matrix"), ("adjacency", "matrix")):
+        with pytest.raises(OrderCapError, match=f"^{name} order 15 exceeds dense cap 10$"):
+            small.eigenvalues(matrix)
+    # both refusals come before any factor is built or any table allocated
+    assert calls == [] and "neighbours" not in vars(small)
 
 
 @pytest.mark.xfail(strict=True, reason="the odd-cycle closed form's (1/4)/cos^2(pi j/2n)"
