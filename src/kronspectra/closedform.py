@@ -37,6 +37,7 @@ cycle forms' a_1 = 0, and takes the complete-product form.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -206,30 +207,44 @@ def _integer_value(coeffs: list[Fraction], x: int) -> int:
 
 def eigen_table(spec: FamilySpec) -> EigenTable:
     """The (a, d, mult) table and a_1 = 0 flag of a cycle, complete, Johnson
-    or Hamming graph."""
+    or Hamming graph.  A complete, Johnson or Hamming table is computed once
+    per process and shared, with read-only columns; a cycle table (n float
+    rows, and closed forms reach cycles of 10^6 vertices) is computed on
+    every call."""
     if isinstance(spec, Cycle):
         return EigenTable(cycle_adjacency_eigenvalues(spec.n),
                           cycle_distance_eigenvalues(spec.n),
                           np.ones(spec.n, dtype=np.int64), spec.n >= 4)
-    if isinstance(spec, Complete):
-        if spec.n == 1:
-            zero, one = np.array([0], dtype=object), np.array([1], dtype=object)
-            return EigenTable(zero, zero, one, False)
-        spec = Johnson(spec.n, 1)  # K_n is J(n, 1)
-    if isinstance(spec, (Johnson, Hamming)):
-        # D = p(A) gives d = p(a)
-        arr = intersection_array(spec)
+    return _integer_table(spec)
+
+
+# bounded as the graph module's atom memo is; a grid run at order 1200 asks
+# for 123 distinct integer tables
+@functools.lru_cache(maxsize=128)
+def _integer_table(spec: FamilySpec) -> EigenTable:
+    if spec == Complete(1):
+        a = d = [0]
+        mult, triangle_free = [1], False
+    else:
+        if isinstance(spec, Complete):
+            spec = Johnson(spec.n, 1)  # K_n is J(n, 1)
         if isinstance(spec, Johnson):
             a = johnson_adjacency_eigenvalues(spec.m, spec.r)
             mult = johnson_adjacency_multiplicities(spec.m, spec.r)
-        else:
+        elif isinstance(spec, Hamming):
             a = hamming_adjacency_eigenvalues(spec.d, spec.q)
             mult = hamming_adjacency_multiplicities(spec.d, spec.q)
+        else:
+            raise NoClosedFormError("eigen-tables cover the base families only")
+        # D = p(A) gives d = p(a)
+        arr = intersection_array(spec)
         p = arr.distance_polynomial()
         d = [_integer_value(p, x) for x in a]
-        return EigenTable(*(np.array(col, dtype=object) for col in (a, d, mult)),
-                          arr.a(1) == 0)
-    raise NoClosedFormError("eigen-tables cover the base families only")
+        triangle_free = arr.a(1) == 0
+    columns = [np.array(col, dtype=object) for col in (a, d, mult)]
+    for column in columns:
+        column.flags.writeable = False
+    return EigenTable(*columns, triangle_free)
 
 
 def kron_complete_law(n: int, table: EigenTable, group_tol: float = 1e-6) -> Spectrum:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -421,8 +422,16 @@ def _bfs_depths(g: Graph | np.ndarray) -> tuple[np.ndarray, int]:
     * a queue step (``_queue_level``) in plain Python when the frontier has
       at most ``_NARROW_LEVEL_EDGES`` edges (128: a queue edge costs
       55-150 ns and a numpy level 9-12 us, so the two meet between 128 and
-      256 edges), on neighbour rows made into Python lists the first time
-      a level is that narrow;
+      256 edges), on the frontier's neighbour rows as Python lists.  A
+      level converts only its frontier's rows (``_frontier_rows``), at a
+      fixed cost a call, until the levels pay for converting the whole
+      table once (``_python_rows``): rated at ``_NARROW_LEVEL_EDGES``
+      stored neighbours a level, either the narrow levels so far or, once
+      the frontier has stopped growing, the ``unvisited / len(frontier)``
+      levels of its width still to come reach the table's n * degree.  So
+      a wide graph, whose narrow levels are its first few and its last
+      few, never converts its table, and a cycle or a cycle product
+      converts it as soon as its frontier stops growing;
     * on a regular graph, a bottom-up step (``_bottom_up_level``; Beamer,
       Asanovic and Patterson, "Direction-optimizing breadth-first search",
       SC 2012) from the first wider level whose unvisited vertices are no
@@ -448,32 +457,42 @@ def _bfs_depths(g: Graph | np.ndarray) -> tuple[np.ndarray, int]:
     seen = memoryview(depth)
     owner = np.empty(n, dtype=np.intp)
     rows = pending = None
-    unvisited, components, start = n, 0, 0
+    stored = n * degree if table is not None else g.indices.size
+    unvisited, components, start, narrow = n, 0, 0, 0
     while unvisited:
         while seen[start] >= 0:
             start += 1
         components += 1
-        seen[start] = level = 0
+        seen[start] = level = width = 0
         unvisited -= 1
         frontier = [start]
         while unvisited and len(frontier):
             level += 1
+            size = len(frontier)
             if table is not None:
-                edges = len(frontier) * degree
+                edges = size * degree
             else:
                 edges = int(degrees[frontier].sum())
             if edges <= _NARROW_LEVEL_EDGES:
-                if rows is None:
+                narrow += 1
+                if rows is None and (
+                        narrow * _NARROW_LEVEL_EDGES >= stored
+                        or size <= width and unvisited * _NARROW_LEVEL_EDGES >= stored * size):
                     rows = _python_rows(g, table)
                 if not isinstance(frontier, list):
                     frontier = frontier.tolist()
-                frontier = _queue_level(rows, seen, frontier, level)
-            elif table is not None and (pending is not None or unvisited <= len(frontier)):
+                if rows is None:
+                    frontier_rows = _frontier_rows(g, table, frontier)
+                else:
+                    frontier_rows = map(rows.__getitem__, frontier)
+                frontier = _queue_level(frontier_rows, seen, level)
+            elif table is not None and (pending is not None or unvisited <= size):
                 if pending is None:
                     pending = np.flatnonzero(depth < 0)
                 pending, frontier = _bottom_up_level(table, depth, pending, level)
             else:
                 frontier = _top_down_level(g, table, depth, owner, frontier, level)
+            width = size
             unvisited -= len(frontier)
     return depth, components
 
@@ -495,13 +514,23 @@ def _python_rows(g: Graph, table: np.ndarray | None) -> list[list[int]]:
     return [flat[a:b] for a, b in zip(ends, ends[1:])]
 
 
-def _queue_level(rows: list[list[int]], seen: memoryview, frontier: list[int],
-                 level: int) -> list[int]:
-    """Queue step: the unvisited neighbours of the frontier, in the order
-    found, each given depth ``level``."""
+def _frontier_rows(g: Graph, table: np.ndarray | None,
+                   frontier: list[int]) -> list[list[int]]:
+    """The neighbours of each frontier vertex as a Python list, in
+    frontier order."""
+    if table is not None:
+        return table[frontier].tolist()
+    starts, stops = g.indptr[frontier].tolist(), g.indptr[np.add(frontier, 1)].tolist()
+    return [g.indices[a:b].tolist() for a, b in zip(starts, stops)]
+
+
+def _queue_level(frontier_rows, seen: memoryview, level: int) -> list[int]:
+    """Queue step: the unvisited neighbours of the frontier, given as its
+    vertices' neighbour lists, in the order found, each given depth
+    ``level``."""
     found = []
-    for u in frontier:
-        for v in rows[u]:
+    for row in frontier_rows:
+        for v in row:
             if seen[v] < 0:
                 seen[v] = level
                 found.append(v)
@@ -626,13 +655,23 @@ def translation_neighbours(g: Graph | np.ndarray, shape: tuple[int, ...]) -> np.
     return nbrs
 
 
+# Each atom's proven table, kept with the very graph object that
+# ``_build_atom`` returned for it (the memo returns one object per spec), so
+# the products that share a factor prove it once, while another graph for
+# the same spec is proven afresh.  The table is a view of that graph's
+# read-only ``indices``, so keeping it costs no memory, and it goes when
+# the graph does.
+_atom_tables = weakref.WeakKeyDictionary()
+
+
 def translation_table(spec: FamilySpec) -> np.ndarray:
     """The (n, degree) neighbour table of a shaped family's graph, proven
     ``Cay(Z_shape, N(0))`` for ``shape = translation_shape(spec)``, with no
     product graph built.
 
-    An atom is built (once per process) and proven on its CSR by
-    ``translation_neighbours``.  A product is read off its factors' proven
+    An atom is built and proven on its CSR by ``translation_neighbours``,
+    each once per process: the proof is kept with the graph object the
+    atom memo returned.  A product is read off its factors' proven
     tables: if G = Cay(Z_a, S) and H = Cay(Z_b, T), then (x, y) ~ (u, v) in
     G (x) H iff u - x is in S and v - y in T, so G (x) H = Cay(Z_a x Z_b,
     S x T) (Hammack, Imrich and Klavzar, *Handbook of Product Graphs*,
@@ -646,7 +685,11 @@ def translation_table(spec: FamilySpec) -> np.ndarray:
     """
     refuse_past_product_cap(spec)
     if not isinstance(spec, Kron):
-        return translation_neighbours(_build_atom(spec), translation_shape(spec))
+        graph = _build_atom(spec)
+        table = _atom_tables.get(graph)
+        if table is None:
+            table = _atom_tables[graph] = translation_neighbours(graph, translation_shape(spec))
+        return table
     left, right = translation_table(spec.left), translation_table(spec.right)
     table = left[:, None, :, None] * len(right) + right[None, :, None, :]
     table = table.reshape(len(left) * len(right), left.shape[1] * right.shape[1])
@@ -755,10 +798,13 @@ def distance_row(g: Graph | np.ndarray) -> np.ndarray:
 
     The BFS (``_bfs_depths``) runs each level as a Python queue step while
     the frontier has at most ``_NARROW_LEVEL_EDGES`` (128, the measured
-    crossover) edges, else as a sort-free top-down numpy step, and on a
-    regular graph as a bottom-up numpy step from the first wider level
-    whose unvisited vertices are no more than its frontier.  It stops at
-    the level that reaches the last vertex."""
+    crossover) edges, on Python lists of the frontier's rows until the
+    narrow levels, done or foreseen, pay for converting the whole table;
+    else as a
+    sort-free top-down numpy step, and on a regular graph as a bottom-up
+    numpy step from the first wider level whose unvisited vertices are no
+    more than its frontier.  It stops at the level that reaches the last
+    vertex."""
     depth, components = _bfs_depths(g)
     if components > 1:
         raise DisconnectedGraphError("graph is disconnected")

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kronspectra import polynomials, verify
+from kronspectra import closedform, graphs, polynomials, verify
 from kronspectra.cli import main, parse_family
 from kronspectra.errors import FamilyDomainError, FamilyParseError
 from kronspectra.graphs import (
@@ -233,6 +233,18 @@ def test_grid_small_subset(tmp_path, capsys):
     assert summary["failed"] == 0
     assert summary["cases"] == len(records) - 1
     assert all(r["match"] for r in records[:-1])
+
+
+def test_grid_output_does_not_depend_on_warm_memos(capsys):
+    graphs._build_atom.cache_clear()
+    graphs._atom_tables.clear()
+    closedform._integer_table.cache_clear()
+    runs = []
+    for _ in range(2):  # cold memos, then warm
+        assert main(["grid", "--max-order", "60"]) == 0
+        runs.append(capsys.readouterr())
+    assert graphs._atom_tables and closedform._integer_table.cache_info().currsize
+    assert runs[0] == runs[1]
 
 
 def test_grid_builds_and_bfs_each_family_once(tmp_path, monkeypatch):

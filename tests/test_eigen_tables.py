@@ -61,3 +61,14 @@ def test_law_holds_wherever_the_table_is_honest(left, right):
     oracle = symmetric_eigenvalues(
         distance_matrix(build_family(Kron(Complete(left), right))).astype(float))
     assert np.max(np.abs(closed - oracle)) <= 1e-9 * max(1.0, np.abs(oracle).max())
+
+
+def test_integer_tables_are_shared_and_read_only():
+    for spec in (Hamming(3, 3), Johnson(6, 3), Complete(5), Complete(1)):
+        table = eigen_table(spec)
+        assert eigen_table(spec) is table
+        for column in (table.a, table.d, table.mult):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 7
+    # a cycle table has a row per vertex, so none is kept
+    assert eigen_table(Cycle(9)) is not eigen_table(Cycle(9))

@@ -272,6 +272,28 @@ def test_translation_table_is_the_proven_product_csr():
         translation_table(Kron(Complete(3), Johnson(5, 2)))  # a factor without a shape
 
 
+def test_translation_table_proves_each_atom_graph_once(monkeypatch):
+    graphs._build_atom.cache_clear()
+    proven = []
+    prove = graphs.translation_neighbours
+    monkeypatch.setattr(graphs, "translation_neighbours",
+                        lambda g, shape: proven.append(g) or prove(g, shape))
+    products = [spec for spec, _ in default_grid(1200)
+                if isinstance(spec, Kron) and translation_shape(spec) is not None]
+    for spec in products:
+        translation_table(spec)
+    # one proof per distinct atom graph, however many products share it
+    assert len({id(g) for g in proven}) == len(proven)
+    atoms = set()
+    for spec in products:
+        atoms.update(factor for factor in (spec.left, spec.right) if not isinstance(factor, Kron))
+    assert len(proven) == len(atoms)
+    # a new graph for the same atom is proven afresh
+    graphs._build_atom.cache_clear()
+    translation_table(Kron(Complete(3), Cycle(7)))
+    assert len(proven) == len(atoms) + 2
+
+
 # ---------------------------------------------------------------------------
 # Connectivity and parity
 # ---------------------------------------------------------------------------
@@ -425,7 +447,9 @@ def bfs_step_graphs():
              # two bottom-up levels, the second of which sees vertices the
              # first found next to each other
              Johnson(10, 5),
-             Kron(Complete(2), Cycle(8)), Kron(Complete(2), Complete(2))]
+             Kron(Complete(2), Cycle(8)), Kron(Complete(2), Complete(2)),
+             # wide tables whose narrow levels convert only their frontier
+             Hamming(10, 2), Kron(Complete(3), Hamming(4, 5))]
     return ([build_family(spec) for spec in specs]
             + [uneven_graph(70, 10, seed=70), uneven_graph(130, 60, seed=130),
                Graph([0, 1, 1, 2], [2, 0])])
@@ -473,6 +497,53 @@ def test_bfs_steps_and_levels(monkeypatch):
             # left behind a frontier of 100, every wide level is bottom-up
             assert steps == ["_queue_level", "_top_down_level", "_top_down_level",
                              "_bottom_up_level", "_bottom_up_level"]
+
+
+def test_narrow_levels_convert_only_their_frontier_rows(monkeypatch):
+    whole, frontiers = [], []
+    python_rows, frontier_rows = graphs._python_rows, graphs._frontier_rows
+    monkeypatch.setattr(graphs, "_python_rows",
+                        lambda g, table: whole.append(1) or python_rows(g, table))
+    monkeypatch.setattr(graphs, "_frontier_rows",
+                        lambda g, table, frontier: frontiers.append((table is None, len(frontier)))
+                        or frontier_rows(g, table, frontier))
+    for spec in (Hamming(10, 2), Kron(Complete(36), Complete(33)),
+                 Kron(Complete(3), Hamming(4, 5))):
+        g = build_family(spec)
+        sources = [g, g.indices.reshape(g.vertex_count, -1)]
+        if isinstance(spec, Kron):
+            sources.append(translation_table(spec))
+        for source in sources:
+            whole.clear(), frontiers.clear()
+            depth = graphs.distance_row(source)
+            assert depth.tolist() == naive_bfs_distances(g, [0])[0].tolist(), spec
+            # no whole-table conversion; each narrow level converts its own
+            # rows (kron(K36,K33) has none: vertex 0 alone has 1120 edges)
+            assert whole == [], spec
+            assert bool(frontiers) == (spec != Kron(Complete(36), Complete(33))), spec
+            degree = int(g.indptr[1])
+            assert all(not irregular and size * degree <= graphs._NARROW_LEVEL_EDGES
+                       for irregular, size in frontiers), spec
+    # a cycle's or a cycle product's levels stay narrow: the whole table is
+    # converted, once, at the first narrow level whose frontier is no wider
+    # than the last (C600: frontiers 1, 2, 2; kron(K4,C254): 1, 6, 11, 10;
+    # kron(K6,C197): 1, 10, then 17 and 14 in numpy, then 12)
+    for spec, converted in ((Cycle(600), 2), (Kron(Complete(4), Cycle(254)), 3),
+                            (Kron(Complete(6), Cycle(197)), 2)):
+        g = build_family(spec)
+        whole.clear(), frontiers.clear()
+        depth = graphs.distance_row(translation_table(spec) if isinstance(spec, Kron) else g)
+        assert depth.tolist() == naive_bfs_distances(g, [0])[0].tolist(), spec
+        assert whole == [1] and len(frontiers) == converted, spec
+    # a small graph's first narrow level already pays for its table
+    whole.clear(), frontiers.clear()
+    graphs.distance_row(build_family(Cycle(9)))
+    assert whole == [1] and frontiers == []
+    # an irregular graph converts its frontier rows from the CSR
+    whole.clear(), frontiers.clear()
+    g = uneven_graph(130, 60, seed=130)
+    assert graphs._bfs_depths(g)[0].tolist() == naive_bfs_distances(g, [0])[0].tolist()
+    assert frontiers and all(irregular for irregular, _ in frontiers)
 
 
 def disjoint_copies(component: Graph, copies: int) -> Graph:
