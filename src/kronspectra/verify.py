@@ -41,7 +41,6 @@ from .graphs import (
     family_order,
     family_to_string,
     refuse_past_product_cap,
-    translation_neighbours,
     translation_shape,
     translation_table,
 )
@@ -207,12 +206,12 @@ class FamilyOracle:
     A family with a translation shape (``graphs.translation_shape``) is
     proven a Cayley graph (``neighbours``), so D and A are symmetric group
     matrices and row 0 carries them (``row``): row 0 of D is one BFS from
-    vertex 0, and the eigenvalues are one DFT of it.  An atom is proven on
-    its CSR; a product's neighbour table is read off its factors' proven
-    tables, so neither its graph nor any n x n matrix is built for it.
-    Orders past the dense cap are refused as the dense matrices would be.
-    Any other family gets the float64 ``adjacency`` and the BFS
-    ``distances``, and a dense solve.
+    vertex 0, and the eigenvalues are one DFT of it.  The proof and the
+    neighbour table are ``graphs.translation_table``'s, so no n x n matrix
+    is built for it and no graph is kept here.  Orders past the dense cap
+    are refused as the dense matrices would be.  Any other family gets its
+    ``graph``, the float64 ``adjacency`` and the BFS ``distances``, and a
+    dense solve.
 
     A computation that raises stores nothing, so every check that reads it
     raises the same error.
@@ -241,11 +240,8 @@ class FamilyOracle:
     @functools.cached_property
     def neighbours(self) -> np.ndarray:
         """The (n, degree) neighbour array of a shaped family's graph, once
-        it is proven ``Cay(Z_shape, N(0))``: an atom's on its ``graph``, a
-        product's from its factors (``graphs.translation_table``)."""
-        if isinstance(self.spec, Kron):
-            return translation_table(self.spec)
-        return translation_neighbours(self.graph, self.shape)
+        it is proven ``Cay(Z_shape, N(0))`` (``graphs.translation_table``)."""
+        return translation_table(self.spec)
 
     def row(self, matrix: str) -> np.ndarray:
         """Row 0 of a shaped family's D (``"distance"``) or A

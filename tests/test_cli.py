@@ -1,5 +1,6 @@
 """Command-line interface: parsing, commands, exit codes, formats."""
 
+import hashlib
 import json
 from collections import Counter
 
@@ -237,14 +238,51 @@ def test_grid_small_subset(tmp_path, capsys):
 
 def test_grid_output_does_not_depend_on_warm_memos(capsys):
     graphs._build_atom.cache_clear()
-    graphs._atom_tables.clear()
+    graphs._atom_table.cache_clear()
     closedform._integer_table.cache_clear()
     runs = []
     for _ in range(2):  # cold memos, then warm
         assert main(["grid", "--max-order", "60"]) == 0
         runs.append(capsys.readouterr())
-    assert graphs._atom_tables and closedform._integer_table.cache_info().currsize
+    assert graphs._atom_table.cache_info().currsize and closedform._integer_table.cache_info().currsize
     assert runs[0] == runs[1]
+
+
+# SHA-256 of the verdicts of ``kronspectra grid --max-order 1200`` and of
+# their closed side, as ``grid_verdict_digest`` reads them
+GRID_1200_VERDICT_DIGEST = "78dc1c35e8f4f59a3fadc43ec5030f9f6320930a45841755278be7d9a4b240b9"
+
+
+def grid_verdict_digest(lines):
+    """SHA-256 over each report's family, check, match, notes and error, its
+    closed form's order and multiplicities, and its closed values where the
+    form's grouping tolerance is 0 (exact spectra), then the summary.  The
+    oracle spectra and the gaps depend on BLAS and the FFT, and stay out."""
+    digest = hashlib.sha256()
+    for line in lines:
+        record = json.loads(line)
+        if "summary" not in record:
+            closed = record["closed_form"]
+            if closed is not None:
+                pairs = closed["pairs"]
+                closed = {"order": closed["order"],
+                          "multiplicities": [pair["multiplicity"] for pair in pairs],
+                          "values": ([pair["value"] for pair in pairs]
+                                     if closed["tol"] == 0 else None)}
+            record = {key: record.get(key) for key in
+                      ("family", "check", "match", "discrepancy_notes", "error")}
+            record["closed_form"] = closed
+        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_grid_verdicts_and_exact_closed_forms_are_pinned(capsys):
+    assert main(["grid", "--max-order", "1200"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 554 and captured.err == ""
+    assert json.loads(lines[-1]) == {"summary": {"cases": 553, "passed": 553, "failed": 0}}
+    assert grid_verdict_digest(lines) == GRID_1200_VERDICT_DIGEST
 
 
 def test_grid_builds_and_bfs_each_family_once(tmp_path, monkeypatch):
@@ -265,18 +303,25 @@ def test_grid_builds_and_bfs_each_family_once(tmp_path, monkeypatch):
             return distance_matrix(graph)
         return wrapper
 
-    for module in (verify, polynomials):
+    graphs._build_atom.cache_clear()
+    graphs._atom_table.cache_clear()
+    for module in (verify, polynomials, graphs):
         monkeypatch.setattr(module, "build_family", counted_build(module.build_family))
+    for module in (verify, polynomials):
         monkeypatch.setattr(module, "distance_matrix", counted_bfs(module.distance_matrix))
     code = main(["grid", "--max-order", "64", "--output", str(tmp_path / "grid.jsonl")])
     assert code == 0
     cases = verify.default_grid(64)
     # a shaped product is read off its factors' proven tables, so only an
-    # atom or an unshaped family builds its graph, once
+    # atom or an unshaped family builds its graph, once, and each atom
+    # factor of a product once more, for the factor memos
     shaped_products = {spec for spec, _ in cases
                        if isinstance(spec, Kron) and translation_shape(spec) is not None}
     assert shaped_products
-    assert builds == Counter({spec: 1 for spec, _ in cases if spec not in shaped_products})
+    factors = {factor for spec, _ in cases if isinstance(spec, Kron)
+               for factor in (spec.left, spec.right)}
+    assert builds == (Counter({spec: 1 for spec, _ in cases if spec not in shaped_products})
+                      + Counter(factors))
     # a shaped family reads its distances off one BFS from vertex 0, and
     # only an unshaped one needs the all-sources BFS
     assert bfs == Counter({spec: 1 for spec, kind in cases

@@ -274,6 +274,7 @@ def test_translation_table_is_the_proven_product_csr():
 
 def test_translation_table_proves_each_atom_graph_once(monkeypatch):
     graphs._build_atom.cache_clear()
+    graphs._atom_table.cache_clear()
     proven = []
     prove = graphs.translation_neighbours
     monkeypatch.setattr(graphs, "translation_neighbours",
@@ -288,10 +289,13 @@ def test_translation_table_proves_each_atom_graph_once(monkeypatch):
     for spec in products:
         atoms.update(factor for factor in (spec.left, spec.right) if not isinstance(factor, Kron))
     assert len(proven) == len(atoms)
-    # a new graph for the same atom is proven afresh
-    graphs._build_atom.cache_clear()
+    # a top-level atom is proven afresh on every call, and a factor once
+    # the table memo has dropped it
+    translation_table(Cycle(7))
+    assert len(proven) == len(atoms) + 1
+    graphs._atom_table.cache_clear()
     translation_table(Kron(Complete(3), Cycle(7)))
-    assert len(proven) == len(atoms) + 2
+    assert len(proven) == len(atoms) + 3
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import ast
 from pathlib import Path
 
 import kronspectra
+from kronspectra.graphs import Hamming, Johnson
+from kronspectra.verify import FamilyOracle, poly_report, verify_family
 
 PACKAGE = Path(kronspectra.__file__).parent
 
@@ -43,6 +45,41 @@ def test_closedform_does_not_import_polynomials():
 def test_polynomials_does_not_import_verify():
     # verify runs the p(A) = D check on its oracle; polynomials only gives p
     assert "verify" not in imported_modules(PACKAGE / "polynomials.py")
+
+
+def names_used(path):
+    """Every name a source file imports, reads or reads as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.split(".")[-1] for alias in node.names)
+    return found
+
+
+def test_only_graphs_proves_a_translation_shape():
+    # graphs.translation_table builds, proves and tabulates every shaped
+    # family, so no other module reaches the proof itself
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "graphs.py":
+            assert "translation_neighbours" not in names_used(path), path.name
+    assert "translation_neighbours" in names_used(PACKAGE / "graphs.py")
+
+
+def test_a_shaped_atom_oracle_keeps_no_graph():
+    # its graph is built and proven in graphs.translation_table, and only an
+    # unshaped family's oracle holds a graph
+    for spec in (Hamming(3, 3), Johnson(7, 1)):
+        oracle = FamilyOracle(spec)
+        assert oracle.shape is not None
+        for check in (lambda: verify_family(spec, 1e-6, "adjacency", oracle),
+                      lambda: verify_family(spec, 1e-6, "distance", oracle),
+                      lambda: poly_report(spec, 1e-8, oracle)):
+            assert check().match
+        assert "graph" not in vars(oracle), spec
 
 
 def test_imported_modules_sees_every_import_form(tmp_path):

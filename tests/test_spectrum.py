@@ -15,6 +15,7 @@ from kronspectra.errors import NonSymmetricMatrixError, OrderCapError
 from kronspectra.graphs import (
     Complete,
     Cycle,
+    Graph,
     Hamming,
     Kron,
     build_family,
@@ -325,18 +326,16 @@ def assert_graph_route_refuses(oracle, match):
 
 
 def mutate_graph(oracle, monkeypatch, mutate):
-    """Make ``oracle`` read ``mutate(graph)`` for its graph.  A product's
-    graph is never built, so the mutation goes into its right factor, whose
-    proven table the product's is read from."""
+    """Make ``oracle`` read ``mutate(graph)`` for its graph.  An atom's
+    graph is built by ``graphs.build_family``.  A product's graph is never
+    built, so the mutation goes into its right factor, built by the atom
+    memo, whose proven table the product's is read from."""
     spec = oracle.spec
-    if not isinstance(spec, Kron):
-        original = oracle.graph
-        oracle.graph = mutate(original)
-        return original, oracle.graph
-    original, build = build_family(spec.right), graphs._build_atom
+    target, name = (spec.right, "_build_atom") if isinstance(spec, Kron) else (spec, "build_family")
+    original, build = build_family(target), getattr(graphs, name)
     mutated = mutate(original)
-    monkeypatch.setattr(graphs, "_build_atom",
-                        lambda factor: mutated if factor == spec.right else build(factor))
+    monkeypatch.setattr(graphs, name, lambda other: mutated if other == target else build(other))
+    graphs._atom_table.cache_clear()
     return original, mutated
 
 
@@ -403,9 +402,12 @@ def test_group_matrix_route_refuses_a_wrong_shape(monkeypatch):
         translation_neighbours(g, (5, 4))  # the factors swapped
     with pytest.raises(NonSymmetricMatrixError, match=r"not a Cayley graph over Z_\(3, 5\)"):
         translation_neighbours(g, (3, 5))
-    # the same proof refuses the product's table read off its factors
+    # the same proof refuses the graph of the product's table read off its
+    # factors
+    table = translation_table(Kron(Complete(4), Cycle(5)))
+    n, degree = table.shape
     with pytest.raises(NonSymmetricMatrixError, match="no translate"):
-        translation_neighbours(translation_table(Kron(Complete(4), Cycle(5))), (5, 4))
+        translation_neighbours(Graph(degree * np.arange(n + 1), table.ravel()), (5, 4))
 
 
 def test_group_matrix_route_checks_the_cap_first(monkeypatch):
