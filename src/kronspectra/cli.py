@@ -55,8 +55,17 @@ EXIT_MISMATCH = 2
 # Family string parsing
 # ---------------------------------------------------------------------------
 
+# Deepest ``kron(`` nesting that parses.  64 atoms already give a shaped
+# family 64 group axes, numpy's limit on an array's dimensions, which the
+# oracle's row has; and a product of atoms of 2 or more vertices passes
+# PRODUCT_VERTEX_CAP within 14 levels.  Deeper text would end in a
+# RecursionError, not a parse error.
+KRON_NESTING_CAP = 63
+
+
 def parse_family(text: str) -> FamilySpec:
-    """Parse 'C5', 'K3', 'J(4,2)', 'H(2,3)' or 'kron(<family>,<family>)'."""
+    """Parse 'C5', 'K3', 'J(4,2)', 'H(2,3)' or 'kron(<family>,<family>)',
+    with ``kron(`` nested at most KRON_NESTING_CAP deep."""
     parser = _FamilyParser(text)
     spec = parser.parse_family()
     parser.skip_spaces()
@@ -69,6 +78,7 @@ class _FamilyParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> FamilyParseError:
         return FamilyParseError(message, self.pos)
@@ -97,11 +107,15 @@ class _FamilyParser:
         if self.pos >= len(self.text):
             raise self.error("expected a family")
         if self.text.startswith("kron(", self.pos):
+            if self.depth == KRON_NESTING_CAP:
+                raise self.error(f"kron( nested more than {KRON_NESTING_CAP} deep")
             self.pos += len("kron(")
+            self.depth += 1
             left = self.parse_family()
             self.expect(",")
             right = self.parse_family()
             self.expect(")")
+            self.depth -= 1
             return Kron(left, right)
         head = self.text[self.pos]
         if head == "C":
@@ -333,10 +347,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KronSpectraError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as err:
+    except (KronSpectraError, ValueError, OSError, MemoryError) as err:
+        # an unwritable --output, or a closed form too large to allocate
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -218,8 +218,8 @@ def eigen_table(spec: FamilySpec) -> EigenTable:
     return _integer_table(spec)
 
 
-# bounded as the graph module's atom memo is; a grid run at order 1200 asks
-# for 123 distinct integer tables
+# bounded as the graph module's factor-table memo is; a grid run at order
+# 1200 asks for 123 distinct integer tables
 @functools.lru_cache(maxsize=128)
 def _integer_table(spec: FamilySpec) -> EigenTable:
     if spec == Complete(1):

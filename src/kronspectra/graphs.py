@@ -311,13 +311,10 @@ def refuse_past_product_cap(spec: FamilySpec) -> int:
 
 def build_family(spec: FamilySpec) -> Graph:
     """Construct the graph for a family spec in its canonical vertex order;
-    a spec over PRODUCT_VERTEX_CAP vertices is refused before any building.
-    A product's atom factors come from a small per-process memo, so the
-    factors that a grid's products share are built and validated once; a
-    Graph's arrays are read-only, so sharing one is safe."""
+    a spec over PRODUCT_VERTEX_CAP vertices is refused before any building."""
     n = refuse_past_product_cap(spec)
     if isinstance(spec, Kron):
-        return kronecker_product(_build_factor(spec.left), _build_factor(spec.right))
+        return kronecker_product(build_family(spec.left), build_family(spec.right))
     if isinstance(spec, Cycle):
         i = np.arange(n)
         nbrs = np.sort(np.stack([(i - 1) % n, (i + 1) % n], axis=1), axis=1)
@@ -329,21 +326,6 @@ def build_family(spec: FamilySpec) -> Graph:
     if isinstance(spec, Hamming):
         return _build_hamming(spec.d, spec.q)
     raise TypeError(f"not a family spec: {spec!r}")
-
-
-def _build_factor(spec: FamilySpec) -> Graph:
-    return build_family(spec) if isinstance(spec, Kron) else _build_atom(spec)
-
-
-# Only factors are kept, as graphs here and as proven tables in
-# ``_atom_table``: a top-level family is built once per grid family anyway,
-# and keeping those too (the grid's base families reach 1024 vertices)
-# raised the peak RSS of a ``grid --max-order 1200`` run from 40.0 to
-# 43.5 MB (10 fresh runs each, 2-vCPU Xeon, numpy 2.4) for a few ms saved.
-# The products of the default grid at order 1200 have 67 distinct atom factors.
-@functools.lru_cache(maxsize=128)
-def _build_atom(spec: FamilySpec) -> Graph:
-    return build_family(spec)
 
 
 def _build_johnson(m: int, r: int) -> Graph:
@@ -668,13 +650,10 @@ def translation_table(spec: FamilySpec) -> np.ndarray:
     u * |V(H)| + v, the row of (x, y) is u * |V(H)| + v over u in row x of
     G and v in row y of H, already sorted since v < |V(H)|.  So the table
     is ``np.array_equal`` to, and has the dtype of,
-    ``translation_neighbours(build_family(spec), shape)``.  As in
-    ``build_family``, a product's atom factors come from a small
-    per-process memo (``_atom_table``), so the factors that a grid's
-    products share are built and proven once, and a top-level atom is
-    built and proven afresh.  A spec over PRODUCT_VERTEX_CAP vertices is
-    refused before anything is built; a family or factor that has no
-    shape or fails its proof raises NonSymmetricMatrixError.
+    ``translation_neighbours(build_family(spec), shape)``.  A spec over
+    PRODUCT_VERTEX_CAP vertices is refused before anything is built; a
+    family or factor that has no shape or fails its proof raises
+    NonSymmetricMatrixError.
     """
     refuse_past_product_cap(spec)
     if not isinstance(spec, Kron):
@@ -686,15 +665,17 @@ def translation_table(spec: FamilySpec) -> np.ndarray:
     return table
 
 
-def _factor_table(spec: FamilySpec) -> np.ndarray:
-    return translation_table(spec) if isinstance(spec, Kron) else _atom_table(spec)
-
-
-# A proven atom table is a view of its memoized graph's read-only
-# ``indices``, so keeping it costs no memory beyond that graph's.
-@functools.lru_cache(maxsize=128)
-def _atom_table(spec: FamilySpec) -> np.ndarray:
-    return translation_neighbours(_build_atom(spec), translation_shape(spec))
+# The one memo of this module: the proven tables of products' factors, so
+# that the factors a grid's products share are built and proven once per
+# process (the shaped products of the default grid at order 1200 have 58
+# distinct factors).  No graph is kept: an atom's table is a read-only view
+# of its graph's ``indices``, and an unshaped product builds its factors
+# afresh.
+# A top-level family is built once per grid family anyway, and keeping
+# those too (the grid's base families reach 1024 vertices) raised the peak
+# RSS of a ``grid --max-order 1200`` run from 40.0 to 43.5 MB (10 fresh
+# runs each, 2-vCPU Xeon, numpy 2.4) for a few ms saved.
+_factor_table = functools.lru_cache(maxsize=128)(translation_table)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,9 @@ __all__ = [
     "oracle_adjacency_spectrum",
     "FamilyReport",
     "verify_family",
+    "poly_report",
+    "johnson_parameter_grid",
+    "hamming_parameter_grid",
     "default_grid",
     "iter_grid",
     "run_grid",

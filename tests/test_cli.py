@@ -52,6 +52,27 @@ def test_parse_syntax_errors_carry_position():
         parse_family("J(4 2)")
 
 
+def nested_krons(depth):
+    return "kron(K1," * depth + "K1" + ")" * depth
+
+
+def test_parse_refuses_kron_nested_past_the_cap(capsys):
+    # 63 levels give 64 atoms, the most axes numpy gives the oracle's row
+    spec = parse_family(nested_krons(63))
+    assert graphs.translation_shape(spec) == (1,) * 64
+    for depth in (64, 1200):
+        with pytest.raises(FamilyParseError, match=r"nested more than 63 deep") as info:
+            parse_family(nested_krons(depth))
+        assert info.value.position == 63 * len("kron(K1,")
+        # refused with one error line, where a RecursionError was raised
+        for argv in (["gen"], ["spectrum", "--method", "oracle"]):
+            assert main([*argv, "--family", nested_krons(depth)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: kron( nested more than 63 deep"
+                                    f" (at position {info.value.position})\n")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -237,14 +258,14 @@ def test_grid_small_subset(tmp_path, capsys):
 
 
 def test_grid_output_does_not_depend_on_warm_memos(capsys):
-    graphs._build_atom.cache_clear()
-    graphs._atom_table.cache_clear()
+    graphs._factor_table.cache_clear()
     closedform._integer_table.cache_clear()
     runs = []
     for _ in range(2):  # cold memos, then warm
         assert main(["grid", "--max-order", "60"]) == 0
         runs.append(capsys.readouterr())
-    assert graphs._atom_table.cache_info().currsize and closedform._integer_table.cache_info().currsize
+    assert graphs._factor_table.cache_info().currsize
+    assert closedform._integer_table.cache_info().currsize
     assert runs[0] == runs[1]
 
 
@@ -303,8 +324,7 @@ def test_grid_builds_and_bfs_each_family_once(tmp_path, monkeypatch):
             return distance_matrix(graph)
         return wrapper
 
-    graphs._build_atom.cache_clear()
-    graphs._atom_table.cache_clear()
+    graphs._factor_table.cache_clear()
     for module in (verify, polynomials, graphs):
         monkeypatch.setattr(module, "build_family", counted_build(module.build_family))
     for module in (verify, polynomials):
@@ -313,15 +333,17 @@ def test_grid_builds_and_bfs_each_family_once(tmp_path, monkeypatch):
     assert code == 0
     cases = verify.default_grid(64)
     # a shaped product is read off its factors' proven tables, so only an
-    # atom or an unshaped family builds its graph, once, and each atom
-    # factor of a product once more, for the factor memos
-    shaped_products = {spec for spec, _ in cases
-                       if isinstance(spec, Kron) and translation_shape(spec) is not None}
-    assert shaped_products
-    factors = {factor for spec, _ in cases if isinstance(spec, Kron)
-               for factor in (spec.left, spec.right)}
+    # atom or an unshaped family builds its graph, once; each distinct
+    # factor of a shaped product is built once more, for the factor memo,
+    # and an unshaped product builds its own factors
+    products = {spec for spec, _ in cases if isinstance(spec, Kron)}
+    shaped_products = {spec for spec in products if translation_shape(spec) is not None}
+    assert shaped_products and products - shaped_products
+    shaped_factors = {factor for spec in shaped_products for factor in (spec.left, spec.right)}
     assert builds == (Counter({spec: 1 for spec, _ in cases if spec not in shaped_products})
-                      + Counter(factors))
+                      + Counter(shaped_factors)
+                      + Counter(factor for spec in products - shaped_products
+                                for factor in (spec.left, spec.right)))
     # a shaped family reads its distances off one BFS from vertex 0, and
     # only an unshaped one needs the all-sources BFS
     assert bfs == Counter({spec: 1 for spec, kind in cases
@@ -346,6 +368,27 @@ def test_nan_tolerance_is_an_error(capsys):
     assert code == 1
     assert captured.out == ""
     assert "tol must be finite and nonnegative" in captured.err
+
+
+def test_unwritable_output_is_an_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    assert main(["spectrum", "--family", "kron(K3,C4)", "--output", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_a_closed_form_too_large_to_allocate_is_an_error(capsys, monkeypatch):
+    # as numpy raises for the 10^12-row cycle table of C999999999999,
+    # without allocating anything here
+    def too_large(spec, tol):
+        raise MemoryError(f"Unable to allocate a table for {graphs.family_to_string(spec)}")
+
+    monkeypatch.setattr(verify, "closed_form_distance_spectrum", too_large)
+    assert main(["verify", "--family", "C999999999999"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate a table for C999999999999\n"
 
 
 def test_grid_over_cap_cases_are_reported_not_fatal(tmp_path, monkeypatch):

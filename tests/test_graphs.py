@@ -222,20 +222,28 @@ def test_unit_translations_are_automorphisms_of_the_built_graph():
     assert not all(is_automorphism(g, unit_translation((5, 4), axis)) for axis in (0, 1))
 
 
-def test_product_factors_are_built_once(monkeypatch):
-    graphs._build_atom.cache_clear()
-    inits = []
-    init = Graph.__init__
+def test_product_factors_are_built_anew_and_proven_once(monkeypatch):
+    graphs._factor_table.cache_clear()
+    inits, proven = [], []
+    init, prove = Graph.__init__, graphs.translation_neighbours
     monkeypatch.setattr(Graph, "__init__", lambda self, *a: inits.append(1) or init(self, *a))
-    build_family(Kron(Complete(3), Cycle(5)))
-    assert len(inits) == 3
-    build_family(Kron(Complete(4), Kron(Complete(3), Cycle(5))))
-    assert len(inits) == 6  # K4 and two products; K3 and C5 come from the memo
-    build_family(Cycle(5))  # a top-level family is not kept
-    assert len(inits) == 7
-    # every product holds the memo's arrays, so none may write to them
-    shared = graphs._build_atom(Cycle(5))
-    assert not shared.indices.flags.writeable and not shared.indptr.flags.writeable
+    monkeypatch.setattr(graphs, "translation_neighbours",
+                        lambda g, shape: proven.append(shape) or prove(g, shape))
+    spec = Kron(Complete(4), Kron(Complete(3), Cycle(5)))
+    for _ in range(2):
+        inits.clear()
+        build_family(spec)
+        # K4, K3, C5, kron(K3,C5) and the product: no graph is kept
+        assert len(inits) == 5
+    inits.clear()
+    for _ in range(2):
+        translation_table(spec)
+    # each distinct factor is proven once, its atoms built for the proof only
+    assert sorted(proven) == [(3,), (4,), (5,)] and len(inits) == 3
+    assert graphs._factor_table.cache_info().currsize == 4  # K4, kron(K3,C5), K3, C5
+    # every product reads the memo's tables, so none may write to them
+    for factor in (Complete(4), Kron(Complete(3), Cycle(5)), Cycle(5)):
+        assert not graphs._factor_table(factor).flags.writeable
 
 
 def shaped_products():
@@ -273,8 +281,7 @@ def test_translation_table_is_the_proven_product_csr():
 
 
 def test_translation_table_proves_each_atom_graph_once(monkeypatch):
-    graphs._build_atom.cache_clear()
-    graphs._atom_table.cache_clear()
+    graphs._factor_table.cache_clear()
     proven = []
     prove = graphs.translation_neighbours
     monkeypatch.setattr(graphs, "translation_neighbours",
@@ -290,10 +297,10 @@ def test_translation_table_proves_each_atom_graph_once(monkeypatch):
         atoms.update(factor for factor in (spec.left, spec.right) if not isinstance(factor, Kron))
     assert len(proven) == len(atoms)
     # a top-level atom is proven afresh on every call, and a factor once
-    # the table memo has dropped it
+    # the memo has dropped it
     translation_table(Cycle(7))
     assert len(proven) == len(atoms) + 1
-    graphs._atom_table.cache_clear()
+    graphs._factor_table.cache_clear()
     translation_table(Kron(Complete(3), Cycle(7)))
     assert len(proven) == len(atoms) + 3
 

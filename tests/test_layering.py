@@ -1,6 +1,9 @@
 """Import layering: the oracle stays free of formula code."""
 
 import ast
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import kronspectra
@@ -80,6 +83,23 @@ def test_a_shaped_atom_oracle_keeps_no_graph():
                       lambda: poly_report(spec, 1e-8, oracle)):
             assert check().match
         assert "graph" not in vars(oracle), spec
+
+
+def test_every_public_definition_is_in_its_modules_all():
+    checked = 0
+    for info in pkgutil.iter_modules(kronspectra.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"kronspectra.{info.name}")
+        if not hasattr(module, "__all__"):
+            continue
+        checked += 1
+        defined = {name for name, value in vars(module).items()
+                   if not name.startswith("_")
+                   and (inspect.isclass(value) or inspect.isfunction(inspect.unwrap(value)))
+                   and value.__module__ == module.__name__}
+        assert defined <= set(module.__all__), (info.name, sorted(defined - set(module.__all__)))
+    assert checked == 7
 
 
 def test_imported_modules_sees_every_import_form(tmp_path):

@@ -326,16 +326,17 @@ def assert_graph_route_refuses(oracle, match):
 
 
 def mutate_graph(oracle, monkeypatch, mutate):
-    """Make ``oracle`` read ``mutate(graph)`` for its graph.  An atom's
-    graph is built by ``graphs.build_family``.  A product's graph is never
-    built, so the mutation goes into its right factor, built by the atom
-    memo, whose proven table the product's is read from."""
+    """Make ``oracle`` read ``mutate(graph)`` for its graph, as
+    ``graphs.build_family`` builds it.  A product's graph is never built,
+    so the mutation goes into its right factor, whose proven table the
+    product's is read from."""
     spec = oracle.spec
-    target, name = (spec.right, "_build_atom") if isinstance(spec, Kron) else (spec, "build_family")
-    original, build = build_family(target), getattr(graphs, name)
+    target = spec.right if isinstance(spec, Kron) else spec
+    original, build = build_family(target), graphs.build_family
     mutated = mutate(original)
-    monkeypatch.setattr(graphs, name, lambda other: mutated if other == target else build(other))
-    graphs._atom_table.cache_clear()
+    monkeypatch.setattr(graphs, "build_family",
+                        lambda other: mutated if other == target else build(other))
+    graphs._factor_table.cache_clear()
     return original, mutated
 
 

@@ -103,13 +103,14 @@ def _with_edges_changed(graph, removed=(), added=()):
                                + "".join(f"{u} {v}\n" for u, v in edges))
 
 
-def _build_instead(monkeypatch, name, spec, graph):
-    """Make ``graphs.<name>`` (``build_family`` for a top-level family,
-    ``_build_atom`` for a product's atom factor) return ``graph`` for
-    ``spec``, with no proven atom table kept from before."""
-    build = getattr(graphs, name)
-    monkeypatch.setattr(graphs, name, lambda other: graph if other == spec else build(other))
-    graphs._atom_table.cache_clear()
+def _build_instead(monkeypatch, spec, graph):
+    """Make ``graphs.build_family`` return ``graph`` for ``spec``, as a
+    top-level family or as a product's factor, with no proven factor table
+    kept from before."""
+    build = graphs.build_family
+    monkeypatch.setattr(graphs, "build_family",
+                        lambda other: graph if other == spec else build(other))
+    graphs._factor_table.cache_clear()
 
 
 # Mutations of H(3,3), whose vertex x is the base-3 numeral of its tuple:
@@ -127,8 +128,7 @@ MUTATIONS = {
 def test_poly_check_refuses_a_mutation_off_row_zero(mutation, monkeypatch):
     change, message = MUTATIONS[mutation]
     spec = Hamming(3, 3)
-    _build_instead(monkeypatch, "build_family", spec,
-                   _with_edges_changed(graphs.build_family(spec), **change))
+    _build_instead(monkeypatch, spec, _with_edges_changed(graphs.build_family(spec), **change))
     oracle = FamilyOracle(spec)
     with pytest.raises(NonSymmetricMatrixError, match=message):
         poly_report(spec, 1e-8, oracle)
@@ -179,8 +179,7 @@ def test_family_oracle_keeps_no_failed_solve(monkeypatch):
     monkeypatch.setattr(graphs, "translation_neighbours",
                         lambda g, shape: calls.append(shape) or prove(g, shape))
     spec = Hamming(3, 3)
-    _build_instead(monkeypatch, "build_family", spec,
-                   _with_edges_changed(graphs.build_family(spec),
+    _build_instead(monkeypatch, spec, _with_edges_changed(graphs.build_family(spec),
                                        **MUTATIONS["distances"][0]))
     oracle = FamilyOracle(spec)
     for _ in range(2):
@@ -205,7 +204,7 @@ FACTOR_MUTATIONS = {
 def test_product_route_refuses_a_mutated_factor(spec, mutation, monkeypatch):
     change, message = FACTOR_MUTATIONS[mutation]
     # every product reads the mutated graph for its C7 factor
-    _build_instead(monkeypatch, "_build_atom", Cycle(7),
+    _build_instead(monkeypatch, Cycle(7),
                    _with_edges_changed(graphs.build_family(Cycle(7)), **change))
     for matrix in ("distance", "adjacency"):
         oracle = FamilyOracle(spec)
@@ -216,8 +215,7 @@ def test_product_route_refuses_a_mutated_factor(spec, mutation, monkeypatch):
 
 
 def test_shaped_product_builds_only_its_atoms(monkeypatch):
-    graphs._build_atom.cache_clear()
-    graphs._atom_table.cache_clear()
+    graphs._factor_table.cache_clear()
     orders = []
     init = Graph.__init__
     monkeypatch.setattr(Graph, "__init__",
@@ -245,7 +243,7 @@ def test_shaped_product_builds_only_its_atoms(monkeypatch):
 
 def test_shaped_product_refusals_keep_their_text_and_order(monkeypatch):
     calls = []
-    for namespace, name in ((graphs, "_build_atom"), (graphs, "kronecker_product"),
+    for namespace, name in ((graphs, "build_family"), (graphs, "kronecker_product"),
                             (verify, "translation_table")):
         monkeypatch.setattr(namespace, name, lambda *args, _name=name: calls.append(_name))
     big = Kron(Complete(200), Cycle(200))
