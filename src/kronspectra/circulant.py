@@ -35,6 +35,7 @@ __all__ = [
     "block_circulant_reduce",
     "block_circulant_matrix",
     "block_spectrum_union",
+    "cycle_half_table",
     "cycle_adjacency_eigenvalues",
     "cycle_distance_row",
     "cycle_distance_eigenvalues",
@@ -187,10 +188,53 @@ def block_spectrum_union(hs: Sequence[np.ndarray], tol: float = 1e-6) -> Spectru
 # Cycle graphs: closed forms for A, D and s*A + t*D
 # ---------------------------------------------------------------------------
 
+def _cycle_columns(n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacency and distance eigenvalues of C_n at j = 0..rows-1.
+
+    adjacency:  2*cos(2*pi*j/n)
+    distance:
+      even n:  j = 0        -> n^2/4
+               j even, != 0 -> 0
+               j odd        -> -1 / sin^2(pi j / n)
+      odd n:   j = 0        -> (n^2 - 1)/4
+               j even, != 0 -> -(1/4) / cos^2(pi j / 2n)
+               j odd        -> -(1/4) / sin^2(pi j / 2n)
+
+    Every formula is evaluated here, so the full columns and the half table
+    agree bit for bit on the rows they share.  For j <= n/2 the odd-n
+    cos^2 argument is at most pi/4, far from its zero at j = n.
+    """
+    Cycle(n)  # domain check
+    j = np.arange(rows)
+    a = 2.0 * np.cos(2.0 * math.pi * j / n)
+    d = np.zeros(rows)
+    d[0] = n * n / 4.0 if n % 2 == 0 else (n * n - 1) / 4.0
+    if n % 2 == 0:
+        d[1::2] = -1.0 / np.sin(math.pi * j[1::2] / n) ** 2
+    else:
+        d[2::2] = -0.25 / np.cos(math.pi * j[2::2] / (2 * n)) ** 2
+        d[1::2] = -0.25 / np.sin(math.pi * j[1::2] / (2 * n)) ** 2
+    return a, d
+
+
+def cycle_half_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows (a, d, mult) of C_n's joint adjacency and distance
+    eigenvalues: j = 0..n//2, since j and n - j give the same pair.
+
+    mult is 1 at j = 0 and, for even n, at j = n/2, and 2 elsewhere, so it
+    sums to n.
+    """
+    a, d = _cycle_columns(n, n // 2 + 1)
+    mult = np.full(a.size, 2, dtype=np.int64)
+    mult[0] = 1
+    if n % 2 == 0:
+        mult[-1] = 1
+    return a, d, mult
+
+
 def cycle_adjacency_eigenvalues(n: int) -> np.ndarray:
     """Adjacency eigenvalues of C_n: 2*cos(2*pi*j/n), j = 0..n-1."""
-    Cycle(n)  # domain check
-    return 2.0 * np.cos(2.0 * math.pi * np.arange(n) / n)
+    return _cycle_columns(n, n)[0]
 
 
 def cycle_distance_row(n: int) -> list[int]:
@@ -204,25 +248,9 @@ def cycle_distance_row(n: int) -> list[int]:
 
 
 def cycle_distance_eigenvalues(n: int) -> np.ndarray:
-    """Distance eigenvalues of C_n, indexed j = 0..n-1.
-
-    even n:  j = 0        -> n^2/4
-             j even, != 0 -> 0
-             j odd        -> -1 / sin^2(pi j / n)
-    odd n:   j = 0        -> (n^2 - 1)/4
-             j even, != 0 -> -(1/4) / cos^2(pi j / 2n)
-             j odd        -> -(1/4) / sin^2(pi j / 2n)
-    """
-    Cycle(n)  # domain check
-    j = np.arange(n)
-    out = np.zeros(n)
-    out[0] = n * n / 4.0 if n % 2 == 0 else (n * n - 1) / 4.0
-    if n % 2 == 0:
-        out[1::2] = -1.0 / np.sin(math.pi * j[1::2] / n) ** 2
-    else:
-        out[2::2] = -0.25 / np.cos(math.pi * j[2::2] / (2 * n)) ** 2
-        out[1::2] = -0.25 / np.sin(math.pi * j[1::2] / (2 * n)) ** 2
-    return out
+    """Distance eigenvalues of C_n, indexed j = 0..n-1 (formulas at
+    ``_cycle_columns``)."""
+    return _cycle_columns(n, n)[1]
 
 
 def cycle_combo_eigenvalues(n: int, s: float, t: float) -> np.ndarray:
@@ -231,10 +259,13 @@ def cycle_combo_eigenvalues(n: int, s: float, t: float) -> np.ndarray:
     A(C_n) and D(C_n) are circulants of the same order, so the combination
     acts eigenvalue-wise on the two closed-form columns.
     """
-    return s * cycle_adjacency_eigenvalues(n) + t * cycle_distance_eigenvalues(n)
+    a, d = _cycle_columns(n, n)
+    return s * a + t * d
 
 
 def cycle_combo_spectrum(n: int, s: float, t: float,
                          group_tol: float = 1e-6) -> Spectrum:
-    """Spectrum of s*A(C_n) + t*D(C_n) from the closed-form table."""
-    return spectrum_from_values(cycle_combo_eigenvalues(n, s, t), group_tol)
+    """Spectrum of s*A(C_n) + t*D(C_n) from the half table's rows and
+    their multiplicities."""
+    a, d, mult = cycle_half_table(n)
+    return spectrum_from_values(s * a + t * d, group_tol, mult)

@@ -20,14 +20,15 @@ n*d + a' + 2(n-1) with multiplicity mult and a' - 2 with multiplicity
 (their d column is p(a) for the polynomial p with D = p(A) that the
 intersection array gives), so K_n (x) J(m, r) and K_n (x) H(d, q) with
 q >= 3 are distance integral; they stay in exact integer arithmetic
-(grouping tolerance 0), while cycle tables are float columns grouped at
-1e-6.
+(grouping tolerance 0), while cycle tables are float rows, each carrying
+its multiplicity, grouped at 1e-6.
 
 The three enumeration fixes in the verification notes are rows of the law:
 the even-cycle row j = 0 (a = 2, a' = 4) gives the repeated value 2 with
-multiplicity n-1; C_{2m+1} has 2m+1 rows, so the secant family runs
-p = 1..m; the Hamming row with distance eigenvalue -q^(d-1) enters the
-distinguished block multiplied by n.  Each excluded case fails a condition
+multiplicity n-1; C_{2m+1} has 2m+1 eigenvalues (rows j = 0..m, each
+j >= 1 of multiplicity 2), so the secant family runs p = 1..m; the Hamming
+row with distance eigenvalue -q^(d-1) enters the distinguished block
+multiplied by n.  Each excluded case fails a condition
 of the law: a K_2 left factor has no third block, so its off-diagonal
 blocks are not D + 2I; K_2 and hypercube right factors have a_1 = 0, while
 the published complete, Johnson and Hamming forms assume a_1 > 0 (H(2,2) is
@@ -44,7 +45,7 @@ from math import comb
 
 import numpy as np
 
-from .circulant import cycle_adjacency_eigenvalues, cycle_distance_eigenvalues
+from .circulant import cycle_half_table
 from .errors import FamilyDomainError, NoClosedFormError
 from .graphs import Complete, Cycle, FamilySpec, Hamming, Johnson, family_to_string
 from .spectrum import Spectrum, spectrum_from_values
@@ -171,9 +172,13 @@ class EigenTable:
     """Joint eigenvalues (a, d) of A and D with multiplicity, by row, and
     whether the graph is triangle-free (a_1 = 0).
 
-    Columns are numpy arrays of equal length.  Integer tables hold Python
-    ints (dtype object), so sums stay exact at any size; cycle tables hold
-    float64 values with an int64 multiplicity column.
+    Columns are numpy arrays of equal length, one row per distinct joint
+    eigenvalue, so a multiplicity is read off the table and never rebuilt
+    by grouping repeated values.  Integer tables hold Python ints (dtype
+    object), so sums stay exact at any size.  The table of C_n holds the
+    float64 rows j = 0..n//2 with an int64 multiplicity column: 1 at j = 0
+    and, for even n, at j = n/2, and 2 elsewhere (row j stands for j and
+    n - j).
     """
 
     a: np.ndarray
@@ -189,10 +194,11 @@ class EigenTable:
 
 
 def _grouped(values: np.ndarray, mults: np.ndarray, group_tol: float) -> Spectrum:
-    """Exact pairs for an integer column, float grouping otherwise."""
+    """Exact pairs for an integer column, float grouping of the weighted
+    rows otherwise."""
     if values.dtype == object:
         return Spectrum.from_pairs(zip(values.tolist(), mults.tolist()))
-    return spectrum_from_values(np.repeat(values, mults), group_tol)
+    return spectrum_from_values(values, group_tol, mults)
 
 
 def _integer_value(coeffs: list[Fraction], x: int) -> int:
@@ -208,13 +214,11 @@ def _integer_value(coeffs: list[Fraction], x: int) -> int:
 def eigen_table(spec: FamilySpec) -> EigenTable:
     """The (a, d, mult) table and a_1 = 0 flag of a cycle, complete, Johnson
     or Hamming graph.  A complete, Johnson or Hamming table is computed once
-    per process and shared, with read-only columns; a cycle table (n float
-    rows, and closed forms reach cycles of 10^6 vertices) is computed on
-    every call."""
+    per process and shared, with read-only columns; a cycle table (n//2 + 1
+    float rows, and closed forms reach cycles of 10^6 vertices) is computed
+    on every call."""
     if isinstance(spec, Cycle):
-        return EigenTable(cycle_adjacency_eigenvalues(spec.n),
-                          cycle_distance_eigenvalues(spec.n),
-                          np.ones(spec.n, dtype=np.int64), spec.n >= 4)
+        return EigenTable(*cycle_half_table(spec.n), spec.n >= 4)
     return _integer_table(spec)
 
 

@@ -198,39 +198,56 @@ class Spectrum:
         return sp
 
 
-def spectrum_from_values(values: Sequence[float], group_tol: float) -> Spectrum:
-    """Group a list of eigenvalues into a Spectrum.
+def spectrum_from_values(values: Sequence[float], group_tol: float,
+                         multiplicities: Sequence[int] | None = None) -> Spectrum:
+    """Group eigenvalues, or (value, multiplicity) rows, into a Spectrum.
 
-    Adjacent sorted values within ``group_tol`` are merged into one group
-    represented by the group mean; the total multiplicity is preserved.
-    Each group is summed left to right from 0.0, so a mean is the same
-    float as ``sum(group) / len(group)`` with Python's float ``sum`` before
-    3.12.
+    Adjacent sorted values within ``group_tol`` are merged into one group;
+    the total multiplicity is preserved.  Without ``multiplicities`` every
+    value counts once and a group is represented by its mean, summed left
+    to right from 0.0, so it is the same float as
+    ``sum(group) / len(group)`` with Python's float ``sum`` before 3.12.
+    With them, value i stands for ``multiplicities[i]`` equal eigenvalues:
+    a group's multiplicity is the sum of its rows' and its value the
+    weighted mean sum(m * v) / sum(m), summed the same way, so all-ones
+    weights give the unweighted result.
     """
     if not 0 <= group_tol < math.inf:
         raise ValueError(f"group_tol must be finite and nonnegative, got {group_tol}")
-    ordered = np.sort(np.asarray(values, dtype=float))
+    values = np.asarray(values, dtype=float)
+    if multiplicities is None:
+        ordered = terms = np.sort(values)
+    else:
+        weights = np.asarray(multiplicities, dtype=np.int64)
+        if weights.shape != values.shape:
+            raise ValueError(f"{weights.size} multiplicities for {values.size} values")
+        if (weights <= 0).any():
+            raise ValueError("multiplicities must be positive")
+        order = np.argsort(values, kind="stable")
+        ordered, weights = values[order], weights[order]
+        terms = ordered * weights
     if ordered.size == 0:
         return Spectrum((), group_tol)
     if not np.isfinite(ordered).all():
         raise ValueError("eigenvalues must be finite")
     starts = np.concatenate(([0], np.flatnonzero(np.diff(ordered) > group_tol) + 1))
     sizes = np.diff(starts, append=ordered.size)
+    counts = sizes if multiplicities is None else np.add.reduceat(weights, starts)
     sums = np.zeros(starts.size)
     # Add the k-th member of every group still open, one array step per
     # position; np.add.reduceat would sum pairwise and move the last bits.
     open_groups = np.arange(starts.size)
     k = 0
     while open_groups.size > _FEW_GROUPS:
-        sums[open_groups] += ordered[starts[open_groups] + k]
+        sums[open_groups] += terms[starts[open_groups] + k]
         k += 1
         open_groups = open_groups[sizes[open_groups] > k]
     for g in open_groups.tolist():
-        tail = ordered[starts[g] + k:starts[g] + sizes[g]]
+        tail = terms[starts[g] + k:starts[g] + sizes[g]]
         # accumulate adds strictly left to right
         sums[g] = np.add.accumulate(np.concatenate((sums[g:g + 1], tail)))[-1]
-    means = sums / sizes
-    return Spectrum._from_arrays(means[::-1], sizes[::-1], group_tol)
+    means = sums / counts
+    return Spectrum._from_arrays(means[::-1], counts[::-1], group_tol)
 
 
 @dataclass(frozen=True)

@@ -211,8 +211,9 @@ class FamilyOracle:
     matrices and row 0 carries them (``row``): row 0 of D is one BFS from
     vertex 0, and the eigenvalues are one DFT of it.  The proof and the
     neighbour table are ``graphs.translation_table``'s, so no n x n matrix
-    is built for it and no graph is kept here.  Orders past the dense cap
-    are refused as the dense matrices would be.  Any other family gets its
+    is built for it and no graph is kept here.  ``refuse`` turns away a
+    family past the product cap or the dense cap, as its graph and dense
+    matrices would be, before anything is built.  Any other family gets its
     ``graph``, the float64 ``adjacency`` and the BFS ``distances``, and a
     dense solve.
 
@@ -246,15 +247,21 @@ class FamilyOracle:
         it is proven ``Cay(Z_shape, N(0))`` (``graphs.translation_table``)."""
         return translation_table(self.spec)
 
+    def refuse(self, matrix: str) -> int:
+        """The family's order; raises OrderCapError past the product cap
+        and then past the dense cap, as the graph and the n x n D
+        (``"distance"``) or A would be, before anything is built."""
+        n = refuse_past_product_cap(self.spec)
+        refuse_past_dense_cap(n, "distance matrix" if matrix == "distance" else "matrix")
+        return n
+
     def row(self, matrix: str) -> np.ndarray:
         """Row 0 of a shaped family's D (``"distance"``) or A
         (``"adjacency"``) as float64 over its shape, read off the proven
-        neighbour array; refused past the product cap and then past the
-        dense cap, as its graph and its n x n matrix would be, before
+        neighbour array; refused past either cap (``refuse``) before
         anything is built."""
         if matrix not in self._rows:
-            n = refuse_past_product_cap(self.spec)
-            refuse_past_dense_cap(n, "distance matrix" if matrix == "distance" else "matrix")
+            n = self.refuse(matrix)
             nbrs = self.neighbours
             if matrix == "distance":
                 row = distance_row(nbrs).astype(np.float64)
@@ -352,10 +359,13 @@ def verify_family(
     multiplicities) and the reported gap is the largest elementwise
     difference between the two sorted eigenvalue multisets.  ``oracle``
     supplies the family's A and D when a caller shares them between
-    checks; otherwise they are computed here.
+    checks; otherwise they are computed here.  A family the oracle refuses
+    (``FamilyOracle.refuse``) is refused before its closed form is
+    computed.
     """
     name = family_to_string(spec)
     oracle = _oracle_for(spec, oracle)
+    oracle.refuse(matrix)
     if matrix == "distance":
         closed, notes = closed_form_distance_spectrum(spec, tol)
     elif matrix == "adjacency":

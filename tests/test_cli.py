@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kronspectra import closedform, graphs, polynomials, verify
+from kronspectra import cli, closedform, graphs, polynomials, verify
 from kronspectra.cli import main, parse_family
 from kronspectra.errors import FamilyDomainError, FamilyParseError
 from kronspectra.graphs import (
@@ -379,16 +379,22 @@ def test_unwritable_output_is_an_error(tmp_path, capsys):
 
 
 def test_a_closed_form_too_large_to_allocate_is_an_error(capsys, monkeypatch):
-    # as numpy raises for the 10^12-row cycle table of C999999999999,
+    # as numpy raises for the 5*10^11-row cycle table of C999999999999,
     # without allocating anything here
     def too_large(spec, tol):
         raise MemoryError(f"Unable to allocate a table for {graphs.family_to_string(spec)}")
 
+    monkeypatch.setattr(cli, "closed_form_distance_spectrum", too_large)
     monkeypatch.setattr(verify, "closed_form_distance_spectrum", too_large)
-    assert main(["verify", "--family", "C999999999999"]) == 1
+    assert main(["spectrum", "--family", "C999999999999", "--method", "closed"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: Unable to allocate a table for C999999999999\n"
+    # verify refuses the family at the product cap before any closed form
+    assert main(["verify", "--family", "C999999999999"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: C999999999999 has 999999999999 vertices, cap is 20000\n"
 
 
 def test_grid_over_cap_cases_are_reported_not_fatal(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from kronspectra import circulant, closedform
 from kronspectra.closedform import (
     IntegralityReport,
     IntersectionArray,
@@ -144,6 +145,34 @@ def test_odd_cycle_distance_groups_are_distinct_values():
     # j and n - j give one value, j = 0 its own: (n + 1) / 2 distinct values
     sp, _ = closed_form_distance_spectrum(Cycle(3999))
     assert len(sp.pairs) == 2000
+
+
+@pytest.mark.parametrize("n,odd", [(100001, 1), (999999, 1), (1000000, 2), (99998, 2)])
+def test_cycle_pairs_never_split(n, odd):
+    # every row but j = 0 (and j = n/2 for even n) carries a pair, so only
+    # the groups holding those singletons have an odd multiplicity
+    sp, _ = closed_form_distance_spectrum(Cycle(n))
+    assert sp.order == n
+    assert int(np.count_nonzero(sp.multiplicity_array % 2)) == odd
+
+
+def test_closed_forms_group_table_rows_not_repeated_values(monkeypatch):
+    rows = []
+
+    def spy(values, group_tol, multiplicities=None):
+        rows.append(len(values))
+        return spectrum_from_values(values, group_tol, multiplicities)
+
+    monkeypatch.setattr(closedform, "spectrum_from_values", spy)
+    monkeypatch.setattr(circulant, "spectrum_from_values", spy)
+    for n in (5, 6, 4001, 100000):
+        assert cycle_distance_spectrum(n).order == n
+        assert circulant.cycle_combo_spectrum(n, 0.5, 2.0).order == n
+        assert rows == [n // 2 + 1] * 2
+        rows.clear()
+    sp, _ = closed_form_distance_spectrum(Kron(Complete(8), Cycle(187500)))
+    assert sp.order == 8 * 187500
+    assert rows == [2 * (187500 // 2 + 1)]
 
 
 # ---------------------------------------------------------------------------

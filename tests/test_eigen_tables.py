@@ -4,6 +4,7 @@ T (the edges with no common neighbour), and the product law."""
 import numpy as np
 import pytest
 
+from kronspectra.circulant import cycle_adjacency_eigenvalues, cycle_distance_eigenvalues
 from kronspectra.closedform import eigen_table, kron_complete_law
 from kronspectra.graphs import (
     Complete,
@@ -70,5 +71,20 @@ def test_integer_tables_are_shared_and_read_only():
         for column in (table.a, table.d, table.mult):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 7
-    # a cycle table has a row per vertex, so none is kept
+    # a cycle table has a float row per vertex pair, so none is kept
     assert eigen_table(Cycle(9)) is not eigen_table(Cycle(9))
+
+
+@pytest.mark.parametrize("n", list(range(3, 41)) + [999, 1000, 4001])
+def test_cycle_table_is_the_half_table_of_the_public_columns(n):
+    table = eigen_table(Cycle(n))
+    rows = n // 2 + 1
+    assert table.a.shape == table.d.shape == table.mult.shape == (rows,)
+    assert table.mult.dtype == np.int64 and table.mult.sum() == n
+    # j and n - j are one row of multiplicity 2; j = 0, and j = n/2 for
+    # even n, stand alone
+    singles = [0, rows - 1] if n % 2 == 0 else [0]
+    assert np.flatnonzero(table.mult == 1).tolist() == singles
+    assert np.all(np.delete(table.mult, singles) == 2)
+    assert np.array_equal(table.a, cycle_adjacency_eigenvalues(n)[:rows])
+    assert np.array_equal(table.d, cycle_distance_eigenvalues(n)[:rows])

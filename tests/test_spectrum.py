@@ -154,6 +154,48 @@ def test_grouping_long_group_matches_reference(seed):
     _assert_grouping_matches_reference(values, 1e-6)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_weighted_rows_group_as_their_repeated_values(seed):
+    rng = np.random.default_rng(200 + seed)
+    tol = [1e-6, 1e-3, 0.0][seed % 3]
+    values = _clustered(rng, int(rng.integers(65, 400)), 12, tol)
+    weights = rng.integers(1, 7, values.size)
+    weighted = spectrum_from_values(values, tol, weights)
+    repeated = spectrum_from_values(np.repeat(values, weights), tol)
+    assert weighted.grouping_tol == repeated.grouping_tol == tol
+    assert np.array_equal(weighted.multiplicity_array, repeated.multiplicity_array)
+    # both means are rounded sums of the group's members: M repeated values,
+    # or k rows each rounded once as m * v, so each is within (M + 1) and
+    # (k + 2) units of the last place of the group's largest magnitude
+    mults = repeated.multiplicity_array
+    members = np.sort(np.repeat(values, weights))[::-1]
+    ends = np.cumsum(mults)
+    scale = np.maximum(np.abs(members[ends - mults]), np.abs(members[ends - 1]))
+    rows = spectrum_from_values(values, tol).multiplicity_array
+    bound = (mults + rows + 3) * np.spacing(scale)
+    assert np.all(np.abs(weighted.value_array - repeated.value_array) <= bound)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-6, 1e-3])
+def test_unit_weights_group_bit_for_bit_as_no_weights(tol):
+    rng = np.random.default_rng(7)
+    for values in (_clustered(rng, 300, 12, tol), np.array([0.0, -0.0, -0.0, 1.0]),
+                   np.array([2.5]), np.array([])):
+        plain = spectrum_from_values(values, tol)
+        unit = spectrum_from_values(values, tol, np.ones(values.size, dtype=np.int64))
+        assert np.array_equal(plain.value_array, unit.value_array)
+        assert np.array_equal(plain.multiplicity_array, unit.multiplicity_array)
+        assert unit == plain
+
+
+def test_weighted_rows_are_checked():
+    with pytest.raises(ValueError, match="2 multiplicities for 3 values"):
+        spectrum_from_values([1.0, 2.0, 3.0], 0.0, [1, 1])
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="multiplicities must be positive"):
+            spectrum_from_values([1.0, 2.0], 0.0, [1, bad])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_grouping_rejects_nonfinite_values(bad):
     for values in ([bad], [1.0, bad], [bad, -3.0, 2.0, 2.0], [bad, bad]):

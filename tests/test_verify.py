@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kronspectra import graphs, polynomials, verify
+from kronspectra import closedform, graphs, polynomials, verify
 from kronspectra.errors import NonSymmetricMatrixError, OrderCapError
 from kronspectra.graphs import (
     Complete,
@@ -265,10 +265,23 @@ def test_shaped_product_refusals_keep_their_text_and_order(monkeypatch):
     assert calls == [] and "neighbours" not in vars(small)
 
 
-@pytest.mark.xfail(strict=True, reason="two defects (ROADMAP item 4): the odd-cycle closed"
-                   " form's (1/4)/cos^2(pi j/2n) cancels near j = n - 1, 7.1e-6 off at C7001;"
-                   " and with that term in the sine form (8.7e-10 off) the 1e-6 chain grouping"
-                   " still gives 3492 groups for 3501 values, a 3.1e-6 gap")
+def test_a_family_past_a_cap_is_refused_before_its_closed_form(monkeypatch):
+    tables, eigen_table = [], closedform.eigen_table
+    monkeypatch.setattr(closedform, "eigen_table",
+                        lambda spec: tables.append(spec) or eigen_table(spec))
+    big = Cycle(3000000)
+    for matrix in ("distance", "adjacency"):
+        with pytest.raises(OrderCapError, match="^C3000000 has 3000000 vertices, cap is 20000$"):
+            verify_family(big, 1e-6, matrix)
+    monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", "10")
+    with pytest.raises(OrderCapError, match="^distance matrix order 11 exceeds dense cap 10$"):
+        verify_family(Cycle(11))
+    assert tables == []
+
+
+@pytest.mark.xfail(strict=True, reason="the 1e-6 chain grouping (ROADMAP item 4) merges"
+                   " C7001's 3501 distinct eigenvalues into 3492 groups, whose means sit"
+                   " up to 3.1e-6 from the oracle's eigenvalues")
 def test_odd_cycle_past_the_default_cap_matches_the_oracle(monkeypatch):
     monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", "8000")
     assert verify_family(Cycle(7001)).match
