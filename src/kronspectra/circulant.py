@@ -36,6 +36,8 @@ __all__ = [
     "block_circulant_matrix",
     "block_spectrum_union",
     "cycle_half_table",
+    "cycle_half_adjacency",
+    "cycle_half_distance",
     "cycle_adjacency_eigenvalues",
     "cycle_distance_row",
     "cycle_distance_eigenvalues",
@@ -188,11 +190,20 @@ def block_spectrum_union(hs: Sequence[np.ndarray], tol: float = 1e-6) -> Spectru
 # Cycle graphs: closed forms for A, D and s*A + t*D
 # ---------------------------------------------------------------------------
 
-def _cycle_columns(n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Adjacency and distance eigenvalues of C_n at j = 0..rows-1.
+def _adjacency_column(n: int, rows: int) -> np.ndarray:
+    """2*cos(2*pi*j/n) at j = 0..rows-1, evaluated in one buffer."""
+    Cycle(n)  # domain check
+    a = np.arange(rows, dtype=np.float64)
+    a *= 2.0 * math.pi
+    a /= n
+    np.cos(a, out=a)
+    a *= 2.0
+    return a
 
-    adjacency:  2*cos(2*pi*j/n)
-    distance:
+
+def _distance_column(n: int, rows: int) -> np.ndarray:
+    """Distance eigenvalues of C_n at j = 0..rows-1, evaluated in one buffer:
+
       even n:  j = 0        -> n^2/4
                j even, != 0 -> 0
                j odd        -> -1 / sin^2(pi j / n)
@@ -200,21 +211,38 @@ def _cycle_columns(n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
                j even, != 0 -> -(1/4) / cos^2(pi j / 2n)
                j odd        -> -(1/4) / sin^2(pi j / 2n)
 
-    Every formula is evaluated here, so the full columns and the half table
-    agree bit for bit on the rows they share.  For j <= n/2 the odd-n
-    cos^2 argument is at most pi/4, far from its zero at j = n.
+    For j <= n/2 the odd-n cos^2 argument is at most pi/4, far from its
+    zero at j = n.
     """
     Cycle(n)  # domain check
-    j = np.arange(rows)
-    a = 2.0 * np.cos(2.0 * math.pi * j / n)
-    d = np.zeros(rows)
-    d[0] = n * n / 4.0 if n % 2 == 0 else (n * n - 1) / 4.0
+    d = np.arange(rows, dtype=np.float64)
     if n % 2 == 0:
-        d[1::2] = -1.0 / np.sin(math.pi * j[1::2] / n) ** 2
+        odd = d[1::2]
+        odd *= math.pi
+        odd /= n
+        np.sin(odd, out=odd)
+        np.square(odd, out=odd)
+        np.divide(-1.0, odd, out=odd)
+        d[::2] = 0.0
+        d[0] = n * n / 4.0
     else:
-        d[2::2] = -0.25 / np.cos(math.pi * j[2::2] / (2 * n)) ** 2
-        d[1::2] = -0.25 / np.sin(math.pi * j[1::2] / (2 * n)) ** 2
-    return a, d
+        d *= math.pi
+        d /= 2 * n
+        even, odd = d[::2], d[1::2]
+        np.cos(even, out=even)
+        np.sin(odd, out=odd)
+        np.square(d, out=d)
+        np.divide(-0.25, d, out=d)
+        d[0] = (n * n - 1) / 4.0
+    return d
+
+
+def _half_multiplicities(n: int) -> np.ndarray:
+    mult = np.full(n // 2 + 1, 2, dtype=np.int64)
+    mult[0] = 1
+    if n % 2 == 0:
+        mult[-1] = 1
+    return mult
 
 
 def cycle_half_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -222,19 +250,28 @@ def cycle_half_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     eigenvalues: j = 0..n//2, since j and n - j give the same pair.
 
     mult is 1 at j = 0 and, for even n, at j = n/2, and 2 elsewhere, so it
-    sums to n.
+    sums to n.  Each column is evaluated as the full columns are, so they
+    agree bit for bit on the rows they share.
     """
-    a, d = _cycle_columns(n, n // 2 + 1)
-    mult = np.full(a.size, 2, dtype=np.int64)
-    mult[0] = 1
-    if n % 2 == 0:
-        mult[-1] = 1
-    return a, d, mult
+    rows = n // 2 + 1
+    return _adjacency_column(n, rows), _distance_column(n, rows), _half_multiplicities(n)
+
+
+def cycle_half_adjacency(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacency column of ``cycle_half_table`` and its multiplicities,
+    with the distance column never evaluated."""
+    return _adjacency_column(n, n // 2 + 1), _half_multiplicities(n)
+
+
+def cycle_half_distance(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distance column of ``cycle_half_table`` and its multiplicities,
+    with the adjacency column never evaluated."""
+    return _distance_column(n, n // 2 + 1), _half_multiplicities(n)
 
 
 def cycle_adjacency_eigenvalues(n: int) -> np.ndarray:
     """Adjacency eigenvalues of C_n: 2*cos(2*pi*j/n), j = 0..n-1."""
-    return _cycle_columns(n, n)[0]
+    return _adjacency_column(n, n)
 
 
 def cycle_distance_row(n: int) -> list[int]:
@@ -249,8 +286,8 @@ def cycle_distance_row(n: int) -> list[int]:
 
 def cycle_distance_eigenvalues(n: int) -> np.ndarray:
     """Distance eigenvalues of C_n, indexed j = 0..n-1 (formulas at
-    ``_cycle_columns``)."""
-    return _cycle_columns(n, n)[1]
+    ``_distance_column``)."""
+    return _distance_column(n, n)
 
 
 def cycle_combo_eigenvalues(n: int, s: float, t: float) -> np.ndarray:
@@ -259,8 +296,7 @@ def cycle_combo_eigenvalues(n: int, s: float, t: float) -> np.ndarray:
     A(C_n) and D(C_n) are circulants of the same order, so the combination
     acts eigenvalue-wise on the two closed-form columns.
     """
-    a, d = _cycle_columns(n, n)
-    return s * a + t * d
+    return s * _adjacency_column(n, n) + t * _distance_column(n, n)
 
 
 def cycle_combo_spectrum(n: int, s: float, t: float,

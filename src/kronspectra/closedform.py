@@ -45,7 +45,7 @@ from math import comb
 
 import numpy as np
 
-from .circulant import cycle_half_table
+from .circulant import cycle_half_adjacency, cycle_half_distance, cycle_half_table
 from .errors import FamilyDomainError, NoClosedFormError
 from .graphs import Complete, Cycle, FamilySpec, Hamming, Johnson, family_to_string
 from .spectrum import Spectrum, spectrum_from_values
@@ -265,9 +265,20 @@ def kron_complete_law(n: int, table: EigenTable, group_tol: float = 1e-6) -> Spe
             " with n = 2 the off-diagonal distance blocks are wrong"
             " (no third block to route distance-2 detours through)"
         )
-    a = 2 * table.a if table.triangle_free else table.a
-    values = np.concatenate([n * table.d + a + 2 * (n - 1), a - 2])
-    mults = np.concatenate([table.mult, (n - 1) * table.mult])
+    # One buffer per column, each half filled in place: nD + A' + 2(n-1)
+    # and A' - 2, step by step in that order, so a float table's rows round
+    # as the whole-column expressions do (an integer table's are exact).
+    rows = table.a.size
+    values = np.empty(2 * rows, dtype=table.a.dtype)
+    block, repeated = values[:rows], values[rows:]
+    np.multiply(table.a, 2 if table.triangle_free else 1, out=repeated)  # a'
+    np.multiply(table.d, n, out=block)
+    block += repeated
+    block += 2 * (n - 1)
+    repeated -= 2
+    mults = np.empty(2 * rows, dtype=table.mult.dtype)
+    mults[:rows] = table.mult
+    np.multiply(table.mult, n - 1, out=mults[rows:])
     return _grouped(values, mults, group_tol)
 
 
@@ -343,11 +354,11 @@ def complete_distance_spectrum(n: int) -> Spectrum:
 
 
 def cycle_adjacency_spectrum(n: int, group_tol: float = 1e-6) -> Spectrum:
-    return eigen_table(Cycle(n)).adjacency_spectrum(group_tol)
+    return _grouped(*cycle_half_adjacency(n), group_tol)
 
 
 def cycle_distance_spectrum(n: int, group_tol: float = 1e-6) -> Spectrum:
-    return eigen_table(Cycle(n)).distance_spectrum(group_tol)
+    return _grouped(*cycle_half_distance(n), group_tol)
 
 
 # ---------------------------------------------------------------------------

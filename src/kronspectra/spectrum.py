@@ -216,28 +216,41 @@ def spectrum_from_values(values: Sequence[float], group_tol: float,
         raise ValueError(f"group_tol must be finite and nonnegative, got {group_tol}")
     values = np.asarray(values, dtype=float)
     if multiplicities is None:
-        ordered = terms = np.sort(values)
+        ordered = np.sort(values)
     else:
         weights = np.asarray(multiplicities, dtype=np.int64)
         if weights.shape != values.shape:
             raise ValueError(f"{weights.size} multiplicities for {values.size} values")
-        if (weights <= 0).any():
+        if weights.min(initial=1) <= 0:
             raise ValueError("multiplicities must be positive")
         order = np.argsort(values, kind="stable")
         ordered, weights = values[order], weights[order]
-        terms = ordered * weights
+        del order
     if ordered.size == 0:
         return Spectrum((), group_tol)
-    if not np.isfinite(ordered).all():
+    # a sort puts -inf first and inf and NaN last
+    if not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])):
         raise ValueError("eigenvalues must be finite")
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(ordered) > group_tol) + 1))
+    new_group = np.empty(ordered.size, dtype=bool)
+    new_group[0] = True
+    np.greater(np.diff(ordered), group_tol, out=new_group[1:])
+    starts = np.flatnonzero(new_group)
+    del new_group
     sizes = np.diff(starts, append=ordered.size)
-    counts = sizes if multiplicities is None else np.add.reduceat(weights, starts)
-    sums = np.zeros(starts.size)
-    # Add the k-th member of every group still open, one array step per
-    # position; np.add.reduceat would sum pairwise and move the last bits.
-    open_groups = np.arange(starts.size)
-    k = 0
+    if multiplicities is None:
+        terms, counts = ordered, sizes
+    else:
+        terms = np.multiply(ordered, weights, out=ordered)
+        counts = np.add.reduceat(weights, starts)
+        del weights
+    # Every group's first member, added to 0.0 as a sum from 0.0 adds it
+    # (so -0.0 becomes 0.0); then the k-th member of every group still
+    # open, one array step per position; np.add.reduceat would sum pairwise
+    # and move the last bits.
+    sums = terms[starts]
+    sums += 0.0
+    open_groups = np.flatnonzero(sizes > 1)
+    k = 1
     while open_groups.size > _FEW_GROUPS:
         sums[open_groups] += terms[starts[open_groups] + k]
         k += 1
@@ -246,8 +259,13 @@ def spectrum_from_values(values: Sequence[float], group_tol: float,
         tail = terms[starts[g] + k:starts[g] + sizes[g]]
         # accumulate adds strictly left to right
         sums[g] = np.add.accumulate(np.concatenate((sums[g:g + 1], tail)))[-1]
-    means = sums / counts
-    return Spectrum._from_arrays(means[::-1], counts[::-1], group_tol)
+    sums /= counts
+    # sums and counts are this call's own float64 and int64 arrays, so the
+    # Spectrum keeps them as they are, read-only, without the copy
+    # _from_arrays makes
+    sp = Spectrum.__new__(Spectrum)
+    sp._fill(sums[::-1], counts[::-1], group_tol)
+    return sp
 
 
 @dataclass(frozen=True)

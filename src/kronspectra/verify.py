@@ -392,13 +392,14 @@ def poly_report(spec: FamilySpec, tol: float = 1e-8,
                 oracle: FamilyOracle | None = None) -> FamilyReport:
     """Compare p(A) with D entrywise for the distance polynomial p of a
     Johnson or Hamming family (any other raises FamilyDomainError); A and D
-    are read from ``oracle`` once p exists.  A shaped family is compared on
-    row 0 alone, over the proven neighbour array (``polynomials`` module
-    docstring); any other evaluates p(A) in full."""
+    are read from ``oracle`` once p exists, and a family past a cap is
+    refused (``FamilyOracle.refuse``) before anything is built.  A shaped
+    family is compared on row 0 alone, over the proven neighbour array
+    (``polynomials`` module docstring); any other evaluates p(A) in full."""
     oracle = _oracle_for(spec, oracle)
     poly = polynomials.distance_polynomial(spec)
+    oracle.refuse("distance")
     if oracle.shape is not None:
-        # row 0 of D first, so its cap message is the one a check reports
         target = oracle.row("distance").ravel()
         evaluated = polynomials.polynomial_row(poly, oracle.neighbours)
     else:

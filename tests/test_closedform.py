@@ -1,5 +1,6 @@
 """Closed-form spectra: frozen examples, oracle equality, domain guards."""
 
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -173,6 +174,25 @@ def test_closed_forms_group_table_rows_not_repeated_values(monkeypatch):
     sp, _ = closed_form_distance_spectrum(Kron(Complete(8), Cycle(187500)))
     assert sp.order == 8 * 187500
     assert rows == [2 * (187500 // 2 + 1)]
+
+
+def test_the_largest_closed_scale_case_keeps_few_full_length_arrays():
+    # kron(K3,C490093) peaked at 62.9 MB when every step of the cycle
+    # columns, the law and the grouping allocated a fresh full-length
+    # array.  Filled in place it peaks near 36.5 MB: the table, the law's
+    # two buffers, the sorted terms and a few group-length arrays, live
+    # together in the Spectrum's checks.  The bound, 0.7 of the old peak,
+    # leaves room for a few more scratch buffers that a numpy release may
+    # trace, but not for a return to fresh temporaries.
+    length = 490093
+    tracemalloc.start()
+    try:
+        sp, _ = closed_form_distance_spectrum(Kron(Complete(3), Cycle(length)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sp.order == 3 * length
+    assert peak <= 0.7 * 62.9e6, peak
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,18 @@
 """Eigen-tables (a, d, mult) and their a_1 = 0 flag against dense A, D and
 T (the edges with no common neighbour), and the product law."""
 
+import math
+
 import numpy as np
 import pytest
 
-from kronspectra.circulant import cycle_adjacency_eigenvalues, cycle_distance_eigenvalues
+from kronspectra import circulant, closedform
+from kronspectra.circulant import (
+    cycle_adjacency_eigenvalues,
+    cycle_distance_eigenvalues,
+    cycle_half_adjacency,
+    cycle_half_distance,
+)
 from kronspectra.closedform import eigen_table, kron_complete_law
 from kronspectra.graphs import (
     Complete,
@@ -16,6 +24,7 @@ from kronspectra.graphs import (
     distance_matrix,
 )
 from kronspectra.numeric import symmetric_eigenvalues
+from kronspectra.spectrum import Spectrum
 
 FACTORS = (
     [Cycle(n) for n in range(4, 10)]
@@ -88,3 +97,82 @@ def test_cycle_table_is_the_half_table_of_the_public_columns(n):
     assert np.all(np.delete(table.mult, singles) == 2)
     assert np.array_equal(table.a, cycle_adjacency_eigenvalues(n)[:rows])
     assert np.array_equal(table.d, cycle_distance_eigenvalues(n)[:rows])
+
+
+def plain_columns(n, rows):
+    """The cycle columns as plain whole-array expressions, one temporary
+    per step: the form the in-place columns must reproduce bit for bit."""
+    j = np.arange(rows)
+    a = 2.0 * np.cos(2.0 * math.pi * j / n)
+    d = np.zeros(rows)
+    d[0] = n * n / 4.0 if n % 2 == 0 else (n * n - 1) / 4.0
+    if n % 2 == 0:
+        d[1::2] = -1.0 / np.sin(math.pi * j[1::2] / n) ** 2
+    else:
+        d[2::2] = -0.25 / np.cos(math.pi * j[2::2] / (2 * n)) ** 2
+        d[1::2] = -0.25 / np.sin(math.pi * j[1::2] / (2 * n)) ** 2
+    return a, d
+
+
+def same_bytes(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("n", list(range(3, 61)) + [999, 1000, 4001, 10**6])
+def test_in_place_cycle_columns_are_the_plain_expressions_bit_for_bit(n):
+    a, d = plain_columns(n, n)
+    assert same_bytes(cycle_adjacency_eigenvalues(n), a)
+    assert same_bytes(cycle_distance_eigenvalues(n), d)
+    rows = n // 2 + 1
+    table = eigen_table(Cycle(n))
+    assert same_bytes(table.a, a[:rows]) and same_bytes(table.d, d[:rows])
+    for half_column, column in ((cycle_half_adjacency, a), (cycle_half_distance, d)):
+        half, mult = half_column(n)
+        assert same_bytes(half, column[:rows]) and same_bytes(mult, table.mult)
+
+
+def test_a_cycle_half_column_evaluates_only_its_own_formula(monkeypatch):
+    calls = []
+    for name in ("_adjacency_column", "_distance_column"):
+        real = getattr(circulant, name)
+        monkeypatch.setattr(circulant, name,
+                            lambda n, rows, _real=real, _name=name:
+                            calls.append(_name) or _real(n, rows))
+    cycle_half_adjacency(10)
+    cycle_half_distance(10)
+    closedform.cycle_distance_spectrum(11)
+    closedform.cycle_adjacency_spectrum(11)
+    cycle_distance_eigenvalues(12)
+    cycle_adjacency_eigenvalues(12)
+    assert calls == ["_adjacency_column", "_distance_column", "_distance_column",
+                     "_adjacency_column", "_distance_column", "_adjacency_column"]
+
+
+@pytest.mark.parametrize("length", list(range(3, 21)) + [999, 1000, 4001])
+def test_float_law_is_the_concatenated_law_bit_for_bit(length, monkeypatch):
+    seen = []
+    grouping = closedform.spectrum_from_values
+    monkeypatch.setattr(closedform, "spectrum_from_values",
+                        lambda v, tol, m: seen.append((v.copy(), m.copy())) or grouping(v, tol, m))
+    table = eigen_table(Cycle(length))
+    for n in range(3, 9):
+        seen.clear()
+        kron_complete_law(n, table)
+        [(values, mults)] = seen
+        # the law as two np.concatenate calls over whole-column temporaries
+        a = 2 * table.a if table.triangle_free else table.a
+        assert same_bytes(values, np.concatenate([n * table.d + a + 2 * (n - 1), a - 2]))
+        assert same_bytes(mults, np.concatenate([table.mult, (n - 1) * table.mult]))
+
+
+@pytest.mark.parametrize("factor", [Complete(3), Complete(5), Johnson(6, 3), Johnson(9, 4),
+                                    Hamming(3, 3), Hamming(4, 2)])
+def test_integer_law_is_the_concatenated_law_exactly(factor):
+    table = eigen_table(factor)
+    for n in range(3, 9):
+        a = 2 * table.a if table.triangle_free else table.a
+        values = np.concatenate([n * table.d + a + 2 * (n - 1), a - 2])
+        mults = np.concatenate([table.mult, (n - 1) * table.mult])
+        got = kron_complete_law(n, table)
+        assert got == Spectrum.from_pairs(zip(values.tolist(), mults.tolist()))
+        assert got.grouping_tol == 0.0

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import kronspectra
@@ -115,3 +116,13 @@ def test_imported_modules_sees_every_import_form(tmp_path):
     )
     assert imported_modules(probe) == {
         "closedform", "circulant", "verify", "polynomials", "spectrum", "errors"}
+
+
+def test_the_distribution_is_named_and_versioned_as_the_package():
+    # read without tomllib, which Python 3.10 lacks: the [project] table's
+    # one-line string fields
+    text = (PACKAGE.parents[1] / "pyproject.toml").read_text()
+    table = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    fields = dict(re.findall(r'^([\w-]+) = "([^"]*)"$', table, re.M))
+    assert fields["name"] == kronspectra.__name__ == "kronspectra"
+    assert fields["version"] == kronspectra.__version__

@@ -207,6 +207,112 @@ def test_grouping_rejects_nonfinite_values(bad):
                 spectrum_from_values(values, tol)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grouping_finds_a_nonfinite_value_at_either_end(bad):
+    # a sort puts -inf first and inf and NaN last, so the sorted ends show
+    # every non-finite value, weighted or not
+    for values in ([bad, 1.0, 2.0], [1.0, 2.0, bad], [2.0, bad, 1.0],
+                   [bad, 1.0, bad], [np.nan, bad, 1.0], [-np.inf, 0.5, bad]):
+        for mults in (None, [1, 2, 3]):
+            with warnings.catch_warnings(), \
+                    pytest.raises(ValueError, match="eigenvalues must be finite"):
+                warnings.simplefilter("error")
+                spectrum_from_values(values, 1e-6, mults)
+
+
+def _previous_grouping(values, group_tol, multiplicities=None):
+    """spectrum_from_values before it reused its buffers, as the (values,
+    multiplicities) arrays of its Spectrum: every group summed from 0.0,
+    one array step per member position."""
+    values = np.asarray(values, dtype=float)
+    if multiplicities is None:
+        ordered = terms = np.sort(values)
+    else:
+        order = np.argsort(values, kind="stable")
+        ordered, weights = values[order], np.asarray(multiplicities, dtype=np.int64)[order]
+        terms = ordered * weights
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(ordered) > group_tol) + 1))
+    sizes = np.diff(starts, append=ordered.size)
+    counts = sizes if multiplicities is None else np.add.reduceat(weights, starts)
+    sums = np.zeros(starts.size)
+    open_groups = np.arange(starts.size)
+    k = 0
+    while open_groups.size > 64:
+        sums[open_groups] += terms[starts[open_groups] + k]
+        k += 1
+        open_groups = open_groups[sizes[open_groups] > k]
+    for g in open_groups.tolist():
+        tail = terms[starts[g] + k:starts[g] + sizes[g]]
+        sums[g] = np.add.accumulate(np.concatenate((sums[g:g + 1], tail)))[-1]
+    means = sums / counts
+    return np.array(means[::-1]), np.array(counts[::-1], dtype=np.int64)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_grouping_is_the_previous_algorithm_bit_for_bit(seed):
+    rng = np.random.default_rng(300 + seed)
+    tol = [0.0, 1e-6, 1e-3, 5e-3][seed % 4]
+    # few groups (the per-group tail alone) or many (array steps first)
+    clusters = _clustered(rng, int(rng.integers(3, 400)), 30, tol)
+    # exact ties, and zeros of both signs, alone and together
+    values = rng.permutation(np.concatenate([
+        clusters, rng.choice(clusters, clusters.size // 2), np.zeros(5), np.full(7, -0.0)]))
+    weights = rng.integers(1, 9, values.size)
+    inputs = [(values, None), (values, weights), (np.full(3, -0.0), None),
+              (np.full(3, -0.0), [2, 1, 3])]
+    for values, mults in inputs:
+        got = spectrum_from_values(values, tol, mults)
+        want_values, want_mults = _previous_grouping(values, tol, mults)
+        assert got.value_array.dtype == np.float64 and got.multiplicity_array.dtype == np.int64
+        assert got.value_array.tobytes() == want_values.tobytes()
+        assert got.multiplicity_array.tobytes() == want_mults.tobytes()
+
+
+def _raised(pairs, tol):
+    """The messages Spectrum(pairs) and Spectrum._from_arrays raise, or None."""
+    values = np.array([v for v, _ in pairs], dtype=np.float64)
+    mults = np.array([m for _, m in pairs], dtype=np.int64)
+    messages = []
+    for build in (lambda: Spectrum(pairs, tol), lambda: Spectrum._from_arrays(values, mults, tol)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                build()
+            except ValueError as err:
+                messages.append(str(err))
+            else:
+                messages.append(None)
+    return messages
+
+
+@pytest.mark.parametrize("pairs, tol, message", [
+    (((1.0, 1), (0.0, 0)), 0.0, "multiplicities must be positive"),
+    (((1.0, 1), (np.inf, 1)), 0.0, "eigenvalues must be finite"),
+    (((1.0, 1), (2.0, 1)), 0.0, "pairs must be sorted by descending value"),
+    (((1.0, 1), (1.0 - 1e-9, 1)), 1e-6,
+     "consecutive values must differ by more than grouping_tol"),
+    # a nonpositive multiplicity and a non-finite value: the first
+    # offending pair names the error ...
+    (((2.0, 1), (np.nan, 1), (1.0, 0)), 0.0, "eigenvalues must be finite"),
+    (((2.0, 1), (1.5, -1), (np.inf, 1)), 0.0, "multiplicities must be positive"),
+    # ... and at the same pair the multiplicity does
+    (((2.0, 1), (np.nan, 0)), 0.0, "multiplicities must be positive"),
+    (((-np.inf, 0), (1.0, 1)), 0.0, "multiplicities must be positive"),
+    # unsorted and too close together: unsorted, before or after
+    (((3.0, 1), (3.0, 1), (1.0, 1), (2.0, 1)), 0.5, "pairs must be sorted by descending value"),
+    (((1.0, 1), (2.0, 1), (2.0, 1)), 0.5, "pairs must be sorted by descending value"),
+    (((2.0, 1), (1.9, 1), (3.0, 1)), 0.5, "pairs must be sorted by descending value"),
+    # non-finite values inside finite ends, alone or side by side
+    (((5.0, 1), (np.nan, 1), (1.0, 1)), 0.0, "eigenvalues must be finite"),
+    (((5.0, 1), (np.inf, 1), (np.inf, 1), (1.0, 1)), 0.0, "eigenvalues must be finite"),
+    (((5.0, 1), (-np.inf, 1), (-np.inf, 1), (1.0, 1)), 0.0, "eigenvalues must be finite"),
+    (((5.0, 1), (np.inf, 1), (-np.inf, 1), (1.0, 1)), 0.0, "eigenvalues must be finite"),
+    (((np.nan, 1),), 0.0, "eigenvalues must be finite"),
+])
+def test_checks_keep_each_message_and_its_precedence(pairs, tol, message):
+    assert _raised(pairs, tol) == [message, message]
+
+
 def test_identity_eigenvalues():
     vals = symmetric_eigenvalues(np.eye(5))
     assert vals == pytest.approx([1.0] * 5)

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kronspectra import closedform, graphs, polynomials, verify
-from kronspectra.errors import NonSymmetricMatrixError, OrderCapError
+from kronspectra import circulant, closedform, graphs, polynomials, verify
+from kronspectra.cli import main
+from kronspectra.errors import FamilyDomainError, NonSymmetricMatrixError, OrderCapError
 from kronspectra.graphs import (
     Complete,
     Cycle,
@@ -269,6 +270,11 @@ def test_a_family_past_a_cap_is_refused_before_its_closed_form(monkeypatch):
     tables, eigen_table = [], closedform.eigen_table
     monkeypatch.setattr(closedform, "eigen_table",
                         lambda spec: tables.append(spec) or eigen_table(spec))
+    # a cycle's spectra read its columns without an eigen-table
+    for name in ("_adjacency_column", "_distance_column"):
+        column = getattr(circulant, name)
+        monkeypatch.setattr(circulant, name, lambda n, rows, _column=column:
+                            tables.append(n) or _column(n, rows))
     big = Cycle(3000000)
     for matrix in ("distance", "adjacency"):
         with pytest.raises(OrderCapError, match="^C3000000 has 3000000 vertices, cap is 20000$"):
@@ -277,6 +283,25 @@ def test_a_family_past_a_cap_is_refused_before_its_closed_form(monkeypatch):
     with pytest.raises(OrderCapError, match="^distance matrix order 11 exceeds dense cap 10$"):
         verify_family(Cycle(11))
     assert tables == []
+
+
+def test_a_polynomial_past_the_dense_cap_is_refused_before_its_graph(monkeypatch, capsys):
+    builds = []
+    for namespace in (graphs, verify):
+        build = namespace.build_family
+        monkeypatch.setattr(namespace, "build_family",
+                            lambda spec, _build=build: builds.append(spec) or _build(spec))
+    message = "distance matrix order 4368 exceeds dense cap 4000"
+    with pytest.raises(OrderCapError, match=f"^{message}$"):
+        poly_report(Johnson(16, 5))
+    for argv in (["poly", "--family", "J(16,5)"],
+                 ["verify", "--family", "J(16,5)", "--check", "poly"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    # a family with no distance polynomial is told so first
+    with pytest.raises(FamilyDomainError):
+        poly_report(Cycle(5000))
+    assert builds == []
 
 
 @pytest.mark.xfail(strict=True, reason="the 1e-6 chain grouping (ROADMAP item 4) merges"
