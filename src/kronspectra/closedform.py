@@ -186,11 +186,11 @@ class EigenTable:
     mult: np.ndarray
     triangle_free: bool
 
-    def adjacency_spectrum(self, group_tol: float = 1e-6) -> Spectrum:
-        return _grouped(self.a, self.mult, group_tol)
+    def adjacency_spectrum(self) -> Spectrum:
+        return _grouped(self.a, self.mult, 1e-6)
 
-    def distance_spectrum(self, group_tol: float = 1e-6) -> Spectrum:
-        return _grouped(self.d, self.mult, group_tol)
+    def distance_spectrum(self) -> Spectrum:
+        return _grouped(self.d, self.mult, 1e-6)
 
 
 def _grouped(values: np.ndarray, mults: np.ndarray, group_tol: float) -> Spectrum:
@@ -279,6 +279,8 @@ def kron_complete_law(n: int, table: EigenTable, group_tol: float = 1e-6) -> Spe
     mults = np.empty(2 * rows, dtype=table.mult.dtype)
     mults[:rows] = table.mult
     np.multiply(table.mult, n - 1, out=mults[rows:])
+    # a cycle's table is this call's own; the grouping reads only the buffers
+    del table
     return _grouped(values, mults, group_tol)
 
 

@@ -385,12 +385,14 @@ def kronecker_product(g: Graph, h: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 # Frontier edge count at or below which a BFS level runs as a Python queue
-# step rather than a numpy step.  It sits at the measured crossover (2-vCPU
-# Xeon, Python 3.11, numpy 2.4, best of 200 on kron(K3,C400), kron(K9,C130)
-# and kron(K30,C40)): a queue step pays 55-150 ns an edge, a top-down numpy
-# step 9-12 us a level plus about 20 ns an edge, and the two cost the same
-# between 128 and 256 edges.  Every step writes the same depths, so no
-# result depends on the value.
+# step rather than a numpy step.  It sits inside the measured crossovers
+# (2-vCPU Xeon, Python 3.11, numpy 2.4, best of 200 a level on kron(K3,C400),
+# kron(K9,C130) and kron(K30,C40)): a queue step on memoryview rows pays
+# 120, 56 and 44 ns an edge (a row's slice costs about as much as a few of
+# its edges, so degree 4 pays the most), a top-down numpy step 8-15 us a
+# level plus about 10 ns an edge, and the two cost the same at about 70,
+# 170 and 375 edges.  Every step writes the same depths, so no result
+# depends on the value.
 _NARROW_LEVEL_EDGES = 128
 
 
@@ -404,17 +406,10 @@ def _bfs_depths(g: Graph | np.ndarray) -> tuple[np.ndarray, int]:
 
     * a queue step (``_queue_level``) in plain Python when the frontier has
       at most ``_NARROW_LEVEL_EDGES`` edges (128: a queue edge costs
-      55-150 ns and a numpy level 9-12 us, so the two meet between 128 and
-      256 edges), on the frontier's neighbour rows as Python lists.  A
-      level converts only its frontier's rows (``_frontier_rows``), at a
-      fixed cost a call, until the levels pay for converting the whole
-      table once (``_python_rows``): rated at ``_NARROW_LEVEL_EDGES``
-      stored neighbours a level, either the narrow levels so far or, once
-      the frontier has stopped growing, the ``unvisited / len(frontier)``
-      levels of its width still to come reach the table's n * degree.  So
-      a wide graph, whose narrow levels are its first few and its last
-      few, never converts its table, and a cycle or a cycle product
-      converts it as soon as its frontier stops growing;
+      44-120 ns and a numpy level 8-15 us).  It reads each frontier
+      vertex's neighbours as a slice ``flat[ends[x]:ends[x + 1]]`` of
+      memoryviews of the graph's ``indices`` and ``indptr``, or of the
+      flattened table and ``degree * arange(n + 1)``, so no row is copied;
     * on a regular graph, a bottom-up step (``_bottom_up_level``; Beamer,
       Asanovic and Patterson, "Direction-optimizing breadth-first search",
       SC 2012) from the first wider level whose unvisited vertices are no
@@ -431,7 +426,12 @@ def _bfs_depths(g: Graph | np.ndarray) -> tuple[np.ndarray, int]:
     found by a scan forward from the previous start, so k components cost
     O(n), not O(k·n).
     """
-    table = g if isinstance(g, np.ndarray) else _regular_table(g)
+    if isinstance(g, np.ndarray):
+        table = g
+        flat, ends = memoryview(g.reshape(-1)), memoryview(g.shape[1] * np.arange(len(g) + 1))
+    else:
+        table = _regular_table(g)
+        flat, ends = memoryview(g.indices), memoryview(g.indptr)
     if table is not None:
         n, degree = table.shape
     else:
@@ -439,14 +439,13 @@ def _bfs_depths(g: Graph | np.ndarray) -> tuple[np.ndarray, int]:
     depth = np.full(n, -1, dtype=np.int64)
     seen = memoryview(depth)
     owner = np.empty(n, dtype=np.intp)
-    rows = pending = None
-    stored = n * degree if table is not None else g.indices.size
-    unvisited, components, start, narrow = n, 0, 0, 0
+    pending = None
+    unvisited, components, start = n, 0, 0
     while unvisited:
         while seen[start] >= 0:
             start += 1
         components += 1
-        seen[start] = level = width = 0
+        seen[start] = level = 0
         unvisited -= 1
         frontier = [start]
         while unvisited and len(frontier):
@@ -457,25 +456,15 @@ def _bfs_depths(g: Graph | np.ndarray) -> tuple[np.ndarray, int]:
             else:
                 edges = int(degrees[frontier].sum())
             if edges <= _NARROW_LEVEL_EDGES:
-                narrow += 1
-                if rows is None and (
-                        narrow * _NARROW_LEVEL_EDGES >= stored
-                        or size <= width and unvisited * _NARROW_LEVEL_EDGES >= stored * size):
-                    rows = _python_rows(g, table)
                 if not isinstance(frontier, list):
                     frontier = frontier.tolist()
-                if rows is None:
-                    frontier_rows = _frontier_rows(g, table, frontier)
-                else:
-                    frontier_rows = map(rows.__getitem__, frontier)
-                frontier = _queue_level(frontier_rows, seen, level)
+                frontier = _queue_level(flat, ends, frontier, seen, level)
             elif table is not None and (pending is not None or unvisited <= size):
                 if pending is None:
                     pending = np.flatnonzero(depth < 0)
                 pending, frontier = _bottom_up_level(table, depth, pending, level)
             else:
                 frontier = _top_down_level(g, table, depth, owner, frontier, level)
-            width = size
             unvisited -= len(frontier)
     return depth, components
 
@@ -489,31 +478,14 @@ def _regular_table(g: Graph) -> np.ndarray | None:
     return g.indices.reshape(n, degree)
 
 
-def _python_rows(g: Graph, table: np.ndarray | None) -> list[list[int]]:
-    """Every vertex's neighbours as a Python list."""
-    if table is not None:
-        return table.tolist()
-    flat, ends = g.indices.tolist(), g.indptr.tolist()
-    return [flat[a:b] for a, b in zip(ends, ends[1:])]
-
-
-def _frontier_rows(g: Graph, table: np.ndarray | None,
-                   frontier: list[int]) -> list[list[int]]:
-    """The neighbours of each frontier vertex as a Python list, in
-    frontier order."""
-    if table is not None:
-        return table[frontier].tolist()
-    starts, stops = g.indptr[frontier].tolist(), g.indptr[np.add(frontier, 1)].tolist()
-    return [g.indices[a:b].tolist() for a, b in zip(starts, stops)]
-
-
-def _queue_level(frontier_rows, seen: memoryview, level: int) -> list[int]:
-    """Queue step: the unvisited neighbours of the frontier, given as its
-    vertices' neighbour lists, in the order found, each given depth
-    ``level``."""
+def _queue_level(flat: memoryview, ends: memoryview, frontier: list[int],
+                 seen: memoryview, level: int) -> list[int]:
+    """Queue step: the unvisited neighbours of the frontier, vertex x's
+    read as ``flat[ends[x]:ends[x + 1]]``, in the order found, each given
+    depth ``level``."""
     found = []
-    for row in frontier_rows:
-        for v in row:
+    for x in frontier:
+        for v in flat[ends[x]:ends[x + 1]]:
             if seen[v] < 0:
                 seen[v] = level
                 found.append(v)

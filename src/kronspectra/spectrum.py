@@ -106,16 +106,6 @@ class Spectrum:
         self._fill(np.array([v for v, _ in pairs], dtype=np.float64),
                    _multiplicity_array([m for _, m in pairs]), grouping_tol)
 
-    @classmethod
-    def _from_arrays(cls, values: np.ndarray, mults: np.ndarray,
-                     grouping_tol: float) -> "Spectrum":
-        """Build from a descending value array and an int64 multiplicity
-        array (both copied), with the checks ``Spectrum(pairs)`` runs."""
-        sp = cls.__new__(cls)
-        sp._fill(np.array(values, dtype=np.float64), np.array(mults, dtype=np.int64),
-                 grouping_tol)
-        return sp
-
     def _fill(self, values: np.ndarray, mults: np.ndarray, grouping_tol: float) -> None:
         if not 0 <= grouping_tol < math.inf:
             raise ValueError(f"group_tol must be finite and nonnegative, got {grouping_tol}")
@@ -256,13 +246,13 @@ def spectrum_from_values(values: Sequence[float], group_tol: float,
         k += 1
         open_groups = open_groups[sizes[open_groups] > k]
     for g in open_groups.tolist():
-        tail = terms[starts[g] + k:starts[g] + sizes[g]]
         # accumulate adds strictly left to right
-        sums[g] = np.add.accumulate(np.concatenate((sums[g:g + 1], tail)))[-1]
+        sums[g] = np.add.accumulate(
+            np.concatenate((sums[g:g + 1], terms[starts[g] + k:starts[g] + sizes[g]])))[-1]
     sums /= counts
-    # sums and counts are this call's own float64 and int64 arrays, so the
-    # Spectrum keeps them as they are, read-only, without the copy
-    # _from_arrays makes
+    # the Spectrum reads only sums and counts, this call's own float64 and
+    # int64 arrays, and keeps them as they are, read-only, without a copy
+    del values, ordered, terms, starts, sizes, open_groups
     sp = Spectrum.__new__(Spectrum)
     sp._fill(sums[::-1], counts[::-1], group_tol)
     return sp

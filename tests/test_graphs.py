@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -459,7 +460,7 @@ def bfs_step_graphs():
              # first found next to each other
              Johnson(10, 5),
              Kron(Complete(2), Cycle(8)), Kron(Complete(2), Complete(2)),
-             # wide tables whose narrow levels convert only their frontier
+             # wide tables, whose narrow levels are their first and last few
              Hamming(10, 2), Kron(Complete(3), Hamming(4, 5))]
     return ([build_family(spec) for spec in specs]
             + [uneven_graph(70, 10, seed=70), uneven_graph(130, 60, seed=130),
@@ -510,51 +511,37 @@ def test_bfs_steps_and_levels(monkeypatch):
                              "_bottom_up_level", "_bottom_up_level"]
 
 
-def test_narrow_levels_convert_only_their_frontier_rows(monkeypatch):
-    whole, frontiers = [], []
-    python_rows, frontier_rows = graphs._python_rows, graphs._frontier_rows
-    monkeypatch.setattr(graphs, "_python_rows",
-                        lambda g, table: whole.append(1) or python_rows(g, table))
-    monkeypatch.setattr(graphs, "_frontier_rows",
-                        lambda g, table, frontier: frontiers.append((table is None, len(frontier)))
-                        or frontier_rows(g, table, frontier))
-    for spec in (Hamming(10, 2), Kron(Complete(36), Complete(33)),
-                 Kron(Complete(3), Hamming(4, 5))):
-        g = build_family(spec)
-        sources = [g, g.indices.reshape(g.vertex_count, -1)]
-        if isinstance(spec, Kron):
-            sources.append(translation_table(spec))
-        for source in sources:
-            whole.clear(), frontiers.clear()
+def cycle_rows(m: int) -> np.ndarray:
+    """The (m, 2) sorted neighbour table of C_m, built by hand."""
+    i = np.arange(m)
+    return np.sort(np.stack([(i - 1) % m, (i + 1) % m], axis=1), axis=1)
+
+
+def test_row_bfs_copies_no_neighbour_row():
+    # The BFS keeps depth (int64) and owner (intp), 16 bytes a vertex, and
+    # for a table also ends = degree * arange(n + 1), 8 more: 24 bytes a
+    # vertex for a table and 16 for a graph, whose ends is its own indptr.
+    # The bound, 32 bytes a vertex, leaves one more int64 array of margin
+    # and no room for the neighbour rows as Python lists (about 160 bytes
+    # a vertex for C200001 and 240 for kron(K3,C66667) when every row was
+    # converted).  Both inputs are hand-built, the product past
+    # PRODUCT_VERTEX_CAP, and both are deep, so nearly every level is a
+    # queue step.
+    n = 200001
+    cycle = Graph(2 * np.arange(n + 1), cycle_rows(n).ravel())
+    m = 66667
+    k3 = np.array([[1, 2], [0, 2], [0, 1]])
+    product = (k3[:, None, :, None] * m + cycle_rows(m)[None, :, None, :]).reshape(3 * m, 4)
+    assert len(product) > graphs.PRODUCT_VERTEX_CAP
+    for source, eccentricity in ((cycle, n // 2), (product, m // 2)):
+        tracemalloc.start()
+        try:
             depth = graphs.distance_row(source)
-            assert depth.tolist() == naive_bfs_distances(g, [0])[0].tolist(), spec
-            # no whole-table conversion; each narrow level converts its own
-            # rows (kron(K36,K33) has none: vertex 0 alone has 1120 edges)
-            assert whole == [], spec
-            assert bool(frontiers) == (spec != Kron(Complete(36), Complete(33))), spec
-            degree = int(g.indptr[1])
-            assert all(not irregular and size * degree <= graphs._NARROW_LEVEL_EDGES
-                       for irregular, size in frontiers), spec
-    # a cycle's or a cycle product's levels stay narrow: the whole table is
-    # converted, once, at the first narrow level whose frontier is no wider
-    # than the last (C600: frontiers 1, 2, 2; kron(K4,C254): 1, 6, 11, 10;
-    # kron(K6,C197): 1, 10, then 17 and 14 in numpy, then 12)
-    for spec, converted in ((Cycle(600), 2), (Kron(Complete(4), Cycle(254)), 3),
-                            (Kron(Complete(6), Cycle(197)), 2)):
-        g = build_family(spec)
-        whole.clear(), frontiers.clear()
-        depth = graphs.distance_row(translation_table(spec) if isinstance(spec, Kron) else g)
-        assert depth.tolist() == naive_bfs_distances(g, [0])[0].tolist(), spec
-        assert whole == [1] and len(frontiers) == converted, spec
-    # a small graph's first narrow level already pays for its table
-    whole.clear(), frontiers.clear()
-    graphs.distance_row(build_family(Cycle(9)))
-    assert whole == [1] and frontiers == []
-    # an irregular graph converts its frontier rows from the CSR
-    whole.clear(), frontiers.clear()
-    g = uneven_graph(130, 60, seed=130)
-    assert graphs._bfs_depths(g)[0].tolist() == naive_bfs_distances(g, [0])[0].tolist()
-    assert frontiers and all(irregular for irregular, _ in frontiers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert depth.size == n and int(depth.max()) == eccentricity
+        assert peak <= 32 * n, peak
 
 
 def disjoint_copies(component: Graph, copies: int) -> Graph:
