@@ -16,14 +16,16 @@ K_n (x) G literally block circulant, which downstream modules rely on.
 
 Metric data comes in two forms.  ``distance_matrix`` is the all-sources
 bitset BFS behind the dense D.  A family with a translation shape is
-instead proven a Cayley graph (``translation_table``): an atom on its CSR
-(``translation_neighbours``), a product through its factors' proofs, with
-no product graph built.  Its D and A are then group matrices that row 0
-determines: ``distance_row``, one BFS from vertex 0 over the proven
-neighbour table, and the neighbours of vertex 0.  That BFS is a hybrid
-(``_bfs_depths``): a Python queue step for narrow levels, a sort-free
-top-down numpy step, and on regular graphs a bottom-up numpy step for the
-last levels; it also serves ``is_connected`` and ``has_odd_cycle``.
+instead proven a Cayley graph, atom by atom on the atom's CSR
+(``translation_table``, ``translation_neighbours``), and its D and A are
+then group matrices that row 0 determines.  For an atom, row 0 of D is
+``distance_row``, one BFS from vertex 0 over the proven neighbour table,
+and row 0 of A the neighbours of vertex 0.  A product's rows are read off
+its atoms' shortest even and odd walks (``product_row``), with no product
+graph, neighbour table or BFS.  The BFS is a hybrid (``_bfs_depths``): a
+Python queue step for narrow levels, a sort-free top-down numpy step, and
+on regular graphs a bottom-up numpy step for the last levels; it also
+serves ``is_connected`` and ``has_odd_cycle``.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ __all__ = [
     "translation_shape",
     "translation_neighbours",
     "translation_table",
+    "product_row",
     "refuse_past_product_cap",
     "build_family",
     "kronecker_product",
@@ -610,44 +613,96 @@ def translation_neighbours(g: Graph, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def translation_table(spec: FamilySpec) -> np.ndarray:
-    """The (n, degree) neighbour table of a shaped family's graph, proven
-    ``Cay(Z_shape, N(0))`` for ``shape = translation_shape(spec)``, with no
-    product graph built.
-
-    An atom is built and proven on its CSR by ``translation_neighbours``.
-    A product is read off its factors' proven tables: if G = Cay(Z_a, S)
-    and H = Cay(Z_b, T), then (x, y) ~ (u, v) in G (x) H iff u - x is in S
-    and v - y in T, so G (x) H = Cay(Z_a x Z_b, S x T) (Hammack, Imrich and
-    Klavzar, *Handbook of Product Graphs*, ch. 5).  In the canonical order
-    u * |V(H)| + v, the row of (x, y) is u * |V(H)| + v over u in row x of
-    G and v in row y of H, already sorted since v < |V(H)|.  So the table
-    is ``np.array_equal`` to, and has the dtype of,
-    ``translation_neighbours(build_family(spec), shape)``.  A spec over
-    PRODUCT_VERTEX_CAP vertices is refused before anything is built; a
-    family or factor that has no shape or fails its proof raises
-    NonSymmetricMatrixError.
+    """The (n, degree) neighbour table of a shaped atom's graph, built and
+    proven ``Cay(Z_shape, N(0))`` for ``shape = translation_shape(spec)``
+    on its CSR by ``translation_neighbours``: a read-only view of the
+    graph's ``indices``.  A product's rows are read off its atoms instead
+    (``product_row``).  A spec over PRODUCT_VERTEX_CAP vertices is refused
+    before anything is built; a family that has no shape or fails its proof
+    raises NonSymmetricMatrixError.
     """
     refuse_past_product_cap(spec)
-    if not isinstance(spec, Kron):
-        return translation_neighbours(build_family(spec), translation_shape(spec))
-    left, right = _factor_table(spec.left), _factor_table(spec.right)
-    table = left[:, None, :, None] * len(right) + right[None, :, None, :]
-    table = table.reshape(len(left) * len(right), left.shape[1] * right.shape[1])
-    table.flags.writeable = False
-    return table
+    return translation_neighbours(build_family(spec), translation_shape(spec))
 
 
-# The one memo of this module: the proven tables of products' factors, so
-# that the factors a grid's products share are built and proven once per
-# process (the shaped products of the default grid at order 1200 have 58
-# distinct factors).  No graph is kept: an atom's table is a read-only view
-# of its graph's ``indices``, and an unshaped product builds its factors
-# afresh.
-# A top-level family is built once per grid family anyway, and keeping
-# those too (the grid's base families reach 1024 vertices) raised the peak
-# RSS of a ``grid --max-order 1200`` run from 40.0 to 43.5 MB (10 fresh
-# runs each, 2-vCPU Xeon, numpy 2.4) for a few ms saved.
-_factor_table = functools.lru_cache(maxsize=128)(translation_table)
+# Stands for "no walk of this parity" in an atom's walk rows; np.maximum
+# and np.minimum keep it, so a product row holds it exactly where the
+# product has no walk at all.
+_NO_WALK = np.iinfo(np.int64).max
+
+
+# The one memo of this module: the walk rows of products' atoms, so that
+# the atoms a grid's products share are built and proven once per process.
+# An entry is three int64 rows of the atom's order; no graph, table or
+# cover is kept.  A top-level atom's table is not kept either: it is built
+# once per grid family anyway, and keeping those tables (the grid's base
+# families reach 1024 vertices) raised the peak RSS of a ``grid
+# --max-order 1200`` run from 40.0 to 43.5 MB (10 fresh runs each, 2-vCPU
+# Xeon, numpy 2.4) for a few ms saved.
+@functools.lru_cache(maxsize=128)
+def _atom_walks(atom: FamilySpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shortest even and odd walk lengths from vertex 0 to each vertex of a
+    shaped atom (``_NO_WALK`` where none), and row 0 of its A, as read-only
+    int64 rows; the atom is built and proven by ``translation_table``.
+
+    A walk of length k from 0 to x is a path from (0, 0) to (x, k mod 2) in
+    the double cover G (x) K_2, vertex (x, p) numbered 2x + p.  With an odd
+    cycle (an edge joining two BFS depths of one parity) the cover is
+    connected, and one BFS of it gives both lengths; otherwise G is
+    bipartite, and x's depth is its only shortest walk, of the depth's
+    parity.
+    """
+    table = translation_table(atom)
+    depth = distance_row(table)
+    parity = depth % 2
+    if (parity[table] == parity[:, None]).any():
+        cover = np.stack([2 * table + 1, 2 * table], axis=1).reshape(2 * len(table), -1)
+        walks = distance_row(cover)
+        even, odd = walks[0::2], walks[1::2]
+    else:
+        even = np.where(parity == 0, depth, _NO_WALK)
+        odd = np.where(parity == 1, depth, _NO_WALK)
+    adjacency = np.zeros(len(table), dtype=np.int64)
+    adjacency[table[0]] = 1
+    for row in (even, odd, adjacency):
+        row.flags.writeable = False
+    return even, odd, adjacency
+
+
+def _atoms(spec: FamilySpec) -> list[FamilySpec]:
+    """The atoms of a Kronecker product, left first."""
+    if isinstance(spec, Kron):
+        return _atoms(spec.left) + _atoms(spec.right)
+    return [spec]
+
+
+def product_row(spec: Kron, matrix: str) -> np.ndarray:
+    """Row 0 of a shaped product's D (``"distance"``) or A
+    (``"adjacency"``) as int64, read off its atoms' walk rows
+    (``_atom_walks``), with no product graph, neighbour table or BFS.
+
+    A walk in a Kronecker product is a tuple of walks of one length in its
+    atoms, and going along an edge and back lengthens a walk by 2, so
+    d((x_i), (y_i)) = min(max_i e_i, max_i o_i) over the atoms' shortest
+    even and odd walk lengths (Hammack, Imrich and Klavzar, *Handbook of
+    Product Graphs*, ch. 5); row 0 of A is the outer product of the atoms'
+    rows.  Outer products over the atoms, left first, vary the last atom
+    fastest, as the canonical order does.  A K_1 atom has no walk to
+    lengthen, so a product of order above 1 with one has no edge.  Raises
+    DisconnectedGraphError for D if vertex 0 does not reach every vertex;
+    the product cap and the atoms' proofs raise as in ``translation_table``.
+    """
+    n = refuse_past_product_cap(spec)
+    evens, odds, adjacencies = zip(*(_atom_walks(atom) for atom in _atoms(spec)))
+    if matrix == "adjacency":
+        return functools.reduce(np.multiply.outer, adjacencies).ravel()
+    if matrix != "distance":
+        raise ValueError(f"unknown matrix kind {matrix!r}")
+    even = functools.reduce(np.maximum.outer, evens)
+    row = np.minimum(even, functools.reduce(np.maximum.outer, odds), out=even).ravel()
+    if (n > 1 and not all(a.any() for a in adjacencies)) or (row == _NO_WALK).any():
+        raise DisconnectedGraphError("graph is disconnected")
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@
 The two routes are kept strictly separate.  The closed-form side dispatches
 a family spec to the applicable formula; the oracle side builds the graph,
 runs breadth-first distances and an eigensolve.  A family with a
-translation shape is proven a Cayley graph on its CSR, and its spectra are
-one DFT of row 0; a shaped product is proven through its factors, with no
-product graph built.  Any other family gets the dense D and A and a dense
-solve.  A report records both spectra, the match verdict, the largest
-eigenvalue gap and any discrepancy notes attached to the closed form used.
+translation shape is proven a Cayley graph on its atoms' CSRs, and its
+spectra are one DFT of row 0; a shaped product's row 0 is read off its
+atoms' walks, with no product graph built and no product BFS.  Any other
+family gets the dense D and A and a dense solve.  A report records both
+spectra, the match verdict, the largest eigenvalue gap and any discrepancy
+notes attached to the closed form used.
 The Johnson and Hamming certificate D = p(A) is checked here too
 (``poly_report``), on the same oracle: ``polynomials`` gives p and
 evaluates it, and reads no oracle itself.
@@ -40,6 +41,7 @@ from .graphs import (
     distance_row,
     family_order,
     family_to_string,
+    product_row,
     refuse_past_product_cap,
     translation_shape,
     translation_table,
@@ -207,15 +209,16 @@ class FamilyOracle:
     checks.
 
     A family with a translation shape (``graphs.translation_shape``) is
-    proven a Cayley graph (``neighbours``), so D and A are symmetric group
-    matrices and row 0 carries them (``row``): row 0 of D is one BFS from
-    vertex 0, and the eigenvalues are one DFT of it.  The proof and the
-    neighbour table are ``graphs.translation_table``'s, so no n x n matrix
-    is built for it and no graph is kept here.  ``refuse`` turns away a
-    family past the product cap or the dense cap, as its graph and dense
-    matrices would be, before anything is built.  Any other family gets its
-    ``graph``, the float64 ``adjacency`` and the BFS ``distances``, and a
-    dense solve.
+    proven a Cayley graph, atom by atom, so D and A are symmetric group
+    matrices and row 0 carries them (``row``), and the eigenvalues are one
+    DFT of it.  An atom's row 0 of D is one BFS from vertex 0 over its
+    proven neighbour table (``neighbours``, ``graphs.translation_table``);
+    a product's rows are ``graphs.product_row``'s, read off its atoms'
+    walks.  So no n x n matrix and no product table is built for it, and no
+    graph is kept here.  ``refuse`` turns away a family past the product
+    cap or the dense cap, as its graph and dense matrices would be, before
+    anything is built.  Any other family gets its ``graph``, the float64
+    ``adjacency`` and the BFS ``distances``, and a dense solve.
 
     A computation that raises stores nothing, so every check that reads it
     raises the same error.
@@ -243,8 +246,8 @@ class FamilyOracle:
 
     @functools.cached_property
     def neighbours(self) -> np.ndarray:
-        """The (n, degree) neighbour array of a shaped family's graph, once
-        it is proven ``Cay(Z_shape, N(0))`` (``graphs.translation_table``)."""
+        """The (n, degree) neighbour array of a shaped atom's graph, once it
+        is proven ``Cay(Z_shape, N(0))`` (``graphs.translation_table``)."""
         return translation_table(self.spec)
 
     def refuse(self, matrix: str) -> int:
@@ -257,20 +260,22 @@ class FamilyOracle:
 
     def row(self, matrix: str) -> np.ndarray:
         """Row 0 of a shaped family's D (``"distance"``) or A
-        (``"adjacency"``) as float64 over its shape, read off the proven
-        neighbour array; refused past either cap (``refuse``) before
-        anything is built."""
+        (``"adjacency"``) as float64 over its shape: an atom's read off its
+        proven neighbour array, a product's off its atoms' walks
+        (``graphs.product_row``); refused past either cap (``refuse``)
+        before anything is built."""
         if matrix not in self._rows:
             n = self.refuse(matrix)
-            nbrs = self.neighbours
-            if matrix == "distance":
-                row = distance_row(nbrs).astype(np.float64)
+            if isinstance(self.spec, Kron):
+                row = product_row(self.spec, matrix)
+            elif matrix == "distance":
+                row = distance_row(self.neighbours)
             elif matrix == "adjacency":
                 row = np.zeros(n)
-                row[nbrs[0]] = 1
+                row[self.neighbours[0]] = 1
             else:
                 raise ValueError(f"unknown matrix kind {matrix!r}")
-            row = row.reshape(self.shape)
+            row = row.astype(np.float64).reshape(self.shape)
             row.setflags(write=False)
             self._rows[matrix] = row
         return self._rows[matrix]

@@ -258,13 +258,13 @@ def test_grid_small_subset(tmp_path, capsys):
 
 
 def test_grid_output_does_not_depend_on_warm_memos(capsys):
-    graphs._factor_table.cache_clear()
+    graphs._atom_walks.cache_clear()
     closedform._integer_table.cache_clear()
     runs = []
     for _ in range(2):  # cold memos, then warm
         assert main(["grid", "--max-order", "60"]) == 0
         runs.append(capsys.readouterr())
-    assert graphs._factor_table.cache_info().currsize
+    assert graphs._atom_walks.cache_info().currsize
     assert closedform._integer_table.cache_info().currsize
     assert runs[0] == runs[1]
 
@@ -324,7 +324,7 @@ def test_grid_builds_and_bfs_each_family_once(tmp_path, monkeypatch):
             return distance_matrix(graph)
         return wrapper
 
-    graphs._factor_table.cache_clear()
+    graphs._atom_walks.cache_clear()
     for module in (verify, polynomials, graphs):
         monkeypatch.setattr(module, "build_family", counted_build(module.build_family))
     for module in (verify, polynomials):
@@ -332,10 +332,10 @@ def test_grid_builds_and_bfs_each_family_once(tmp_path, monkeypatch):
     code = main(["grid", "--max-order", "64", "--output", str(tmp_path / "grid.jsonl")])
     assert code == 0
     cases = verify.default_grid(64)
-    # a shaped product is read off its factors' proven tables, so only an
-    # atom or an unshaped family builds its graph, once; each distinct
-    # factor of a shaped product is built once more, for the factor memo,
-    # and an unshaped product builds its own factors
+    # a shaped product is read off its atoms' walk rows, so only an atom or
+    # an unshaped family builds its graph, once; each distinct atom of a
+    # shaped product is built once more, for the atom memo, and an unshaped
+    # product builds its own factors
     products = {spec for spec, _ in cases if isinstance(spec, Kron)}
     shaped_products = {spec for spec in products if translation_shape(spec) is not None}
     assert shaped_products and products - shaped_products

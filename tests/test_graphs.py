@@ -36,8 +36,8 @@ from kronspectra.graphs import (
     kronecker_connectivity_predicted,
     kronecker_product,
     predicted_kron_diameter,
+    product_row,
     to_edge_list_text,
-    translation_neighbours,
     translation_shape,
     translation_table,
     walk_gamma,
@@ -224,7 +224,7 @@ def test_unit_translations_are_automorphisms_of_the_built_graph():
 
 
 def test_product_factors_are_built_anew_and_proven_once(monkeypatch):
-    graphs._factor_table.cache_clear()
+    graphs._atom_walks.cache_clear()
     inits, proven = [], []
     init, prove = Graph.__init__, graphs.translation_neighbours
     monkeypatch.setattr(Graph, "__init__", lambda self, *a: inits.append(1) or init(self, *a))
@@ -238,13 +238,14 @@ def test_product_factors_are_built_anew_and_proven_once(monkeypatch):
         assert len(inits) == 5
     inits.clear()
     for _ in range(2):
-        translation_table(spec)
-    # each distinct factor is proven once, its atoms built for the proof only
+        for matrix in ("distance", "adjacency"):
+            product_row(spec, matrix)
+    # each distinct atom is proven once, built for the proof only
     assert sorted(proven) == [(3,), (4,), (5,)] and len(inits) == 3
-    assert graphs._factor_table.cache_info().currsize == 4  # K4, kron(K3,C5), K3, C5
-    # every product reads the memo's tables, so none may write to them
-    for factor in (Complete(4), Kron(Complete(3), Cycle(5)), Cycle(5)):
-        assert not graphs._factor_table(factor).flags.writeable
+    assert graphs._atom_walks.cache_info().currsize == 3  # K4, K3, C5
+    # every product reads the memo's rows, so none may write to them
+    for atom in (Complete(4), Complete(3), Cycle(5)):
+        assert not any(row.flags.writeable for row in graphs._atom_walks(atom))
 
 
 def shaped_products():
@@ -258,31 +259,70 @@ def shaped_products():
             Kron(Hamming(2, 3), Cycle(7)), Kron(Hamming(2, 3), Hamming(2, 4))]
 
 
-def test_translation_table_is_the_proven_product_csr():
+def test_product_rows_are_the_built_products_rows():
     for spec in shaped_products():
         g, shape, name = build_family(spec), translation_shape(spec), family_to_string(spec)
-        expected = translation_neighbours(g, shape)
-        table = translation_table(spec)
-        assert table.dtype == expected.dtype, name
-        assert np.array_equal(table, expected), name
-        assert not table.flags.writeable
-        # the BFS reads the table as it reads the regular graph
-        distances = graphs.distance_row(table)
+        distances = product_row(spec, "distance")
+        assert distances.dtype == np.int64, name
         assert np.array_equal(distances, graphs.distance_row(g)), name
-        adjacency = np.zeros(len(table))
-        adjacency[table[0]] = 1
+        adjacency = product_row(spec, "adjacency")
+        expected = np.zeros(g.vertex_count, dtype=np.int64)
+        expected[g.indices[:g.indptr[1]]] = 1
+        assert np.array_equal(adjacency, expected), name
         # the oracle's values are the DFT of those rows, with no graph built
         oracle = FamilyOracle(spec)
-        for kind, row in (("distance", distances.astype(np.float64)), ("adjacency", adjacency)):
-            expected_values = group_matrix_eigenvalues(row.reshape(shape))
+        for kind, row in (("distance", distances), ("adjacency", adjacency)):
+            expected_values = group_matrix_eigenvalues(row.astype(np.float64).reshape(shape))
             assert np.array_equal(oracle.eigenvalues(kind), expected_values), (name, kind)
         assert "graph" not in vars(oracle)
     with pytest.raises(NonSymmetricMatrixError, match="not a Cayley graph"):
-        translation_table(Kron(Complete(3), Johnson(5, 2)))  # a factor without a shape
+        product_row(Kron(Complete(3), Johnson(5, 2)), "distance")  # an atom without a shape
+
+
+def test_product_rows_keep_the_cases_the_bare_walk_lemma_gets_wrong():
+    # K1 has walks of length 0 only, so none lengthens by 2 and a product
+    # with a K1 atom has no edge; a bipartite atom has no walk of one
+    # parity, so a product of two bipartite atoms splits in two
+    for spec in (Kron(Complete(1), Cycle(5)), Kron(Cycle(4), Cycle(6)),
+                 Kron(Complete(2), Complete(2)), Kron(Hamming(2, 2), Cycle(8))):
+        g, name = build_family(spec), family_to_string(spec)
+        assert not is_connected(g), name
+        with pytest.raises(DisconnectedGraphError, match="^graph is disconnected$"):
+            product_row(spec, "distance")
+        with pytest.raises(DisconnectedGraphError, match="^graph is disconnected$"):
+            FamilyOracle(spec).eigenvalues("distance")
+        # A's eigenvalues do not need connectivity
+        dense = np.linalg.eigvalsh(g.adjacency_matrix(np.float64))
+        gap = np.abs(FamilyOracle(spec).eigenvalues("adjacency") - dense).max()
+        assert gap <= 1e-12 * max(1.0, float(np.abs(dense).max())), name
+    assert product_row(Kron(Complete(1), Complete(1)), "distance").tolist() == [0]
+    # one bipartite atom and one with an odd cycle: connected
+    for spec in (Kron(Complete(2), Cycle(5)), Kron(Cycle(4), Complete(3))):
+        assert np.array_equal(product_row(spec, "distance"), graphs.distance_row(build_family(spec)))
+
+
+def test_product_row_allocates_no_product_table(monkeypatch):
+    # kron(K20,H(3,10)) has 20000 vertices of degree 513, so its neighbour
+    # table alone takes 41 MB (the parent's route peaked at 74.4 MB).  The
+    # walk route holds the atoms' graphs while they are built and proven
+    # (H(3,10): 27000 stored neighbours and the validation's four int64
+    # arrays of that length, about 1.2 MB), their covers (H(3,10)'s is
+    # 2000 x 27 int32, 0.2 MB), and a few int64 rows of length n (0.16 MB
+    # each).  That is about 2 MB; it measures 1.4 MB, and 8 MB is the bound.
+    graphs._atom_walks.cache_clear()
+    monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", "20000")
+    tracemalloc.start()
+    try:
+        row = FamilyOracle(Kron(Complete(20), Hamming(3, 10))).row("distance")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.size == 20000
+    assert peak < 8_000_000, peak
 
 
 def test_translation_table_proves_each_atom_graph_once(monkeypatch):
-    graphs._factor_table.cache_clear()
+    graphs._atom_walks.cache_clear()
     proven = []
     prove = graphs.translation_neighbours
     monkeypatch.setattr(graphs, "translation_neighbours",
@@ -290,19 +330,19 @@ def test_translation_table_proves_each_atom_graph_once(monkeypatch):
     products = [spec for spec, _ in default_grid(1200)
                 if isinstance(spec, Kron) and translation_shape(spec) is not None]
     for spec in products:
-        translation_table(spec)
+        product_row(spec, "distance")
     # one proof per distinct atom graph, however many products share it
     assert len({id(g) for g in proven}) == len(proven)
     atoms = set()
     for spec in products:
         atoms.update(factor for factor in (spec.left, spec.right) if not isinstance(factor, Kron))
     assert len(proven) == len(atoms)
-    # a top-level atom is proven afresh on every call, and a factor once
-    # the memo has dropped it
+    # a top-level atom is proven afresh on every call, and a product's atom
+    # once the memo has dropped it
     translation_table(Cycle(7))
     assert len(proven) == len(atoms) + 1
-    graphs._factor_table.cache_clear()
-    translation_table(Kron(Complete(3), Cycle(7)))
+    graphs._atom_walks.cache_clear()
+    product_row(Kron(Complete(3), Cycle(7)), "distance")
     assert len(proven) == len(atoms) + 3
 
 

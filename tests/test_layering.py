@@ -66,7 +66,7 @@ def names_used(path):
 
 def test_only_graphs_proves_a_translation_shape():
     # graphs.translation_table builds, proves and tabulates every shaped
-    # family, so no other module reaches the proof itself
+    # atom, products included, so no other module reaches the proof itself
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "graphs.py":
             assert "translation_neighbours" not in names_used(path), path.name

@@ -15,7 +15,6 @@ from kronspectra.errors import NonSymmetricMatrixError, OrderCapError
 from kronspectra.graphs import (
     Complete,
     Cycle,
-    Graph,
     Hamming,
     Kron,
     build_family,
@@ -24,7 +23,6 @@ from kronspectra.graphs import (
     from_edge_list_text,
     translation_neighbours,
     translation_shape,
-    translation_table,
 )
 from kronspectra.numeric import (
     ensure_symmetric,
@@ -473,15 +471,15 @@ def assert_graph_route_refuses(oracle, match):
 def mutate_graph(oracle, monkeypatch, mutate):
     """Make ``oracle`` read ``mutate(graph)`` for its graph, as
     ``graphs.build_family`` builds it.  A product's graph is never built,
-    so the mutation goes into its right factor, whose proven table the
-    product's is read from."""
+    so the mutation goes into its right factor, whose proof and walk rows
+    the product's rows are read from."""
     spec = oracle.spec
     target = spec.right if isinstance(spec, Kron) else spec
     original, build = build_family(target), graphs.build_family
     mutated = mutate(original)
     monkeypatch.setattr(graphs, "build_family",
                         lambda other: mutated if other == target else build(other))
-    graphs._factor_table.cache_clear()
+    graphs._atom_walks.cache_clear()
     return original, mutated
 
 
@@ -548,12 +546,6 @@ def test_group_matrix_route_refuses_a_wrong_shape(monkeypatch):
         translation_neighbours(g, (5, 4))  # the factors swapped
     with pytest.raises(NonSymmetricMatrixError, match=r"not a Cayley graph over Z_\(3, 5\)"):
         translation_neighbours(g, (3, 5))
-    # the same proof refuses the graph of the product's table read off its
-    # factors
-    table = translation_table(Kron(Complete(4), Cycle(5)))
-    n, degree = table.shape
-    with pytest.raises(NonSymmetricMatrixError, match="no translate"):
-        translation_neighbours(Graph(degree * np.arange(n + 1), table.ravel()), (5, 4))
 
 
 def test_group_matrix_route_checks_the_cap_first(monkeypatch):

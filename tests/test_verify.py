@@ -106,12 +106,12 @@ def _with_edges_changed(graph, removed=(), added=()):
 
 def _build_instead(monkeypatch, spec, graph):
     """Make ``graphs.build_family`` return ``graph`` for ``spec``, as a
-    top-level family or as a product's factor, with no proven factor table
+    top-level family or as a product's factor, with no atom's walk rows
     kept from before."""
     build = graphs.build_family
     monkeypatch.setattr(graphs, "build_family",
                         lambda other: graph if other == spec else build(other))
-    graphs._factor_table.cache_clear()
+    graphs._atom_walks.cache_clear()
 
 
 # Mutations of H(3,3), whose vertex x is the base-3 numeral of its tuple:
@@ -216,7 +216,7 @@ def test_product_route_refuses_a_mutated_factor(spec, mutation, monkeypatch):
 
 
 def test_shaped_product_builds_only_its_atoms(monkeypatch):
-    graphs._factor_table.cache_clear()
+    graphs._atom_walks.cache_clear()
     orders = []
     init = Graph.__init__
     monkeypatch.setattr(Graph, "__init__",
@@ -245,7 +245,7 @@ def test_shaped_product_builds_only_its_atoms(monkeypatch):
 def test_shaped_product_refusals_keep_their_text_and_order(monkeypatch):
     calls = []
     for namespace, name in ((graphs, "build_family"), (graphs, "kronecker_product"),
-                            (verify, "translation_table")):
+                            (verify, "product_row")):
         monkeypatch.setattr(namespace, name, lambda *args, _name=name: calls.append(_name))
     big = Kron(Complete(200), Cycle(200))
     product_cap = r"^kron\(K200,C200\) has 40000 vertices, cap is 20000$"
