@@ -15,17 +15,21 @@ The block-by-left-factor ordering is what makes the distance matrices of
 K_n (x) G literally block circulant, which downstream modules rely on.
 
 Metric data comes in two forms.  ``distance_matrix`` is the all-sources
-bitset BFS behind the dense D.  A family with a translation shape is
-instead proven a Cayley graph, atom by atom on the atom's CSR
-(``translation_table``, ``translation_neighbours``), and its D and A are
-then group matrices that row 0 determines.  For an atom, row 0 of D is
-``distance_row``, one BFS from vertex 0 over the proven neighbour table,
-and row 0 of A the neighbours of vertex 0.  A product's rows are read off
-its atoms' shortest even and odd walks (``product_row``), with no product
-graph, neighbour table or BFS.  The BFS is a hybrid (``_bfs_depths``): a
-Python queue step for narrow levels, a sort-free top-down numpy step, and
-on regular graphs a bottom-up numpy step for the last levels; it also
-serves ``is_connected`` and ``has_odd_cycle``.
+bitset BFS behind the dense D of a ``J(m,r>=2)`` family.  A family with a
+translation shape is instead proven a Cayley graph, atom by atom on the
+atom's CSR (``translation_table``, ``translation_neighbours``), and its D
+and A are then group matrices that row 0 determines.  For an atom, row 0
+of D is ``distance_row``, one BFS from vertex 0 over the proven neighbour
+table, and row 0 of A the neighbours of vertex 0.  A product's rows are
+read off its atoms' shortest even and odd walks (``product_row``), with no
+product graph, neighbour table or BFS.  A product with an unshaped atom is
+a block group matrix over its shaped atoms' group, and its blocks are read
+off the same walks (``product_blocks``), an unshaped atom's between every
+pair of its vertices, from one ``distance_matrix`` of its double cover.
+The BFS is a hybrid (``_bfs_depths``): a Python queue step for narrow
+levels, a sort-free top-down numpy step, and on regular graphs a
+bottom-up numpy step for the last levels; it also serves
+``is_connected`` and ``has_odd_cycle``.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ __all__ = [
     "translation_neighbours",
     "translation_table",
     "product_row",
+    "product_blocks",
     "refuse_past_product_cap",
     "build_family",
     "kronecker_product",
@@ -631,42 +636,60 @@ def translation_table(spec: FamilySpec) -> np.ndarray:
 _NO_WALK = np.iinfo(np.int64).max
 
 
-# The one memo of this module: the walk rows of products' atoms, so that
-# the atoms a grid's products share are built and proven once per process.
-# An entry is three int64 rows of the atom's order; no graph, table or
-# cover is kept.  A top-level atom's table is not kept either: it is built
-# once per grid family anyway, and keeping those tables (the grid's base
-# families reach 1024 vertices) raised the peak RSS of a ``grid
-# --max-order 1200`` run from 40.0 to 43.5 MB (10 fresh runs each, 2-vCPU
-# Xeon, numpy 2.4) for a few ms saved.
+# The one memo of this module: the walks of products' atoms, so that the
+# atoms a grid's products share are built (and a shaped one proven) once
+# per process.  A shaped atom's entry is three int64 rows of its order, an
+# unshaped atom's three int64 b x b matrices (J(10,5): 1.5 MB); no graph,
+# table or cover is kept.  A top-level atom's table is not kept either: it
+# is built once per grid family anyway, and keeping those tables (the
+# grid's base families reach 1024 vertices) raised the peak RSS of a
+# ``grid --max-order 1200`` run from 40.0 to 43.5 MB (10 fresh runs each,
+# 2-vCPU Xeon, numpy 2.4) for a few ms saved.
 @functools.lru_cache(maxsize=128)
 def _atom_walks(atom: FamilySpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shortest even and odd walk lengths from vertex 0 to each vertex of a
-    shaped atom (``_NO_WALK`` where none), and row 0 of its A, as read-only
-    int64 rows; the atom is built and proven by ``translation_table``.
+    """Shortest even and odd walk lengths (``_NO_WALK`` where none) and A,
+    read-only and int64: from vertex 0 to each vertex, and row 0 of A, for
+    a shaped atom, built and proven by ``translation_table``; between every
+    pair of vertices, and the whole b x b A, for an unshaped one.
 
-    A walk of length k from 0 to x is a path from (0, 0) to (x, k mod 2) in
+    A walk of length k from x to y is a path from (x, 0) to (y, k mod 2) in
     the double cover G (x) K_2, vertex (x, p) numbered 2x + p.  With an odd
     cycle (an edge joining two BFS depths of one parity) the cover is
-    connected, and one BFS of it gives both lengths; otherwise G is
-    bipartite, and x's depth is its only shortest walk, of the depth's
-    parity.
+    connected, and one BFS of it gives both lengths: a shaped atom's from
+    vertex 0 over its table, an unshaped atom's from all sources
+    (``_cover_walks``).  Otherwise G is bipartite, and a distance is its
+    pair's only shortest walk, of the distance's parity.
     """
-    table = translation_table(atom)
-    depth = distance_row(table)
-    parity = depth % 2
-    if (parity[table] == parity[:, None]).any():
-        cover = np.stack([2 * table + 1, 2 * table], axis=1).reshape(2 * len(table), -1)
-        walks = distance_row(cover)
-        even, odd = walks[0::2], walks[1::2]
+    if translation_shape(atom) is None:
+        g = build_family(atom)
+        if _connected_and_odd(g)[1]:
+            even, odd = _cover_walks(g)
+        else:
+            even, odd = _by_parity(distance_matrix(g))
+        adjacency = g.adjacency_matrix()
     else:
-        even = np.where(parity == 0, depth, _NO_WALK)
-        odd = np.where(parity == 1, depth, _NO_WALK)
-    adjacency = np.zeros(len(table), dtype=np.int64)
-    adjacency[table[0]] = 1
-    for row in (even, odd, adjacency):
-        row.flags.writeable = False
+        table = translation_table(atom)
+        depth = distance_row(table)
+        parity = depth % 2
+        if (parity[table] == parity[:, None]).any():
+            cover = np.stack([2 * table + 1, 2 * table], axis=1).reshape(2 * len(table), -1)
+            walks = distance_row(cover)
+            even, odd = walks[0::2], walks[1::2]
+        else:
+            even, odd = _by_parity(depth)
+        adjacency = np.zeros(len(table), dtype=np.int64)
+        adjacency[table[0]] = 1
+    for array in (even, odd, adjacency):
+        array.flags.writeable = False
     return even, odd, adjacency
+
+
+def _by_parity(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The shortest even and odd walk lengths of a bipartite graph, from its
+    distances."""
+    parity = distances % 2
+    return (np.where(parity == 0, distances, _NO_WALK),
+            np.where(parity == 1, distances, _NO_WALK))
 
 
 def _atoms(spec: FamilySpec) -> list[FamilySpec]:
@@ -690,9 +713,15 @@ def product_row(spec: Kron, matrix: str) -> np.ndarray:
     fastest, as the canonical order does.  A K_1 atom has no walk to
     lengthen, so a product of order above 1 with one has no edge.  Raises
     DisconnectedGraphError for D if vertex 0 does not reach every vertex;
-    the product cap and the atoms' proofs raise as in ``translation_table``.
+    the product cap and the atoms' proofs raise as in ``translation_table``,
+    and a product with an unshaped atom raises NonSymmetricMatrixError (its
+    matrices are ``product_blocks``).
     """
     n = refuse_past_product_cap(spec)
+    if translation_shape(spec) is None:
+        raise NonSymmetricMatrixError(
+            f"{family_to_string(spec)} has an atom without a translation shape,"
+            " so it is not a Cayley graph over one")
     evens, odds, adjacencies = zip(*(_atom_walks(atom) for atom in _atoms(spec)))
     if matrix == "adjacency":
         return functools.reduce(np.multiply.outer, adjacencies).ravel()
@@ -703,6 +732,60 @@ def product_row(spec: Kron, matrix: str) -> np.ndarray:
     if (n > 1 and not all(a.any() for a in adjacencies)) or (row == _NO_WALK).any():
         raise DisconnectedGraphError("graph is disconnected")
     return row
+
+
+def product_blocks(spec: Kron, matrix: str) -> np.ndarray:
+    """A product's D (``"distance"``) or A (``"adjacency"``) as a block
+    group matrix, an int64 array of shape ``G + (b, b)`` read off its
+    atoms' walks (``_atom_walks``), with no product graph or BFS.
+
+    G is the concatenated shape of the shaped atoms, left first, and the
+    fibre F, of order b, the product of the unshaped atoms; a product with
+    no shaped atom has G = ().  Vertex (x, u), x in Z_G and u in F, is the
+    canonical order with the group axes moved first: one permutation of
+    rows and columns alike, which leaves both spectra unchanged.  The
+    shaped atoms' translations are automorphisms, so M[(x, u), (y, v)] =
+    ``blocks[y - x][u, v]`` with ``blocks[y]`` the rows (0_G, u).  By
+    ``product_row``'s walk lemma, ``blocks[y][u, v] = min(max(e_G[y],
+    E_F[u, v]), max(o_G[y], O_F[u, v]))`` for D, over the outer maxima of
+    the shaped atoms' walk rows (e_G, o_G) and of the unshaped atoms' walk
+    matrices (E_F, O_F); for A, the outer product of the atoms' A rows and
+    matrices.  Raises as ``product_row`` does, an unshaped atom's cover past
+    the dense cap as ``distance_matrix`` does.
+    """
+    n = refuse_past_product_cap(spec)
+    group, fibre = [], []
+    for atom in _atoms(spec):
+        shape, walks = translation_shape(atom), _atom_walks(atom)
+        if shape is None:
+            fibre.append(walks)
+        else:
+            group.append([array.reshape(shape) for array in walks])
+    if matrix == "adjacency":
+        return _group_by_fibre(np.multiply, group, fibre, 2, 1)
+    if matrix != "distance":
+        raise ValueError(f"unknown matrix kind {matrix!r}")
+    even = _group_by_fibre(np.maximum, group, fibre, 0, 0)
+    blocks = np.minimum(even, _group_by_fibre(np.maximum, group, fibre, 1, 0), out=even)
+    if ((n > 1 and not all(walks[2].any() for walks in group + fibre))
+            or (blocks == _NO_WALK).any()):
+        raise DisconnectedGraphError("graph is disconnected")
+    return blocks
+
+
+def _group_by_fibre(op: np.ufunc, group: list, fibre: list, kind: int,
+                    identity: int) -> np.ndarray:
+    """``op.outer`` of the group atoms' rows ``kind`` and of the fibre's
+    b x b matrix, whose entry (u, v) is ``op`` of the fibre atoms'
+    matrices ``kind`` at their coordinates of u and v; ``identity``
+    stands in for an empty side."""
+    rows = functools.reduce(op.outer, (walks[kind] for walks in group), np.int64(identity))
+    # axes u_1, v_1, u_2, v_2, ... of the fibre atoms, then all u before all v
+    pairs = np.asarray(functools.reduce(op.outer, (walks[kind] for walks in fibre),
+                                        np.int64(identity)))
+    b = math.prod(len(walks[kind]) for walks in fibre)
+    order = [*range(0, pairs.ndim, 2), *range(1, pairs.ndim, 2)]
+    return op.outer(rows, pairs.transpose(order).reshape(b, b))
 
 
 # ---------------------------------------------------------------------------
@@ -838,8 +921,14 @@ def _shortest_walks(g: Graph) -> tuple[np.ndarray, np.ndarray]:
         raise BipartiteGraphError(
             "bipartite graph: walk lengths between a fixed pair have a fixed parity"
         )
+    return _cover_walks(g)
+
+
+def _cover_walks(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``_shortest_walks`` without its checks, as contiguous int64
+    matrices."""
     cover = distance_matrix(kronecker_product(g, Graph([0, 1, 2], [1, 0])))
-    return cover[::2, ::2], cover[::2, 1::2]
+    return np.ascontiguousarray(cover[::2, ::2]), np.ascontiguousarray(cover[::2, 1::2])
 
 
 def walk_gamma(g: Graph, x: int, y: int) -> int:

@@ -1,6 +1,7 @@
 """Eigensolvers used as independent ground truth: the dense
-symmetric/Hermitian solve, and one DFT for a symmetric group matrix over
-a product of cyclic groups, given its row 0.
+symmetric/Hermitian solve, one DFT for a symmetric group matrix over a
+product of cyclic groups, given its row 0, and one DFT and a batched
+Hermitian solve for a block group matrix, given its blocks.
 
 Everything here is deliberately decoupled from the closed-form and circulant
 modules: this is the brute-force side of every dual-route check, so it must
@@ -25,6 +26,7 @@ __all__ = [
     "max_asymmetry",
     "symmetric_eigenvalues",
     "group_matrix_eigenvalues",
+    "block_group_matrix_eigenvalues",
     "oracle_spectrum",
 ]
 
@@ -124,6 +126,38 @@ def group_matrix_eigenvalues(row: np.ndarray) -> np.ndarray:
     proof (``graphs.translation_neighbours``); nothing here checks it.
     """
     return np.sort(np.fft.fftn(row).real, axis=None)
+
+
+def block_group_matrix_eigenvalues(blocks: np.ndarray) -> np.ndarray:
+    """All eigenvalues, ascending, of the block group matrix M over
+    ``G = Z_{n_1} x ... x Z_{n_k}`` with ``M[(x, u), (y, v)] =
+    blocks[y - x][u, v]``, given ``blocks`` of shape ``(n_1, ..., n_k, b,
+    b)``; k = 0 is one b x b matrix.
+
+    M is symmetric iff ``blocks[-y] == blocks[y].T`` for every y, which is
+    checked first, exactly (the oracle's blocks are integers), and raises
+    NonSymmetricMatrixError if it fails.  Then a character of G turns M
+    into the Hermitian b x b block ``sum_y blocks[y] chi(y)`` (Babai
+    1979), one DFT over the group axes gives all |G| of them, and one
+    batched ``eigvalsh`` solves them.  That M is such a block group matrix
+    is the caller's proof (``graphs.product_blocks``).
+    """
+    blocks = np.asarray(blocks)
+    if blocks.ndim < 2 or blocks.shape[-1] != blocks.shape[-2]:
+        raise NonSymmetricMatrixError(f"expected square blocks, got shape {blocks.shape}")
+    axes = tuple(range(blocks.ndim - 2))
+    mirrored = blocks
+    for axis in axes:
+        size = blocks.shape[axis]
+        mirrored = mirrored.take(-np.arange(size) % size, axis=axis)
+    unequal = mirrored != blocks.swapaxes(-1, -2)
+    if unequal.any():
+        y = tuple(np.argwhere(unequal)[0, :-2].tolist())
+        raise NonSymmetricMatrixError(
+            f"block {y} is not the transpose of the block at its inverse")
+    b = blocks.shape[-1]
+    hermitian = np.fft.fftn(blocks, axes=axes).reshape(-1, b, b)
+    return np.sort(np.linalg.eigvalsh(hermitian), axis=None)
 
 
 def oracle_spectrum(matrix: np.ndarray, group_tol: float = 1e-6) -> Spectrum:

@@ -6,7 +6,10 @@ runs breadth-first distances and an eigensolve.  A family with a
 translation shape is proven a Cayley graph on its atoms' CSRs, and its
 spectra are one DFT of row 0; a shaped product's row 0 is read off its
 atoms' walks, with no product graph built and no product BFS.  Any other
-family gets the dense D and A and a dense solve.  A report records both
+product is a block group matrix over its shaped atoms' group, whose blocks
+are read off its atoms' walks too, and its spectra are one DFT and a
+batched solve of the b x b blocks.  Only a ``J(m,r>=2)`` family on its own
+gets the dense D and A and a dense solve.  A report records both
 spectra, the match verdict, the largest eigenvalue gap and any discrepancy
 notes attached to the closed form used.
 The Johnson and Hamming certificate D = p(A) is checked here too
@@ -41,12 +44,18 @@ from .graphs import (
     distance_row,
     family_order,
     family_to_string,
+    product_blocks,
     product_row,
     refuse_past_product_cap,
     translation_shape,
     translation_table,
 )
-from .numeric import group_matrix_eigenvalues, refuse_past_dense_cap, symmetric_eigenvalues
+from .numeric import (
+    block_group_matrix_eigenvalues,
+    group_matrix_eigenvalues,
+    refuse_past_dense_cap,
+    symmetric_eigenvalues,
+)
 from .spectrum import Spectrum, spectra_match, spectrum_from_values
 
 __all__ = [
@@ -215,10 +224,14 @@ class FamilyOracle:
     proven neighbour table (``neighbours``, ``graphs.translation_table``);
     a product's rows are ``graphs.product_row``'s, read off its atoms'
     walks.  So no n x n matrix and no product table is built for it, and no
-    graph is kept here.  ``refuse`` turns away a family past the product
+    graph is kept here.  A product with an unshaped atom is a block group
+    matrix over its shaped atoms' group, and its eigenvalues are those of
+    ``graphs.product_blocks``, by one DFT and a batched solve of the blocks
+    (``numeric.block_group_matrix_eigenvalues``), with no product graph,
+    BFS or dense solve.  ``refuse`` turns away a family past the product
     cap or the dense cap, as its graph and dense matrices would be, before
-    anything is built.  Any other family gets its ``graph``, the float64
-    ``adjacency`` and the BFS ``distances``, and a dense solve.
+    anything is built.  A ``J(m,r>=2)`` atom gets its ``graph``, the
+    float64 ``adjacency`` and the BFS ``distances``, and a dense solve.
 
     A computation that raises stores nothing, so every check that reads it
     raises the same error.
@@ -286,6 +299,9 @@ class FamilyOracle:
         if matrix not in self._eigenvalues:
             if self.shape is not None:
                 values = group_matrix_eigenvalues(self.row(matrix))
+            elif isinstance(self.spec, Kron):
+                self.refuse(matrix)
+                values = block_group_matrix_eigenvalues(product_blocks(self.spec, matrix))
             elif matrix == "distance":
                 values = symmetric_eigenvalues(self.distances)
             elif matrix == "adjacency":

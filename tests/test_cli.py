@@ -332,22 +332,19 @@ def test_grid_builds_and_bfs_each_family_once(tmp_path, monkeypatch):
     code = main(["grid", "--max-order", "64", "--output", str(tmp_path / "grid.jsonl")])
     assert code == 0
     cases = verify.default_grid(64)
-    # a shaped product is read off its atoms' walk rows, so only an atom or
-    # an unshaped family builds its graph, once; each distinct atom of a
-    # shaped product is built once more, for the atom memo, and an unshaped
-    # product builds its own factors
+    # a product is read off its atoms' walks, so only an atom builds its
+    # graph: a top-level atom once, and each distinct atom of the products
+    # once more, for the atom memo, shaped or not
     products = {spec for spec, _ in cases if isinstance(spec, Kron)}
-    shaped_products = {spec for spec in products if translation_shape(spec) is not None}
-    assert shaped_products and products - shaped_products
-    shaped_factors = {factor for spec in shaped_products for factor in (spec.left, spec.right)}
-    assert builds == (Counter({spec: 1 for spec, _ in cases if spec not in shaped_products})
-                      + Counter(shaped_factors)
-                      + Counter(factor for spec in products - shaped_products
-                                for factor in (spec.left, spec.right)))
-    # a shaped family reads its distances off one BFS from vertex 0, and
-    # only an unshaped one needs the all-sources BFS
-    assert bfs == Counter({spec: 1 for spec, kind in cases
-                           if kind != "adjacency-spectrum" and translation_shape(spec) is None})
+    assert any(translation_shape(spec) is None for spec in products)
+    atoms = {atom for spec in products for atom in graphs._atoms(spec)}
+    assert builds == (Counter({spec: 1 for spec, _ in cases if spec not in products})
+                      + Counter(atoms))
+    # a shaped family reads its distances off one BFS from vertex 0, an
+    # unshaped product off its atoms' covers, and only a top-level J(m,r>=2)
+    # needs the all-sources BFS
+    assert bfs == Counter({spec: 1 for spec, kind in cases if kind != "adjacency-spectrum"
+                           and translation_shape(spec) is None and spec not in products})
 
 
 def test_usage_error_exit_code(capsys):

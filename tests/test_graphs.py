@@ -36,6 +36,7 @@ from kronspectra.graphs import (
     kronecker_connectivity_predicted,
     kronecker_product,
     predicted_kron_diameter,
+    product_blocks,
     product_row,
     to_edge_list_text,
     translation_shape,
@@ -346,6 +347,80 @@ def test_translation_table_proves_each_atom_graph_once(monkeypatch):
     assert len(proven) == len(atoms) + 3
 
 
+def unshaped_products():
+    """Every product of the default grid with an unshaped atom, plus one
+    with it on the left, a nested one, one with no shaped atom and one with
+    a bipartite shaped atom."""
+    specs = dict.fromkeys(spec for spec, _ in default_grid(1200)
+                          if isinstance(spec, Kron) and translation_shape(spec) is None)
+    assert len(specs) == 27
+    return [*specs, Kron(Johnson(5, 2), Complete(4)),
+            Kron(Complete(3), Kron(Johnson(6, 2), Cycle(5))),
+            Kron(Johnson(6, 2), Johnson(5, 2)), Kron(Hamming(2, 2), Johnson(6, 3))]
+
+
+def built_blocks(g: Graph, spec: Kron, matrix: str) -> np.ndarray:
+    """The built product's D or A at the rows (0_G, u), with its atoms'
+    axes moved shaped atoms first, as an array of shape G + (b, b)."""
+    atoms = graphs._atoms(spec)
+    shapes = [translation_shape(atom) for atom in atoms]
+    orders = [family_order(atom) for atom in atoms]
+    group = [k for k, shape in enumerate(shapes) if shape is not None]
+    fibre = [k for k, shape in enumerate(shapes) if shape is None]
+    full = distance_matrix(g) if matrix == "distance" else g.adjacency_matrix()
+    axes = group + fibre
+    full = full.reshape(orders + orders).transpose(axes + [len(atoms) + k for k in axes])
+    b = math.prod(orders[k] for k in fibre)
+    rows = full[(0,) * len(group)].reshape(b, -1, b)  # (u, y, v)
+    return rows.transpose(1, 0, 2).reshape(sum((shapes[k] for k in group), ()) + (b, b))
+
+
+def test_product_blocks_are_the_built_products_matrices():
+    # the walk lemma, checked exactly in integers on the built product
+    for spec in unshaped_products():
+        g, name = build_family(spec), family_to_string(spec)
+        for matrix in ("distance", "adjacency"):
+            blocks = product_blocks(spec, matrix)
+            assert blocks.dtype == np.int64, name
+            assert np.array_equal(blocks, built_blocks(g, spec, matrix)), (name, matrix)
+    with pytest.raises(ValueError, match="unknown matrix kind"):
+        product_blocks(Kron(Complete(3), Johnson(5, 2)), "laplacian")
+    with pytest.raises(NonSymmetricMatrixError, match="without a translation shape"):
+        product_row(Kron(Complete(3), Johnson(5, 2)), "adjacency")
+
+
+def test_product_blocks_of_a_bipartite_unshaped_atom(monkeypatch):
+    # J(4,2) built as C6: the memo splits its distances by parity
+    build = graphs.build_family
+    monkeypatch.setattr(graphs, "build_family",
+                        lambda spec: build(Cycle(6)) if spec == Johnson(4, 2) else build(spec))
+    graphs._atom_walks.cache_clear()
+    try:
+        spec, none = Kron(Complete(3), Johnson(4, 2)), graphs._NO_WALK
+        even, odd, _ = graphs._atom_walks(Johnson(4, 2))
+        assert even[0].tolist() == [0, none, 2, none, 2, none]
+        assert odd[0].tolist() == [none, 1, none, 3, none, 1]
+        g = build_family(Kron(Complete(3), Cycle(6)))
+        for matrix in ("distance", "adjacency"):
+            assert np.array_equal(product_blocks(spec, matrix), built_blocks(g, spec, matrix))
+        # two bipartite atoms: no walk joins the parities
+        with pytest.raises(DisconnectedGraphError, match="^graph is disconnected$"):
+            product_blocks(Kron(Cycle(4), Johnson(4, 2)), "distance")
+    finally:
+        graphs._atom_walks.cache_clear()
+
+
+def test_unshaped_atom_walks_are_contiguous_read_only_matrices():
+    graphs._atom_walks.cache_clear()
+    g = build_family(Johnson(6, 2))
+    even, odd, adjacency = graphs._atom_walks(Johnson(6, 2))
+    expected = graphs._shortest_walks(g) + (g.adjacency_matrix(),)
+    for array, want in zip((even, odd, adjacency), expected):
+        assert array.dtype == np.int64 and array.flags.c_contiguous
+        assert not array.flags.writeable
+        assert np.array_equal(array, want)
+
+
 # ---------------------------------------------------------------------------
 # Connectivity and parity
 # ---------------------------------------------------------------------------
@@ -562,14 +637,14 @@ def test_row_bfs_copies_no_neighbour_row():
     # for a table also ends = degree * arange(n + 1), 8 more: 24 bytes a
     # vertex for a table and 16 for a graph, whose ends is its own indptr.
     # The bound, 32 bytes a vertex, leaves one more int64 array of margin
-    # and no room for the neighbour rows as Python lists (about 160 bytes
-    # a vertex for C200001 and 240 for kron(K3,C66667) when every row was
-    # converted).  Both inputs are hand-built, the product past
-    # PRODUCT_VERTEX_CAP, and both are deep, so nearly every level is a
-    # queue step.
-    n = 200001
+    # and no room for the neighbour rows as Python lists (about 159 bytes
+    # a vertex for C20001 and 238 for kron(K3,C6667) when every row was
+    # converted, as at 200001 vertices).  Both inputs are hand-built, the
+    # product past PRODUCT_VERTEX_CAP, and both are deep, so nearly every
+    # level is a queue step.
+    n = 20001
     cycle = Graph(2 * np.arange(n + 1), cycle_rows(n).ravel())
-    m = 66667
+    m = 6667
     k3 = np.array([[1, 2], [0, 2], [0, 1]])
     product = (k3[:, None, :, None] * m + cycle_rows(m)[None, :, None, :]).reshape(3 * m, 4)
     assert len(product) > graphs.PRODUCT_VERTEX_CAP

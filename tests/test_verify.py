@@ -7,7 +7,12 @@ import pytest
 
 from kronspectra import circulant, closedform, graphs, polynomials, verify
 from kronspectra.cli import main
-from kronspectra.errors import FamilyDomainError, NonSymmetricMatrixError, OrderCapError
+from kronspectra.errors import (
+    DisconnectedGraphError,
+    FamilyDomainError,
+    NonSymmetricMatrixError,
+    OrderCapError,
+)
 from kronspectra.graphs import (
     Complete,
     Cycle,
@@ -15,7 +20,11 @@ from kronspectra.graphs import (
     Hamming,
     Johnson,
     Kron,
+    build_family,
+    distance_matrix,
+    family_to_string,
     from_edge_list_text,
+    translation_shape,
 )
 from kronspectra.polynomials import Polynomial
 from kronspectra.verify import (
@@ -264,6 +273,102 @@ def test_shaped_product_refusals_keep_their_text_and_order(monkeypatch):
             small.eigenvalues(matrix)
     # both refusals come before any factor is built or any table allocated
     assert calls == [] and "neighbours" not in vars(small)
+
+
+def unshaped_products():
+    """The grid's products with an unshaped atom, and four more: the
+    unshaped atom on the left, nested, alone with another, and beside a
+    bipartite shaped atom."""
+    specs = dict.fromkeys(spec for spec, _ in verify.default_grid(1200)
+                          if isinstance(spec, Kron) and translation_shape(spec) is None)
+    return [*specs, Kron(Johnson(5, 2), Complete(4)),
+            Kron(Complete(3), Kron(Johnson(6, 2), Cycle(5))),
+            Kron(Johnson(6, 2), Johnson(5, 2)), Kron(Hamming(2, 2), Johnson(6, 3))]
+
+
+def test_unshaped_product_eigenvalues_match_the_dense_solve(monkeypatch):
+    def no_dense(*args):
+        raise AssertionError("an unshaped product reached the dense route")
+
+    specs = unshaped_products()
+    built = {spec: build_family(spec) for spec in specs}
+    for namespace, name in ((verify, "build_family"), (verify, "distance_matrix"),
+                            (verify, "symmetric_eigenvalues")):
+        monkeypatch.setattr(namespace, name, no_dense)
+    # only atoms are built: a product's own CSR never is
+    build = graphs.build_family
+    monkeypatch.setattr(graphs, "build_family", lambda spec: no_dense() if isinstance(spec, Kron)
+                        else build(spec))
+    graphs._atom_walks.cache_clear()
+    for spec in specs:
+        oracle = FamilyOracle(spec)
+        for matrix in ("distance", "adjacency"):
+            g = built[spec]
+            full = distance_matrix(g) if matrix == "distance" else g.adjacency_matrix()
+            dense = np.linalg.eigvalsh(full.astype(np.float64))
+            values = oracle.eigenvalues(matrix)
+            gap = float(np.abs(values - dense).max())
+            assert gap <= 1e-12 * float(np.abs(dense).max()), (family_to_string(spec), matrix)
+        assert "graph" not in vars(oracle)
+
+
+@pytest.mark.parametrize("atom, change", [
+    (Johnson(5, 2), lambda even: even.__setitem__((0, 1), 4)),  # one pair, one way
+    (Complete(3), lambda even: even.__setitem__(2, 4)),  # e(2) != e(-2)
+], ids=["fibre", "group"])
+def test_a_planted_asymmetric_block_is_refused(atom, change, monkeypatch):
+    walks = graphs._atom_walks
+
+    def planted(other):
+        even, odd, adjacency = walks(other)
+        if other == atom:
+            even = even.copy()
+            change(even)
+        return even, odd, adjacency
+
+    monkeypatch.setattr(graphs, "_atom_walks", planted)
+    with pytest.raises(NonSymmetricMatrixError, match="not the transpose"):
+        FamilyOracle(Kron(Complete(3), Johnson(5, 2))).eigenvalues("distance")
+
+
+def test_an_unshaped_product_with_a_k1_atom_is_disconnected():
+    oracle = FamilyOracle(Kron(Complete(1), Johnson(6, 2)))
+    with pytest.raises(DisconnectedGraphError, match="^graph is disconnected$"):
+        oracle.eigenvalues("distance")
+    assert oracle.eigenvalues("adjacency").tolist() == [0.0] * 15
+
+
+def test_unshaped_product_refusals_keep_their_text_and_order(monkeypatch):
+    calls = []
+    for namespace, name in ((graphs, "build_family"), (graphs, "kronecker_product"),
+                            (graphs, "_atom_walks"), (verify, "build_family"),
+                            (verify, "product_blocks"),
+                            (verify, "closed_form_distance_spectrum"),
+                            (verify, "closed_form_adjacency_spectrum")):
+        monkeypatch.setattr(namespace, name, lambda *args, _name=name: calls.append(_name))
+    product_cap = r"^kron\(K100,J\(10,5\)\) has 25200 vertices, cap is 20000$"
+    refusals = {
+        Kron(Complete(60), Johnson(10, 5)): {
+            "distance": "^distance matrix order 15120 exceeds dense cap 4000$",
+            "adjacency": "^matrix order 15120 exceeds dense cap 4000$"},
+        Kron(Complete(100), Johnson(10, 5)): {
+            "distance": product_cap, "adjacency": product_cap},
+    }
+    for spec, messages in refusals.items():
+        for matrix, message in messages.items():
+            with pytest.raises(OrderCapError, match=message):
+                FamilyOracle(spec).eigenvalues(matrix)
+            with pytest.raises(OrderCapError, match=message):
+                verify_family(spec, matrix=matrix)
+    assert calls == []
+
+
+def test_a_near_cap_unshaped_product_matches(capsys):
+    spec = Kron(Complete(57), Johnson(8, 4))
+    assert graphs.family_order(spec) == 3990
+    assert verify_family(spec).match
+    assert main(["verify", "--family", "kron(K57,J(8,4))"]) == 0
+    assert '"match": true' in capsys.readouterr().out
 
 
 def test_a_family_past_a_cap_is_refused_before_its_closed_form(monkeypatch):
