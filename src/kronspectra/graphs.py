@@ -639,33 +639,31 @@ _NO_WALK = np.iinfo(np.int64).max
 # The one memo of this module: the walks of products' atoms, so that the
 # atoms a grid's products share are built (and a shaped one proven) once
 # per process.  A shaped atom's entry is three int64 rows of its order, an
-# unshaped atom's three int64 b x b matrices (J(10,5): 1.5 MB); no graph,
-# table or cover is kept.  A top-level atom's table is not kept either: it
-# is built once per grid family anyway, and keeping those tables (the
-# grid's base families reach 1024 vertices) raised the peak RSS of a
-# ``grid --max-order 1200`` run from 40.0 to 43.5 MB (10 fresh runs each,
-# 2-vCPU Xeon, numpy 2.4) for a few ms saved.
+# unshaped atom's three int64 b x b matrices (J(10,5): 1.5 MB, J(13,6):
+# 71 MB); no graph, table or cover is kept.  A top-level atom's table is
+# not kept either: it is built once per grid family anyway, and keeping
+# those tables (the grid's base families reach 1024 vertices) raised the
+# peak RSS of a ``grid --max-order 1200`` run from 40.0 to 43.5 MB (10
+# fresh runs each, 2-vCPU Xeon, numpy 2.4) for a few ms saved.
 @functools.lru_cache(maxsize=128)
 def _atom_walks(atom: FamilySpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shortest even and odd walk lengths (``_NO_WALK`` where none) and A,
     read-only and int64: from vertex 0 to each vertex, and row 0 of A, for
     a shaped atom, built and proven by ``translation_table``; between every
-    pair of vertices, and the whole b x b A, for an unshaped one.
+    pair of vertices (``_shortest_walks``), and the whole b x b A, for an
+    unshaped one.
 
-    A walk of length k from x to y is a path from (x, 0) to (y, k mod 2) in
+    A walk of length k from 0 to x is a path from (0, 0) to (x, k mod 2) in
     the double cover G (x) K_2, vertex (x, p) numbered 2x + p.  With an odd
     cycle (an edge joining two BFS depths of one parity) the cover is
-    connected, and one BFS of it gives both lengths: a shaped atom's from
-    vertex 0 over its table, an unshaped atom's from all sources
-    (``_cover_walks``).  Otherwise G is bipartite, and a distance is its
-    pair's only shortest walk, of the distance's parity.
+    connected, and one BFS of it gives both lengths; otherwise G is
+    bipartite, and x's depth is its only shortest walk, of the depth's
+    parity.  An unshaped atom, J(m, r >= 2), has a triangle, and one
+    all-sources BFS of its cover gives every pair's lengths.
     """
     if translation_shape(atom) is None:
         g = build_family(atom)
-        if _connected_and_odd(g)[1]:
-            even, odd = _cover_walks(g)
-        else:
-            even, odd = _by_parity(distance_matrix(g))
+        even, odd = _shortest_walks(g)
         adjacency = g.adjacency_matrix()
     else:
         table = translation_table(atom)
@@ -676,20 +674,13 @@ def _atom_walks(atom: FamilySpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             walks = distance_row(cover)
             even, odd = walks[0::2], walks[1::2]
         else:
-            even, odd = _by_parity(depth)
+            even = np.where(parity == 0, depth, _NO_WALK)
+            odd = np.where(parity == 1, depth, _NO_WALK)
         adjacency = np.zeros(len(table), dtype=np.int64)
         adjacency[table[0]] = 1
     for array in (even, odd, adjacency):
         array.flags.writeable = False
     return even, odd, adjacency
-
-
-def _by_parity(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The shortest even and odd walk lengths of a bipartite graph, from its
-    distances."""
-    parity = distances % 2
-    return (np.where(parity == 0, distances, _NO_WALK),
-            np.where(parity == 1, distances, _NO_WALK))
 
 
 def _atoms(spec: FamilySpec) -> list[FamilySpec]:
@@ -701,91 +692,92 @@ def _atoms(spec: FamilySpec) -> list[FamilySpec]:
 
 def product_row(spec: Kron, matrix: str) -> np.ndarray:
     """Row 0 of a shaped product's D (``"distance"``) or A
-    (``"adjacency"``) as int64, read off its atoms' walk rows
-    (``_atom_walks``), with no product graph, neighbour table or BFS.
-
-    A walk in a Kronecker product is a tuple of walks of one length in its
-    atoms, and going along an edge and back lengthens a walk by 2, so
-    d((x_i), (y_i)) = min(max_i e_i, max_i o_i) over the atoms' shortest
-    even and odd walk lengths (Hammack, Imrich and Klavzar, *Handbook of
-    Product Graphs*, ch. 5); row 0 of A is the outer product of the atoms'
-    rows.  Outer products over the atoms, left first, vary the last atom
-    fastest, as the canonical order does.  A K_1 atom has no walk to
-    lengthen, so a product of order above 1 with one has no edge.  Raises
-    DisconnectedGraphError for D if vertex 0 does not reach every vertex;
-    the product cap and the atoms' proofs raise as in ``translation_table``,
-    and a product with an unshaped atom raises NonSymmetricMatrixError (its
+    (``"adjacency"``) as int64: its ``product_blocks``, whose blocks are
+    1 x 1, in the canonical order.  Raises as ``product_blocks`` does, and
+    NonSymmetricMatrixError for a product with an unshaped atom (its
     matrices are ``product_blocks``).
     """
-    n = refuse_past_product_cap(spec)
     if translation_shape(spec) is None:
         raise NonSymmetricMatrixError(
             f"{family_to_string(spec)} has an atom without a translation shape,"
             " so it is not a Cayley graph over one")
-    evens, odds, adjacencies = zip(*(_atom_walks(atom) for atom in _atoms(spec)))
-    if matrix == "adjacency":
-        return functools.reduce(np.multiply.outer, adjacencies).ravel()
-    if matrix != "distance":
-        raise ValueError(f"unknown matrix kind {matrix!r}")
-    even = functools.reduce(np.maximum.outer, evens)
-    row = np.minimum(even, functools.reduce(np.maximum.outer, odds), out=even).ravel()
-    if (n > 1 and not all(a.any() for a in adjacencies)) or (row == _NO_WALK).any():
-        raise DisconnectedGraphError("graph is disconnected")
-    return row
+    return product_blocks(spec, matrix).ravel()
 
 
 def product_blocks(spec: Kron, matrix: str) -> np.ndarray:
     """A product's D (``"distance"``) or A (``"adjacency"``) as a block
     group matrix, an int64 array of shape ``G + (b, b)`` read off its
-    atoms' walks (``_atom_walks``), with no product graph or BFS.
+    atoms' walks (``_atom_walks``), with no product graph, neighbour table
+    or BFS.
 
     G is the concatenated shape of the shaped atoms, left first, and the
     fibre F, of order b, the product of the unshaped atoms; a product with
-    no shaped atom has G = ().  Vertex (x, u), x in Z_G and u in F, is the
-    canonical order with the group axes moved first: one permutation of
-    rows and columns alike, which leaves both spectra unchanged.  The
-    shaped atoms' translations are automorphisms, so M[(x, u), (y, v)] =
-    ``blocks[y - x][u, v]`` with ``blocks[y]`` the rows (0_G, u).  By
-    ``product_row``'s walk lemma, ``blocks[y][u, v] = min(max(e_G[y],
-    E_F[u, v]), max(o_G[y], O_F[u, v]))`` for D, over the outer maxima of
-    the shaped atoms' walk rows (e_G, o_G) and of the unshaped atoms' walk
-    matrices (E_F, O_F); for A, the outer product of the atoms' A rows and
-    matrices.  Raises as ``product_row`` does, an unshaped atom's cover past
-    the dense cap as ``distance_matrix`` does.
+    no shaped atom has G = (), one with no unshaped atom b = 1.  Vertex
+    (x, u), x in Z_G and u in F, is the canonical order with the group axes
+    moved first: one permutation of rows and columns alike, which leaves
+    both spectra unchanged.  The shaped atoms' translations are
+    automorphisms, so M[(x, u), (y, v)] = ``blocks[y - x][u, v]`` with
+    ``blocks[y]`` the rows (0_G, u).
+
+    A walk in a Kronecker product is a tuple of walks of one length in its
+    atoms, and going along an edge and back lengthens a walk by 2, so
+    d((x_i), (y_i)) = min(max_i e_i, max_i o_i) over the atoms' shortest
+    even and odd walk lengths (Hammack, Imrich and Klavzar, *Handbook of
+    Product Graphs*, ch. 5): ``blocks[y][u, v] = min(max(e_G[y], E_F[u,
+    v]), max(o_G[y], O_F[u, v]))`` over the shaped atoms' walk rows and the
+    unshaped atoms' walk matrices.  A is the product of the atoms' A rows
+    and matrices.  A K_1 atom has no walk to lengthen, so a product of
+    order above 1 with one has no edge, which is known before the fibre's
+    walks are read.  Raises DisconnectedGraphError for D if some vertex
+    does not reach every vertex; the product cap and the shaped atoms'
+    proofs raise as in ``translation_table``, and an unshaped atom whose
+    cover is past the dense cap as ``distance_matrix`` does.
     """
     n = refuse_past_product_cap(spec)
-    group, fibre = [], []
+    group, unshaped, group_shape = [], [], ()
     for atom in _atoms(spec):
-        shape, walks = translation_shape(atom), _atom_walks(atom)
+        shape = translation_shape(atom)
         if shape is None:
-            fibre.append(walks)
+            unshaped.append(atom)
         else:
-            group.append([array.reshape(shape) for array in walks])
+            group.append(_atom_walks(atom))
+            group_shape += shape
+    shape = group_shape + (n // math.prod(group_shape),) * 2
+    if n > 1 and not all(np.count_nonzero(walks[2]) for walks in group):
+        if matrix == "distance":
+            raise DisconnectedGraphError("graph is disconnected")
+        if matrix == "adjacency":
+            return np.zeros(shape, dtype=np.int64)
+    fibre = [_atom_walks(atom) for atom in unshaped]
     if matrix == "adjacency":
-        return _group_by_fibre(np.multiply, group, fibre, 2, 1)
+        return _atom_outer(np.multiply, group, fibre, 2, shape)
     if matrix != "distance":
         raise ValueError(f"unknown matrix kind {matrix!r}")
-    even = _group_by_fibre(np.maximum, group, fibre, 0, 0)
-    blocks = np.minimum(even, _group_by_fibre(np.maximum, group, fibre, 1, 0), out=even)
-    if ((n > 1 and not all(walks[2].any() for walks in group + fibre))
-            or (blocks == _NO_WALK).any()):
+    blocks = _atom_outer(np.maximum, group, fibre, 0, shape)
+    np.minimum(blocks, _atom_outer(np.maximum, group, fibre, 1, shape), out=blocks)
+    if (blocks == _NO_WALK).any():
         raise DisconnectedGraphError("graph is disconnected")
     return blocks
 
 
-def _group_by_fibre(op: np.ufunc, group: list, fibre: list, kind: int,
-                    identity: int) -> np.ndarray:
-    """``op.outer`` of the group atoms' rows ``kind`` and of the fibre's
-    b x b matrix, whose entry (u, v) is ``op`` of the fibre atoms'
-    matrices ``kind`` at their coordinates of u and v; ``identity``
-    stands in for an empty side."""
-    rows = functools.reduce(op.outer, (walks[kind] for walks in group), np.int64(identity))
-    # axes u_1, v_1, u_2, v_2, ... of the fibre atoms, then all u before all v
-    pairs = np.asarray(functools.reduce(op.outer, (walks[kind] for walks in fibre),
-                                        np.int64(identity)))
-    b = math.prod(len(walks[kind]) for walks in fibre)
-    order = [*range(0, pairs.ndim, 2), *range(1, pairs.ndim, 2)]
-    return op.outer(rows, pairs.transpose(order).reshape(b, b))
+def _atom_outer(op: np.ufunc, group: list, fibre: list, kind: int,
+                shape: tuple[int, ...]) -> np.ndarray:
+    """``op`` of the atoms' walks ``kind``, as an array of ``shape``: each
+    shaped atom's row broadcast along an axis of its own, each unshaped
+    atom's matrix along axes of its own among those of u and of v, so that
+    the broadcast ``op``s write the blocks in order, with no transposed
+    copy."""
+    width = len(group) + 2 * len(fibre)
+    arrays = []
+    for axis, walks in enumerate(group):
+        dims = [1] * width
+        dims[axis] = -1
+        arrays.append(walks[kind].reshape(dims))
+    for axis, walks in enumerate(fibre, len(group)):
+        dims = [1] * width
+        dims[axis] = dims[axis + len(fibre)] = len(walks[kind])
+        arrays.append(walks[kind].reshape(dims))
+    return functools.reduce(op, arrays).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -906,7 +898,8 @@ def diameter(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 
 def _shortest_walks(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Shortest even and shortest odd walk length between every pair.
+    """Shortest even and shortest odd walk length between every pair, as
+    contiguous int64 matrices.
 
     A walk of length k from x to y is a path from (x, 0) to (y, k mod 2)
     in the bipartite double cover g (x) K_2 (Weichsel, "The Kronecker
@@ -921,12 +914,6 @@ def _shortest_walks(g: Graph) -> tuple[np.ndarray, np.ndarray]:
         raise BipartiteGraphError(
             "bipartite graph: walk lengths between a fixed pair have a fixed parity"
         )
-    return _cover_walks(g)
-
-
-def _cover_walks(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """``_shortest_walks`` without its checks, as contiguous int64
-    matrices."""
     cover = distance_matrix(kronecker_product(g, Graph([0, 1, 2], [1, 0])))
     return np.ascontiguousarray(cover[::2, ::2]), np.ascontiguousarray(cover[::2, 1::2])
 

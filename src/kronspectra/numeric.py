@@ -156,7 +156,11 @@ def block_group_matrix_eigenvalues(blocks: np.ndarray) -> np.ndarray:
         raise NonSymmetricMatrixError(
             f"block {y} is not the transpose of the block at its inverse")
     b = blocks.shape[-1]
-    hermitian = np.fft.fftn(blocks, axes=axes).reshape(-1, b, b)
+    hermitian = np.fft.fftn(blocks, axes=axes) if axes else blocks.astype(np.float64)
+    hermitian = hermitian.reshape(-1, b, b)
+    # dropped, the integer blocks are freed before the solve unless the
+    # caller keeps them
+    del blocks, mirrored, unequal
     return np.sort(np.linalg.eigvalsh(hermitian), axis=None)
 
 

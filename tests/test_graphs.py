@@ -389,25 +389,33 @@ def test_product_blocks_are_the_built_products_matrices():
         product_row(Kron(Complete(3), Johnson(5, 2)), "adjacency")
 
 
-def test_product_blocks_of_a_bipartite_unshaped_atom(monkeypatch):
-    # J(4,2) built as C6: the memo splits its distances by parity
+def test_product_blocks_refuse_a_bipartite_unshaped_atom(monkeypatch):
+    # J(m, r >= 2) has a triangle; one built as C6 fails _shortest_walks
     build = graphs.build_family
     monkeypatch.setattr(graphs, "build_family",
                         lambda spec: build(Cycle(6)) if spec == Johnson(4, 2) else build(spec))
     graphs._atom_walks.cache_clear()
     try:
-        spec, none = Kron(Complete(3), Johnson(4, 2)), graphs._NO_WALK
-        even, odd, _ = graphs._atom_walks(Johnson(4, 2))
-        assert even[0].tolist() == [0, none, 2, none, 2, none]
-        assert odd[0].tolist() == [none, 1, none, 3, none, 1]
-        g = build_family(Kron(Complete(3), Cycle(6)))
         for matrix in ("distance", "adjacency"):
-            assert np.array_equal(product_blocks(spec, matrix), built_blocks(g, spec, matrix))
-        # two bipartite atoms: no walk joins the parities
-        with pytest.raises(DisconnectedGraphError, match="^graph is disconnected$"):
-            product_blocks(Kron(Cycle(4), Johnson(4, 2)), "distance")
+            with pytest.raises(BipartiteGraphError):
+                product_blocks(Kron(Complete(3), Johnson(4, 2)), matrix)
     finally:
         graphs._atom_walks.cache_clear()
+
+
+def test_product_blocks_with_a_k1_atom_read_no_fibre_walks(monkeypatch):
+    # kron(K1, J(10,5)) has no edge; J(10,5)'s cover (504 vertices) is past
+    # a cap of 300 that the product (252) is not
+    monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", "300")
+    graphs._atom_walks.cache_clear()
+    spec = Kron(Complete(1), Johnson(10, 5))
+    with pytest.raises(DisconnectedGraphError, match="^graph is disconnected$"):
+        product_blocks(spec, "distance")
+    blocks = product_blocks(spec, "adjacency")
+    assert blocks.shape == (1, 252, 252) and blocks.dtype == np.int64 and not blocks.any()
+    assert graphs._atom_walks.cache_info().currsize == 1  # K1 only
+    with pytest.raises(OrderCapError, match="^distance matrix order 504 exceeds dense cap 300$"):
+        product_blocks(Kron(Complete(2), Johnson(10, 5)), "adjacency")
 
 
 def test_unshaped_atom_walks_are_contiguous_read_only_matrices():

@@ -331,11 +331,19 @@ def test_a_planted_asymmetric_block_is_refused(atom, change, monkeypatch):
         FamilyOracle(Kron(Complete(3), Johnson(5, 2))).eigenvalues("distance")
 
 
-def test_an_unshaped_product_with_a_k1_atom_is_disconnected():
-    oracle = FamilyOracle(Kron(Complete(1), Johnson(6, 2)))
+@pytest.mark.parametrize("cap, spec, order", [
+    (None, Kron(Complete(1), Johnson(6, 2)), 15),
+    # J(10,5)'s double cover (504 vertices) is past the cap, the product not
+    ("300", Kron(Complete(1), Johnson(10, 5)), 252),
+])
+def test_an_unshaped_product_with_a_k1_atom_is_disconnected(cap, spec, order, monkeypatch):
+    if cap is not None:
+        monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", cap)
+    graphs._atom_walks.cache_clear()
+    oracle = FamilyOracle(spec)
     with pytest.raises(DisconnectedGraphError, match="^graph is disconnected$"):
         oracle.eigenvalues("distance")
-    assert oracle.eigenvalues("adjacency").tolist() == [0.0] * 15
+    assert oracle.eigenvalues("adjacency").tolist() == [0.0] * order
 
 
 def test_unshaped_product_refusals_keep_their_text_and_order(monkeypatch):
