@@ -14,10 +14,19 @@ Vertices are always 0-indexed with a canonical ordering per family:
 The block-by-left-factor ordering is what makes the distance matrices of
 K_n (x) G literally block circulant, which downstream modules rely on.
 
+Every atom is regular, and its builder gives one int32 (n, degree)
+neighbour table with strictly increasing rows (``_atom_table``).
+``build_family`` turns it into a CSR ``Graph``, which validates it, for
+``J(m,r>=2)``, products and callers that want a graph.  A shaped atom's
+table is never made a graph: ``translation_table`` proves the builder's
+table exactly the simple undirected ``Cay(Z_shape, N(0))`` in one pass,
+which also owns the checks a ``Graph`` would make (range, order within a
+row, no loop, symmetry), and ``translation_neighbours`` runs the same
+proof on a given regular graph.
+
 Metric data comes in two forms.  ``distance_matrix`` is the all-sources
 bitset BFS behind the dense D of a ``J(m,r>=2)`` family.  A family with a
-translation shape is instead proven a Cayley graph, atom by atom on the
-atom's CSR (``translation_table``, ``translation_neighbours``), and its D
+translation shape is instead proven a Cayley graph atom by atom, and its D
 and A are then group matrices that row 0 determines.  For an atom, row 0
 of D is ``distance_row``, one BFS from vertex 0 over the proven neighbour
 table, and row 0 of A the neighbours of vertex 0.  A product's rows are
@@ -183,19 +192,6 @@ def _gather(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.n
     return values[positions]
 
 
-def _from_boolean_rows(blocks) -> Graph:
-    """Graph whose symmetric boolean adjacency matrix is the given blocks of
-    consecutive rows, read one block at a time."""
-    counts, cols = [], []
-    for block in blocks:
-        counts.append(np.count_nonzero(block, axis=1))
-        cols.append(np.nonzero(block)[1])
-    counts = np.concatenate(counts)
-    indptr = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return Graph(indptr, np.concatenate(cols))
-
-
 # ---------------------------------------------------------------------------
 # Family specifications
 # ---------------------------------------------------------------------------
@@ -289,7 +285,7 @@ def translation_shape(spec: FamilySpec) -> tuple[int, ...] | None:
     one axis per coordinate; a Kronecker product of the groups of its
     factors, left axes first.  None for J(m, r >= 2) and every product with
     such a factor.  The shape is a claim about the builders, which
-    ``translation_neighbours`` proves exactly on the graph.
+    ``translation_table`` proves exactly on an atom's table.
     """
     if isinstance(spec, (Cycle, Complete)):
         return (spec.n,)
@@ -318,25 +314,40 @@ def refuse_past_product_cap(spec: FamilySpec) -> int:
 
 
 def build_family(spec: FamilySpec) -> Graph:
-    """Construct the graph for a family spec in its canonical vertex order;
-    a spec over PRODUCT_VERTEX_CAP vertices is refused before any building."""
+    """Construct the graph for a family spec in its canonical vertex order:
+    an atom's is its neighbour table (``_atom_table``) as a CSR, a
+    product's the Kronecker product of its factors'.  A spec over
+    PRODUCT_VERTEX_CAP vertices is refused before any building."""
     n = refuse_past_product_cap(spec)
     if isinstance(spec, Kron):
         return kronecker_product(build_family(spec.left), build_family(spec.right))
+    table = _atom_table(spec)
+    return Graph(table.shape[1] * np.arange(n + 1), table.ravel())
+
+
+def _atom_table(spec: FamilySpec) -> np.ndarray:
+    """The (n, degree) int32 neighbour table of an atom's graph, every row
+    strictly increasing: every atom is regular.  Nothing here checks the
+    table; ``Graph`` does for ``build_family``, and the translation proof
+    for ``translation_table``."""
     if isinstance(spec, Cycle):
-        i = np.arange(n)
-        nbrs = np.sort(np.stack([(i - 1) % n, (i + 1) % n], axis=1), axis=1)
-        return Graph(2 * np.arange(n + 1), nbrs.ravel())
+        vertex = np.arange(spec.n, dtype=np.int32)
+        table = np.stack([vertex - 1, vertex + 1], axis=1)
+        table[0], table[-1] = (1, spec.n - 1), (0, spec.n - 2)
+        return table
     if isinstance(spec, Complete):
-        return _from_boolean_rows([~np.eye(spec.n, dtype=bool)])
+        # row x is 0..n-1 without x
+        slot = np.arange(spec.n - 1, dtype=np.int32)
+        return slot + (slot >= np.arange(spec.n, dtype=np.int32)[:, None])
     if isinstance(spec, Johnson):
-        return _build_johnson(spec.m, spec.r)
+        return _johnson_table(spec)
     if isinstance(spec, Hamming):
-        return _build_hamming(spec.d, spec.q)
-    raise TypeError(f"not a family spec: {spec!r}")
+        return _hamming_table(spec.d, spec.q)
+    raise TypeError(f"not a family atom: {spec!r}")
 
 
-def _build_johnson(m: int, r: int) -> Graph:
+def _johnson_table(spec: Johnson) -> np.ndarray:
+    m, r = spec.m, spec.r
     verts = np.array(list(itertools.combinations(range(m), r)))
     n = len(verts)
     members = np.zeros((n, m), dtype=np.float32)
@@ -345,21 +356,40 @@ def _build_johnson(m: int, r: int) -> Graph:
     # rows go in blocks of at most 2^22 intersections to bound memory
     step = max(1, (1 << 22) // n)
     blocks = (members[i:i + step] @ members.T == r - 1 for i in range(0, n, step))
-    return _from_boolean_rows(blocks)
+    return _table_from_boolean_rows(blocks, translation_shape(spec))
 
 
-def _build_hamming(d: int, q: int) -> Graph:
+def _table_from_boolean_rows(blocks, shape: tuple[int, ...] | None) -> np.ndarray:
+    """The int32 neighbour table of the graph whose boolean adjacency
+    matrix is the given blocks of consecutive rows, read one block at a
+    time.  A table holds regular graphs only, so rows with fewer or more
+    neighbours than row 0 raise NonSymmetricMatrixError, as the proof over
+    Z_shape does."""
+    tables = []
+    for block in blocks:
+        counts = np.count_nonzero(block, axis=1)
+        degree = tables[0].shape[1] if tables else int(counts[0])
+        if (counts != degree).any():
+            raise _not_regular(shape)
+        tables.append(np.nonzero(block)[1].astype(np.int32).reshape(-1, degree))
+    return np.concatenate(tables)
+
+
+def _hamming_table(d: int, q: int) -> np.ndarray:
     n = q ** d
     # vertex index is the base-q numeral of the tuple, so lexicographic order
-    # is automatic and neighbors come from single-digit edits.
-    weights = q ** np.arange(d - 1, -1, -1)
-    idx = np.arange(n)
-    digits = idx[:, None] // weights % q
-    values = np.arange(q)
-    edits = (values - digits[:, :, None]) * weights[:, None] + idx[:, None, None]
-    changed = values != digits[:, :, None]
-    nbrs = np.sort(edits[changed].reshape(n, d * (q - 1)), axis=1)
-    return Graph(d * (q - 1) * np.arange(n + 1), nbrs.ravel())
+    # is automatic and neighbors come from single-digit edits: slot j of
+    # digit k sets it to j, or to j + 1 from its own value on
+    weights = q ** np.arange(d - 1, -1, -1, dtype=np.int32)
+    idx = np.arange(n, dtype=np.int32)
+    digits = idx[:, None] // weights
+    digits -= digits // q * q
+    slot = np.arange(q - 1, dtype=np.int32)
+    edits = slot + (slot >= digits[:, :, None])
+    edits -= digits[:, :, None]
+    edits *= weights[:, None]
+    edits += idx[:, None, None]
+    return np.sort(edits.reshape(n, d * (q - 1)), axis=1)
 
 
 def kronecker_product(g: Graph, h: Graph) -> Graph:
@@ -578,56 +608,114 @@ _PROOF_BLOCK_EDGES = 1 << 16
 def translation_neighbours(g: Graph, shape: tuple[int, ...]) -> np.ndarray:
     """The (n, degree) array of every vertex's neighbours, once ``g`` is
     proven to be exactly the Cayley graph ``Cay(Z_shape, N(0))``, vertex x
-    the mixed-radix (C-order) numeral of its group element.
-
-    The proof: the order is ``prod(shape)``, every vertex has the degree of
-    vertex 0, and for every stored edge (x, y) the difference y - x, taken
-    axis by axis modulo the shape, lies in N(0).  Then N(x) lies in
-    x + N(0), a set of the same size, so N(x) = x + N(0) for every x: each
-    translation is an automorphism, and A and D are symmetric group
-    matrices over ``Z_shape``, M[x, y] = m[y - x] (Babai, "Spectra of
-    Cayley graphs", J. Combin. Theory B 27, 1979).  A graph that fails any
-    part of the proof raises NonSymmetricMatrixError.
+    the mixed-radix (C-order) numeral of its group element: the order is
+    ``prod(shape)``, every vertex has the degree of vertex 0, and its
+    neighbour table passes ``_prove_translation_table``.  A graph that
+    fails any part of the proof raises NonSymmetricMatrixError.
     """
-    n = g.vertex_count
-    if not shape or min(shape) < 1 or math.prod(shape) != n:
-        raise NonSymmetricMatrixError(
-            f"graph of order {n} is not a Cayley graph over Z_{shape}")
+    _refuse_order(g.vertex_count, shape)
     nbrs = _regular_table(g)
     if nbrs is None:
-        raise NonSymmetricMatrixError(
-            f"graph is not regular, so not a Cayley graph over Z_{shape}")
-    degree = nbrs.shape[1]
-    connection = np.zeros(n, dtype=bool)
-    connection[nbrs[0]] = True
-    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
-    block = max(1, _PROOF_BLOCK_EDGES // max(degree, 1))
-    for start in range(0, n, block):
-        y = nbrs[start:start + block].astype(np.int64)
-        x = np.arange(start, start + y.shape[0])[:, None]
-        difference = np.zeros_like(y)
-        for size, stride in zip(shape, strides):
-            difference += (y // stride - x // stride) % size * stride
-        outside = np.flatnonzero(~connection[difference])
-        if outside.size:
-            row, slot = divmod(int(outside[0]), degree)
-            raise NonSymmetricMatrixError(
-                f"edge {start + row}-{y[row, slot]} is no translate of an edge"
-                f" at vertex 0 in Z_{shape}")
-    return nbrs
+        raise _not_regular(shape)
+    return _prove_translation_table(nbrs, shape)
 
 
 def translation_table(spec: FamilySpec) -> np.ndarray:
-    """The (n, degree) neighbour table of a shaped atom's graph, built and
-    proven ``Cay(Z_shape, N(0))`` for ``shape = translation_shape(spec)``
-    on its CSR by ``translation_neighbours``: a read-only view of the
-    graph's ``indices``.  A product's rows are read off its atoms instead
-    (``product_row``).  A spec over PRODUCT_VERTEX_CAP vertices is refused
-    before anything is built; a family that has no shape or fails its proof
-    raises NonSymmetricMatrixError.
+    """The (n, degree) neighbour table of a shaped atom's graph, as its
+    builder (``_atom_table``) makes it, read-only once proven
+    ``Cay(Z_shape, N(0))`` for ``shape = translation_shape(spec)`` by
+    ``_prove_translation_table``; no graph is built.  A product's rows are
+    read off its atoms instead (``product_row``).  A spec over
+    PRODUCT_VERTEX_CAP vertices is refused before anything is built; an
+    atom that has no shape or fails its proof raises
+    NonSymmetricMatrixError.
     """
     refuse_past_product_cap(spec)
-    return translation_neighbours(build_family(spec), translation_shape(spec))
+    table = _prove_translation_table(_atom_table(spec), translation_shape(spec))
+    table.flags.writeable = False
+    return table
+
+
+def _refuse_order(n: int, shape: tuple[int, ...] | None) -> None:
+    if not shape or min(shape) < 1 or math.prod(shape) != n:
+        raise NonSymmetricMatrixError(
+            f"graph of order {n} is not a Cayley graph over Z_{shape}")
+
+
+def _not_regular(shape: tuple[int, ...] | None) -> NonSymmetricMatrixError:
+    return NonSymmetricMatrixError(
+        f"graph is not regular, so not a Cayley graph over Z_{shape}")
+
+
+def _prove_translation_table(table: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``table``, once proven to be exactly the simple undirected Cayley
+    graph ``Cay(Z_shape, N(0))`` with N(x) = ``table[x]``, vertex x the
+    mixed-radix (C-order) numeral of its group element.
+
+    The proof, in the table's own integers and on blocks of
+    ``_PROOF_BLOCK_EDGES`` stored edges: the order is ``prod(shape)``;
+    every row strictly increases and every entry lies in 0..n-1, so N(x)
+    is a set of ``degree`` vertices; for every stored edge (x, y) the
+    difference y - x, taken axis by axis modulo the shape, lies in N(0);
+    and 0 is not in N(0) and N(0) = -N(0).  Then N(x) lies in x + N(0), a
+    set of the same size, so N(x) = x + N(0) for every x: each translation
+    is an automorphism, the graph has no loop (0 is not in N(0)) and is
+    undirected (y - x in N(0) iff x - y is), and A and D are symmetric
+    group matrices over ``Z_shape``, M[x, y] = m[y - x] (Babai, "Spectra
+    of Cayley graphs", J. Combin. Theory B 27, 1979).  A table that fails
+    any part raises NonSymmetricMatrixError.
+    """
+    n, degree = table.shape
+    _refuse_order(n, shape)
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+    connection = np.zeros(n, dtype=bool)
+    block = max(1, _PROOF_BLOCK_EDGES // max(degree, 1))
+    for start in range(0, n, block):
+        y = table[start:start + block]
+        x = np.arange(start, start + len(y), dtype=y.dtype)[:, None]
+        descents = np.flatnonzero(y[:, 1:] <= y[:, :-1])
+        if descents.size:
+            raise NonSymmetricMatrixError(
+                f"neighbours of {start + descents[0] // (degree - 1)} not strictly increasing")
+        # an increasing row lies in range iff its first and last entries do
+        ends = y[:, ::max(degree - 1, 1)]
+        outside = np.flatnonzero((ends < 0) | (ends >= n))
+        if outside.size:
+            row, slot = divmod(int(outside[0]), ends.shape[1])
+            raise NonSymmetricMatrixError(
+                f"neighbour {ends[row, slot]} of {start + row} out of range")
+        if start == 0:
+            connection[y[0]] = True
+        # y - x axis by axis modulo the shape, the last axis of stride 1 (a
+        # floor modulo as a - a // size * size, which numpy runs faster than
+        # %, and a gather as np.take, which needs no intp copy of the index)
+        difference = y - x
+        difference -= difference // shape[-1] * shape[-1]
+        for size, stride in zip(shape[:-1], strides[:-1]):
+            step = y // stride - x // stride
+            step -= step // size * size
+            step *= stride
+            difference += step
+        inside = np.take(connection, difference)
+        if not inside.all():
+            row, slot = divmod(int(np.flatnonzero(~inside)[0]), degree)
+            raise NonSymmetricMatrixError(
+                f"edge {start + row}-{y[row, slot]} is no translate of an edge"
+                f" at vertex 0 in Z_{shape}")
+    # N(0) holds no 0, so no loop, and the inverse of each of its elements
+    nbrs = table[0]
+    if degree and nbrs[0] == 0:
+        raise NonSymmetricMatrixError(f"self-loop at vertex 0 in Z_{shape}")
+    inverse = np.zeros_like(nbrs)
+    for size, stride in zip(shape, strides):
+        inverse += -(nbrs // stride) % size * stride
+    missing = np.flatnonzero(~connection[inverse])
+    if missing.size:
+        k = missing[0]
+        raise NonSymmetricMatrixError(
+            f"edge 0-{nbrs[k]} has no reverse: its inverse {inverse[k]} is not a"
+            f" neighbour of vertex 0 in Z_{shape}")
+    return table
 
 
 # Stands for "no walk of this parity" in an atom's walk rows; np.maximum
@@ -641,10 +729,13 @@ _NO_WALK = np.iinfo(np.int64).max
 # per process.  A shaped atom's entry is three int64 rows of its order, an
 # unshaped atom's three int64 b x b matrices (J(10,5): 1.5 MB, J(13,6):
 # 71 MB); no graph, table or cover is kept.  A top-level atom's table is
-# not kept either: it is built once per grid family anyway, and keeping
-# those tables (the grid's base families reach 1024 vertices) raised the
-# peak RSS of a ``grid --max-order 1200`` run from 40.0 to 43.5 MB (10
-# fresh runs each, 2-vCPU Xeon, numpy 2.4) for a few ms saved.
+# not kept either: a grid run builds it once per family anyway, as the
+# family's checks share one oracle, so a memo would only serve repeated
+# runs in one process, where the grid's 93 shaped base families take about
+# 20 ms a pass to build and prove (2-vCPU Xeon, numpy 2.4, one BLAS
+# thread); and keeping those tables (up to 1024 vertices) raised the peak
+# RSS of a ``grid --max-order 1200`` run from 40.0 to 43.5 MB (10 fresh
+# runs each).
 @functools.lru_cache(maxsize=128)
 def _atom_walks(atom: FamilySpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shortest even and odd walk lengths (``_NO_WALK`` where none) and A,

@@ -122,8 +122,9 @@ def group_matrix_eigenvalues(row: np.ndarray) -> np.ndarray:
     """All eigenvalues, ascending, of the symmetric group matrix over
     ``Z_{n_1} x ... x Z_{n_k}`` whose row 0 is ``row``, an array of shape
     ``(n_1, ..., n_k)``: the character sums of row 0, one k-dimensional DFT
-    (Babai 1979).  That the matrix is such a group matrix is the caller's
-    proof (``graphs.translation_neighbours``); nothing here checks it.
+    (Babai 1979).  That the matrix is such a group matrix, symmetric
+    included, is the caller's proof (``graphs.translation_table``, which
+    proves the graph simple and undirected); nothing here checks it.
     """
     return np.sort(np.fft.fftn(row).real, axis=None)
 

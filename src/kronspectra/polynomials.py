@@ -10,9 +10,10 @@ against the BFS distances of the family's shared oracle.
 Lagrange/Vandermonde interpolation stays as an exact general tool.
 
 For a family with a translation shape (every Hamming graph and J(m, 1)) the
-check reads row 0 alone.  Its graph is proven a Cayley graph over the
-shape's group (``graphs.translation_neighbours``), so A and D are group
-matrices, M[x, y] = m[y - x].  Sums and products of group matrices are
+check reads row 0 alone.  Its neighbour table is proven the simple
+undirected Cayley graph over the shape's group (``graphs.translation_table``;
+the proof, not a ``Graph``, is what makes A symmetric), so A and D are
+symmetric group matrices, M[x, y] = m[y - x].  Sums and products of group matrices are
 group matrices, so p(A) - D is one too, and every entry of it occurs on
 row 0: the largest entrywise gap is the largest gap on row 0.  Row 0 of
 p(A) is d steps of a sparse Horner over the neighbour array

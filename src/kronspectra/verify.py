@@ -3,9 +3,9 @@
 The two routes are kept strictly separate.  The closed-form side dispatches
 a family spec to the applicable formula; the oracle side builds the graph,
 runs breadth-first distances and an eigensolve.  A family with a
-translation shape is proven a Cayley graph on its atoms' CSRs, and its
-spectra are one DFT of row 0; a shaped product's row 0 is read off its
-atoms' walks, with no product graph built and no product BFS.  Any other
+translation shape is proven a Cayley graph on its atoms' neighbour tables,
+and its spectra are one DFT of row 0; a shaped product's row 0 is read off
+its atoms' walks, with no product graph built and no product BFS.  Any other
 product is a block group matrix over its shaped atoms' group, whose blocks
 are read off its atoms' walks too, and its spectra are one DFT and a
 batched solve of the b x b blocks.  Only a ``J(m,r>=2)`` family on its own

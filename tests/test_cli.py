@@ -327,19 +327,26 @@ def test_grid_builds_and_bfs_each_family_once(tmp_path, monkeypatch):
     graphs._atom_walks.cache_clear()
     for module in (verify, polynomials, graphs):
         monkeypatch.setattr(module, "build_family", counted_build(module.build_family))
+    # every atom's graph or proven table comes from one call of its builder
+    tables, build_table = Counter(), graphs._atom_table
+    monkeypatch.setattr(graphs, "_atom_table",
+                        lambda atom: tables.update([atom]) or build_table(atom))
     for module in (verify, polynomials):
         monkeypatch.setattr(module, "distance_matrix", counted_bfs(module.distance_matrix))
     code = main(["grid", "--max-order", "64", "--output", str(tmp_path / "grid.jsonl")])
     assert code == 0
     cases = verify.default_grid(64)
-    # a product is read off its atoms' walks, so only an atom builds its
-    # graph: a top-level atom once, and each distinct atom of the products
-    # once more, for the atom memo, shaped or not
+    # a product is read off its atoms' walks, so only an atom is built: a
+    # top-level atom once, and each distinct atom of the products once
+    # more, for the atom memo, shaped or not; only an unshaped atom as a
+    # graph, a shaped one as its proven table
     products = {spec for spec, _ in cases if isinstance(spec, Kron)}
     assert any(translation_shape(spec) is None for spec in products)
     atoms = {atom for spec in products for atom in graphs._atoms(spec)}
-    assert builds == (Counter({spec: 1 for spec, _ in cases if spec not in products})
+    assert tables == (Counter({spec: 1 for spec, _ in cases if spec not in products})
                       + Counter(atoms))
+    assert builds == Counter({spec: count for spec, count in tables.items()
+                              if translation_shape(spec) is None})
     # a shaped family reads its distances off one BFS from vertex 0, an
     # unshaped product off its atoms' covers, and only a top-level J(m,r>=2)
     # needs the all-sources BFS

@@ -1,5 +1,6 @@
 """Graph families, products, metric data and walk-length closure."""
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -132,6 +133,45 @@ def test_family_to_string_round_trip_shapes():
     assert family_to_string(spec) == "kron(K3,kron(C4,J(4,2)))"
 
 
+def adjacency_by_definition(spec) -> np.ndarray:
+    """A by the family's pairwise rule over its canonical vertex order,
+    brute force over every pair: i - j = +-1 mod n; i != j; |S & T| = r - 1
+    over the r-subsets in lexicographic order; Hamming distance 1 over the
+    d-tuples in lexicographic order."""
+    if isinstance(spec, Cycle):
+        i = np.arange(spec.n)
+        return np.isin((i[:, None] - i) % spec.n, (1, spec.n - 1))
+    if isinstance(spec, Complete):
+        return ~np.eye(spec.n, dtype=bool)
+    if isinstance(spec, Johnson):
+        members = np.array([[k in subset for k in range(spec.m)] for subset in
+                            itertools.combinations(range(spec.m), spec.r)])
+        common = (members[:, None, :] & members[None, :, :]).sum(axis=2)
+        return common == spec.r - 1
+    tuples = np.array(list(itertools.product(range(spec.q), repeat=spec.d)))
+    return (tuples[:, None, :] != tuples[None, :, :]).sum(axis=2) == 1
+
+
+def small_atoms():
+    """C_n for n <= 12, K_n for n <= 10, J(m,r) for m <= 8 and H(d,q) for
+    q^d <= 256."""
+    return [*(Cycle(n) for n in range(3, 13)), *(Complete(n) for n in range(1, 11)),
+            *(Johnson(m, r) for m in range(2, 9) for r in range(1, m // 2 + 1)),
+            *(Hamming(d, q) for d in range(1, 9) for q in range(2, 257) if q ** d <= 256)]
+
+
+def test_every_builder_gives_its_definition():
+    # the builders' tables are not validated as graphs on the shaped route,
+    # so each is checked against the definition it builds
+    for spec in small_atoms():
+        g = build_family(spec)
+        expected = adjacency_by_definition(spec)
+        assert np.array_equal(g.adjacency_matrix() == 1, expected), family_to_string(spec)
+        table = graphs._atom_table(spec)
+        assert table.dtype == np.int32 and table.shape[0] == family_order(spec)
+        assert np.array_equal(table.ravel(), g.indices), family_to_string(spec)
+
+
 # ---------------------------------------------------------------------------
 # Kronecker product
 # ---------------------------------------------------------------------------
@@ -224,13 +264,22 @@ def test_unit_translations_are_automorphisms_of_the_built_graph():
     assert not all(is_automorphism(g, unit_translation((5, 4), axis)) for axis in (0, 1))
 
 
+def count_builds_and_proofs(monkeypatch):
+    """Lists that record every ``Graph`` built, every atom table built and
+    every translation proof, by the shape proven."""
+    inits, tables, proven = [], [], []
+    init, build = Graph.__init__, graphs._atom_table
+    prove = graphs._prove_translation_table
+    monkeypatch.setattr(Graph, "__init__", lambda self, *a: inits.append(1) or init(self, *a))
+    monkeypatch.setattr(graphs, "_atom_table", lambda atom: tables.append(atom) or build(atom))
+    monkeypatch.setattr(graphs, "_prove_translation_table",
+                        lambda table, shape: proven.append(shape) or prove(table, shape))
+    return inits, tables, proven
+
+
 def test_product_factors_are_built_anew_and_proven_once(monkeypatch):
     graphs._atom_walks.cache_clear()
-    inits, proven = [], []
-    init, prove = Graph.__init__, graphs.translation_neighbours
-    monkeypatch.setattr(Graph, "__init__", lambda self, *a: inits.append(1) or init(self, *a))
-    monkeypatch.setattr(graphs, "translation_neighbours",
-                        lambda g, shape: proven.append(shape) or prove(g, shape))
+    inits, tables, proven = count_builds_and_proofs(monkeypatch)
     spec = Kron(Complete(4), Kron(Complete(3), Cycle(5)))
     for _ in range(2):
         inits.clear()
@@ -238,11 +287,13 @@ def test_product_factors_are_built_anew_and_proven_once(monkeypatch):
         # K4, K3, C5, kron(K3,C5) and the product: no graph is kept
         assert len(inits) == 5
     inits.clear()
+    tables.clear()
     for _ in range(2):
         for matrix in ("distance", "adjacency"):
             product_row(spec, matrix)
-    # each distinct atom is proven once, built for the proof only
-    assert sorted(proven) == [(3,), (4,), (5,)] and len(inits) == 3
+    # each distinct atom is tabulated and proven once, and no graph built
+    assert sorted(proven) == [(3,), (4,), (5,)] and inits == []
+    assert tables == [Complete(4), Complete(3), Cycle(5)]
     assert graphs._atom_walks.cache_info().currsize == 3  # K4, K3, C5
     # every product reads the memo's rows, so none may write to them
     for atom in (Complete(4), Complete(3), Cycle(5)):
@@ -305,11 +356,12 @@ def test_product_rows_keep_the_cases_the_bare_walk_lemma_gets_wrong():
 def test_product_row_allocates_no_product_table(monkeypatch):
     # kron(K20,H(3,10)) has 20000 vertices of degree 513, so its neighbour
     # table alone takes 41 MB (the parent's route peaked at 74.4 MB).  The
-    # walk route holds the atoms' graphs while they are built and proven
-    # (H(3,10): 27000 stored neighbours and the validation's four int64
-    # arrays of that length, about 1.2 MB), their covers (H(3,10)'s is
-    # 2000 x 27 int32, 0.2 MB), and a few int64 rows of length n (0.16 MB
-    # each).  That is about 2 MB; it measures 1.4 MB, and 8 MB is the bound.
+    # walk route holds the atoms' tables while they are built and proven
+    # (H(3,10): 1000 x 27 int32, 0.1 MB, and the proof's int32 temporaries
+    # of that size), their covers (H(3,10)'s is 2000 x 27 int32, 0.2 MB),
+    # and a few int64 rows of length n (0.16 MB each).  That is about 1 MB;
+    # it measures 0.7 MB (1.4 MB when each atom was built as a validated
+    # CSR), and 8 MB is the bound.
     graphs._atom_walks.cache_clear()
     monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", "20000")
     tracemalloc.start()
@@ -325,15 +377,15 @@ def test_product_row_allocates_no_product_table(monkeypatch):
 def test_translation_table_proves_each_atom_graph_once(monkeypatch):
     graphs._atom_walks.cache_clear()
     proven = []
-    prove = graphs.translation_neighbours
-    monkeypatch.setattr(graphs, "translation_neighbours",
-                        lambda g, shape: proven.append(g) or prove(g, shape))
+    prove = graphs._prove_translation_table
+    monkeypatch.setattr(graphs, "_prove_translation_table",
+                        lambda table, shape: proven.append(table) or prove(table, shape))
     products = [spec for spec, _ in default_grid(1200)
                 if isinstance(spec, Kron) and translation_shape(spec) is not None]
     for spec in products:
         product_row(spec, "distance")
-    # one proof per distinct atom graph, however many products share it
-    assert len({id(g) for g in proven}) == len(proven)
+    # one proof per distinct atom table, however many products share it
+    assert len({id(table) for table in proven}) == len(proven)
     atoms = set()
     for spec in products:
         atoms.update(factor for factor in (spec.left, spec.right) if not isinstance(factor, Kron))
@@ -345,6 +397,79 @@ def test_translation_table_proves_each_atom_graph_once(monkeypatch):
     graphs._atom_walks.cache_clear()
     product_row(Kron(Complete(3), Cycle(7)), "distance")
     assert len(proven) == len(atoms) + 3
+
+
+def test_translation_table_builds_no_graph_and_proves_once(monkeypatch):
+    inits, tables, proven = count_builds_and_proofs(monkeypatch)
+    for atom in (Cycle(7), Complete(4), Johnson(6, 1), Hamming(3, 3)):
+        for log in (inits, tables, proven):
+            log.clear()
+        table = translation_table(atom)
+        assert inits == [] and tables == [atom] and proven == [translation_shape(atom)]
+        assert table.dtype == np.int32 and not table.flags.writeable
+
+
+def planted_tables(n):
+    """Tables for C_n (n >= 7), each with one fault that a CSR ``Graph``
+    used to reject, or of the wrong order, which the translation proof
+    must refuse, and the message it raises."""
+    cycle = graphs._atom_table(Cycle(n))
+    faults = {}
+    for name, row, value in (("above", 3, (2, n)), ("below", 3, (-1, 4)),
+                             ("repeated", 3, (4, 4)), ("unsorted", 3, (4, 2))):
+        table = cycle.copy()
+        table[row] = value
+        faults[name] = table
+    # N(x) = {x, x + 1}: every difference lies in N(0) = {0, 1}, a loop;
+    # N(x) = {x + 1, x + 2}: every difference lies in N(0) = {1, 2}, which
+    # has no -1, so the circulant is directed
+    x = np.arange(n, dtype=np.int32)[:, None]
+    faults["loop"] = np.sort((x + [0, 1]) % n, axis=1)
+    faults["directed"] = np.sort((x + [1, 2]) % n, axis=1)
+    faults["order"] = graphs._atom_table(Cycle(n + 1))
+    messages = {
+        "order": rf"^graph of order {n + 1} is not a Cayley graph over Z_\({n},\)$",
+        "above": f"^neighbour {n} of 3 out of range$",
+        "below": "^neighbour -1 of 3 out of range$",
+        "repeated": "^neighbours of 3 not strictly increasing$",
+        "unsorted": "^neighbours of 3 not strictly increasing$",
+        "loop": rf"^self-loop at vertex 0 in Z_\({n},\)$",
+        "directed": rf"^edge 0-1 has no reverse: its inverse {n - 1} is not a neighbour"
+                    rf" of vertex 0 in Z_\({n},\)$",
+    }
+    return {name: (table, messages[name]) for name, table in faults.items()}
+
+
+@pytest.mark.parametrize("fault", planted_tables(7))
+def test_the_proof_refuses_a_planted_table(fault, monkeypatch):
+    table, message = planted_tables(7)[fault]
+    build = graphs._atom_table
+    monkeypatch.setattr(graphs, "_atom_table",
+                        lambda atom: table.copy() if atom == Cycle(7) else build(atom))
+    graphs._atom_walks.cache_clear()
+    with pytest.raises(NonSymmetricMatrixError, match=message):
+        translation_table(Cycle(7))
+    for spec in (Cycle(7), Kron(Complete(3), Cycle(7))):
+        for matrix in ("distance", "adjacency"):
+            with pytest.raises(NonSymmetricMatrixError, match=message):
+                FamilyOracle(spec).eigenvalues(matrix)
+
+
+def test_translation_table_refuses_an_atom_without_a_shape():
+    with pytest.raises(NonSymmetricMatrixError,
+                       match="^graph of order 10 is not a Cayley graph over Z_None$"):
+        translation_table(Johnson(5, 2))
+
+
+def test_boolean_rows_of_unequal_length_are_not_regular():
+    # three rows with 2, 1 and 3 neighbours fill a 3 x 2 table exactly, so
+    # only the count check tells; in a later block as in the first
+    rows = np.array([[0, 1, 1, 0], [1, 0, 0, 0], [1, 1, 0, 1], [0, 1, 1, 0]], dtype=bool)
+    for blocks in ([rows[:3]], [rows[3:], rows[:3]]):
+        with pytest.raises(NonSymmetricMatrixError,
+                           match=r"^graph is not regular, so not a Cayley graph over Z_\(4,\)$"):
+            graphs._table_from_boolean_rows(blocks, (4,))
+    assert graphs._table_from_boolean_rows([rows[:1], rows[3:]], (4,)).tolist() == [[1, 2]] * 2
 
 
 def unshaped_products():

@@ -65,12 +65,14 @@ def names_used(path):
 
 
 def test_only_graphs_proves_a_translation_shape():
-    # graphs.translation_table builds, proves and tabulates every shaped
-    # atom, products included, so no other module reaches the proof itself
+    # graphs.translation_table builds and proves every shaped atom's table,
+    # and a product's rows are read off its atoms, so no other module
+    # reaches the proof itself
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "graphs.py":
-            assert "translation_neighbours" not in names_used(path), path.name
-    assert "translation_neighbours" in names_used(PACKAGE / "graphs.py")
+            for name in ("translation_neighbours", "_prove_translation_table"):
+                assert name not in names_used(path), (path.name, name)
+    assert "_prove_translation_table" in names_used(PACKAGE / "graphs.py")
 
 
 def test_a_shaped_atom_oracle_keeps_no_graph():

@@ -468,17 +468,30 @@ def assert_graph_route_refuses(oracle, match):
             oracle.eigenvalues(kind)
 
 
+# the genuine atom builder, which a planted one falls back on
+ATOM_TABLE = graphs._atom_table
+
+
 def mutate_graph(oracle, monkeypatch, mutate):
-    """Make ``oracle`` read ``mutate(graph)`` for its graph, as
-    ``graphs.build_family`` builds it.  A product's graph is never built,
-    so the mutation goes into its right factor, whose proof and walk rows
-    the product's rows are read from."""
+    """Make ``oracle`` read ``mutate(graph)`` for its graph, as the atom
+    builder ``graphs._atom_table`` makes it: the mutated graph's boolean
+    adjacency rows go through the builders' ``_table_from_boolean_rows``,
+    which tabulates a regular graph and refuses an irregular one.  A
+    product's graph is never built, so the mutation goes into its right
+    factor, whose proof and walk rows the product's rows are read from."""
     spec = oracle.spec
     target = spec.right if isinstance(spec, Kron) else spec
-    original, build = build_family(target), graphs.build_family
+    monkeypatch.setattr(graphs, "_atom_table", ATOM_TABLE)  # no earlier planting
+    original = build_family(target)
     mutated = mutate(original)
-    monkeypatch.setattr(graphs, "build_family",
-                        lambda other: mutated if other == target else build(other))
+
+    def planted(other):
+        if other != target:
+            return ATOM_TABLE(other)
+        rows = mutated.adjacency_matrix() > 0
+        return graphs._table_from_boolean_rows([rows], translation_shape(target))
+
+    monkeypatch.setattr(graphs, "_atom_table", planted)
     graphs._atom_walks.cache_clear()
     return original, mutated
 

@@ -114,12 +114,20 @@ def _with_edges_changed(graph, removed=(), added=()):
 
 
 def _build_instead(monkeypatch, spec, graph):
-    """Make ``graphs.build_family`` return ``graph`` for ``spec``, as a
-    top-level family or as a product's factor, with no atom's walk rows
-    kept from before."""
-    build = graphs.build_family
-    monkeypatch.setattr(graphs, "build_family",
-                        lambda other: graph if other == spec else build(other))
+    """Make the atom builder ``graphs._atom_table`` build ``graph`` for
+    ``spec``, as a top-level family or as a product's atom, with no atom's
+    walk rows kept from before.  Its boolean adjacency rows go through the
+    builders' ``_table_from_boolean_rows``, which tabulates a regular graph
+    and refuses an irregular one."""
+    build = graphs._atom_table
+
+    def planted(other):
+        if other != spec:
+            return build(other)
+        rows = graph.adjacency_matrix() > 0
+        return graphs._table_from_boolean_rows([rows], translation_shape(spec))
+
+    monkeypatch.setattr(graphs, "_atom_table", planted)
     graphs._atom_walks.cache_clear()
 
 
@@ -185,9 +193,9 @@ def test_family_oracle_solves_each_matrix_once(monkeypatch):
 
 def test_family_oracle_keeps_no_failed_solve(monkeypatch):
     calls = []
-    prove = graphs.translation_neighbours
-    monkeypatch.setattr(graphs, "translation_neighbours",
-                        lambda g, shape: calls.append(shape) or prove(g, shape))
+    prove = graphs._prove_translation_table
+    monkeypatch.setattr(graphs, "_prove_translation_table",
+                        lambda table, shape: calls.append(shape) or prove(table, shape))
     spec = Hamming(3, 3)
     _build_instead(monkeypatch, spec, _with_edges_changed(graphs.build_family(spec),
                                        **MUTATIONS["distances"][0]))
@@ -213,7 +221,7 @@ FACTOR_MUTATIONS = {
                                   Kron(Complete(4), Kron(Cycle(7), Complete(3)))])
 def test_product_route_refuses_a_mutated_factor(spec, mutation, monkeypatch):
     change, message = FACTOR_MUTATIONS[mutation]
-    # every product reads the mutated graph for its C7 factor
+    # every product reads the mutated table for its C7 factor
     _build_instead(monkeypatch, Cycle(7),
                    _with_edges_changed(graphs.build_family(Cycle(7)), **change))
     for matrix in ("distance", "adjacency"):
@@ -227,10 +235,14 @@ def test_product_route_refuses_a_mutated_factor(spec, mutation, monkeypatch):
 def test_shaped_product_builds_only_its_atoms(monkeypatch):
     graphs._atom_walks.cache_clear()
     orders = []
-    init = Graph.__init__
-    monkeypatch.setattr(Graph, "__init__",
-                        lambda self, indptr, indices: orders.append(len(indptr) - 1)
-                        or init(self, indptr, indices))
+    build = graphs._atom_table
+    monkeypatch.setattr(graphs, "_atom_table",
+                        lambda atom: orders.append(graphs.family_order(atom)) or build(atom))
+
+    def no_graph(self, *args):
+        raise AssertionError("a shaped family built a graph")
+
+    monkeypatch.setattr(Graph, "__init__", no_graph)
 
     def no_product(g, h):
         raise AssertionError("a shaped product built its CSR")
