@@ -11,13 +11,15 @@ Lagrange/Vandermonde interpolation stays as an exact general tool.
 
 For a family with a translation shape (every Hamming graph and J(m, 1)) the
 check reads row 0 alone.  Its neighbour table is proven the simple
-undirected Cayley graph over the shape's group (``graphs.translation_table``;
-the proof, not a ``Graph``, is what makes A symmetric), so A and D are
-symmetric group matrices, M[x, y] = m[y - x].  Sums and products of group matrices are
-group matrices, so p(A) - D is one too, and every entry of it occurs on
-row 0: the largest entrywise gap is the largest gap on row 0.  Row 0 of
-p(A) is d steps of a sparse Horner over the neighbour array
-(``polynomial_row``), instead of d - 1 n x n matrix products.
+undirected Cayley graph over the shape's group (``graphs.translation_table``),
+so A and D are symmetric group matrices, M[x, y] = m[y - x].  Sums and
+products of group matrices are group matrices, so p(A) - D is one too, and
+every entry of it occurs on row 0: the largest entrywise gap is the largest
+gap on row 0.  Row 0 of p(A) is d steps of a sparse Horner over the
+neighbour array (``polynomial_row``), instead of d - 1 n x n matrix
+products.  That Horner sums each vertex's row, which is r A only for a
+symmetric A; no ``Graph`` checks the table, so it relies on the proof's
+own symmetry check (N(0) = -N(0)).
 """
 
 from __future__ import annotations
