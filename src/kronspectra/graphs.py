@@ -29,12 +29,12 @@ bitset BFS behind the dense D of a ``J(m,r>=2)`` family.  A family with a
 translation shape is instead proven a Cayley graph atom by atom, and its D
 and A are then group matrices that row 0 determines.  For an atom, row 0
 of D is ``distance_row``, one BFS from vertex 0 over the proven neighbour
-table, and row 0 of A the neighbours of vertex 0.  A product's rows are
-read off its atoms' shortest even and odd walks (``product_row``), with no
-product graph, neighbour table or BFS.  A product with an unshaped atom is
-a block group matrix over its shaped atoms' group, and its blocks are read
-off the same walks (``product_blocks``), an unshaped atom's between every
-pair of its vertices, from one ``distance_matrix`` of its double cover.
+table, and row 0 of A the neighbours of vertex 0.  A product is a block
+group matrix over its shaped atoms' group, and its blocks are read off its
+atoms' shortest even and odd walks (``product_blocks``), with no product
+graph, neighbour table or BFS: a shaped product's blocks are 1 x 1, its
+row 0, and an unshaped atom's walks are read between every pair of its
+vertices, from one ``distance_matrix`` of its double cover.
 The BFS is a hybrid (``_bfs_depths``): a Python queue step for narrow
 levels, a sort-free top-down numpy step, and on regular graphs a
 bottom-up numpy step for the last levels; it also serves
@@ -73,7 +73,6 @@ __all__ = [
     "translation_shape",
     "translation_neighbours",
     "translation_table",
-    "product_row",
     "product_blocks",
     "refuse_past_product_cap",
     "build_family",
@@ -624,8 +623,8 @@ def translation_table(spec: FamilySpec) -> np.ndarray:
     """The (n, degree) neighbour table of a shaped atom's graph, as its
     builder (``_atom_table``) makes it, read-only once proven
     ``Cay(Z_shape, N(0))`` for ``shape = translation_shape(spec)`` by
-    ``_prove_translation_table``; no graph is built.  A product's rows are
-    read off its atoms instead (``product_row``).  A spec over
+    ``_prove_translation_table``; no graph is built.  A product's blocks
+    are read off its atoms instead (``product_blocks``).  A spec over
     PRODUCT_VERTEX_CAP vertices is refused before anything is built; an
     atom that has no shape or fails its proof raises
     NonSymmetricMatrixError.
@@ -719,7 +718,7 @@ def _prove_translation_table(table: np.ndarray, shape: tuple[int, ...]) -> np.nd
 
 
 # Stands for "no walk of this parity" in an atom's walk rows; np.maximum
-# and np.minimum keep it, so a product row holds it exactly where the
+# and np.minimum keep it, so a product's blocks hold it exactly where the
 # product has no walk at all.
 _NO_WALK = np.iinfo(np.int64).max
 
@@ -779,20 +778,6 @@ def _atoms(spec: FamilySpec) -> list[FamilySpec]:
     if isinstance(spec, Kron):
         return _atoms(spec.left) + _atoms(spec.right)
     return [spec]
-
-
-def product_row(spec: Kron, matrix: str) -> np.ndarray:
-    """Row 0 of a shaped product's D (``"distance"``) or A
-    (``"adjacency"``) as int64: its ``product_blocks``, whose blocks are
-    1 x 1, in the canonical order.  Raises as ``product_blocks`` does, and
-    NonSymmetricMatrixError for a product with an unshaped atom (its
-    matrices are ``product_blocks``).
-    """
-    if translation_shape(spec) is None:
-        raise NonSymmetricMatrixError(
-            f"{family_to_string(spec)} has an atom without a translation shape,"
-            " so it is not a Cayley graph over one")
-    return product_blocks(spec, matrix).ravel()
 
 
 def product_blocks(spec: Kron, matrix: str) -> np.ndarray:

@@ -1,7 +1,10 @@
-"""Eigensolvers used as independent ground truth: the dense
-symmetric/Hermitian solve, one DFT for a symmetric group matrix over a
-product of cyclic groups, given its row 0, and one DFT and a batched
-Hermitian solve for a block group matrix, given its blocks.
+"""Eigensolvers used as independent ground truth.  The oracle's one solver
+is ``block_group_matrix_eigenvalues``: every family's D and A is a block
+group matrix over a product of cyclic groups, solved by one DFT and a
+batched Hermitian solve of its blocks (one DFT alone for 1 x 1 blocks,
+one dense solve for the trivial group).  The dense symmetric/Hermitian
+solve ``symmetric_eigenvalues``, with its tolerance-based symmetry scan,
+serves callers that hold one dense matrix.
 
 Everything here is deliberately decoupled from the closed-form and circulant
 modules: this is the brute-force side of every dual-route check, so it must
@@ -25,7 +28,6 @@ __all__ = [
     "ensure_symmetric",
     "max_asymmetry",
     "symmetric_eigenvalues",
-    "group_matrix_eigenvalues",
     "block_group_matrix_eigenvalues",
     "oracle_spectrum",
 ]
@@ -56,8 +58,8 @@ def dense_matrix_cap() -> int:
 
 def refuse_past_dense_cap(order: int, name: str = "matrix") -> None:
     """Raise OrderCapError for a dense ``name`` of an order past the cap:
-    the one refusal that every dense matrix, and a shaped family's row 0,
-    goes through."""
+    the one refusal that every dense matrix, and a family's blocks, go
+    through."""
     cap = dense_matrix_cap()
     if order > cap:
         raise OrderCapError(f"{name} order {order} exceeds dense cap {cap}")
@@ -118,35 +120,32 @@ def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a)
 
 
-def group_matrix_eigenvalues(row: np.ndarray) -> np.ndarray:
-    """All eigenvalues, ascending, of the symmetric group matrix over
-    ``Z_{n_1} x ... x Z_{n_k}`` whose row 0 is ``row``, an array of shape
-    ``(n_1, ..., n_k)``: the character sums of row 0, one k-dimensional DFT
-    (Babai 1979).  That the matrix is such a group matrix, symmetric
-    included, is the caller's proof (``graphs.translation_table``, which
-    proves the graph simple and undirected); nothing here checks it.
-    """
-    return np.sort(np.fft.fftn(row).real, axis=None)
-
-
 def block_group_matrix_eigenvalues(blocks: np.ndarray) -> np.ndarray:
     """All eigenvalues, ascending, of the block group matrix M over
     ``G = Z_{n_1} x ... x Z_{n_k}`` with ``M[(x, u), (y, v)] =
     blocks[y - x][u, v]``, given ``blocks`` of shape ``(n_1, ..., n_k, b,
-    b)``; k = 0 is one b x b matrix.
+    b)``: k = 0 is one b x b matrix, and b = 1 a group matrix given by its
+    row 0.  That M is such a matrix is the caller's proof
+    (``graphs.product_blocks``, ``graphs.translation_table``).
 
-    M is symmetric iff ``blocks[-y] == blocks[y].T`` for every y, which is
-    checked first, exactly (the oracle's blocks are integers), and raises
-    NonSymmetricMatrixError if it fails.  Then a character of G turns M
-    into the Hermitian b x b block ``sum_y blocks[y] chi(y)`` (Babai
-    1979), one DFT over the group axes gives all |G| of them, and one
-    batched ``eigvalsh`` solves them.  That M is such a block group matrix
-    is the caller's proof (``graphs.product_blocks``).
+    A character of G turns M into the Hermitian b x b block ``sum_y
+    blocks[y] chi(y)`` (Babai 1979), so one DFT over the group axes gives
+    all |G| of them.  For b = 1 they are the eigenvalues, and M's
+    symmetry is the caller's proof too (``graphs.translation_table``
+    proves the graph undirected); nothing here checks it.  Otherwise M is
+    symmetric iff ``blocks[-y] == blocks[y].T`` for every y, which is
+    checked first, exactly (the oracle's entries are integers), and raises
+    NonSymmetricMatrixError if it fails; then one batched ``eigvalsh``
+    solves the blocks.  For k = 0 the matrix is read as float64, with no
+    copy of a float64 one.
     """
     blocks = np.asarray(blocks)
     if blocks.ndim < 2 or blocks.shape[-1] != blocks.shape[-2]:
         raise NonSymmetricMatrixError(f"expected square blocks, got shape {blocks.shape}")
     axes = tuple(range(blocks.ndim - 2))
+    b = blocks.shape[-1]
+    if b == 1 and axes:
+        return np.sort(np.fft.fftn(blocks.reshape(blocks.shape[:-2])).real, axis=None)
     mirrored = blocks
     for axis in axes:
         size = blocks.shape[axis]
@@ -156,15 +155,14 @@ def block_group_matrix_eigenvalues(blocks: np.ndarray) -> np.ndarray:
         y = tuple(np.argwhere(unequal)[0, :-2].tolist())
         raise NonSymmetricMatrixError(
             f"block {y} is not the transpose of the block at its inverse")
-    b = blocks.shape[-1]
-    hermitian = np.fft.fftn(blocks, axes=axes) if axes else blocks.astype(np.float64)
-    hermitian = hermitian.reshape(-1, b, b)
-    # dropped, the integer blocks are freed before the solve unless the
-    # caller keeps them
-    del blocks, mirrored, unequal
-    return np.sort(np.linalg.eigvalsh(hermitian), axis=None)
+    # the check's temporaries are freed before the solve
+    del mirrored, unequal
+    hermitian = np.fft.fftn(blocks, axes=axes) if axes else np.asarray(blocks, np.float64)
+    return np.sort(np.linalg.eigvalsh(hermitian.reshape(-1, b, b)), axis=None)
 
 
 def oracle_spectrum(matrix: np.ndarray, group_tol: float = 1e-6) -> Spectrum:
-    """Eigensolve then group: the standard oracle pipeline for one matrix."""
+    """Eigensolve one dense symmetric matrix (``symmetric_eigenvalues``)
+    and group its values; a family's oracle spectra go through
+    ``block_group_matrix_eigenvalues`` instead."""
     return spectrum_from_values(symmetric_eigenvalues(matrix), group_tol)

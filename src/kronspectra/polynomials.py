@@ -6,16 +6,18 @@ in the intersection numbers, so D = p(A) with p = sum_i i * v_i of degree d.
 `distance_polynomial` takes p, in exact fractions, from the intersection
 array of a Johnson or Hamming graph (`closedform.IntersectionArray`), and
 this module evaluates it on A; `verify.poly_report` checks p(A) entrywise
-against the BFS distances of the family's shared oracle.
+against the BFS distances of the family's shared oracle, the D of its
+``FamilyOracle.blocks``: a ``J(m,r>=2)`` family's one n x n block, whose A
+block p is evaluated on (``matrix_polynomial_eval``).
 Lagrange/Vandermonde interpolation stays as an exact general tool.
 
 For a family with a translation shape (every Hamming graph and J(m, 1)) the
 check reads row 0 alone.  Its neighbour table is proven the simple
 undirected Cayley graph over the shape's group (``graphs.translation_table``),
-so A and D are symmetric group matrices, M[x, y] = m[y - x].  Sums and
-products of group matrices are group matrices, so p(A) - D is one too, and
-every entry of it occurs on row 0: the largest entrywise gap is the largest
-gap on row 0.  Row 0 of p(A) is d steps of a sparse Horner over the
+so A and D are symmetric group matrices, M[x, y] = m[y - x], whose 1 x 1
+blocks are row 0.  Sums and products of group matrices are group matrices,
+so p(A) - D is one too, and every entry of it occurs on row 0: the largest
+entrywise gap is the largest gap on row 0.  Row 0 of p(A) is d steps of a sparse Horner over the
 neighbour array (``polynomial_row``), instead of d - 1 n x n matrix
 products.  That Horner sums each vertex's row, which is r A only for a
 symmetric A; no ``Graph`` checks the table, so it relies on the proof's

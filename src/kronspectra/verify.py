@@ -1,15 +1,15 @@
 """Closed-form vs oracle verification: per-family reports and the full grid.
 
 The two routes are kept strictly separate.  The closed-form side dispatches
-a family spec to the applicable formula; the oracle side builds the graph,
-runs breadth-first distances and an eigensolve.  A family with a
-translation shape is proven a Cayley graph on its atoms' neighbour tables,
-and its spectra are one DFT of row 0; a shaped product's row 0 is read off
-its atoms' walks, with no product graph built and no product BFS.  Any other
-product is a block group matrix over its shaped atoms' group, whose blocks
-are read off its atoms' walks too, and its spectra are one DFT and a
-batched solve of the b x b blocks.  Only a ``J(m,r>=2)`` family on its own
-gets the dense D and A and a dense solve.  A report records both
+a family spec to the applicable formula; the oracle side reads the
+family's D and A as block group matrices over its shaped atoms' group
+(``FamilyOracle.blocks``) and solves them with one solver,
+``numeric.block_group_matrix_eigenvalues``: one DFT, and a batched solve
+of the b x b blocks where b > 1.  A shaped atom is proven a Cayley graph
+on its neighbour table, and its blocks are row 0; a product's are read
+off its atoms' walks, with no product graph built and no product BFS;
+``J(m,r>=2)`` on its own is the trivial group, whose one block is its
+dense D or A.  A report records both
 spectra, the match verdict, the largest eigenvalue gap and any discrepancy
 notes attached to the closed form used.
 The Johnson and Hamming certificate D = p(A) is checked here too
@@ -45,17 +45,14 @@ from .graphs import (
     family_order,
     family_to_string,
     product_blocks,
-    product_row,
     refuse_past_product_cap,
     translation_shape,
     translation_table,
 )
-from .numeric import (
-    block_group_matrix_eigenvalues,
-    group_matrix_eigenvalues,
-    refuse_past_dense_cap,
-    symmetric_eigenvalues,
-)
+from .numeric import block_group_matrix_eigenvalues, refuse_past_dense_cap
+# not called here (every solve is block_group_matrix_eigenvalues); it stays
+# importable from this module, where benchmarks/tracing.py wraps it
+from .numeric import symmetric_eigenvalues  # noqa: F401
 from .spectrum import Spectrum, spectra_match, spectrum_from_values
 
 __all__ = [
@@ -213,25 +210,25 @@ def closed_form_adjacency_spectrum(
 # ---------------------------------------------------------------------------
 
 class FamilyOracle:
-    """A family's graph and the eigenvalues of its D and A, each computed
-    the first time a check reads it and then shared by the family's later
-    checks.
+    """A family's D and A as block group matrices (``blocks``) and their
+    eigenvalues, each computed the first time a check reads it and then
+    shared by the family's later checks.
 
-    A family with a translation shape (``graphs.translation_shape``) is
-    proven a Cayley graph, atom by atom, so D and A are symmetric group
-    matrices and row 0 carries them (``row``), and the eigenvalues are one
-    DFT of it.  An atom's row 0 of D is one BFS from vertex 0 over its
-    proven neighbour table (``neighbours``, ``graphs.translation_table``);
-    a product's rows are ``graphs.product_row``'s, read off its atoms'
-    walks.  So no n x n matrix and no product table is built for it, and no
-    graph is kept here.  A product with an unshaped atom is a block group
-    matrix over its shaped atoms' group, and its eigenvalues are those of
-    ``graphs.product_blocks``, by one DFT and a batched solve of the blocks
-    (``numeric.block_group_matrix_eigenvalues``), with no product graph,
-    BFS or dense solve.  ``refuse`` turns away a family past the product
-    cap or the dense cap, as its graph and dense matrices would be, before
-    anything is built.  A ``J(m,r>=2)`` atom gets its ``graph``, the
-    float64 ``adjacency`` and the BFS ``distances``, and a dense solve.
+    Every family is a block group matrix over its shaped atoms' group
+    ``Z_{n_1} x ... x Z_{n_k}`` (Babai 1979), and one solver reads them
+    all (``numeric.block_group_matrix_eigenvalues``).  A product's blocks
+    are ``graphs.product_blocks``, read off its atoms' walks with no
+    product graph, BFS or dense solve; a shaped product's are 1 x 1.  A
+    shaped atom (``shape``, ``graphs.translation_shape``) is proven a
+    Cayley graph on its neighbour table (``neighbours``,
+    ``graphs.translation_table``), and its 1 x 1 blocks are row 0: of D
+    one BFS from vertex 0, of A the neighbours of vertex 0.  So no n x n
+    matrix is built for a shaped family, and no graph is kept.  A
+    ``J(m,r>=2)`` family on its own is the trivial group: its one block
+    is the float64 D or A of its ``graph``, which the solve and p(A) read
+    with no copy.  ``refuse`` turns away a family past the product cap or
+    the dense cap, as its graph and dense matrices would be, before
+    anything is built.
 
     A computation that raises stores nothing, so every check that reads it
     raises the same error.
@@ -240,22 +237,12 @@ class FamilyOracle:
     def __init__(self, spec: FamilySpec):
         self.spec = spec
         self.shape = translation_shape(spec)
-        self._rows: dict[str, np.ndarray] = {}
+        self._blocks: dict[str, np.ndarray] = {}
         self._eigenvalues: dict[str, np.ndarray] = {}
 
     @functools.cached_property
     def graph(self) -> Graph:
         return build_family(self.spec)
-
-    @functools.cached_property
-    def adjacency(self) -> np.ndarray:
-        """A as float64, the form the eigensolve and p(A) read."""
-        return self.graph.adjacency_matrix(np.float64)
-
-    @functools.cached_property
-    def distances(self) -> np.ndarray:
-        """D as float64, the form the eigensolve and the p(A) check read."""
-        return distance_matrix(self.graph).astype(np.float64)
 
     @functools.cached_property
     def neighbours(self) -> np.ndarray:
@@ -271,43 +258,36 @@ class FamilyOracle:
         refuse_past_dense_cap(n, "distance matrix" if matrix == "distance" else "matrix")
         return n
 
-    def row(self, matrix: str) -> np.ndarray:
-        """Row 0 of a shaped family's D (``"distance"``) or A
-        (``"adjacency"``) as float64 over its shape: an atom's read off its
-        proven neighbour array, a product's off its atoms' walks
-        (``graphs.product_row``); refused past either cap (``refuse``)
-        before anything is built."""
-        if matrix not in self._rows:
-            n = self.refuse(matrix)
-            if isinstance(self.spec, Kron):
-                row = product_row(self.spec, matrix)
-            elif matrix == "distance":
-                row = distance_row(self.neighbours)
-            elif matrix == "adjacency":
-                row = np.zeros(n)
-                row[self.neighbours[0]] = 1
-            else:
+    def blocks(self, matrix: str) -> np.ndarray:
+        """D (``"distance"``) or A (``"adjacency"``) as read-only blocks of
+        shape ``G + (b, b)`` (``numeric.block_group_matrix_eigenvalues``):
+        a product's ``graphs.product_blocks``, a shaped atom's row 0 of
+        shape ``shape + (1, 1)``, and a ``J(m,r>=2)`` family's float64
+        n x n matrix; refused past either cap (``refuse``) before anything
+        is built."""
+        if matrix not in self._blocks:
+            self.refuse(matrix)
+            if matrix not in ("distance", "adjacency"):
                 raise ValueError(f"unknown matrix kind {matrix!r}")
-            row = row.astype(np.float64).reshape(self.shape)
-            row.setflags(write=False)
-            self._rows[matrix] = row
-        return self._rows[matrix]
+            if isinstance(self.spec, Kron):
+                blocks = product_blocks(self.spec, matrix)
+            elif self.shape is None:
+                blocks = (distance_matrix(self.graph).astype(np.float64)
+                          if matrix == "distance" else self.graph.adjacency_matrix(np.float64))
+            elif matrix == "distance":
+                blocks = distance_row(self.neighbours).reshape(self.shape + (1, 1))
+            else:
+                blocks = np.zeros(self.shape + (1, 1))
+                blocks.flat[self.neighbours[0]] = 1
+            blocks.setflags(write=False)
+            self._blocks[matrix] = blocks
+        return self._blocks[matrix]
 
     def eigenvalues(self, matrix: str) -> np.ndarray:
         """Ascending eigenvalues of D (``"distance"``) or A
-        (``"adjacency"``), read-only."""
+        (``"adjacency"``), read-only: the one solve of their ``blocks``."""
         if matrix not in self._eigenvalues:
-            if self.shape is not None:
-                values = group_matrix_eigenvalues(self.row(matrix))
-            elif isinstance(self.spec, Kron):
-                self.refuse(matrix)
-                values = block_group_matrix_eigenvalues(product_blocks(self.spec, matrix))
-            elif matrix == "distance":
-                values = symmetric_eigenvalues(self.distances)
-            elif matrix == "adjacency":
-                values = symmetric_eigenvalues(self.adjacency)
-            else:
-                raise ValueError(f"unknown matrix kind {matrix!r}")
+            values = block_group_matrix_eigenvalues(self.blocks(matrix))
             values.setflags(write=False)
             self._eigenvalues[matrix] = values
         return self._eigenvalues[matrix]
@@ -413,19 +393,19 @@ def poly_report(spec: FamilySpec, tol: float = 1e-8,
                 oracle: FamilyOracle | None = None) -> FamilyReport:
     """Compare p(A) with D entrywise for the distance polynomial p of a
     Johnson or Hamming family (any other raises FamilyDomainError); A and D
-    are read from ``oracle`` once p exists, and a family past a cap is
-    refused (``FamilyOracle.refuse``) before anything is built.  A shaped
-    family is compared on row 0 alone, over the proven neighbour array
-    (``polynomials`` module docstring); any other evaluates p(A) in full."""
+    are read from ``oracle``'s ``blocks`` once p exists, and a family past
+    a cap is refused (``FamilyOracle.refuse``) before anything is built.  A
+    shaped family is compared on row 0 alone, its 1 x 1 blocks, over the
+    proven neighbour array (``polynomials`` module docstring); a
+    ``J(m,r>=2)`` family evaluates p(A) on its one n x n block."""
     oracle = _oracle_for(spec, oracle)
     poly = polynomials.distance_polynomial(spec)
-    oracle.refuse("distance")
+    target = oracle.blocks("distance")
     if oracle.shape is not None:
-        target = oracle.row("distance").ravel()
+        target = target.ravel()
         evaluated = polynomials.polynomial_row(poly, oracle.neighbours)
     else:
-        target = oracle.distances
-        evaluated = polynomials.matrix_polynomial_eval(poly, oracle.adjacency)
+        evaluated = polynomials.matrix_polynomial_eval(poly, oracle.blocks("adjacency"))
     # |p(A) - D| in place, so no temporary matrix joins the shared A and D
     np.abs(np.subtract(evaluated, target, out=evaluated), out=evaluated)
     gap = float(np.max(evaluated)) if target.size else 0.0
@@ -502,8 +482,8 @@ def iter_grid(
     that raises a KronSpectraError (over the order cap, say) yields a failed
     report carrying the error, and the sweep goes on; any other exception is
     a defect and ends it.  Consecutive cases of one family share a
-    FamilyOracle, so the family is built, BFS'd and given a float A at most
-    once for them.
+    FamilyOracle, so the family's blocks are read and solved at most once
+    for them.
     """
     oracle = None
     for spec, kind in cases:

@@ -57,11 +57,14 @@ def test_complete_like_products_route_through_kron_complete_spectrum(monkeypatch
 
 def test_shaped_families_reach_the_eigensolve_without_the_dense_solve(monkeypatch):
     """The tracer's ``numeric.eig`` and ``graphs.bfs`` spans wrap
-    ``verify.symmetric_eigenvalues`` and ``verify.distance_matrix``.  A
-    family with a translation shape reaches neither: its checks build no
-    n x n matrix at all, so it makes no ``Graph.adjacency_matrix`` and no
-    ``np.linalg.eigvalsh`` call either.  An unshaped one makes each of its
-    two dense solves through them, and one all-sources BFS."""
+    ``verify.symmetric_eigenvalues`` and ``verify.distance_matrix``.  Every
+    family's solve is ``verify.block_group_matrix_eigenvalues``, so no
+    family reaches ``symmetric_eigenvalues`` (a traced grid reads
+    ``numeric.eig.calls`` 0).  A family with a translation shape builds no
+    n x n matrix at all: no ``Graph.adjacency_matrix``, no all-sources BFS
+    and no ``np.linalg.eigvalsh`` call.  A ``J(m,r>=2)`` family makes one
+    ``eigvalsh`` call for each of its two matrices, builds its A once and
+    runs one all-sources BFS."""
     calls = Counter()
 
     def count(name, fn):
@@ -71,7 +74,7 @@ def test_shaped_families_reach_the_eigensolve_without_the_dense_solve(monkeypatc
                             (Graph, "adjacency_matrix"), (np.linalg, "eigvalsh")):
         monkeypatch.setattr(namespace, name, count(name, getattr(namespace, name)))
     kinds = ("adjacency-spectrum", "distance-spectrum", "distance-polynomial")
-    dense = Counter(symmetric_eigenvalues=2, eigvalsh=2, distance_matrix=1, adjacency_matrix=1)
+    dense = Counter(eigvalsh=2, distance_matrix=1, adjacency_matrix=1)
     for spec, expected in ((Hamming(3, 3), Counter()), (Johnson(6, 3), dense)):
         calls.clear()
         assert all(report.match for report in verify.run_grid([(spec, k) for k in kinds]))

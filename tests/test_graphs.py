@@ -38,13 +38,11 @@ from kronspectra.graphs import (
     kronecker_product,
     predicted_kron_diameter,
     product_blocks,
-    product_row,
     to_edge_list_text,
     translation_shape,
     translation_table,
     walk_gamma,
 )
-from kronspectra.numeric import group_matrix_eigenvalues
 from kronspectra.verify import FamilyOracle, default_grid
 
 
@@ -290,7 +288,7 @@ def test_product_factors_are_built_anew_and_proven_once(monkeypatch):
     tables.clear()
     for _ in range(2):
         for matrix in ("distance", "adjacency"):
-            product_row(spec, matrix)
+            product_blocks(spec, matrix)
     # each distinct atom is tabulated and proven once, and no graph built
     assert sorted(proven) == [(3,), (4,), (5,)] and inits == []
     assert tables == [Complete(4), Complete(3), Cycle(5)]
@@ -314,21 +312,19 @@ def shaped_products():
 def test_product_rows_are_the_built_products_rows():
     for spec in shaped_products():
         g, shape, name = build_family(spec), translation_shape(spec), family_to_string(spec)
-        distances = product_row(spec, "distance")
+        distances = product_blocks(spec, "distance").ravel()
         assert distances.dtype == np.int64, name
         assert np.array_equal(distances, graphs.distance_row(g)), name
-        adjacency = product_row(spec, "adjacency")
+        adjacency = product_blocks(spec, "adjacency").ravel()
         expected = np.zeros(g.vertex_count, dtype=np.int64)
         expected[g.indices[:g.indptr[1]]] = 1
         assert np.array_equal(adjacency, expected), name
         # the oracle's values are the DFT of those rows, with no graph built
         oracle = FamilyOracle(spec)
         for kind, row in (("distance", distances), ("adjacency", adjacency)):
-            expected_values = group_matrix_eigenvalues(row.astype(np.float64).reshape(shape))
+            expected_values = np.sort(np.fft.fftn(row.reshape(shape)).real, axis=None)
             assert np.array_equal(oracle.eigenvalues(kind), expected_values), (name, kind)
         assert "graph" not in vars(oracle)
-    with pytest.raises(NonSymmetricMatrixError, match="not a Cayley graph"):
-        product_row(Kron(Complete(3), Johnson(5, 2)), "distance")  # an atom without a shape
 
 
 def test_product_rows_keep_the_cases_the_bare_walk_lemma_gets_wrong():
@@ -340,17 +336,18 @@ def test_product_rows_keep_the_cases_the_bare_walk_lemma_gets_wrong():
         g, name = build_family(spec), family_to_string(spec)
         assert not is_connected(g), name
         with pytest.raises(DisconnectedGraphError, match="^graph is disconnected$"):
-            product_row(spec, "distance")
+            product_blocks(spec, "distance")
         with pytest.raises(DisconnectedGraphError, match="^graph is disconnected$"):
             FamilyOracle(spec).eigenvalues("distance")
         # A's eigenvalues do not need connectivity
         dense = np.linalg.eigvalsh(g.adjacency_matrix(np.float64))
         gap = np.abs(FamilyOracle(spec).eigenvalues("adjacency") - dense).max()
         assert gap <= 1e-12 * max(1.0, float(np.abs(dense).max())), name
-    assert product_row(Kron(Complete(1), Complete(1)), "distance").tolist() == [0]
+    assert product_blocks(Kron(Complete(1), Complete(1)), "distance").ravel().tolist() == [0]
     # one bipartite atom and one with an odd cycle: connected
     for spec in (Kron(Complete(2), Cycle(5)), Kron(Cycle(4), Complete(3))):
-        assert np.array_equal(product_row(spec, "distance"), graphs.distance_row(build_family(spec)))
+        assert np.array_equal(product_blocks(spec, "distance").ravel(),
+                              graphs.distance_row(build_family(spec)))
 
 
 def test_product_row_allocates_no_product_table(monkeypatch):
@@ -366,7 +363,7 @@ def test_product_row_allocates_no_product_table(monkeypatch):
     monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", "20000")
     tracemalloc.start()
     try:
-        row = FamilyOracle(Kron(Complete(20), Hamming(3, 10))).row("distance")
+        row = FamilyOracle(Kron(Complete(20), Hamming(3, 10))).blocks("distance")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -383,7 +380,7 @@ def test_translation_table_proves_each_atom_graph_once(monkeypatch):
     products = [spec for spec, _ in default_grid(1200)
                 if isinstance(spec, Kron) and translation_shape(spec) is not None]
     for spec in products:
-        product_row(spec, "distance")
+        product_blocks(spec, "distance")
     # one proof per distinct atom table, however many products share it
     assert len({id(table) for table in proven}) == len(proven)
     atoms = set()
@@ -395,7 +392,7 @@ def test_translation_table_proves_each_atom_graph_once(monkeypatch):
     translation_table(Cycle(7))
     assert len(proven) == len(atoms) + 1
     graphs._atom_walks.cache_clear()
-    product_row(Kron(Complete(3), Cycle(7)), "distance")
+    product_blocks(Kron(Complete(3), Cycle(7)), "distance")
     assert len(proven) == len(atoms) + 3
 
 
@@ -510,8 +507,6 @@ def test_product_blocks_are_the_built_products_matrices():
             assert np.array_equal(blocks, built_blocks(g, spec, matrix)), (name, matrix)
     with pytest.raises(ValueError, match="unknown matrix kind"):
         product_blocks(Kron(Complete(3), Johnson(5, 2)), "laplacian")
-    with pytest.raises(NonSymmetricMatrixError, match="without a translation shape"):
-        product_row(Kron(Complete(3), Johnson(5, 2)), "adjacency")
 
 
 def test_product_blocks_refuse_a_bipartite_unshaped_atom(monkeypatch):

@@ -75,6 +75,20 @@ def test_only_graphs_proves_a_translation_shape():
     assert "_prove_translation_table" in names_used(PACKAGE / "graphs.py")
 
 
+def test_verify_solves_only_through_the_block_group_solver():
+    # every oracle spectrum is one block_group_matrix_eigenvalues call, so
+    # verify calls no other eigensolver or DFT
+    solvers = {"eigvalsh", "eigh", "eigvals", "eig", "fft", "fftn",
+               "symmetric_eigenvalues", "group_matrix_eigenvalues", "oracle_spectrum"}
+    called = []
+    for node in ast.walk(ast.parse((PACKAGE / "verify.py").read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called.append(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    assert not solvers & set(called), sorted(solvers & set(called))
+    assert called.count("block_group_matrix_eigenvalues") == 1
+
+
 def test_a_shaped_atom_oracle_keeps_no_graph():
     # its graph is built and proven in graphs.translation_table, and only an
     # unshaped family's oracle holds a graph

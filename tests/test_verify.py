@@ -44,7 +44,7 @@ def test_family_oracle_computes_each_part_on_first_use(monkeypatch):
     spec = Johnson(6, 3)
     oracle = FamilyOracle(spec)
     assert verify_family(spec, 1e-6, "adjacency", oracle).match
-    assert "graph" in vars(oracle) and "distances" not in vars(oracle)
+    assert "graph" in vars(oracle) and "distance" not in oracle._blocks
     assert not calls
     assert verify_family(spec, 1e-6, "distance", oracle).match
     assert poly_report(spec, 1e-8, oracle).match
@@ -62,7 +62,7 @@ def test_family_oracle_keeps_no_failed_result(monkeypatch):
             check()
         messages.append(str(info.value))
     assert messages == ["distance matrix order 16 exceeds dense cap 10"] * 2
-    assert "distances" not in vars(oracle)
+    assert "distance" not in oracle._blocks
 
 
 def test_oracle_of_another_family_is_refused():
@@ -180,15 +180,23 @@ def test_poly_check_evaluates_row_zero_of_a_group_matrix_only(monkeypatch):
 
 def test_family_oracle_solves_each_matrix_once(monkeypatch):
     calls = []
-    solve = verify.group_matrix_eigenvalues
-    monkeypatch.setattr(verify, "group_matrix_eigenvalues",
-                        lambda row: calls.append(row.shape) or solve(row))
-    oracle = FamilyOracle(Hamming(3, 3))
-    first = oracle.eigenvalues("distance")
-    second = oracle.eigenvalues("distance")
-    assert second is first and not first.flags.writeable
-    assert np.array_equal(first, solve(oracle.row("distance")))
-    assert calls == [(3, 3, 3)]
+    solve = verify.block_group_matrix_eigenvalues
+    monkeypatch.setattr(verify, "block_group_matrix_eigenvalues",
+                        lambda blocks: calls.append(blocks.shape) or solve(blocks))
+    for spec, shape in ((Hamming(3, 3), (3, 3, 3, 1, 1)),  # a shaped atom
+                        (Kron(Complete(3), Cycle(5)), (3, 5, 1, 1)),  # a shaped product
+                        (Kron(Complete(3), Johnson(5, 2)), (3, 10, 10)),  # an unshaped one
+                        (Johnson(6, 3), (20, 20))):  # J(m,r>=2) alone
+        calls.clear()
+        oracle = FamilyOracle(spec)
+        for matrix in ("distance", "adjacency"):
+            first = oracle.eigenvalues(matrix)
+            second = oracle.eigenvalues(matrix)
+            assert second is first and not first.flags.writeable
+            blocks = oracle.blocks(matrix)
+            assert oracle.blocks(matrix) is blocks and not blocks.flags.writeable
+            assert np.array_equal(first, solve(blocks))
+        assert calls == [shape, shape], spec
 
 
 def test_family_oracle_keeps_no_failed_solve(monkeypatch):
@@ -266,7 +274,7 @@ def test_shaped_product_builds_only_its_atoms(monkeypatch):
 def test_shaped_product_refusals_keep_their_text_and_order(monkeypatch):
     calls = []
     for namespace, name in ((graphs, "build_family"), (graphs, "kronecker_product"),
-                            (verify, "product_row")):
+                            (verify, "product_blocks")):
         monkeypatch.setattr(namespace, name, lambda *args, _name=name: calls.append(_name))
     big = Kron(Complete(200), Cycle(200))
     product_cap = r"^kron\(K200,C200\) has 40000 vertices, cap is 20000$"
@@ -296,6 +304,51 @@ def unshaped_products():
     return [*specs, Kron(Johnson(5, 2), Complete(4)),
             Kron(Complete(3), Kron(Johnson(6, 2), Cycle(5))),
             Kron(Johnson(6, 2), Johnson(5, 2)), Kron(Hamming(2, 2), Johnson(6, 3))]
+
+
+def test_oracle_eigenvalues_are_bit_identical_to_references_off_the_built_graph():
+    # every spectrum check of the grid, against numpy run directly on the
+    # built graph's D or A: a shaped family's sorted real DFT of row 0, a
+    # J(m,r>=2) family's dense eigvalsh, and a product with a J(m,r>=2)
+    # atom's batched eigvalsh of the DFT of its built blocks (its K_n
+    # factor is on the left, so the canonical order is group-major)
+    checked = 0
+    for spec, kind in verify.default_grid(1200):
+        if kind == "distance-polynomial":
+            continue
+        matrix = kind.removesuffix("-spectrum")
+        g, shape = build_family(spec), translation_shape(spec)
+        full = distance_matrix(g) if matrix == "distance" else g.adjacency_matrix()
+        if shape is not None:
+            expected = np.sort(np.fft.fftn(full[0].reshape(shape)).real, axis=None)
+        elif not isinstance(spec, Kron):
+            expected = np.linalg.eigvalsh(full.astype(np.float64))
+        else:
+            n = graphs.family_order(spec.left)
+            b = g.vertex_count // n
+            blocks = full.reshape(n, b, n, b)[0].transpose(1, 0, 2)
+            hermitian = np.fft.fftn(blocks, axes=(0,))
+            expected = np.sort(np.linalg.eigvalsh(hermitian), axis=None)
+        values = FamilyOracle(spec).eigenvalues(matrix)
+        assert np.array_equal(values, expected), (family_to_string(spec), matrix)
+        checked += 1
+    assert checked == 444
+
+
+@pytest.mark.parametrize("offset", [1e-12, 1.0])
+def test_an_asymmetric_johnson_distance_matrix_is_refused(offset, monkeypatch):
+    # the dense D of J(m,r>=2) is checked exactly: an entry moved off
+    # symmetry by far less than any tolerance is refused, as a whole unit is
+    bfs = verify.distance_matrix
+
+    def planted(g):
+        d = bfs(g).astype(np.float64)
+        d[0, 1] += offset
+        return d
+
+    monkeypatch.setattr(verify, "distance_matrix", planted)
+    with pytest.raises(NonSymmetricMatrixError):
+        verify_family(Johnson(6, 3))
 
 
 def test_unshaped_product_eigenvalues_match_the_dense_solve(monkeypatch):
