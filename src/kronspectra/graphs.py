@@ -18,11 +18,10 @@ Every atom is regular, and its builder gives one int32 (n, degree)
 neighbour table with strictly increasing rows (``_atom_table``).
 ``build_family`` turns it into a CSR ``Graph``, which validates it, for
 ``J(m,r>=2)``, products and callers that want a graph.  A shaped atom's
-table is never made a graph: ``translation_table`` proves the builder's
-table exactly the simple undirected ``Cay(Z_shape, N(0))`` in one pass,
-which also owns the checks a ``Graph`` would make (range, order within a
-row, no loop, symmetry), and ``translation_neighbours`` runs the same
-proof on a given regular graph.
+table is never made a graph: ``translation_table``, the proof's one
+entry, proves the builder's table exactly the simple undirected
+``Cay(Z_shape, N(0))`` in one pass, which also owns the checks a
+``Graph`` would make (range, order within a row, no loop, symmetry).
 
 Metric data comes in two forms.  ``distance_matrix`` is the all-sources
 bitset BFS behind the dense D of a ``J(m,r>=2)`` family.  A family with a
@@ -34,7 +33,8 @@ group matrix over its shaped atoms' group, and its blocks are read off its
 atoms' shortest even and odd walks (``product_blocks``), with no product
 graph, neighbour table or BFS: a shaped product's blocks are 1 x 1, its
 row 0, and an unshaped atom's walks are read between every pair of its
-vertices, from one ``distance_matrix`` of its double cover.
+vertices, from one ``distance_matrix`` of its double cover.  An edge is
+a walk of length 1, so the walks give A too, and no atom's A is kept.
 The BFS is a hybrid (``_bfs_depths``): a Python queue step for narrow
 levels, a sort-free top-down numpy step, and on regular graphs a
 bottom-up numpy step for the last levels; it also serves
@@ -71,7 +71,6 @@ __all__ = [
     "family_order",
     "family_to_string",
     "translation_shape",
-    "translation_neighbours",
     "translation_table",
     "product_blocks",
     "refuse_past_product_cap",
@@ -604,21 +603,6 @@ def kronecker_connectivity_predicted(g: Graph, h: Graph) -> bool:
 _PROOF_BLOCK_EDGES = 1 << 16
 
 
-def translation_neighbours(g: Graph, shape: tuple[int, ...]) -> np.ndarray:
-    """The (n, degree) array of every vertex's neighbours, once ``g`` is
-    proven to be exactly the Cayley graph ``Cay(Z_shape, N(0))``, vertex x
-    the mixed-radix (C-order) numeral of its group element: the order is
-    ``prod(shape)``, every vertex has the degree of vertex 0, and its
-    neighbour table passes ``_prove_translation_table``.  A graph that
-    fails any part of the proof raises NonSymmetricMatrixError.
-    """
-    _refuse_order(g.vertex_count, shape)
-    nbrs = _regular_table(g)
-    if nbrs is None:
-        raise _not_regular(shape)
-    return _prove_translation_table(nbrs, shape)
-
-
 def translation_table(spec: FamilySpec) -> np.ndarray:
     """The (n, degree) neighbour table of a shaped atom's graph, as its
     builder (``_atom_table``) makes it, read-only once proven
@@ -725,9 +709,9 @@ _NO_WALK = np.iinfo(np.int64).max
 
 # The one memo of this module: the walks of products' atoms, so that the
 # atoms a grid's products share are built (and a shaped one proven) once
-# per process.  A shaped atom's entry is three int64 rows of its order, an
-# unshaped atom's three int64 b x b matrices (J(10,5): 1.5 MB, J(13,6):
-# 71 MB); no graph, table or cover is kept.  A top-level atom's table is
+# per process.  A shaped atom's entry is two int64 rows of its order, an
+# unshaped atom's two int64 b x b matrices (J(10,5): 1.0 MB, J(13,6):
+# 47 MB); no graph, table, cover or A is kept.  A top-level atom's table is
 # not kept either: a grid run builds it once per family anyway, as the
 # family's checks share one oracle, so a memo would only serve repeated
 # runs in one process, where the grid's 93 shaped base families take about
@@ -736,12 +720,13 @@ _NO_WALK = np.iinfo(np.int64).max
 # RSS of a ``grid --max-order 1200`` run from 40.0 to 43.5 MB (10 fresh
 # runs each).
 @functools.lru_cache(maxsize=128)
-def _atom_walks(atom: FamilySpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shortest even and odd walk lengths (``_NO_WALK`` where none) and A,
-    read-only and int64: from vertex 0 to each vertex, and row 0 of A, for
-    a shaped atom, built and proven by ``translation_table``; between every
-    pair of vertices (``_shortest_walks``), and the whole b x b A, for an
-    unshaped one.
+def _atom_walks(atom: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest even and odd walk lengths (``_NO_WALK`` where none),
+    read-only and int64: from vertex 0 to each vertex for a shaped atom,
+    built and proven by ``translation_table``; between every pair of
+    vertices (``_shortest_walks``) for an unshaped one.  An edge is exactly
+    a walk of length 1, so the atom's A (row 0, or the whole b x b matrix)
+    is ``odd == 1``.
 
     A walk of length k from 0 to x is a path from (0, 0) to (x, k mod 2) in
     the double cover G (x) K_2, vertex (x, p) numbered 2x + p.  With an odd
@@ -752,9 +737,7 @@ def _atom_walks(atom: FamilySpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     all-sources BFS of its cover gives every pair's lengths.
     """
     if translation_shape(atom) is None:
-        g = build_family(atom)
-        even, odd = _shortest_walks(g)
-        adjacency = g.adjacency_matrix()
+        even, odd = _shortest_walks(build_family(atom))
     else:
         table = translation_table(atom)
         depth = distance_row(table)
@@ -766,11 +749,9 @@ def _atom_walks(atom: FamilySpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         else:
             even = np.where(parity == 0, depth, _NO_WALK)
             odd = np.where(parity == 1, depth, _NO_WALK)
-        adjacency = np.zeros(len(table), dtype=np.int64)
-        adjacency[table[0]] = 1
-    for array in (even, odd, adjacency):
+    for array in (even, odd):
         array.flags.writeable = False
-    return even, odd, adjacency
+    return even, odd
 
 
 def _atoms(spec: FamilySpec) -> list[FamilySpec]:
@@ -783,8 +764,8 @@ def _atoms(spec: FamilySpec) -> list[FamilySpec]:
 def product_blocks(spec: Kron, matrix: str) -> np.ndarray:
     """A product's D (``"distance"``) or A (``"adjacency"``) as a block
     group matrix, an int64 array of shape ``G + (b, b)`` read off its
-    atoms' walks (``_atom_walks``), with no product graph, neighbour table
-    or BFS.
+    atoms' shortest even and odd walks (``_atom_walks``), with no product
+    graph, neighbour table or BFS.
 
     G is the concatenated shape of the shaped atoms, left first, and the
     fibre F, of order b, the product of the unshaped atoms; a product with
@@ -801,13 +782,14 @@ def product_blocks(spec: Kron, matrix: str) -> np.ndarray:
     even and odd walk lengths (Hammack, Imrich and Klavzar, *Handbook of
     Product Graphs*, ch. 5): ``blocks[y][u, v] = min(max(e_G[y], E_F[u,
     v]), max(o_G[y], O_F[u, v]))`` over the shaped atoms' walk rows and the
-    unshaped atoms' walk matrices.  A is the product of the atoms' A rows
-    and matrices.  A K_1 atom has no walk to lengthen, so a product of
-    order above 1 with one has no edge, which is known before the fibre's
-    walks are read.  Raises DisconnectedGraphError for D if some vertex
-    does not reach every vertex; the product cap and the shaped atoms'
-    proofs raise as in ``translation_table``, and an unshaped atom whose
-    cover is past the dense cap as ``distance_matrix`` does.
+    unshaped atoms' walk matrices.  An edge is a walk of length 1, so A is
+    the AND of the atoms' ``odd == 1``.  A K_1 atom has no walk to
+    lengthen, so a product of order above 1 with one has no edge, which is
+    known before the fibre's walks are read.  Raises
+    DisconnectedGraphError for D if some vertex does not reach every
+    vertex; the product cap and the shaped atoms' proofs raise as in
+    ``translation_table``, and an unshaped atom whose cover is past the
+    dense cap as ``distance_matrix`` does.
     """
     n = refuse_past_product_cap(spec)
     group, unshaped, group_shape = [], [], ()
@@ -819,40 +801,48 @@ def product_blocks(spec: Kron, matrix: str) -> np.ndarray:
             group.append(_atom_walks(atom))
             group_shape += shape
     shape = group_shape + (n // math.prod(group_shape),) * 2
-    if n > 1 and not all(np.count_nonzero(walks[2]) for walks in group):
+    edges = [odd == 1 for _, odd in group]
+    if n > 1 and not all(np.count_nonzero(row) for row in edges):
         if matrix == "distance":
             raise DisconnectedGraphError("graph is disconnected")
         if matrix == "adjacency":
             return np.zeros(shape, dtype=np.int64)
     fibre = [_atom_walks(atom) for atom in unshaped]
     if matrix == "adjacency":
-        return _atom_outer(np.multiply, group, fibre, 2, shape)
+        # the fibre's matrices are cast first, so that the blocks are written
+        # as int64: a boolean n x b outer product cast afterwards raised the
+        # peak of kron(J(6,2),J(10,5)) by 12 MB
+        blocks = _atom_outer(np.multiply, edges,
+                             [(odd == 1).astype(np.int64) for _, odd in fibre], shape)
+        return blocks.astype(np.int64, copy=False)
     if matrix != "distance":
         raise ValueError(f"unknown matrix kind {matrix!r}")
-    blocks = _atom_outer(np.maximum, group, fibre, 0, shape)
-    np.minimum(blocks, _atom_outer(np.maximum, group, fibre, 1, shape), out=blocks)
+    blocks = _atom_outer(np.maximum, [even for even, _ in group],
+                         [even for even, _ in fibre], shape)
+    np.minimum(blocks, _atom_outer(np.maximum, [odd for _, odd in group],
+                                   [odd for _, odd in fibre], shape), out=blocks)
     if (blocks == _NO_WALK).any():
         raise DisconnectedGraphError("graph is disconnected")
     return blocks
 
 
-def _atom_outer(op: np.ufunc, group: list, fibre: list, kind: int,
+def _atom_outer(op: np.ufunc, rows: list, matrices: list,
                 shape: tuple[int, ...]) -> np.ndarray:
-    """``op`` of the atoms' walks ``kind``, as an array of ``shape``: each
-    shaped atom's row broadcast along an axis of its own, each unshaped
-    atom's matrix along axes of its own among those of u and of v, so that
-    the broadcast ``op``s write the blocks in order, with no transposed
-    copy."""
-    width = len(group) + 2 * len(fibre)
+    """``op`` of the shaped atoms' ``rows`` and the unshaped atoms' b x b
+    ``matrices``, as an array of ``shape``: each row broadcast along an
+    axis of its own, each matrix along axes of its own among those of u and
+    of v, so that the broadcast ``op``s write the blocks in order, with no
+    transposed copy."""
+    width = len(rows) + 2 * len(matrices)
     arrays = []
-    for axis, walks in enumerate(group):
+    for axis, row in enumerate(rows):
         dims = [1] * width
         dims[axis] = -1
-        arrays.append(walks[kind].reshape(dims))
-    for axis, walks in enumerate(fibre, len(group)):
+        arrays.append(row.reshape(dims))
+    for axis, walks in enumerate(matrices, len(rows)):
         dims = [1] * width
-        dims[axis] = dims[axis + len(fibre)] = len(walks[kind])
-        arrays.append(walks[kind].reshape(dims))
+        dims[axis] = dims[axis + len(matrices)] = len(walks)
+        arrays.append(walks.reshape(dims))
     return functools.reduce(op, arrays).reshape(shape)
 
 

@@ -261,10 +261,10 @@ class FamilyOracle:
     def blocks(self, matrix: str) -> np.ndarray:
         """D (``"distance"``) or A (``"adjacency"``) as read-only blocks of
         shape ``G + (b, b)`` (``numeric.block_group_matrix_eigenvalues``):
-        a product's ``graphs.product_blocks``, a shaped atom's row 0 of
-        shape ``shape + (1, 1)``, and a ``J(m,r>=2)`` family's float64
-        n x n matrix; refused past either cap (``refuse``) before anything
-        is built."""
+        a product's ``graphs.product_blocks`` and a shaped atom's row 0 of
+        shape ``shape + (1, 1)``, both int64, and a ``J(m,r>=2)`` family's
+        float64 n x n matrix; refused past either cap (``refuse``) before
+        anything is built."""
         if matrix not in self._blocks:
             self.refuse(matrix)
             if matrix not in ("distance", "adjacency"):
@@ -277,7 +277,7 @@ class FamilyOracle:
             elif matrix == "distance":
                 blocks = distance_row(self.neighbours).reshape(self.shape + (1, 1))
             else:
-                blocks = np.zeros(self.shape + (1, 1))
+                blocks = np.zeros(self.shape + (1, 1), dtype=np.int64)
                 blocks.flat[self.neighbours[0]] = 1
             blocks.setflags(write=False)
             self._blocks[matrix] = blocks

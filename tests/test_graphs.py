@@ -541,12 +541,44 @@ def test_product_blocks_with_a_k1_atom_read_no_fibre_walks(monkeypatch):
 def test_unshaped_atom_walks_are_contiguous_read_only_matrices():
     graphs._atom_walks.cache_clear()
     g = build_family(Johnson(6, 2))
-    even, odd, adjacency = graphs._atom_walks(Johnson(6, 2))
-    expected = graphs._shortest_walks(g) + (g.adjacency_matrix(),)
-    for array, want in zip((even, odd, adjacency), expected):
+    walks = graphs._atom_walks(Johnson(6, 2))
+    assert len(walks) == 2
+    for array, want in zip(walks, graphs._shortest_walks(g)):
         assert array.dtype == np.int64 and array.flags.c_contiguous
         assert not array.flags.writeable
         assert np.array_equal(array, want)
+
+
+def test_every_grid_atom_keeps_two_walk_arrays_whose_walks_of_length_1_are_a():
+    # an edge is exactly a walk of length 1, so A is odd == 1: row 0 of a
+    # shaped atom's, the whole matrix of a J(m, r >= 2)
+    graphs._atom_walks.cache_clear()
+    atoms = dict.fromkeys(atom for spec, _ in default_grid(1200) for atom in graphs._atoms(spec))
+    assert len(atoms) == 125
+    for atom in atoms:
+        walks, name = graphs._atom_walks(atom), family_to_string(atom)
+        assert isinstance(walks, tuple) and len(walks) == 2, name
+        assert all(array.dtype == np.int64 and not array.flags.writeable
+                   for array in walks), name
+        adjacency = build_family(atom).adjacency_matrix()
+        if translation_shape(atom) is not None:
+            adjacency = adjacency[0]
+        assert np.array_equal((walks[1] == 1).astype(np.int64), adjacency), name
+
+
+def test_product_adjacency_blocks_build_no_adjacency_matrix(monkeypatch):
+    specs = unshaped_products()[:27] + [Kron(Johnson(6, 2), Johnson(5, 2))]
+    expected = {spec: built_blocks(build_family(spec), spec, "adjacency") for spec in specs}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an adjacency matrix was built")
+
+    monkeypatch.setattr(Graph, "adjacency_matrix", refuse)
+    graphs._atom_walks.cache_clear()
+    for spec in specs:
+        blocks = product_blocks(spec, "adjacency")
+        assert blocks.dtype == np.int64, family_to_string(spec)
+        assert np.array_equal(blocks, expected[spec]), family_to_string(spec)
 
 
 # ---------------------------------------------------------------------------

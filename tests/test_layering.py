@@ -67,12 +67,15 @@ def names_used(path):
 def test_only_graphs_proves_a_translation_shape():
     # graphs.translation_table builds and proves every shaped atom's table,
     # and a product's rows are read off its atoms, so no other module
-    # reaches the proof itself
+    # reaches the proof itself, and the proof has that one entry
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "graphs.py":
             for name in ("translation_neighbours", "_prove_translation_table"):
                 assert name not in names_used(path), (path.name, name)
     assert "_prove_translation_table" in names_used(PACKAGE / "graphs.py")
+    defined = {node.name for node in ast.walk(ast.parse((PACKAGE / "graphs.py").read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert "translation_table" in defined and "translation_neighbours" not in defined
 
 
 def test_verify_solves_only_through_the_block_group_solver():

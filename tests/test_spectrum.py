@@ -21,7 +21,6 @@ from kronspectra.graphs import (
     distance_matrix,
     family_to_string,
     from_edge_list_text,
-    translation_neighbours,
     translation_shape,
 )
 from kronspectra.numeric import (
@@ -525,17 +524,22 @@ def test_group_matrix_route_refuses_an_irregular_graph(monkeypatch):
             assert_graph_route_refuses(oracle, "not regular")
 
 
+def prove_table(g, shape):
+    """The translation proof on a regular graph's neighbour table."""
+    return graphs._prove_translation_table(g.indices.reshape(g.vertex_count, -1), shape)
+
+
 def test_group_matrix_route_checks_the_wrapped_translations():
     # the wrapping edges of C_n differ by 1 mod n, like every other edge
     for n in (5, 12):
         cycle = build_family(Cycle(n))
-        assert np.array_equal(translation_neighbours(cycle, (n,)), cycle.indices.reshape(n, 2))
+        assert np.array_equal(prove_table(cycle, (n,)), cycle.indices.reshape(n, 2))
     # over Z_3 x Z_4 the differences borrow across the axes: 3 - 4 is
     # (0, 3) - (1, 0) = (2, 3), vertex 11, a neighbour of 0 in C12; but
     # 4 - 3 is (1, 1), vertex 5, which is not
     for shape in ((3, 4), (4, 3)):
         with pytest.raises(NonSymmetricMatrixError, match="no translate"):
-            translation_neighbours(build_family(Cycle(12)), shape)
+            prove_table(build_family(Cycle(12)), shape)
 
 
 def test_group_matrix_route_checks_every_axis():
@@ -549,16 +553,16 @@ def test_group_matrix_route_checks_every_axis():
         g = graph_of_edges(9, edges)
         assert set(g.degrees().tolist()) == {2}
         with pytest.raises(NonSymmetricMatrixError, match="no translate"):
-            translation_neighbours(g, (3, 3))
+            prove_table(g, (3, 3))
 
 
 def test_group_matrix_route_refuses_a_wrong_shape(monkeypatch):
     refuse_dense_solve(monkeypatch)
     g = build_family(Kron(Complete(4), Cycle(5)))
     with pytest.raises(NonSymmetricMatrixError, match="no translate"):
-        translation_neighbours(g, (5, 4))  # the factors swapped
+        prove_table(g, (5, 4))  # the factors swapped
     with pytest.raises(NonSymmetricMatrixError, match=r"not a Cayley graph over Z_\(3, 5\)"):
-        translation_neighbours(g, (3, 5))
+        prove_table(g, (3, 5))
 
 
 def test_group_matrix_route_checks_the_cap_first(monkeypatch):

@@ -195,6 +195,8 @@ def test_family_oracle_solves_each_matrix_once(monkeypatch):
             assert second is first and not first.flags.writeable
             blocks = oracle.blocks(matrix)
             assert oracle.blocks(matrix) is blocks and not blocks.flags.writeable
+            # integer blocks for every family but J(m,r>=2) alone
+            assert blocks.dtype == (np.float64 if spec == Johnson(6, 3) else np.int64), spec
             assert np.array_equal(first, solve(blocks))
         assert calls == [shape, shape], spec
 
@@ -385,11 +387,11 @@ def test_a_planted_asymmetric_block_is_refused(atom, change, monkeypatch):
     walks = graphs._atom_walks
 
     def planted(other):
-        even, odd, adjacency = walks(other)
+        even, odd = walks(other)
         if other == atom:
             even = even.copy()
             change(even)
-        return even, odd, adjacency
+        return even, odd
 
     monkeypatch.setattr(graphs, "_atom_walks", planted)
     with pytest.raises(NonSymmetricMatrixError, match="not the transpose"):
