@@ -23,22 +23,26 @@ entry, proves the builder's table exactly the simple undirected
 ``Cay(Z_shape, N(0))`` in one pass, which also owns the checks a
 ``Graph`` would make (range, order within a row, no loop, symmetry).
 
-Metric data comes in two forms.  ``distance_matrix`` is the all-sources
-bitset BFS behind the dense D of a ``J(m,r>=2)`` family.  A family with a
-translation shape is instead proven a Cayley graph atom by atom, and its D
-and A are then group matrices that row 0 determines.  For an atom, row 0
-of D is ``distance_row``, one BFS from vertex 0 over the proven neighbour
-table, and row 0 of A the neighbours of vertex 0.  A product is a block
-group matrix over its shaped atoms' group, and its blocks are read off its
-atoms' shortest even and odd walks (``product_blocks``), with no product
-graph, neighbour table or BFS: a shaped product's blocks are 1 x 1, its
-row 0, and an unshaped atom's walks are read between every pair of its
-vertices, from one ``distance_matrix`` of its double cover.  An edge is
-a walk of length 1, so the walks give A too, and no atom's A is kept.
-The BFS is a hybrid (``_bfs_depths``): a Python queue step for narrow
-levels, a sort-free top-down numpy step, and on regular graphs a
-bottom-up numpy step for the last levels; it also serves
-``is_connected`` and ``has_odd_cycle``.
+Every atom's D and A are block group matrices over a group of its
+automorphisms that acts freely (``orbit_table``): a shaped atom's
+translations, with 1 x 1 blocks, and for ``J(m,r>=2)`` the cyclic group
+of a permutation of the m points (``_free_cycle_type``), proven on the
+validated table (``_prove_free_action``), with b x b blocks over its b
+orbit representatives.  An atom's blocks are read off its
+representatives' rows (``atom_blocks``): of D one BFS from vertex 0 over
+a shaped atom's table (``distance_row``), or one bitset BFS from all b
+representatives (``_bitset_distances``), and of A their neighbours.  A
+product is a block group matrix over the product of its atoms' groups,
+with fibre the product of their representatives, and its blocks are read
+off its atoms' shortest even and odd walk blocks (``product_blocks``),
+with no product graph, neighbour table or BFS: an atom's walks come from
+its double cover's BFS from its representatives.  An edge is a walk of
+length 1, so the walks give A too, and no atom's A is kept.  So no family
+builds an n x n matrix; the all-sources ``distance_matrix`` serves the
+library's ``diameter`` and walk closure only.  The row BFS is a hybrid
+(``_bfs_depths``): a Python queue step for narrow levels, a sort-free
+top-down numpy step, and on regular graphs a bottom-up numpy step for the
+last levels; it also serves ``is_connected`` and ``has_odd_cycle``.
 """
 
 from __future__ import annotations
@@ -72,6 +76,8 @@ __all__ = [
     "family_to_string",
     "translation_shape",
     "translation_table",
+    "orbit_table",
+    "atom_blocks",
     "product_blocks",
     "refuse_past_product_cap",
     "build_family",
@@ -344,9 +350,15 @@ def _atom_table(spec: FamilySpec) -> np.ndarray:
     raise TypeError(f"not a family atom: {spec!r}")
 
 
+def _johnson_subsets(m: int, r: int) -> np.ndarray:
+    """The r-subsets of 0..m-1 in lexicographic order, one increasing row
+    each: vertex x of J(m, r) is row x."""
+    return np.array(list(itertools.combinations(range(m), r)))
+
+
 def _johnson_table(spec: Johnson) -> np.ndarray:
     m, r = spec.m, spec.r
-    verts = np.array(list(itertools.combinations(range(m), r)))
+    verts = _johnson_subsets(m, r)
     n = len(verts)
     members = np.zeros((n, m), dtype=np.float32)
     members[np.repeat(np.arange(n), r), verts.ravel()] = 1
@@ -701,57 +713,207 @@ def _prove_translation_table(table: np.ndarray, shape: tuple[int, ...]) -> np.nd
     return table
 
 
-# Stands for "no walk of this parity" in an atom's walk rows; np.maximum
+# ---------------------------------------------------------------------------
+# Orbit numberings
+# ---------------------------------------------------------------------------
+
+def _free_cycle_type(m: int, r: int) -> tuple[int, int]:
+    """(L, c) for the permutation sigma of the points 0..m-1 that cycles
+    each of 0..L-1, L..2L-1, ..., (c-1)L..cL-1 and fixes the rest, with L
+    as large as possible such that <sigma> = Z_L acts freely on the
+    r-subsets; (1, 0), the identity, if no L > 1 does.
+
+    A power of sigma of order l > 1 (l divides L) has cL/l cycles of
+    length l and the f = m - cL fixed points of sigma, and fixes exactly
+    the r-subsets made of t of its l-cycles and r - lt fixed points.  So
+    the action is free iff no divisor l > 1 of L has a t <= cL/l with
+    0 <= r - lt <= f (Brouwer, Cohen and Neumaier, *Distance-Regular
+    Graphs*, 9.1; a free action is a semiregular automorphism group,
+    Marusic 1981)."""
+    for length in range(m, 1, -1):
+        for cycles in range(1, m // length + 1):
+            fixed = m - cycles * length
+            if not any(0 <= r - l * t <= fixed
+                       for l in range(2, length + 1) if length % l == 0
+                       for t in range(cycles * length // l + 1)):
+                return length, cycles
+    return 1, 0
+
+
+def _orbit_shape(atom: FamilySpec) -> tuple[int, ...]:
+    """The shape ``G + (b,)`` of the atom's orbit numbering
+    (``orbit_table``), known before anything is built."""
+    shape = translation_shape(atom)
+    if shape is not None:
+        return shape + (1,)
+    k = _free_cycle_type(atom.m, atom.r)[0]
+    return (k, family_order(atom) // k)
+
+
+def _johnson_generator(spec: Johnson) -> tuple[np.ndarray, int]:
+    """(P, k): the permutation of J(m, r)'s vertices that the point
+    permutation sigma of ``_free_cycle_type`` induces, P[x] the vertex of
+    sigma(subset x), and k the order of sigma.  A subset's key, its points
+    read as a base-m numeral, rises with the lexicographic order, so one
+    ``searchsorted`` finds every image.  Nothing here checks P;
+    ``_prove_free_action`` does."""
+    m, r = spec.m, spec.r
+    length, cycles = _free_cycle_type(m, r)
+    sigma = np.arange(m)
+    moved = sigma[:length * cycles]
+    moved += 1
+    moved[length - 1::length] -= length
+    subsets = _johnson_subsets(m, r)
+    weights = m ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    image = np.sort(sigma[subsets], axis=1) @ weights
+    return np.searchsorted(subsets @ weights, image), length
+
+
+def _prove_free_action(table: np.ndarray, generator: np.ndarray, k: int) -> np.ndarray:
+    """The (k, b) orbit numbering ``V[y, u] = P^y(rep_u)``, rep_u the least
+    vertex of its orbit in increasing order, once P = ``generator`` is
+    proven exactly, on the neighbour table, to generate a group Z_k of
+    automorphisms that acts freely: P maps 0..n-1 into itself and the
+    neighbours of every x onto those of P(x), ``sort(P[table]) ==
+    table[P]`` row by row; no P^j with 0 < j < k fixes a vertex; and P^k
+    is the identity, so P is a permutation and every orbit has exactly k
+    vertices.  Each failure raises its own NonSymmetricMatrixError."""
+    n = len(table)
+    vertex = np.arange(n)
+    outside = generator.shape != (n,) or ((generator < 0) | (generator >= n)).any()
+    moved = [] if outside else np.flatnonzero(
+        (np.sort(generator[table], axis=1) != table[generator]).any(axis=1))
+    if outside or len(moved):
+        where = "" if outside else (f": it maps the neighbours of {moved[0]} onto"
+                                    f" no neighbours of {generator[moved[0]]}")
+        raise NonSymmetricMatrixError(f"vertex permutation is no automorphism{where}")
+    powers = np.empty((k, n), dtype=np.intp)
+    powers[0] = vertex
+    for j in range(1, k):
+        powers[j] = generator[powers[j - 1]]
+        fixed = np.flatnonzero(powers[j] == vertex)
+        if fixed.size:
+            raise NonSymmetricMatrixError(
+                f"power {j} of the vertex permutation fixes vertex {fixed[0]},"
+                f" so Z_{k} does not act freely")
+    if (generator[powers[-1]] != vertex).any():
+        raise NonSymmetricMatrixError(f"power {k} of the vertex permutation is not the identity")
+    return powers[:, powers.min(axis=0) == vertex]
+
+
+def orbit_table(spec: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
+    """An atom's proven neighbour table and a numbering of its vertices by
+    a group ``Z_G`` of automorphisms acting freely: an int array V of
+    shape ``G + (b,)``, vertex ``V[y, u] = y(rep_u)`` with the b orbit
+    representatives ``rep_u = V[0, u]``, rep_0 = 0.
+
+    A shaped atom is ``translation_table``, G its translation shape, b = 1
+    and ``V[y, 0] = y``.  ``J(m,r>=2)`` is ``build_family``'s validated
+    table, G = (k,) for the point permutation of ``_free_cycle_type`` and
+    b = n / k, proven by ``_prove_free_action``.  Then M[(x, u), (y, v)] =
+    M[rep_u, V[y - x, v]] for D and A, a block group matrix over Z_G whose
+    blocks are read off the b representatives' rows (``atom_blocks``).
+    Refused past PRODUCT_VERTEX_CAP before anything is built.
+    """
+    shape = translation_shape(spec)
+    if shape is not None:
+        table = translation_table(spec)
+        return table, np.arange(len(table)).reshape(shape + (1,))
+    if not isinstance(spec, Johnson):
+        raise TypeError(f"not a family atom: {spec!r}")
+    table = _regular_table(build_family(spec))
+    generator, k = _johnson_generator(spec)
+    return table, _prove_free_action(table, generator, k)
+
+
+def _representatives(vertices: np.ndarray) -> np.ndarray:
+    return vertices.reshape(-1, vertices.shape[-1])[0]
+
+
+def _distance_columns(table: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Entry [w, u]: the distance from ``sources[u]`` to w over a regular
+    graph's neighbour table; from vertex 0 alone by the hybrid BFS
+    (``distance_row``), from several sources by the bitset BFS.  Raises
+    DisconnectedGraphError unless every source reaches every vertex."""
+    if sources.tolist() == [0]:
+        return distance_row(table)[:, None]
+    return _bitset_distances(np.ascontiguousarray(table.T), sources)
+
+
+def _orbit_blocks(columns: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """``blocks[y][u, v] = M[rep_u, V[y, v]]`` from ``columns[w, u] =
+    M[rep_u, w]``: a C-contiguous array of shape ``G + (b, b)``."""
+    return np.ascontiguousarray(np.swapaxes(columns[vertices], -1, -2))
+
+
+def atom_blocks(table: np.ndarray, vertices: np.ndarray, matrix: str) -> np.ndarray:
+    """An atom's D (``"distance"``) or A (``"adjacency"``) as int64 blocks
+    of shape ``G + (b, b)``, ``blocks[y][u, v] = M[rep_u, V[y, v]]``, over
+    its proven table and numbering (``orbit_table``): of D one BFS from
+    each representative, of A their neighbours.  A shaped atom's blocks
+    are its row 0."""
+    sources = _representatives(vertices)
+    if matrix == "distance":
+        columns = _distance_columns(table, sources)
+    elif matrix == "adjacency":
+        columns = np.zeros((len(table), len(sources)), dtype=np.int64)
+        columns[table[sources], np.arange(len(sources))[:, None]] = 1
+    else:
+        raise ValueError(f"unknown matrix kind {matrix!r}")
+    return _orbit_blocks(columns, vertices)
+
+
+# Stands for "no walk of this parity" in an atom's walk blocks; np.maximum
 # and np.minimum keep it, so a product's blocks hold it exactly where the
 # product has no walk at all.
 _NO_WALK = np.iinfo(np.int64).max
 
 
 # The one memo of this module: the walks of products' atoms, so that the
-# atoms a grid's products share are built (and a shaped one proven) once
-# per process.  A shaped atom's entry is two int64 rows of its order, an
-# unshaped atom's two int64 b x b matrices (J(10,5): 1.0 MB, J(13,6):
-# 47 MB); no graph, table, cover or A is kept.  A top-level atom's table is
-# not kept either: a grid run builds it once per family anyway, as the
-# family's checks share one oracle, so a memo would only serve repeated
-# runs in one process, where the grid's 93 shaped base families take about
-# 20 ms a pass to build and prove (2-vCPU Xeon, numpy 2.4, one BLAS
-# thread); and keeping those tables (up to 1024 vertices) raised the peak
-# RSS of a ``grid --max-order 1200`` run from 40.0 to 43.5 MB (10 fresh
-# runs each).
+# atoms a grid's products share are built and proven once per process.  An
+# atom's entry is two int64 arrays of shape G + (b, b): a shaped atom's
+# rows of its order, a J(m, r >= 2)'s b x n entries (J(13,6): Z_13, b =
+# 132, 1.8 MB each); no graph, table, cover or A is kept.  A
+# top-level atom's table is not kept either: a grid run builds it once per
+# family anyway, as the family's checks share one oracle, so a memo would
+# only serve repeated runs in one process, where the grid's 93 shaped base
+# families take about 20 ms a pass to build and prove (2-vCPU Xeon, numpy
+# 2.4, one BLAS thread); and keeping those tables (up to 1024 vertices)
+# raised the peak RSS of a ``grid --max-order 1200`` run from 40.0 to 43.5
+# MB (10 fresh runs each).
 @functools.lru_cache(maxsize=128)
 def _atom_walks(atom: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
-    """Shortest even and odd walk lengths (``_NO_WALK`` where none),
-    read-only and int64: from vertex 0 to each vertex for a shaped atom,
-    built and proven by ``translation_table``; between every pair of
-    vertices (``_shortest_walks``) for an unshaped one.  An edge is exactly
-    a walk of length 1, so the atom's A (row 0, or the whole b x b matrix)
-    is ``odd == 1``.
+    """Shortest even and odd walk lengths (``_NO_WALK`` where none) as
+    read-only int64 blocks of shape ``G + (b, b)`` over the atom's orbit
+    numbering (``orbit_table``): ``blocks[y][u, v]`` holds the walks from
+    rep_u to ``V[y, v]``.  An edge is exactly a walk of length 1, so the
+    atom's A blocks are ``odd == 1``.
 
-    A walk of length k from 0 to x is a path from (0, 0) to (x, k mod 2) in
-    the double cover G (x) K_2, vertex (x, p) numbered 2x + p.  With an odd
-    cycle (an edge joining two BFS depths of one parity) the cover is
-    connected, and one BFS of it gives both lengths; otherwise G is
+    A walk of length k from x to y is a path from (x, 0) to (y, k mod 2)
+    in the double cover G (x) K_2 (Weichsel, "The Kronecker product of
+    graphs", Proc. AMS 13, 1962), vertex (x, p) numbered 2x + p, on which
+    every automorphism of G acts on x alone.  With an odd cycle (an edge
+    joining two BFS depths of one parity) the cover is connected, and one
+    BFS of it from each representative gives both lengths; otherwise G is
     bipartite, and x's depth is its only shortest walk, of the depth's
-    parity.  An unshaped atom, J(m, r >= 2), has a triangle, and one
-    all-sources BFS of its cover gives every pair's lengths.
+    parity.
     """
-    if translation_shape(atom) is None:
-        even, odd = _shortest_walks(build_family(atom))
+    table, vertices = orbit_table(atom)
+    sources = _representatives(vertices)
+    depth = distance_row(table)
+    parity = depth % 2
+    if (parity[table] == parity[:, None]).any():
+        cover = np.stack([2 * table + 1, 2 * table], axis=1).reshape(2 * len(table), -1)
+        walks = _distance_columns(cover, 2 * sources)
+        even, odd = walks[0::2], walks[1::2]
     else:
-        table = translation_table(atom)
-        depth = distance_row(table)
-        parity = depth % 2
-        if (parity[table] == parity[:, None]).any():
-            cover = np.stack([2 * table + 1, 2 * table], axis=1).reshape(2 * len(table), -1)
-            walks = distance_row(cover)
-            even, odd = walks[0::2], walks[1::2]
-        else:
-            even = np.where(parity == 0, depth, _NO_WALK)
-            odd = np.where(parity == 1, depth, _NO_WALK)
-    for array in (even, odd):
+        depths = _distance_columns(table, sources)
+        even = np.where(depths % 2 == 0, depths, _NO_WALK)
+        odd = np.where(depths % 2 == 1, depths, _NO_WALK)
+    blocks = _orbit_blocks(even, vertices), _orbit_blocks(odd, vertices)
+    for array in blocks:
         array.flags.writeable = False
-    return even, odd
+    return blocks
 
 
 def _atoms(spec: FamilySpec) -> list[FamilySpec]:
@@ -767,83 +929,76 @@ def product_blocks(spec: Kron, matrix: str) -> np.ndarray:
     atoms' shortest even and odd walks (``_atom_walks``), with no product
     graph, neighbour table or BFS.
 
-    G is the concatenated shape of the shaped atoms, left first, and the
-    fibre F, of order b, the product of the unshaped atoms; a product with
-    no shaped atom has G = (), one with no unshaped atom b = 1.  Vertex
-    (x, u), x in Z_G and u in F, is the canonical order with the group axes
-    moved first: one permutation of rows and columns alike, which leaves
-    both spectra unchanged.  The shaped atoms' translations are
-    automorphisms, so M[(x, u), (y, v)] = ``blocks[y - x][u, v]`` with
-    ``blocks[y]`` the rows (0_G, u).
+    G is the concatenation of the atoms' groups (``orbit_table``), left
+    first, and the fibre, of order b, the product of their
+    representatives; a shaped atom has b = 1, so a shaped product's blocks
+    are 1 x 1.  Vertex (x, u), x = (x_i) in Z_G and u = (u_i), is the
+    tuple of the atoms' vertices ``V_i[x_i, u_i]``: one permutation of rows
+    and columns alike, which leaves both spectra unchanged.  The atoms'
+    groups act on their own coordinates as automorphisms of the product,
+    so M[(x, u), (y, v)] = ``blocks[y - x][u, v]``.
 
     A walk in a Kronecker product is a tuple of walks of one length in its
     atoms, and going along an edge and back lengthens a walk by 2, so
     d((x_i), (y_i)) = min(max_i e_i, max_i o_i) over the atoms' shortest
     even and odd walk lengths (Hammack, Imrich and Klavzar, *Handbook of
-    Product Graphs*, ch. 5): ``blocks[y][u, v] = min(max(e_G[y], E_F[u,
-    v]), max(o_G[y], O_F[u, v]))`` over the shaped atoms' walk rows and the
-    unshaped atoms' walk matrices.  An edge is a walk of length 1, so A is
-    the AND of the atoms' ``odd == 1``.  A K_1 atom has no walk to
-    lengthen, so a product of order above 1 with one has no edge, which is
-    known before the fibre's walks are read.  Raises
-    DisconnectedGraphError for D if some vertex does not reach every
-    vertex; the product cap and the shaped atoms' proofs raise as in
-    ``translation_table``, and an unshaped atom whose cover is past the
-    dense cap as ``distance_matrix`` does.
+    Product Graphs*, ch. 5): ``blocks[y][u, v] = min(max_i
+    E_i[y_i][u_i, v_i], max_i O_i[y_i][u_i, v_i])`` over the atoms' walk
+    blocks.  An edge is a walk of length 1, so A is the AND of the atoms'
+    ``odd == 1``.  A K_1 atom has no walk to lengthen, so a product of
+    order above 1 with one has no edge, which is known before a
+    ``J(m,r>=2)`` atom's walks are read.  Raises DisconnectedGraphError
+    for D if some vertex does not reach every vertex; the product cap and
+    the atoms' proofs raise as in ``orbit_table``.
     """
     n = refuse_past_product_cap(spec)
-    group, unshaped, group_shape = [], [], ()
-    for atom in _atoms(spec):
-        shape = translation_shape(atom)
-        if shape is None:
-            unshaped.append(atom)
-        else:
-            group.append(_atom_walks(atom))
-            group_shape += shape
-    shape = group_shape + (n // math.prod(group_shape),) * 2
-    edges = [odd == 1 for _, odd in group]
-    if n > 1 and not all(np.count_nonzero(row) for row in edges):
+    if matrix not in ("distance", "adjacency"):
+        raise ValueError(f"unknown matrix kind {matrix!r}")
+    atoms = _atoms(spec)
+    walks = [_atom_walks(atom) if translation_shape(atom) is not None else None
+             for atom in atoms]
+    if n > 1 and not all(np.count_nonzero(odd == 1) for _, odd in filter(None, walks)):
         if matrix == "distance":
             raise DisconnectedGraphError("graph is disconnected")
-        if matrix == "adjacency":
-            return np.zeros(shape, dtype=np.int64)
-    fibre = [_atom_walks(atom) for atom in unshaped]
+        shapes = [_orbit_shape(atom) for atom in atoms]
+        b = math.prod(shape[-1] for shape in shapes)
+        return np.zeros(sum((shape[:-1] for shape in shapes), ()) + (b, b), dtype=np.int64)
+    walks = [record or _atom_walks(atom) for record, atom in zip(walks, atoms)]
+    b = math.prod(even.shape[-1] for even, _ in walks)
+    shape = sum((even.shape[:-2] for even, _ in walks), ()) + (b, b)
     if matrix == "adjacency":
-        # the fibre's matrices are cast first, so that the blocks are written
-        # as int64: a boolean n x b outer product cast afterwards raised the
+        # cast before the outer product, so that the blocks are written as
+        # int64: a boolean n x b outer product cast afterwards raised the
         # peak of kron(J(6,2),J(10,5)) by 12 MB
-        blocks = _atom_outer(np.multiply, edges,
-                             [(odd == 1).astype(np.int64) for _, odd in fibre], shape)
-        return blocks.astype(np.int64, copy=False)
-    if matrix != "distance":
-        raise ValueError(f"unknown matrix kind {matrix!r}")
-    blocks = _atom_outer(np.maximum, [even for even, _ in group],
-                         [even for even, _ in fibre], shape)
-    np.minimum(blocks, _atom_outer(np.maximum, [odd for _, odd in group],
-                                   [odd for _, odd in fibre], shape), out=blocks)
+        return _atom_outer(np.multiply, [(odd == 1).astype(np.int64) for _, odd in walks],
+                           shape)
+    blocks = _atom_outer(np.maximum, [even for even, _ in walks], shape)
+    np.minimum(blocks, _atom_outer(np.maximum, [odd for _, odd in walks], shape), out=blocks)
     if (blocks == _NO_WALK).any():
         raise DisconnectedGraphError("graph is disconnected")
     return blocks
 
 
-def _atom_outer(op: np.ufunc, rows: list, matrices: list,
-                shape: tuple[int, ...]) -> np.ndarray:
-    """``op`` of the shaped atoms' ``rows`` and the unshaped atoms' b x b
-    ``matrices``, as an array of ``shape``: each row broadcast along an
-    axis of its own, each matrix along axes of its own among those of u and
-    of v, so that the broadcast ``op``s write the blocks in order, with no
-    transposed copy."""
-    width = len(rows) + 2 * len(matrices)
-    arrays = []
-    for axis, row in enumerate(rows):
+def _atom_outer(op: np.ufunc, arrays: list, shape: tuple[int, ...]) -> np.ndarray:
+    """``op`` of the atoms' arrays of shape ``G_i + (b_i, b_i)``, as an
+    array of ``shape``: each atom's group axes, and its u and v axes where
+    b_i > 1, broadcast along axes of their own, in the order G_1, ...,
+    G_a, then the u axes and the v axes, so that the broadcast ``op``s
+    write the blocks in order, with no transposed copy (an axis of size 1
+    would only slow the broadcast)."""
+    sizes = [array.shape[-1] for array in arrays]
+    fibre, fibres = len(shape) - 2, len(sizes) - sizes.count(1)
+    width, broadcast, axis = fibre + 2 * fibres, [], 0
+    for array, size in zip(arrays, sizes):
         dims = [1] * width
-        dims[axis] = -1
-        arrays.append(row.reshape(dims))
-    for axis, walks in enumerate(matrices, len(rows)):
-        dims = [1] * width
-        dims[axis] = dims[axis + len(matrices)] = len(walks)
-        arrays.append(walks.reshape(dims))
-    return functools.reduce(op, arrays).reshape(shape)
+        end = axis + array.ndim - 2
+        dims[axis:end] = array.shape[:-2]
+        axis = end
+        if size > 1:
+            dims[fibre] = dims[fibre + fibres] = size
+            fibre += 1
+        broadcast.append(array.reshape(dims))
+    return functools.reduce(op, broadcast).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -851,39 +1006,53 @@ def _atom_outer(op: np.ufunc, rows: list, matrices: list,
 # ---------------------------------------------------------------------------
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs shortest-path lengths as a dense symmetric integer matrix.
-
-    Runs breadth-first search from all sources at once, level by level, on
-    bitsets (Then et al., "The More the Merrier: Efficient Multi-Source
-    Graph Traversal", PVLDB 2014).  Row w of an (n, words) uint64 bitset
-    holds the sources s of the pairs (s, w); the pairs of a level are
-    symmetric, so row w equally holds the vertices of source w.  Level 1 is
-    the edge set; each later level is the OR of the frontier rows of every
-    vertex's neighbours (``_bitset_reach``) less the pairs already reached,
-    and the search stops once every pair has a distance.  A pair reached at
-    level L adds L + 1 to bit planes: plane p holds the pairs whose L + 1
-    has bit p set.  Levels are below the dense cap 4000 < 2^16, so the
-    planes are summed in uint16 and added once to D, where those pairs hold
-    -1.  Raises DisconnectedGraphError if any pair is unreachable.
-    """
+    """All-pairs shortest-path lengths as a dense symmetric integer matrix,
+    by the bitset BFS from every vertex (``_bitset_distances``): D is
+    symmetric, so the distances to each vertex are its row.  Raises
+    DisconnectedGraphError if any pair is unreachable."""
     n = g.vertex_count
     refuse_past_dense_cap(n, "distance matrix")
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    dist = np.full((n, n), -1, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
-    rows = g._rows()
-    dist[rows, g.indices] = 1
-    words = -(-n // 64)
-    unvisited = _pack_rows(dist < 0, words)
     # slot j holds the j-th neighbour of every vertex, or the spare zero
     # row n of the frontier for a vertex with fewer neighbours
     degrees = g.degrees()
     slots = np.full((int(degrees.max()), n), n, dtype=g.indices.dtype)
-    slots[np.arange(g.indices.size) - np.repeat(g.indptr[:-1], degrees), rows] = g.indices
-    del rows
+    slots[np.arange(g.indices.size) - np.repeat(g.indptr[:-1], degrees), g._rows()] = g.indices
+    return _bitset_distances(slots, np.arange(n))
+
+
+def _bitset_distances(slots: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Entry [w, i]: the distance from ``sources[i]`` to w, int64, over
+    neighbour slots (slot j holds the j-th neighbour of every vertex, or
+    the spare zero row n).
+
+    Runs breadth-first search from all the sources at once, level by
+    level, on bitsets (Then et al., "The More the Merrier: Efficient
+    Multi-Source Graph Traversal", PVLDB 2014).  Row w of an (n, words)
+    uint64 bitset holds the sources i of the pairs (sources[i], w).  Level
+    1 is the sources' neighbours; each later level is the OR of the
+    frontier rows of every vertex's neighbours (``_bitset_reach``) less
+    the pairs already reached, and the search stops once every pair has a
+    distance.  A pair reached at level L adds L + 1 to bit planes: plane p
+    holds the pairs whose L + 1 has bit p set.  A distance is below the
+    order, at most the dense cap 4000 or a cover's 2 x 20000 < 2^16, so
+    the planes are summed in uint16 and added once to the distances,
+    where those pairs hold -1.  Raises DisconnectedGraphError if any pair
+    is unreachable.
+    """
+    n, count = slots.shape[1], len(sources)
+    words = -(-count // 64)
+    # level 1 is the sources' neighbours; the spare row n stands for none
+    near = np.zeros((n + 1, count), dtype=bool)
+    near[slots[:, sources], np.arange(count)] = True
+    dist = np.full((n, count), -1, dtype=np.int64)
+    dist[near[:n]] = 1
+    dist[sources, np.arange(count)] = 0
+    unvisited = _pack_rows(dist < 0, words)
     frontier = np.zeros((n + 1, words), dtype=np.uint64)
-    frontier[:n] = _pack_rows(dist == 1, words)
+    frontier[:n] = _pack_rows(near[:n], words)
+    del near
     planes: list[np.ndarray] = []
     level = 1
     while unvisited.any():
@@ -899,16 +1068,16 @@ def distance_matrix(g: Graph) -> np.ndarray:
             if (level + 1) >> p & 1:
                 planes[p] |= found
         frontier[:n] = found
-    # add the planes into D in blocks of rows of about 2^17 pairs
-    block = max(1, (1 << 17) // n)
-    acc = np.empty((block, n), dtype=np.uint16)
-    for start in range(0, n, block):
-        acc_rows = acc[:min(block, n - start)]
+    # add the planes into the distances in blocks of rows of about 2^17 pairs
+    block = max(1, (1 << 17) // count)
+    acc = np.empty((block, count), dtype=np.uint16)
+    for first in range(0, n, block):
+        acc_rows = acc[:min(block, n - first)]
         acc_rows.fill(0)
         for plane in reversed(planes):
             acc_rows += acc_rows
-            acc_rows |= _unpack_rows(plane[start:start + block], n)
-        dist[start:start + block] += acc_rows
+            acc_rows |= _unpack_rows(plane[first:first + block], count)
+        dist[first:first + block] += acc_rows
     if (dist < 0).any():
         raise DisconnectedGraphError("graph is disconnected")
     return dist

@@ -1,10 +1,10 @@
 """Eigensolvers used as independent ground truth.  The oracle's one solver
 is ``block_group_matrix_eigenvalues``: every family's D and A is a block
 group matrix over a product of cyclic groups, solved by one DFT and a
-batched Hermitian solve of its blocks (one DFT alone for 1 x 1 blocks,
-one dense solve for the trivial group).  The dense symmetric/Hermitian
-solve ``symmetric_eigenvalues``, with its tolerance-based symmetry scan,
-serves callers that hold one dense matrix.
+batched Hermitian solve of its blocks (one DFT alone for 1 x 1 blocks).
+No family's oracle solves a dense n x n matrix.  The dense
+symmetric/Hermitian solve ``symmetric_eigenvalues``, with its
+tolerance-based symmetry scan, serves callers that hold one dense matrix.
 
 Everything here is deliberately decoupled from the closed-form and circulant
 modules: this is the brute-force side of every dual-route check, so it must
@@ -122,11 +122,10 @@ def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
 def block_group_matrix_eigenvalues(blocks: np.ndarray) -> np.ndarray:
     """All eigenvalues, ascending, of the block group matrix M over
-    ``G = Z_{n_1} x ... x Z_{n_k}`` with ``M[(x, u), (y, v)] =
+    ``G = Z_{n_1} x ... x Z_{n_k}``, k >= 1, with ``M[(x, u), (y, v)] =
     blocks[y - x][u, v]``, given ``blocks`` of shape ``(n_1, ..., n_k, b,
-    b)``: k = 0 is one b x b matrix, and b = 1 a group matrix given by its
-    row 0.  That M is such a matrix is the caller's proof
-    (``graphs.product_blocks``, ``graphs.translation_table``).
+    b)``: b = 1 is a group matrix given by its row 0.  That M is such a
+    matrix is the caller's proof (``graphs.orbit_table``).
 
     A character of G turns M into the Hermitian b x b block ``sum_y
     blocks[y] chi(y)`` (Babai 1979), so one DFT over the group axes gives
@@ -136,15 +135,14 @@ def block_group_matrix_eigenvalues(blocks: np.ndarray) -> np.ndarray:
     symmetric iff ``blocks[-y] == blocks[y].T`` for every y, which is
     checked first, exactly (the oracle's entries are integers), and raises
     NonSymmetricMatrixError if it fails; then one batched ``eigvalsh``
-    solves the blocks.  For k = 0 the matrix is read as float64, with no
-    copy of a float64 one.
+    solves the blocks.
     """
     blocks = np.asarray(blocks)
-    if blocks.ndim < 2 or blocks.shape[-1] != blocks.shape[-2]:
+    if blocks.ndim < 3 or blocks.shape[-1] != blocks.shape[-2]:
         raise NonSymmetricMatrixError(f"expected square blocks, got shape {blocks.shape}")
     axes = tuple(range(blocks.ndim - 2))
     b = blocks.shape[-1]
-    if b == 1 and axes:
+    if b == 1:
         return np.sort(np.fft.fftn(blocks.reshape(blocks.shape[:-2])).real, axis=None)
     mirrored = blocks
     for axis in axes:
@@ -157,7 +155,7 @@ def block_group_matrix_eigenvalues(blocks: np.ndarray) -> np.ndarray:
             f"block {y} is not the transpose of the block at its inverse")
     # the check's temporaries are freed before the solve
     del mirrored, unequal
-    hermitian = np.fft.fftn(blocks, axes=axes) if axes else np.asarray(blocks, np.float64)
+    hermitian = np.fft.fftn(blocks, axes=axes)
     return np.sort(np.linalg.eigvalsh(hermitian.reshape(-1, b, b)), axis=None)
 
 

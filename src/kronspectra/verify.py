@@ -2,14 +2,16 @@
 
 The two routes are kept strictly separate.  The closed-form side dispatches
 a family spec to the applicable formula; the oracle side reads the
-family's D and A as block group matrices over its shaped atoms' group
-(``FamilyOracle.blocks``) and solves them with one solver,
-``numeric.block_group_matrix_eigenvalues``: one DFT, and a batched solve
-of the b x b blocks where b > 1.  A shaped atom is proven a Cayley graph
-on its neighbour table, and its blocks are row 0; a product's are read
-off its atoms' walks, with no product graph built and no product BFS;
-``J(m,r>=2)`` on its own is the trivial group, whose one block is its
-dense D or A.  A report records both
+family's D and A as block group matrices over a group of its
+automorphisms that acts freely (``FamilyOracle.blocks``) and solves them
+with one solver, ``numeric.block_group_matrix_eigenvalues``: one DFT, and
+a batched solve of the b x b blocks where b > 1.  An atom's group and its
+numbering of the vertices are proven on its neighbour table: a shaped
+atom's translations, whose blocks are row 0, and for ``J(m,r>=2)`` a
+cyclic group of point permutations, whose blocks are read off the rows
+of its b orbit representatives.  A product's blocks are read off its
+atoms' walks, with no product graph built and no product BFS.  No family
+builds an n x n matrix or solves one.  A report records both
 spectra, the match verdict, the largest eigenvalue gap and any discrepancy
 notes attached to the closed form used.
 The Johnson and Hamming certificate D = p(A) is checked here too
@@ -35,23 +37,21 @@ from .graphs import (
     Complete,
     Cycle,
     FamilySpec,
-    Graph,
     Hamming,
     Johnson,
     Kron,
-    build_family,
-    distance_matrix,
-    distance_row,
+    atom_blocks,
     family_order,
     family_to_string,
+    orbit_table,
     product_blocks,
     refuse_past_product_cap,
-    translation_shape,
-    translation_table,
 )
+# not called here (graphs builds and reads every atom, and every solve is
+# block_group_matrix_eigenvalues); they stay importable from this module,
+# where benchmarks/tracing.py wraps them
+from .graphs import build_family, distance_matrix  # noqa: F401
 from .numeric import block_group_matrix_eigenvalues, refuse_past_dense_cap
-# not called here (every solve is block_group_matrix_eigenvalues); it stays
-# importable from this module, where benchmarks/tracing.py wraps it
 from .numeric import symmetric_eigenvalues  # noqa: F401
 from .spectrum import Spectrum, spectra_match, spectrum_from_values
 
@@ -214,21 +214,21 @@ class FamilyOracle:
     eigenvalues, each computed the first time a check reads it and then
     shared by the family's later checks.
 
-    Every family is a block group matrix over its shaped atoms' group
-    ``Z_{n_1} x ... x Z_{n_k}`` (Babai 1979), and one solver reads them
-    all (``numeric.block_group_matrix_eigenvalues``).  A product's blocks
-    are ``graphs.product_blocks``, read off its atoms' walks with no
-    product graph, BFS or dense solve; a shaped product's are 1 x 1.  A
-    shaped atom (``shape``, ``graphs.translation_shape``) is proven a
-    Cayley graph on its neighbour table (``neighbours``,
-    ``graphs.translation_table``), and its 1 x 1 blocks are row 0: of D
-    one BFS from vertex 0, of A the neighbours of vertex 0.  So no n x n
-    matrix is built for a shaped family, and no graph is kept.  A
-    ``J(m,r>=2)`` family on its own is the trivial group: its one block
-    is the float64 D or A of its ``graph``, which the solve and p(A) read
-    with no copy.  ``refuse`` turns away a family past the product cap or
-    the dense cap, as its graph and dense matrices would be, before
-    anything is built.
+    Every family is a block group matrix over a group ``Z_{n_1} x ... x
+    Z_{n_k}`` of its automorphisms that acts freely (Babai 1979), and one
+    solver reads them all (``numeric.block_group_matrix_eigenvalues``).  An
+    atom's group and its numbering of the vertices are proven on its
+    neighbour table (``orbits``, ``graphs.orbit_table``), and its blocks
+    are read off its orbit representatives' rows
+    (``graphs.atom_blocks``): a shaped atom's are 1 x 1, its row 0, one
+    BFS from vertex 0 and the neighbours of vertex 0; a ``J(m,r>=2)``
+    family's are b x b over a cyclic group Z_k of point permutations, b =
+    n / k, one bitset BFS from its b representatives.  A product's blocks
+    are ``graphs.product_blocks``, read off its atoms' walks over the
+    product of their groups.  So no family builds an n x n matrix, runs an
+    all-sources BFS or solves a dense n x n matrix.  ``refuse`` turns away
+    a family past the product cap or the dense cap before anything is
+    built.
 
     A computation that raises stores nothing, so every check that reads it
     raises the same error.
@@ -236,19 +236,14 @@ class FamilyOracle:
 
     def __init__(self, spec: FamilySpec):
         self.spec = spec
-        self.shape = translation_shape(spec)
         self._blocks: dict[str, np.ndarray] = {}
         self._eigenvalues: dict[str, np.ndarray] = {}
 
     @functools.cached_property
-    def graph(self) -> Graph:
-        return build_family(self.spec)
-
-    @functools.cached_property
-    def neighbours(self) -> np.ndarray:
-        """The (n, degree) neighbour array of a shaped atom's graph, once it
-        is proven ``Cay(Z_shape, N(0))`` (``graphs.translation_table``)."""
-        return translation_table(self.spec)
+    def orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        """An atom's proven (n, degree) neighbour table and its orbit
+        numbering of shape ``G + (b,)`` (``graphs.orbit_table``)."""
+        return orbit_table(self.spec)
 
     def refuse(self, matrix: str) -> int:
         """The family's order; raises OrderCapError past the product cap
@@ -259,26 +254,19 @@ class FamilyOracle:
         return n
 
     def blocks(self, matrix: str) -> np.ndarray:
-        """D (``"distance"``) or A (``"adjacency"``) as read-only blocks of
-        shape ``G + (b, b)`` (``numeric.block_group_matrix_eigenvalues``):
-        a product's ``graphs.product_blocks`` and a shaped atom's row 0 of
-        shape ``shape + (1, 1)``, both int64, and a ``J(m,r>=2)`` family's
-        float64 n x n matrix; refused past either cap (``refuse``) before
-        anything is built."""
+        """D (``"distance"``) or A (``"adjacency"``) as read-only int64
+        blocks of shape ``G + (b, b)``
+        (``numeric.block_group_matrix_eigenvalues``): a product's
+        ``graphs.product_blocks``, an atom's ``graphs.atom_blocks``;
+        refused past either cap (``refuse``) before anything is built."""
         if matrix not in self._blocks:
             self.refuse(matrix)
             if matrix not in ("distance", "adjacency"):
                 raise ValueError(f"unknown matrix kind {matrix!r}")
             if isinstance(self.spec, Kron):
                 blocks = product_blocks(self.spec, matrix)
-            elif self.shape is None:
-                blocks = (distance_matrix(self.graph).astype(np.float64)
-                          if matrix == "distance" else self.graph.adjacency_matrix(np.float64))
-            elif matrix == "distance":
-                blocks = distance_row(self.neighbours).reshape(self.shape + (1, 1))
             else:
-                blocks = np.zeros(self.shape + (1, 1), dtype=np.int64)
-                blocks.flat[self.neighbours[0]] = 1
+                blocks = atom_blocks(*self.orbits, matrix)
             blocks.setflags(write=False)
             self._blocks[matrix] = blocks
         return self._blocks[matrix]
@@ -392,21 +380,20 @@ def verify_family(
 def poly_report(spec: FamilySpec, tol: float = 1e-8,
                 oracle: FamilyOracle | None = None) -> FamilyReport:
     """Compare p(A) with D entrywise for the distance polynomial p of a
-    Johnson or Hamming family (any other raises FamilyDomainError); A and D
-    are read from ``oracle``'s ``blocks`` once p exists, and a family past
-    a cap is refused (``FamilyOracle.refuse``) before anything is built.  A
-    shaped family is compared on row 0 alone, its 1 x 1 blocks, over the
-    proven neighbour array (``polynomials`` module docstring); a
-    ``J(m,r>=2)`` family evaluates p(A) on its one n x n block."""
+    Johnson or Hamming family (any other raises FamilyDomainError); D is
+    read from ``oracle``'s ``blocks`` once p exists, and a family past a
+    cap is refused (``FamilyOracle.refuse``) before anything is built.
+    Both matrices commute with the family's proven automorphisms, so the
+    rows of its orbit representatives decide them (``polynomials`` module
+    docstring): p(A) is evaluated on those rows alone, over the proven
+    neighbour table, and compared with every entry of D's blocks."""
     oracle = _oracle_for(spec, oracle)
     poly = polynomials.distance_polynomial(spec)
     target = oracle.blocks("distance")
-    if oracle.shape is not None:
-        target = target.ravel()
-        evaluated = polynomials.polynomial_row(poly, oracle.neighbours)
-    else:
-        evaluated = polynomials.matrix_polynomial_eval(poly, oracle.blocks("adjacency"))
-    # |p(A) - D| in place, so no temporary matrix joins the shared A and D
+    table, vertices = oracle.orbits
+    rows = polynomials.polynomial_rows(poly, table, vertices.reshape(-1, vertices.shape[-1])[0])
+    # the rows in the blocks' layout, |p(A) - D| in place
+    evaluated = np.moveaxis(rows[:, vertices], 0, -2)
     np.abs(np.subtract(evaluated, target, out=evaluated), out=evaluated)
     gap = float(np.max(evaluated)) if target.size else 0.0
     return FamilyReport(family=family_to_string(spec), check="distance-polynomial",

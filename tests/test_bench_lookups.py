@@ -60,22 +60,23 @@ def test_shaped_families_reach_the_eigensolve_without_the_dense_solve(monkeypatc
     ``verify.symmetric_eigenvalues`` and ``verify.distance_matrix``.  Every
     family's solve is ``verify.block_group_matrix_eigenvalues``, so no
     family reaches ``symmetric_eigenvalues`` (a traced grid reads
-    ``numeric.eig.calls`` 0).  A family with a translation shape builds no
-    n x n matrix at all: no ``Graph.adjacency_matrix``, no all-sources BFS
-    and no ``np.linalg.eigvalsh`` call.  A ``J(m,r>=2)`` family makes one
-    ``eigvalsh`` call for each of its two matrices, builds its A once and
-    runs one all-sources BFS."""
-    calls = Counter()
+    ``numeric.eig.calls`` 0), and no family builds an n x n matrix: no
+    ``Graph.adjacency_matrix`` and no all-sources BFS.  A family with a
+    translation shape makes no ``np.linalg.eigvalsh`` call.  A
+    ``J(m,r>=2)`` family makes one for each of its two matrices, on its
+    b x b blocks: J(6,3)'s five 4 x 4 blocks over Z_5."""
+    calls, shapes = Counter(), []
+    eigvalsh = np.linalg.eigvalsh
 
     def count(name, fn):
         return lambda *args: calls.update([name]) or fn(*args)
 
     for namespace, name in ((verify, "symmetric_eigenvalues"), (verify, "distance_matrix"),
-                            (Graph, "adjacency_matrix"), (np.linalg, "eigvalsh")):
+                            (Graph, "adjacency_matrix")):
         monkeypatch.setattr(namespace, name, count(name, getattr(namespace, name)))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
     kinds = ("adjacency-spectrum", "distance-spectrum", "distance-polynomial")
-    dense = Counter(eigvalsh=2, distance_matrix=1, adjacency_matrix=1)
-    for spec, expected in ((Hamming(3, 3), Counter()), (Johnson(6, 3), dense)):
-        calls.clear()
+    for spec, expected in ((Hamming(3, 3), []), (Johnson(6, 3), [(5, 4, 4)] * 2)):
+        shapes.clear()
         assert all(report.match for report in verify.run_grid([(spec, k) for k in kinds]))
-        assert calls == expected, spec
+        assert calls == Counter() and shapes == expected, spec

@@ -17,6 +17,7 @@ from kronspectra.graphs import (
     Johnson,
     Kron,
     build_family,
+    family_order,
     from_edge_list_text,
     translation_shape,
 )
@@ -170,13 +171,18 @@ def test_verify_all_builds_and_bfs_once(capsys, monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("build_family", "distance_matrix"):
-        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    # J(6,3) is built once, in graphs, and its distances come from one
+    # bitset BFS from its orbit representatives, not from an all-sources one
+    for namespace, name in ((verify, "build_family"), (graphs, "build_family"),
+                            (verify, "distance_matrix"), (graphs, "_bitset_distances")):
+        monkeypatch.setattr(namespace, name, counted(f"{namespace.__name__}.{name}",
+                                                     getattr(namespace, name)))
     code = main(["verify", "--family", "J(6,3)", "--check", "all"])
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert code == 0
     assert [r["check"] for r in records] == ["distance-spectrum", "distance-polynomial"]
-    assert calls == Counter({"build_family": 1, "distance_matrix": 1})
+    assert calls == Counter({"kronspectra.graphs.build_family": 1,
+                             "kronspectra.graphs._bitset_distances": 1})
 
 
 def test_spectrum_adjacency_past_the_dense_cap(capsys, monkeypatch):
@@ -324,6 +330,10 @@ def test_grid_builds_and_bfs_each_family_once(tmp_path, monkeypatch):
             return distance_matrix(graph)
         return wrapper
 
+    bitset, bitset_distances = [], graphs._bitset_distances
+    monkeypatch.setattr(graphs, "_bitset_distances", lambda slots, sources: bitset.append(
+        (slots.shape[1], len(sources))) or bitset_distances(slots, sources))
+
     graphs._atom_walks.cache_clear()
     for module in (verify, polynomials, graphs):
         monkeypatch.setattr(module, "build_family", counted_build(module.build_family))
@@ -347,11 +357,20 @@ def test_grid_builds_and_bfs_each_family_once(tmp_path, monkeypatch):
                       + Counter(atoms))
     assert builds == Counter({spec: count for spec, count in tables.items()
                               if translation_shape(spec) is None})
-    # a shaped family reads its distances off one BFS from vertex 0, an
-    # unshaped product off its atoms' covers, and only a top-level J(m,r>=2)
-    # needs the all-sources BFS
-    assert bfs == Counter({spec: 1 for spec, kind in cases if kind != "adjacency-spectrum"
-                           and translation_shape(spec) is None and spec not in products})
+    # a shaped family reads its distances off one BFS from vertex 0, and
+    # no family needs the all-sources BFS: a top-level J(m,r>=2) runs one
+    # bitset BFS from its b orbit representatives, and each distinct
+    # J(m,r>=2) atom of the products one of its double cover from them
+    assert bfs == Counter()
+    johnson = {spec for spec, kind in cases if kind != "adjacency-spectrum"
+               and translation_shape(spec) is None and spec not in products}
+    covers = {atom for atom in atoms if translation_shape(atom) is None}
+    assert johnson and covers
+    expected = [(family_order(spec), family_order(spec) // graphs._orbit_shape(spec)[0])
+                for spec in johnson]
+    expected += [(2 * family_order(atom), family_order(atom) // graphs._orbit_shape(atom)[0])
+                 for atom in covers]
+    assert sorted(bitset) == sorted(expected)
 
 
 def test_usage_error_exit_code(capsys):

@@ -324,7 +324,7 @@ def test_product_rows_are_the_built_products_rows():
         for kind, row in (("distance", distances), ("adjacency", adjacency)):
             expected_values = np.sort(np.fft.fftn(row.reshape(shape)).real, axis=None)
             assert np.array_equal(oracle.eigenvalues(kind), expected_values), (name, kind)
-        assert "graph" not in vars(oracle)
+        assert "orbits" not in vars(oracle)
 
 
 def test_product_rows_keep_the_cases_the_bare_walk_lemma_gets_wrong():
@@ -458,6 +458,90 @@ def test_translation_table_refuses_an_atom_without_a_shape():
         translation_table(Johnson(5, 2))
 
 
+def test_every_johnson_graph_up_to_m_25_has_a_free_cyclic_group():
+    # the cycle type's rule against brute force: no power below the order
+    # fixes an r-subset, and the order is a point permutation's
+    for m in range(4, 26):
+        for r in range(2, m // 2 + 1):
+            length, cycles = graphs._free_cycle_type(m, r)
+            assert length > 1 and math.comb(m, r) % length == 0, (m, r)
+            if m > 12:
+                continue
+            generator, k = graphs._johnson_generator(Johnson(m, r))
+            assert k == length
+            power = np.arange(math.comb(m, r))
+            for j in range(1, k):
+                power = generator[power]
+                assert not (power == np.arange(power.size)).any(), (m, r, j)
+            assert (generator[power] == np.arange(power.size)).all(), (m, r)
+    # the largest fibre under the cap, J(14,7): a 13-cycle, one point fixed
+    assert graphs._free_cycle_type(14, 7) == (13, 1)
+    assert graphs._orbit_shape(Johnson(14, 7)) == (13, 264)
+    # an m-cycle exactly when gcd(m, r) = 1; J(4,2) needs a 3-cycle
+    assert graphs._free_cycle_type(16, 5) == (16, 1)
+    assert graphs._free_cycle_type(4, 2) == (3, 1)
+
+
+def test_orbit_table_numbers_every_vertex_once_by_proven_automorphisms():
+    for atom in (Johnson(6, 3), Johnson(9, 4), Hamming(2, 3)):
+        table, vertices = graphs.orbit_table(atom)
+        n, b = family_order(atom), vertices.shape[-1]
+        assert sorted(vertices.ravel().tolist()) == list(range(n))
+        assert vertices.reshape(-1, b)[0, 0] == 0
+        d = distance_matrix(build_family(atom))
+        # M[(x, u), (y, v)] depends on y - x only, here over Z_k
+        if translation_shape(atom) is None:
+            k = vertices.shape[0]
+            for x in range(k):
+                for y in range(k):
+                    assert np.array_equal(d[np.ix_(vertices[x], vertices[y])],
+                                          d[np.ix_(vertices[0], vertices[(y - x) % k])])
+
+
+def planted_generators() -> dict:
+    """Vertex permutations of J(6,2) planted for the proof of its orbit
+    numbering, each with the order it claims and the message the proof
+    raises.  J(6,2) is Z_5, a 5-cycle of the points with 5 fixed, b = 3."""
+    generator, k = graphs._johnson_generator(Johnson(6, 2))
+    assert k == 5
+    # the shift of the vertex numbers by 3 acts freely with order 5, but
+    # does not move the neighbours of vertex 0 onto those of its image 3
+    shift = (np.arange(15) + 3) % 15
+    # the rotation of all six points is an automorphism, but its cube fixes
+    # every pair of opposite points, first {0, 3}, vertex 2
+    pairs = graphs._johnson_subsets(6, 2).tolist()
+    rotation = np.array([pairs.index(sorted((p + 1) % 6 for p in pair)) for pair in pairs])
+    return {
+        "automorphism": ((shift, 5), "^vertex permutation is no automorphism: it maps the"
+                                     " neighbours of 0 onto no neighbours of 3$"),
+        "free": ((rotation, 6), "^power 3 of the vertex permutation fixes vertex 2,"
+                                " so Z_6 does not act freely$"),
+        "order": ((generator, 10), "^power 5 of the vertex permutation fixes vertex 0,"
+                                   " so Z_10 does not act freely$"),
+        "identity": ((generator, 4), "^power 4 of the vertex permutation is not the identity$"),
+        "range": ((np.full(15, 15), 5), "^vertex permutation is no automorphism$"),
+    }
+
+
+@pytest.mark.parametrize("fault", ["automorphism", "free", "order", "identity", "range"])
+def test_the_orbit_proof_refuses_a_planted_generator(fault, monkeypatch):
+    spec = Johnson(6, 2)
+    (generator, k), message = planted_generators()[fault]
+    monkeypatch.setattr(graphs, "_johnson_generator",
+                        lambda atom: (generator, k) if atom == spec else pytest.fail(atom))
+    graphs._atom_walks.cache_clear()
+    try:
+        with pytest.raises(NonSymmetricMatrixError, match=message):
+            graphs.orbit_table(spec)
+        # the family, and the product whose atom it is
+        for family in (spec, Kron(Complete(3), spec)):
+            for matrix in ("distance", "adjacency"):
+                with pytest.raises(NonSymmetricMatrixError, match=message):
+                    FamilyOracle(family).eigenvalues(matrix)
+    finally:
+        graphs._atom_walks.cache_clear()
+
+
 def test_boolean_rows_of_unequal_length_are_not_regular():
     # three rows with 2, 1 and 3 neighbours fill a 3 x 2 table exactly, so
     # only the count check tells; in a later block as in the first
@@ -481,77 +565,126 @@ def unshaped_products():
             Kron(Johnson(6, 2), Johnson(5, 2)), Kron(Hamming(2, 2), Johnson(6, 3))]
 
 
-def built_blocks(g: Graph, spec: Kron, matrix: str) -> np.ndarray:
-    """The built product's D or A at the rows (0_G, u), with its atoms'
-    axes moved shaped atoms first, as an array of shape G + (b, b)."""
+def orbit_numbering(spec) -> np.ndarray:
+    """The built graph's vertex (x, u) of a family's blocks, an int array
+    of shape G + (b,): an atom's ``orbit_table`` numbering, and for a
+    product the canonical index of the tuple of its atoms' vertices
+    ``V_i[x_i, u_i]``, the atoms' group axes first."""
     atoms = graphs._atoms(spec)
-    shapes = [translation_shape(atom) for atom in atoms]
+    numberings = [graphs.orbit_table(atom)[1] for atom in atoms]
     orders = [family_order(atom) for atom in atoms]
-    group = [k for k, shape in enumerate(shapes) if shape is not None]
-    fibre = [k for k, shape in enumerate(shapes) if shape is None]
-    full = distance_matrix(g) if matrix == "distance" else g.adjacency_matrix()
-    axes = group + fibre
-    full = full.reshape(orders + orders).transpose(axes + [len(atoms) + k for k in axes])
-    b = math.prod(orders[k] for k in fibre)
-    rows = full[(0,) * len(group)].reshape(b, -1, b)  # (u, y, v)
-    return rows.transpose(1, 0, 2).reshape(sum((shapes[k] for k in group), ()) + (b, b))
+    group = sum((v.shape[:-1] for v in numberings), ())
+    index = np.zeros(group + tuple(v.shape[-1] for v in numberings), dtype=np.int64)
+    axis = 0
+    for i, v in enumerate(numberings):
+        dims = [1] * index.ndim
+        dims[axis:axis + v.ndim - 1] = v.shape[:-1]
+        dims[len(group) + i] = v.shape[-1]
+        index += v.reshape(dims) * math.prod(orders[i + 1:])
+        axis += v.ndim - 1
+    return index.reshape(group + (-1,))
+
+
+def built_blocks(full: np.ndarray, spec) -> np.ndarray:
+    """A built family's full D or A at the rows of its representatives
+    (0_G, u) and the columns (y, v) of ``orbit_numbering``, as a
+    C-contiguous array of shape G + (b, b)."""
+    index = orbit_numbering(spec)
+    reps = index.reshape(-1, index.shape[-1])[0]
+    return np.ascontiguousarray(np.moveaxis(full[reps][:, index], 0, -2))
 
 
 def test_product_blocks_are_the_built_products_matrices():
     # the walk lemma, checked exactly in integers on the built product
     for spec in unshaped_products():
         g, name = build_family(spec), family_to_string(spec)
-        for matrix in ("distance", "adjacency"):
+        for matrix, full in (("distance", distance_matrix(g)), ("adjacency", g.adjacency_matrix())):
             blocks = product_blocks(spec, matrix)
             assert blocks.dtype == np.int64, name
-            assert np.array_equal(blocks, built_blocks(g, spec, matrix)), (name, matrix)
+            assert np.array_equal(blocks, built_blocks(full, spec)), (name, matrix)
     with pytest.raises(ValueError, match="unknown matrix kind"):
         product_blocks(Kron(Complete(3), Johnson(5, 2)), "laplacian")
 
 
 def test_product_blocks_refuse_a_bipartite_unshaped_atom(monkeypatch):
-    # J(m, r >= 2) has a triangle; one built as C6 fails _shortest_walks
+    # J(m, r >= 2) has a triangle; one built as C6 is refused by the proof
+    # of its orbit numbering, as the rotation of J(4,2)'s points 0, 1, 2
+    # moves the neighbours 1, 5 of vertex 0 to 0, 2, not to those of 3
     build = graphs.build_family
     monkeypatch.setattr(graphs, "build_family",
                         lambda spec: build(Cycle(6)) if spec == Johnson(4, 2) else build(spec))
     graphs._atom_walks.cache_clear()
     try:
         for matrix in ("distance", "adjacency"):
-            with pytest.raises(BipartiteGraphError):
+            with pytest.raises(NonSymmetricMatrixError,
+                               match="^vertex permutation is no automorphism: it maps the"
+                                     " neighbours of 0 onto no neighbours of 3$"):
                 product_blocks(Kron(Complete(3), Johnson(4, 2)), matrix)
     finally:
         graphs._atom_walks.cache_clear()
 
 
+def test_product_blocks_read_a_bipartite_atom_with_a_fibre(monkeypatch):
+    # K_{3,3} between J(4,2)'s two orbits {0, 1, 3} and {2, 4, 5} is
+    # invariant under their rotation, so it passes the proof; it has walks
+    # of one parity only, which each representative's depths give
+    parts = ([0, 1, 3], [2, 4, 5])
+    bipartite = from_edge_list_text("p 6 9\n" + "".join(
+        f"{min(u, v)} {max(u, v)}\n" for u in parts[0] for v in parts[1]))
+    build = graphs.build_family
+    monkeypatch.setattr(graphs, "build_family",
+                        lambda spec: bipartite if spec == Johnson(4, 2) else build(spec))
+    graphs._atom_walks.cache_clear()
+    try:
+        even, odd = graphs._atom_walks(Johnson(4, 2))
+        assert even.shape == odd.shape == (3, 2, 2)
+        assert (even[odd != graphs._NO_WALK] == graphs._NO_WALK).all()
+        for left in (Complete(3), Cycle(4)):
+            spec = Kron(left, Johnson(4, 2))
+            g = kronecker_product(build(left), bipartite)
+            if left == Cycle(4):  # two bipartite atoms: two components
+                with pytest.raises(DisconnectedGraphError, match="^graph is disconnected$"):
+                    product_blocks(spec, "distance")
+                continue
+            for matrix, full in (("distance", distance_matrix(g)),
+                                 ("adjacency", g.adjacency_matrix())):
+                assert np.array_equal(product_blocks(spec, matrix), built_blocks(full, spec))
+    finally:
+        graphs._atom_walks.cache_clear()
+
+
 def test_product_blocks_with_a_k1_atom_read_no_fibre_walks(monkeypatch):
-    # kron(K1, J(10,5)) has no edge; J(10,5)'s cover (504 vertices) is past
-    # a cap of 300 that the product (252) is not
-    monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", "300")
+    # kron(K1, J(10,5)) has no edge, which its K1 atom tells before J(10,5)
+    # is built, proven or walked; its blocks still have J(10,5)'s Z_9 axis
+    # and its fibre of 28 representatives
+    atom_table = graphs._atom_table
+    monkeypatch.setattr(graphs, "_atom_table", lambda atom: (
+        pytest.fail("J(10,5) was built") if atom == Johnson(10, 5) else atom_table(atom)))
     graphs._atom_walks.cache_clear()
     spec = Kron(Complete(1), Johnson(10, 5))
     with pytest.raises(DisconnectedGraphError, match="^graph is disconnected$"):
         product_blocks(spec, "distance")
     blocks = product_blocks(spec, "adjacency")
-    assert blocks.shape == (1, 252, 252) and blocks.dtype == np.int64 and not blocks.any()
+    assert blocks.shape == (1, 9, 28, 28) and blocks.dtype == np.int64 and not blocks.any()
     assert graphs._atom_walks.cache_info().currsize == 1  # K1 only
-    with pytest.raises(OrderCapError, match="^distance matrix order 504 exceeds dense cap 300$"):
-        product_blocks(Kron(Complete(2), Johnson(10, 5)), "adjacency")
 
 
 def test_unshaped_atom_walks_are_contiguous_read_only_matrices():
+    # the all-pairs walks at the rows of the representatives, over the
+    # orbit numbering: J(6,2) is Z_5 with b = 3
     graphs._atom_walks.cache_clear()
     g = build_family(Johnson(6, 2))
     walks = graphs._atom_walks(Johnson(6, 2))
     assert len(walks) == 2
     for array, want in zip(walks, graphs._shortest_walks(g)):
-        assert array.dtype == np.int64 and array.flags.c_contiguous
-        assert not array.flags.writeable
-        assert np.array_equal(array, want)
+        assert array.shape == (5, 3, 3) and array.dtype == np.int64
+        assert array.flags.c_contiguous and not array.flags.writeable
+        assert np.array_equal(array, built_blocks(want, Johnson(6, 2)))
 
 
 def test_every_grid_atom_keeps_two_walk_arrays_whose_walks_of_length_1_are_a():
     # an edge is exactly a walk of length 1, so A is odd == 1: row 0 of a
-    # shaped atom's, the whole matrix of a J(m, r >= 2)
+    # shaped atom's, the representatives' rows of a J(m, r >= 2)
     graphs._atom_walks.cache_clear()
     atoms = dict.fromkeys(atom for spec, _ in default_grid(1200) for atom in graphs._atoms(spec))
     assert len(atoms) == 125
@@ -560,15 +693,13 @@ def test_every_grid_atom_keeps_two_walk_arrays_whose_walks_of_length_1_are_a():
         assert isinstance(walks, tuple) and len(walks) == 2, name
         assert all(array.dtype == np.int64 and not array.flags.writeable
                    for array in walks), name
-        adjacency = build_family(atom).adjacency_matrix()
-        if translation_shape(atom) is not None:
-            adjacency = adjacency[0]
+        adjacency = built_blocks(build_family(atom).adjacency_matrix(), atom)
         assert np.array_equal((walks[1] == 1).astype(np.int64), adjacency), name
 
 
 def test_product_adjacency_blocks_build_no_adjacency_matrix(monkeypatch):
     specs = unshaped_products()[:27] + [Kron(Johnson(6, 2), Johnson(5, 2))]
-    expected = {spec: built_blocks(build_family(spec), spec, "adjacency") for spec in specs}
+    expected = {spec: built_blocks(build_family(spec).adjacency_matrix(), spec) for spec in specs}
 
     def refuse(*args, **kwargs):
         raise AssertionError("an adjacency matrix was built")

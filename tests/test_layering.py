@@ -7,8 +7,11 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
+
 import kronspectra
-from kronspectra.graphs import Hamming, Johnson
+from kronspectra import graphs, polynomials, verify
+from kronspectra.graphs import Complete, Graph, Hamming, Johnson, Kron, translation_shape
 from kronspectra.verify import FamilyOracle, poly_report, verify_family
 
 PACKAGE = Path(kronspectra.__file__).parent
@@ -92,17 +95,58 @@ def test_verify_solves_only_through_the_block_group_solver():
     assert called.count("block_group_matrix_eigenvalues") == 1
 
 
-def test_a_shaped_atom_oracle_keeps_no_graph():
-    # its graph is built and proven in graphs.translation_table, and only an
-    # unshaped family's oracle holds a graph
+def test_a_shaped_atom_oracle_keeps_no_graph(monkeypatch):
+    # its table is built and proven in graphs.translation_table, with no
+    # CSR Graph at all, and the oracle keeps only the proven table
+    def no_graph(self, *args):
+        raise AssertionError("a shaped atom built a graph")
+
+    monkeypatch.setattr(Graph, "__init__", no_graph)
     for spec in (Hamming(3, 3), Johnson(7, 1)):
         oracle = FamilyOracle(spec)
-        assert oracle.shape is not None
+        assert translation_shape(spec) is not None
         for check in (lambda: verify_family(spec, 1e-6, "adjacency", oracle),
                       lambda: verify_family(spec, 1e-6, "distance", oracle),
                       lambda: poly_report(spec, 1e-8, oracle)):
             assert check().match
-        assert "graph" not in vars(oracle), spec
+        assert set(vars(oracle)) == {"spec", "orbits", "_blocks", "_eigenvalues"}, spec
+
+
+def test_no_family_reaches_a_dense_n_by_n_route(monkeypatch):
+    # every grid family, the largest J(m,r>=2) fibre under the cap and two
+    # products with large J(m,r>=2) atoms: no all-sources BFS, dense A,
+    # dense p(A) or eigensolve of an n x n matrix
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+        return refused
+
+    for namespace, name in ((verify, "distance_matrix"), (graphs, "distance_matrix"),
+                            (Graph, "adjacency_matrix"),
+                            (polynomials, "matrix_polynomial_eval")):
+        monkeypatch.setattr(namespace, name, refuse(name))
+    largest, eigvalsh = [0], np.linalg.eigvalsh
+
+    def solve(a):
+        largest[0] = max(largest[0], a.shape[-1])
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+    graphs._atom_walks.cache_clear()
+    cases = verify.default_grid(1200)
+    kinds = ("adjacency-spectrum", "distance-spectrum", "distance-polynomial")
+    cases += [(Johnson(14, 7), kind) for kind in kinds]
+    reports = verify.run_grid(cases)
+    assert [report.error for report in reports] == [None] * len(cases)
+    assert all(report.match for report in reports)
+    # no closed form covers these two; their oracle spectra are all they have
+    for spec in (Kron(Complete(2), Johnson(13, 6)), Kron(Johnson(6, 2), Johnson(10, 5))):
+        oracle = FamilyOracle(spec)
+        for matrix in ("distance", "adjacency"):
+            assert oracle.eigenvalues(matrix).size == graphs.family_order(spec)
+    # the largest block is J(14,7)'s 264 x 264, over Z_13
+    assert largest == [264]
+    graphs._atom_walks.cache_clear()
 
 
 def test_every_public_definition_is_in_its_modules_all():

@@ -572,7 +572,7 @@ def test_group_matrix_route_checks_the_cap_first(monkeypatch):
         oracle.eigenvalues("adjacency")
     with pytest.raises(OrderCapError, match="^distance matrix order 11 exceeds dense cap 10$"):
         oracle.eigenvalues("distance")
-    assert "neighbours" not in vars(oracle)
+    assert "orbits" not in vars(oracle)
 
 
 def test_json_round_trip():

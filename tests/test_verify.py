@@ -27,6 +27,7 @@ from kronspectra.graphs import (
     translation_shape,
 )
 from kronspectra.polynomials import Polynomial
+from test_graphs import built_blocks
 from kronspectra.verify import (
     FamilyOracle,
     oracle_adjacency_spectrum,
@@ -39,16 +40,19 @@ from kronspectra.verify import (
 
 def test_family_oracle_computes_each_part_on_first_use(monkeypatch):
     calls = []
-    bfs = verify.distance_matrix
-    monkeypatch.setattr(verify, "distance_matrix", lambda g: calls.append(g) or bfs(g))
+    bfs = graphs._bitset_distances
+    monkeypatch.setattr(graphs, "_bitset_distances",
+                        lambda slots, sources: calls.append(sources) or bfs(slots, sources))
     spec = Johnson(6, 3)
     oracle = FamilyOracle(spec)
     assert verify_family(spec, 1e-6, "adjacency", oracle).match
-    assert "graph" in vars(oracle) and "distance" not in oracle._blocks
+    assert "orbits" in vars(oracle) and "distance" not in oracle._blocks
     assert not calls
     assert verify_family(spec, 1e-6, "distance", oracle).match
     assert poly_report(spec, 1e-8, oracle).match
-    assert calls == [oracle.graph]
+    # one BFS, from the orbit representatives
+    table, vertices = oracle.orbits
+    assert len(calls) == 1 and np.array_equal(calls[0], vertices[0])
 
 
 def test_family_oracle_keeps_no_failed_result(monkeypatch):
@@ -70,7 +74,7 @@ def test_oracle_of_another_family_is_refused():
         verify_family(Johnson(5, 2), 1e-6, "distance", FamilyOracle(Johnson(6, 3)))
 
 
-def test_grid_family_builds_one_float_adjacency(monkeypatch):
+def test_grid_family_builds_no_dense_adjacency(monkeypatch):
     dtypes = []
     build = Graph.adjacency_matrix
 
@@ -80,13 +84,11 @@ def test_grid_family_builds_one_float_adjacency(monkeypatch):
 
     monkeypatch.setattr(Graph, "adjacency_matrix", counting)
     kinds = ("adjacency-spectrum", "distance-spectrum", "distance-polynomial")
-    # a shaped family reads A off its proven graph and builds no n x n A;
-    # an unshaped one builds the float64 A that its eigensolve and p(A)
-    # read, once
-    for spec, built in ((Hamming(3, 3), []), (Johnson(6, 3), [np.dtype(np.float64)])):
-        dtypes.clear()
+    # every atom reads A off its proven table, at its orbit
+    # representatives' rows, and builds no n x n A
+    for spec in (Hamming(3, 3), Johnson(6, 3)):
         assert all(report.match for report in run_grid([(spec, kind) for kind in kinds]))
-        assert dtypes == built
+    assert dtypes == []
 
 
 @pytest.mark.parametrize("spec", [Hamming(3, 3), Kron(Complete(4), Cycle(5)), Johnson(6, 3)])
@@ -97,9 +99,15 @@ def test_spectrum_and_verify_share_the_oracle_values(spec):
         assert oracle_adjacency_spectrum(spec) == adjacency
 
 
-def test_family_oracle_carries_the_translation_shape():
-    assert FamilyOracle(Kron(Complete(3), Hamming(2, 4))).shape == (3, 4, 4)
-    assert FamilyOracle(Johnson(6, 3)).shape is None
+def test_family_oracle_blocks_carry_the_group_shape():
+    # a shaped family's group is its translation shape, with 1 x 1 blocks;
+    # J(6,3) is Z_5 (a 5-cycle of the points, one fixed) with b = 20 / 5,
+    # and a product's group is its atoms' groups, left first
+    for spec, shape in ((Kron(Complete(3), Hamming(2, 4)), (3, 4, 4, 1, 1)),
+                        (Johnson(6, 3), (5, 4, 4)),
+                        (Kron(Complete(3), Johnson(6, 3)), (3, 5, 4, 4))):
+        for matrix in ("distance", "adjacency"):
+            assert FamilyOracle(spec).blocks(matrix).shape == shape, spec
     with pytest.raises(ValueError, match="unknown matrix kind"):
         FamilyOracle(Johnson(6, 3)).eigenvalues("laplacian")
 
@@ -162,6 +170,8 @@ def test_poly_check_sees_a_wrong_polynomial(monkeypatch):
 
 
 def test_poly_check_evaluates_row_zero_of_a_group_matrix_only(monkeypatch):
+    # the block row 0: row 0 of a shaped family, and the rows of J(6,3)'s
+    # b = 4 orbit representatives
     shapes = []
 
     def spy(evaluate):
@@ -171,11 +181,11 @@ def test_poly_check_evaluates_row_zero_of_a_group_matrix_only(monkeypatch):
             return result
         return wrapper
 
-    for name in ("matrix_polynomial_eval", "polynomial_row"):
+    for name in ("matrix_polynomial_eval", "polynomial_rows"):
         monkeypatch.setattr(polynomials, name, spy(getattr(polynomials, name)))
     for spec in (Hamming(3, 3), Johnson(6, 3)):
         assert poly_report(spec).match
-    assert shapes == [(27,), (20, 20)]
+    assert shapes == [(1, 27), (4, 20)]
 
 
 def test_family_oracle_solves_each_matrix_once(monkeypatch):
@@ -185,8 +195,8 @@ def test_family_oracle_solves_each_matrix_once(monkeypatch):
                         lambda blocks: calls.append(blocks.shape) or solve(blocks))
     for spec, shape in ((Hamming(3, 3), (3, 3, 3, 1, 1)),  # a shaped atom
                         (Kron(Complete(3), Cycle(5)), (3, 5, 1, 1)),  # a shaped product
-                        (Kron(Complete(3), Johnson(5, 2)), (3, 10, 10)),  # an unshaped one
-                        (Johnson(6, 3), (20, 20))):  # J(m,r>=2) alone
+                        (Kron(Complete(3), Johnson(5, 2)), (3, 5, 2, 2)),  # an unshaped one
+                        (Johnson(6, 3), (5, 4, 4))):  # J(m,r>=2) alone
         calls.clear()
         oracle = FamilyOracle(spec)
         for matrix in ("distance", "adjacency"):
@@ -195,8 +205,8 @@ def test_family_oracle_solves_each_matrix_once(monkeypatch):
             assert second is first and not first.flags.writeable
             blocks = oracle.blocks(matrix)
             assert oracle.blocks(matrix) is blocks and not blocks.flags.writeable
-            # integer blocks for every family but J(m,r>=2) alone
-            assert blocks.dtype == (np.float64 if spec == Johnson(6, 3) else np.int64), spec
+            # integer blocks for every family
+            assert blocks.dtype == np.int64, spec
             assert np.array_equal(first, solve(blocks))
         assert calls == [shape, shape], spec
 
@@ -214,7 +224,7 @@ def test_family_oracle_keeps_no_failed_solve(monkeypatch):
         with pytest.raises(NonSymmetricMatrixError):
             oracle.eigenvalues("distance")
     assert calls == [(3, 3, 3)] * 2
-    assert "neighbours" not in vars(oracle)
+    assert "orbits" not in vars(oracle)
 
 
 # Mutations of C7 away from vertex 0: the 2-switch of 1-2 and 3-4 into 1-3
@@ -239,7 +249,7 @@ def test_product_route_refuses_a_mutated_factor(spec, mutation, monkeypatch):
         # the C7 factor's own proof, with its vertices and its shape, raises
         with pytest.raises(NonSymmetricMatrixError, match=message):
             oracle.eigenvalues(matrix)
-        assert "neighbours" not in vars(oracle)
+        assert "orbits" not in vars(oracle)
 
 
 def test_shaped_product_builds_only_its_atoms(monkeypatch):
@@ -267,7 +277,7 @@ def test_shaped_product_builds_only_its_atoms(monkeypatch):
             assert oracle.eigenvalues(matrix).size == graphs.family_order(spec)
         # K3 and C7 come from the memo the second time
         assert orders == atoms, spec
-        assert "graph" not in vars(oracle)
+        assert "orbits" not in vars(oracle)
     orders.clear()
     assert verify_family(Kron(Complete(3), Cycle(7))).match
     assert orders == []  # K3 and C7 from the memo, and no product
@@ -294,7 +304,7 @@ def test_shaped_product_refusals_keep_their_text_and_order(monkeypatch):
         with pytest.raises(OrderCapError, match=f"^{name} order 15 exceeds dense cap 10$"):
             small.eigenvalues(matrix)
     # both refusals come before any factor is built or any table allocated
-    assert calls == [] and "neighbours" not in vars(small)
+    assert calls == [] and "orbits" not in vars(small)
 
 
 def unshaped_products():
@@ -310,10 +320,9 @@ def unshaped_products():
 
 def test_oracle_eigenvalues_are_bit_identical_to_references_off_the_built_graph():
     # every spectrum check of the grid, against numpy run directly on the
-    # built graph's D or A: a shaped family's sorted real DFT of row 0, a
-    # J(m,r>=2) family's dense eigvalsh, and a product with a J(m,r>=2)
-    # atom's batched eigvalsh of the DFT of its built blocks (its K_n
-    # factor is on the left, so the canonical order is group-major)
+    # built graph's D or A: a shaped family's sorted real DFT of row 0, and
+    # a family with a J(m,r>=2) atom's batched eigvalsh of the DFT of its
+    # built matrix reordered by the proven orbit numbering
     checked = 0
     for spec, kind in verify.default_grid(1200):
         if kind == "distance-polynomial":
@@ -323,14 +332,12 @@ def test_oracle_eigenvalues_are_bit_identical_to_references_off_the_built_graph(
         full = distance_matrix(g) if matrix == "distance" else g.adjacency_matrix()
         if shape is not None:
             expected = np.sort(np.fft.fftn(full[0].reshape(shape)).real, axis=None)
-        elif not isinstance(spec, Kron):
-            expected = np.linalg.eigvalsh(full.astype(np.float64))
         else:
-            n = graphs.family_order(spec.left)
-            b = g.vertex_count // n
-            blocks = full.reshape(n, b, n, b)[0].transpose(1, 0, 2)
-            hermitian = np.fft.fftn(blocks, axes=(0,))
-            expected = np.sort(np.linalg.eigvalsh(hermitian), axis=None)
+            blocks = built_blocks(full, spec)
+            hermitian = np.fft.fftn(blocks, axes=tuple(range(blocks.ndim - 2)))
+            b = blocks.shape[-1]
+            assert 1 < b < g.vertex_count, family_to_string(spec)
+            expected = np.sort(np.linalg.eigvalsh(hermitian.reshape(-1, b, b)), axis=None)
         values = FamilyOracle(spec).eigenvalues(matrix)
         assert np.array_equal(values, expected), (family_to_string(spec), matrix)
         checked += 1
@@ -339,28 +346,38 @@ def test_oracle_eigenvalues_are_bit_identical_to_references_off_the_built_graph(
 
 @pytest.mark.parametrize("offset", [1e-12, 1.0])
 def test_an_asymmetric_johnson_distance_matrix_is_refused(offset, monkeypatch):
-    # the dense D of J(m,r>=2) is checked exactly: an entry moved off
-    # symmetry by far less than any tolerance is refused, as a whole unit is
-    bfs = verify.distance_matrix
+    # the blocks of J(m,r>=2)'s D are checked exactly: one entry, D[0, 1],
+    # moved off symmetry by far less than any tolerance is refused, as a
+    # whole unit is
+    bfs = graphs._bitset_distances
 
-    def planted(g):
-        d = bfs(g).astype(np.float64)
-        d[0, 1] += offset
+    def planted(slots, sources):
+        d = bfs(slots, sources).astype(np.float64)
+        d[1, 0] += offset
         return d
 
-    monkeypatch.setattr(verify, "distance_matrix", planted)
-    with pytest.raises(NonSymmetricMatrixError):
+    monkeypatch.setattr(graphs, "_bitset_distances", planted)
+    with pytest.raises(NonSymmetricMatrixError, match="not the transpose"):
         verify_family(Johnson(6, 3))
 
 
 def test_unshaped_product_eigenvalues_match_the_dense_solve(monkeypatch):
     def no_dense(*args):
-        raise AssertionError("an unshaped product reached the dense route")
+        raise AssertionError("a J(m,r>=2) family reached the dense route")
 
-    specs = unshaped_products()
-    built = {spec: build_family(spec) for spec in specs}
+    # the grid's 16 J(m,r>=2) families alone, and the products
+    specs = [*dict.fromkeys(spec for spec, _ in verify.default_grid(1200)
+                            if isinstance(spec, Johnson) and spec.r >= 2),
+             *unshaped_products()]
+    assert len(specs) == 16 + 31
+    dense = {}
+    for spec in specs:
+        g = build_family(spec)
+        for matrix, full in (("distance", distance_matrix(g)), ("adjacency", g.adjacency_matrix())):
+            dense[spec, matrix] = np.linalg.eigvalsh(full.astype(np.float64))
     for namespace, name in ((verify, "build_family"), (verify, "distance_matrix"),
-                            (verify, "symmetric_eigenvalues")):
+                            (graphs, "distance_matrix"), (verify, "symmetric_eigenvalues"),
+                            (Graph, "adjacency_matrix")):
         monkeypatch.setattr(namespace, name, no_dense)
     # only atoms are built: a product's own CSR never is
     build = graphs.build_family
@@ -370,13 +387,9 @@ def test_unshaped_product_eigenvalues_match_the_dense_solve(monkeypatch):
     for spec in specs:
         oracle = FamilyOracle(spec)
         for matrix in ("distance", "adjacency"):
-            g = built[spec]
-            full = distance_matrix(g) if matrix == "distance" else g.adjacency_matrix()
-            dense = np.linalg.eigvalsh(full.astype(np.float64))
-            values = oracle.eigenvalues(matrix)
-            gap = float(np.abs(values - dense).max())
-            assert gap <= 1e-12 * float(np.abs(dense).max()), (family_to_string(spec), matrix)
-        assert "graph" not in vars(oracle)
+            reference = dense[spec, matrix]
+            gap = float(np.abs(oracle.eigenvalues(matrix) - reference).max())
+            assert gap <= 1e-12 * float(np.abs(reference).max()), (family_to_string(spec), matrix)
 
 
 @pytest.mark.parametrize("atom, change", [
@@ -417,7 +430,8 @@ def test_unshaped_product_refusals_keep_their_text_and_order(monkeypatch):
     calls = []
     for namespace, name in ((graphs, "build_family"), (graphs, "kronecker_product"),
                             (graphs, "_atom_walks"), (verify, "build_family"),
-                            (verify, "product_blocks"),
+                            (verify, "product_blocks"), (verify, "orbit_table"),
+                            (verify, "atom_blocks"),
                             (verify, "closed_form_distance_spectrum"),
                             (verify, "closed_form_adjacency_spectrum")):
         monkeypatch.setattr(namespace, name, lambda *args, _name=name: calls.append(_name))
