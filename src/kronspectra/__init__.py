@@ -2,9 +2,9 @@
 
 Construct cycles, complete graphs, Johnson and Hamming graphs and their
 Kronecker products; compute distance spectra both from closed forms and
-from an independent BFS + dense-eigensolver oracle; reconstruct distance
-matrices as polynomials of adjacency matrices; certify distance
-integrality.
+from an independent oracle that solves each family's D and A as block
+group matrices; reconstruct distance matrices as polynomials of adjacency
+matrices; certify distance integrality.
 """
 
 from .circulant import (
@@ -67,7 +67,7 @@ from .graphs import (
     to_edge_list_text,
     walk_gamma,
 )
-from .numeric import oracle_spectrum, symmetric_eigenvalues
+from .numeric import symmetric_eigenvalues
 from .polynomials import (
     Polynomial,
     hamming_distance_polynomial,

@@ -32,6 +32,7 @@ from .graphs import (
     family_to_string,
     to_edge_list_text,
 )
+from .numeric import dense_matrix_cap
 from .polynomials import distance_polynomial
 from .spectrum import Spectrum, spectra_match
 from .verify import (
@@ -226,8 +227,8 @@ def cmd_poly(args: argparse.Namespace) -> int:
     try:
         report = poly_report(spec)
     except OrderCapError as err:
-        # the polynomial is exact without the dense matrices; only the
-        # p(A) = D check needs them
+        # the polynomial is exact without any matrix; the p(A) = D check's
+        # blocks are refused past the dense cap, a policy
         print(f"error: {err}", file=sys.stderr)
         payload.update({"max_entry_gap": None, "pass": False,
                         "error": f"{type(err).__name__}: {err}"})
@@ -261,6 +262,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
+    dense_matrix_cap()  # a malformed cap is one error, not one per case
     cases = default_grid(args.max_order)
     passed = failed = 0
     with _output(args.output) as out:

@@ -2,9 +2,8 @@
 is ``block_group_matrix_eigenvalues``: every family's D and A is a block
 group matrix over a product of cyclic groups, solved by one DFT and a
 batched Hermitian solve of its blocks (one DFT alone for 1 x 1 blocks).
-No family's oracle solves a dense n x n matrix.  The dense
-symmetric/Hermitian solve ``symmetric_eigenvalues``, with its
-tolerance-based symmetry scan, serves callers that hold one dense matrix.
+No family's oracle solves a dense n x n matrix.  ``symmetric_eigenvalues``
+is the one dense symmetric/Hermitian solve, for the library and the tests.
 
 Everything here is deliberately decoupled from the closed-form and circulant
 modules: this is the brute-force side of every dual-route check, so it must
@@ -19,27 +18,23 @@ import os
 import numpy as np
 
 from .errors import NonSymmetricMatrixError, OrderCapError
-from .spectrum import Spectrum, spectrum_from_values
+# not called here; it stays importable from this module, where
+# benchmarks/tracing.py wraps it
+from .spectrum import spectrum_from_values  # noqa: F401
 
 __all__ = [
     "DEFAULT_DENSE_CAP",
     "dense_matrix_cap",
     "refuse_past_dense_cap",
-    "ensure_symmetric",
     "max_asymmetry",
     "symmetric_eigenvalues",
     "block_group_matrix_eigenvalues",
-    "oracle_spectrum",
 ]
 
 DEFAULT_DENSE_CAP = 4000
 SYMMETRY_TOL = 1e-9
 
 _CAP_ENV = "KRON_SPECTRA_MAX_ORDER"
-
-# entries per row tile of max_asymmetry: a tile and its transposed partner
-# stay in cache
-_ASYMMETRY_TILE = 1 << 16
 
 
 def dense_matrix_cap() -> int:
@@ -65,58 +60,37 @@ def refuse_past_dense_cap(order: int, name: str = "matrix") -> None:
         raise OrderCapError(f"{name} order {order} exceeds dense cap {cap}")
 
 
-def ensure_symmetric(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
-    """Validate a square symmetric (real) or Hermitian (complex) matrix."""
+def max_asymmetry(a: np.ndarray) -> float:
+    """``max |a - a^H|`` of a square matrix (0.0 when empty), NaN when a
+    difference is NaN."""
+    with np.errstate(invalid="ignore"):  # inf - inf: the NaN is the answer
+        return float(np.abs(a - a.conj().T).max(initial=0.0))
+
+
+def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a symmetric (real) or Hermitian (complex) matrix,
+    ascending.
+
+    A non-square matrix raises NonSymmetricMatrixError and one past the
+    dense cap OrderCapError, both before any scan; a non-finite entry or
+    a deviation from symmetry past ``SYMMETRY_TOL`` then raises
+    NonSymmetricMatrixError.  The backward-stable dense solve delivers a
+    few ulps times the spectral radius.  Deterministic for identical
+    input: no randomized or timing-dependent steps.
+    """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSymmetricMatrixError(f"expected a square matrix, got shape {a.shape}")
+    refuse_past_dense_cap(a.shape[0])
     deviation = max_asymmetry(a)
     # a non-finite entry makes its own deviation non-finite, so only then
     # can one exist
     if not math.isfinite(deviation) and not np.isfinite(a).all():
         raise NonSymmetricMatrixError("matrix has non-finite entries")
-    if deviation > tol:
+    if deviation > SYMMETRY_TOL:
         raise NonSymmetricMatrixError(
-            f"symmetry deviation {deviation:.3e} exceeds tolerance {tol:.1e}"
+            f"symmetry deviation {deviation:.3e} exceeds tolerance {SYMMETRY_TOL:.1e}"
         )
-    return a
-
-
-def max_asymmetry(a: np.ndarray) -> float:
-    """``max |a - a^H|`` of a square matrix (0.0 when empty), NaN when a
-    difference is NaN.
-
-    Scans row tiles of the upper triangle against the matching columns, so
-    no n x n temporary is built; the result is the same float as the
-    full-matrix expression.
-    """
-    n = a.shape[0]
-    rows = max(1, _ASYMMETRY_TILE // max(n, 1))
-    tile_max = []
-    with np.errstate(invalid="ignore"):  # inf - inf: the NaN is the answer
-        for r0 in range(0, n, rows):
-            r1 = min(r0 + rows, n)
-            lower = a[r0:, r0:r1].T
-            if np.iscomplexobj(a):
-                lower = lower.conj()
-            tile_max.append(np.abs(a[r0:r1, r0:] - lower).max())
-    return float(np.max(tile_max)) if tile_max else 0.0
-
-
-def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric/Hermitian matrix, ascending.
-
-    The backward-stable dense solve delivers a few ulps times the spectral
-    radius.  Deterministic for identical input: no randomized or
-    timing-dependent steps.  A square matrix past the dense cap is refused
-    before any scan.
-    """
-    a = np.asarray(matrix)
-    if a.ndim == 2 and a.shape[0] == a.shape[1]:
-        refuse_past_dense_cap(a.shape[0])
-    ensure_symmetric(a, SYMMETRY_TOL)
-    if a.shape[0] == 0:
-        return np.zeros(0)
     return np.linalg.eigvalsh(a)
 
 
@@ -158,9 +132,3 @@ def block_group_matrix_eigenvalues(blocks: np.ndarray) -> np.ndarray:
     hermitian = np.fft.fftn(blocks, axes=axes)
     return np.sort(np.linalg.eigvalsh(hermitian.reshape(-1, b, b)), axis=None)
 
-
-def oracle_spectrum(matrix: np.ndarray, group_tol: float = 1e-6) -> Spectrum:
-    """Eigensolve one dense symmetric matrix (``symmetric_eigenvalues``)
-    and group its values; a family's oracle spectra go through
-    ``block_group_matrix_eigenvalues`` instead."""
-    return spectrum_from_values(symmetric_eigenvalues(matrix), group_tol)

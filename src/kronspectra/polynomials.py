@@ -42,7 +42,7 @@ from .graphs import FamilySpec, Hamming, Johnson
 # not called here (the FamilyOracle builds A and D); they stay importable
 # from this module, where benchmarks/tracing.py wraps them
 from .graphs import build_family, distance_matrix  # noqa: F401
-from .numeric import max_asymmetry
+from .numeric import SYMMETRY_TOL, max_asymmetry
 
 __all__ = [
     "Polynomial",
@@ -194,7 +194,7 @@ def matrix_polynomial_eval(p: Polynomial, a: np.ndarray) -> np.ndarray:
     mat = np.asarray(a, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if max_asymmetry(mat) > 1e-9:
+    if max_asymmetry(mat) > SYMMETRY_TOL:
         raise NonSymmetricMatrixError("matrix must be symmetric")
     diagonal = np.diag_indices(mat.shape[0])
     coeffs = p.as_floats()
@@ -209,7 +209,7 @@ def matrix_polynomial_eval(p: Polynomial, a: np.ndarray) -> np.ndarray:
         for c in coeffs[-3::-1]:
             result = result @ mat
             result[diagonal] += c
-    if max_asymmetry(result) > 1e-9:
+    if max_asymmetry(result) > SYMMETRY_TOL:
         raise NonSymmetricMatrixError("evaluation lost symmetry beyond tolerance")
     return result
 

@@ -246,9 +246,9 @@ class FamilyOracle:
         return orbit_table(self.spec)
 
     def refuse(self, matrix: str) -> int:
-        """The family's order; raises OrderCapError past the product cap
-        and then past the dense cap, as the graph and the n x n D
-        (``"distance"``) or A would be, before anything is built."""
+        """The family's order; raises OrderCapError, before anything is
+        built, past the product cap and then past the dense cap: a policy on
+        the order of D (``"distance"``) or A, of which only blocks are built."""
         n = refuse_past_product_cap(self.spec)
         refuse_past_dense_cap(n, "distance matrix" if matrix == "distance" else "matrix")
         return n

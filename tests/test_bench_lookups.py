@@ -6,6 +6,7 @@ forms to plant failures.  A refactor that drops one of those names, or
 routes around it, would only break the benchmark; these tests catch it here.
 """
 
+import ast
 import importlib.util
 from collections import Counter
 from pathlib import Path
@@ -18,7 +19,9 @@ from kronspectra import closedform, verify
 from kronspectra.graphs import Complete, Cycle, Graph, Hamming, Johnson, Kron
 from kronspectra.spectrum import Spectrum
 
-TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "benchmarks" / "tracing.py"
+PACKAGE = ROOT / "src" / "kronspectra"
 
 
 def load_tracing():
@@ -38,6 +41,33 @@ def test_tracer_finds_and_restores_every_wrapped_name():
                    for (_, namespace, attr), original in zip(targets, before))
     assert [getattr(namespace, attr) for _, namespace, attr in targets] == before
     assert Spectrum.__dict__["from_pairs"] is from_pairs
+
+
+def unused_imports():
+    """(module, name) for every name that an import marked ``# noqa: F401``
+    binds in a ``src/kronspectra`` module."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if not any("# noqa: F401" in line
+                       for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            found += [(path.stem, (alias.asname or alias.name).split(".")[0])
+                      for alias in node.names]
+    return found
+
+
+def test_every_unused_import_is_a_name_the_tracer_looks_up():
+    """An import kept only for ``benchmarks/tracing.py`` goes when the
+    tracer stops looking the name up in that module."""
+    looked_up = {(namespace.__name__.rpartition(".")[2], attr)
+                 for _, namespace, attr in load_tracing()._targets(kronspectra)}
+    found = unused_imports()
+    assert ("numeric", "spectrum_from_values") in found
+    assert [entry for entry in found if entry not in looked_up] == []
 
 
 def test_cycles_route_through_cycle_distance_spectrum(monkeypatch):

@@ -420,6 +420,23 @@ def test_a_closed_form_too_large_to_allocate_is_an_error(capsys, monkeypatch):
     assert captured.err == "error: C999999999999 has 999999999999 vertices, cap is 20000\n"
 
 
+@pytest.mark.parametrize("raw, message", [
+    ("abc", "must be an integer, got 'abc'"),
+    ("0", "must be positive, got 0"),
+])
+def test_grid_rejects_a_malformed_cap_before_any_case(raw, message, tmp_path,
+                                                      capsys, monkeypatch):
+    # one error line and no output, not a failed report for every case
+    monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", raw)
+    assert main(["grid", "--max-order", "30"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: KRON_SPECTRA_MAX_ORDER {message}\n"
+    out_path = tmp_path / "grid.jsonl"
+    assert main(["grid", "--max-order", "30", "--output", str(out_path)]) == 1
+    assert not out_path.exists()
+
+
 def test_grid_over_cap_cases_are_reported_not_fatal(tmp_path, monkeypatch):
     # every default case with more than 300 vertices must become a failed
     # line carrying its error while the run goes on

@@ -23,14 +23,14 @@ from kronspectra.graphs import (
     from_edge_list_text,
     translation_shape,
 )
-from kronspectra.numeric import (
-    ensure_symmetric,
-    max_asymmetry,
-    oracle_spectrum,
-    symmetric_eigenvalues,
-)
+from kronspectra.numeric import max_asymmetry, symmetric_eigenvalues
 from kronspectra.spectrum import Spectrum, spectra_match, spectrum_from_values
-from kronspectra.verify import FamilyOracle, closed_form_distance_spectrum, default_grid
+from kronspectra.verify import (
+    FamilyOracle,
+    closed_form_distance_spectrum,
+    default_grid,
+    oracle_distance_spectrum,
+)
 
 
 def test_grouping_merges_close_values():
@@ -318,14 +318,13 @@ def test_triangle_adjacency_eigenvalues():
 
 
 def test_k3_by_k3_distance_eigenvalues():
-    g = build_family(Kron(Complete(3), Complete(3)))
-    sp = oracle_spectrum(distance_matrix(g).astype(float))
+    sp = oracle_distance_spectrum(Kron(Complete(3), Complete(3)))
     assert sp.values() == pytest.approx([12, 0, -3], abs=1e-9)
     assert sp.multiplicities() == [1, 4, 4]
 
 
 def test_c5_distance_spectrum():
-    sp = oracle_spectrum(distance_matrix(build_family(Cycle(5))).astype(float))
+    sp = oracle_distance_spectrum(Cycle(5))
     assert sp.multiplicities() == [1, 2, 2]
     assert sp.values() == pytest.approx([6.0, -0.381966, -2.618034], abs=1e-6)
 
@@ -716,7 +715,7 @@ def test_trace_and_expanded_match_pairwise_loops():
 
 
 def _full_asymmetry(a):
-    """The whole-matrix expression max_asymmetry replaced."""
+    """The whole-matrix reference for max_asymmetry."""
     return float(np.max(np.abs(a - a.conj().T)))
 
 
@@ -728,7 +727,7 @@ def test_symmetry_scan_finds_nonfinite_lower_triangle_entries(n):
         with warnings.catch_warnings(), \
                 pytest.raises(NonSymmetricMatrixError, match="non-finite entries"):
             warnings.simplefilter("error")
-            ensure_symmetric(m)
+            symmetric_eigenvalues(m)
 
 
 def test_symmetry_scan_reports_the_full_matrix_deviation():
@@ -741,7 +740,7 @@ def test_symmetry_scan_reports_the_full_matrix_deviation():
         assert max_asymmetry(m) == _full_asymmetry(m) > 0.0
         with pytest.raises(NonSymmetricMatrixError,
                            match=r"symmetry deviation 1\.000e-08 exceeds tolerance 1\.0e-09"):
-            ensure_symmetric(m)
+            symmetric_eigenvalues(m)
     assert max_asymmetry(np.zeros((0, 0))) == 0.0
 
 
@@ -751,7 +750,7 @@ def test_symmetry_scan_conjugates_complex_input():
     h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     h = h + h.conj().T
     assert max_asymmetry(h) == 0.0
-    assert ensure_symmetric(h) is h
+    assert (symmetric_eigenvalues(h) == np.linalg.eigvalsh(h)).all()
     s = h + 1j * h.real  # complex symmetric, not Hermitian
     assert max_asymmetry(s) == _full_asymmetry(s) > 1.0
     off = h.copy()
