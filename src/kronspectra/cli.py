@@ -151,14 +151,17 @@ def _output(path: str | None) -> Iterator[IO[str]]:
 
 
 def _emit_spectrum(sp: Spectrum, fmt: str, out: IO[str], label: dict) -> None:
+    """Write one spectrum a chunk of pairs at a time: CSV rows, or the JSON
+    line ``json.dumps({**label, "spectrum": sp.to_dict()})``."""
     if fmt == "csv":
         out.write("value,multiplicity\n")
-        for value, mult in zip(sp.values(), sp.multiplicities()):
-            out.write(f"{value:.12g},{mult}\n")
+        for values, mults in sp.pairs.chunks():
+            out.write("".join([f"{v:.12g},{m}\n" for v, m in zip(values, mults)]))
     else:
-        payload = dict(label)
-        payload["spectrum"] = sp.to_dict()
-        out.write(json.dumps(payload) + "\n")
+        # the label's JSON with a null spectrum, cut before the null
+        out.write(json.dumps({**label, "spectrum": None})[:-len("null}")])
+        out.writelines(sp.json_chunks())
+        out.write("}\n")
 
 
 # ---------------------------------------------------------------------------

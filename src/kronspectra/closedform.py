@@ -48,7 +48,7 @@ import numpy as np
 from .circulant import cycle_half_adjacency, cycle_half_distance, cycle_half_table
 from .errors import FamilyDomainError, NoClosedFormError
 from .graphs import Complete, Cycle, FamilySpec, Hamming, Johnson, family_to_string
-from .spectrum import Spectrum, spectrum_from_values
+from .spectrum import Spectrum, group_sorted, sort_rows, spectrum_from_values
 
 __all__ = [
     "IntersectionArray",
@@ -279,9 +279,17 @@ def kron_complete_law(n: int, table: EigenTable, group_tol: float = 1e-6) -> Spe
     mults = np.empty(2 * rows, dtype=table.mult.dtype)
     mults[:rows] = table.mult
     np.multiply(table.mult, n - 1, out=mults[rows:])
-    # a cycle's table is this call's own; the grouping reads only the buffers
-    del table
-    return _grouped(values, mults, group_tol)
+    # The two views would keep the unsorted values alive.  Dropping the
+    # table's name frees it only where no caller holds it: the cycle
+    # products pass theirs straight from eigen_table, and CPython 3.11 and
+    # later hand a call's argument values over to the callee.
+    del table, block, repeated
+    if values.dtype == object:
+        return _grouped(values, mults, group_tol)
+    # the unsorted rows go once their sorted copies exist
+    ordered, weights = sort_rows(values, mults)
+    del values, mults
+    return group_sorted(ordered, weights, group_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +363,15 @@ def complete_distance_spectrum(n: int) -> Spectrum:
     return complete_adjacency_spectrum(n)
 
 
+# A cycle's half columns live only until sort_rows returns: the grouping
+# holds their sorted copies alone.
+
 def cycle_adjacency_spectrum(n: int, group_tol: float = 1e-6) -> Spectrum:
-    return _grouped(*cycle_half_adjacency(n), group_tol)
+    return group_sorted(*sort_rows(*cycle_half_adjacency(n)), group_tol)
 
 
 def cycle_distance_spectrum(n: int, group_tol: float = 1e-6) -> Spectrum:
-    return _grouped(*cycle_half_distance(n), group_tol)
+    return group_sorted(*sort_rows(*cycle_half_distance(n)), group_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@ constructor and every numeric eigensolve is reduced to one before being
 compared.  It holds a float64 array of values in descending order and an
 array of multiplicities that sum to the order of the underlying matrix;
 ``pairs`` is a read-only view of the two as (value, multiplicity) tuples.
+Pairs, and a spectrum's JSON text, are made ``PAIR_CHUNK`` pairs at a time,
+so walking or writing a large spectrum holds no list as long as it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -18,11 +21,15 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 __all__ = ["Spectrum", "SpectrumPairs", "MatchReport", "spectrum_from_values",
-           "spectra_match"]
+           "sort_rows", "group_sorted", "spectra_match", "PAIR_CHUNK"]
 
-# Once no more than this many groups are still open, spectrum_from_values
-# sums each of them (long runs of close eigenvalues) in one call rather than
-# one array step per member.
+# Pairs are read off the arrays, rendered as JSON and gathered into sorted
+# order this many at a time.
+PAIR_CHUNK = 4096
+
+# Once no more than this many groups are still open, group_sorted sums
+# each of them (long runs of close eigenvalues) in one call rather than one
+# array step per member.
 _FEW_GROUPS = 64
 
 
@@ -70,14 +77,21 @@ class SpectrumPairs:
         return self._values[index].item(), int(self._mults[index])
 
     def __iter__(self) -> Iterator[tuple[float, int]]:
-        return zip(self._values.tolist(), self._mults.tolist())
+        return itertools.chain.from_iterable(itertools.starmap(zip, self.chunks()))
+
+    def chunks(self) -> Iterator[tuple[list[float], list[int]]]:
+        """(values, multiplicities) as lists of floats and ints, at most
+        PAIR_CHUNK pairs each, in order."""
+        for start in range(0, self._values.size, PAIR_CHUNK):
+            stop = start + PAIR_CHUNK
+            yield self._values[start:stop].tolist(), self._mults[start:stop].tolist()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SpectrumPairs):
             return (np.array_equal(self._values, other._values)
                     and np.array_equal(self._mults, other._mults))
         if isinstance(other, tuple):
-            return len(other) == len(self) and tuple(self) == other
+            return len(other) == len(self) and all(map(operator.eq, self, other))
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -169,7 +183,20 @@ class Spectrum:
         return Spectrum(ordered, grouping_tol)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return "".join(self.json_chunks())
+
+    def json_chunks(self) -> Iterator[str]:
+        """The text of ``json.dumps(self.to_dict())`` in pieces, one per
+        PAIR_CHUNK pairs: each number as json writes it, ``repr`` of the
+        rendered value or of the int, with its default separators."""
+        yield f'{{"order": {self.order!r}, "pairs": ['
+        separator = ""
+        for values, mults in self.pairs.chunks():
+            yield separator + ", ".join([
+                f'{{"value": {_render(v)!r}, "multiplicity": {m!r}}}'
+                for v, m in zip(values, mults)])
+            separator = ", "
+        yield f'], "tol": {_render(self.grouping_tol)!r}}}'
 
     def to_dict(self) -> dict:
         return {
@@ -200,22 +227,51 @@ def spectrum_from_values(values: Sequence[float], group_tol: float,
     With them, value i stands for ``multiplicities[i]`` equal eigenvalues:
     a group's multiplicity is the sum of its rows' and its value the
     weighted mean sum(m * v) / sum(m), summed the same way, so all-ones
-    weights give the unweighted result.
+    weights give the unweighted result.  The inputs are only read: the
+    grouping works on sorted copies.
+    """
+    if multiplicities is None:
+        return group_sorted(np.sort(np.asarray(values, dtype=float)), None, group_tol)
+    return group_sorted(*sort_rows(values, multiplicities), group_tol)
+
+
+def sort_rows(values: Sequence[float],
+              multiplicities: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(value, multiplicity) rows in ascending stable order of value, as a
+    new float64 array and a new int64 array; the inputs are only read.
+
+    The sorted multiplicities are gathered into the argsort's index buffer
+    PAIR_CHUNK at a time (each chunk's indices are read before its slots
+    are written), so sorting holds one index array and the sorted values
+    besides the inputs.  A caller that owns its rows can drop them once
+    this returns and hand the copies to ``group_sorted``.
+    """
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(multiplicities, dtype=np.int64)
+    if weights.shape != values.shape:
+        raise ValueError(f"{weights.size} multiplicities for {values.size} values")
+    if weights.min(initial=1) <= 0:
+        raise ValueError("multiplicities must be positive")
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    for start in range(0, order.size, PAIR_CHUNK):
+        chunk = order[start:start + PAIR_CHUNK]
+        chunk[...] = weights[chunk]
+    return ordered, order
+
+
+def group_sorted(ordered: np.ndarray, weights: np.ndarray | None,
+                 group_tol: float) -> Spectrum:
+    """The grouping of ``spectrum_from_values`` on rows already sorted
+    ascending: float64 ``ordered`` and int64 ``weights``, or None to count
+    every value once.
+
+    The rows are taken over: the weighted terms are computed into
+    ``ordered``'s buffer, so pass arrays no one else reads, such as the
+    copies ``sort_rows`` or ``np.sort`` return.
     """
     if not 0 <= group_tol < math.inf:
         raise ValueError(f"group_tol must be finite and nonnegative, got {group_tol}")
-    values = np.asarray(values, dtype=float)
-    if multiplicities is None:
-        ordered = np.sort(values)
-    else:
-        weights = np.asarray(multiplicities, dtype=np.int64)
-        if weights.shape != values.shape:
-            raise ValueError(f"{weights.size} multiplicities for {values.size} values")
-        if weights.min(initial=1) <= 0:
-            raise ValueError("multiplicities must be positive")
-        order = np.argsort(values, kind="stable")
-        ordered, weights = values[order], weights[order]
-        del order
     if ordered.size == 0:
         return Spectrum((), group_tol)
     # a sort puts -inf first and inf and NaN last
@@ -226,33 +282,41 @@ def spectrum_from_values(values: Sequence[float], group_tol: float,
     np.greater(np.diff(ordered), group_tol, out=new_group[1:])
     starts = np.flatnonzero(new_group)
     del new_group
-    sizes = np.diff(starts, append=ordered.size)
-    if multiplicities is None:
+    sizes = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
+    sizes[-1] = ordered.size - starts[-1]
+    # the groups of more than one member, by index, first member and size
+    open_groups = np.flatnonzero(sizes > 1)
+    open_starts, open_sizes = starts[open_groups], sizes[open_groups]
+    if weights is None:
         terms, counts = ordered, sizes
     else:
         terms = np.multiply(ordered, weights, out=ordered)
         counts = np.add.reduceat(weights, starts)
-        del weights
+    del ordered, weights, sizes
     # Every group's first member, added to 0.0 as a sum from 0.0 adds it
     # (so -0.0 becomes 0.0); then the k-th member of every group still
     # open, one array step per position; np.add.reduceat would sum pairwise
     # and move the last bits.
     sums = terms[starts]
+    del starts
     sums += 0.0
-    open_groups = np.flatnonzero(sizes > 1)
     k = 1
     while open_groups.size > _FEW_GROUPS:
-        sums[open_groups] += terms[starts[open_groups] + k]
+        sums[open_groups] += terms[open_starts + k]
         k += 1
-        open_groups = open_groups[sizes[open_groups] > k]
-    for g in open_groups.tolist():
+        keep = open_sizes > k
+        open_groups, open_starts, open_sizes = (
+            open_groups[keep], open_starts[keep], open_sizes[keep])
+    for g, start, size in zip(open_groups.tolist(), open_starts.tolist(),
+                              open_sizes.tolist()):
         # accumulate adds strictly left to right
         sums[g] = np.add.accumulate(
-            np.concatenate((sums[g:g + 1], terms[starts[g] + k:starts[g] + sizes[g]])))[-1]
+            np.concatenate((sums[g:g + 1], terms[start + k:start + size])))[-1]
     sums /= counts
     # the Spectrum reads only sums and counts, this call's own float64 and
     # int64 arrays, and keeps them as they are, read-only, without a copy
-    del values, ordered, terms, starts, sizes, open_groups
+    del terms, open_groups, open_starts, open_sizes
     sp = Spectrum.__new__(Spectrum)
     sp._fill(sums[::-1], counts[::-1], group_tol)
     return sp

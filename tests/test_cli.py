@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -136,6 +137,51 @@ def test_spectrum_deterministic_output(capsys):
     first = capsys.readouterr().out
     main(["spectrum", "--family", "kron(K4,C6)", "--method", "both"])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("family, method", [
+    ("C5", "closed"), ("C20001", "closed"), ("kron(K3,C9001)", "closed"),
+    ("kron(K5,H(3,4))", "closed"), ("J(10,5)", "closed"), ("kron(K4,C9)", "oracle")])
+def test_spectrum_files_are_the_payload_and_the_per_line_csv(family, method, tmp_path):
+    # the spectrum is written from its arrays a chunk at a time; the text is
+    # json.dumps of the payload, and the CSV the loop of one line per pair
+    spec = parse_family(family)
+    if method == "closed":
+        sp, notes = verify.closed_form_distance_spectrum(spec, 1e-6)
+        label = {"family": family, "method": "closed", "matrix": "distance", "notes": notes}
+    else:
+        sp = verify.oracle_distance_spectrum(spec, 1e-6)
+        label = {"family": family, "method": "oracle", "matrix": "distance"}
+    payload = dict(label)
+    payload["spectrum"] = sp.to_dict()
+    lines = ["value,multiplicity\n"]
+    for value, mult in zip(sp.values(), sp.multiplicities()):
+        lines.append(f"{value:.12g},{mult}\n")
+    for fmt, expected in (("json", json.dumps(payload) + "\n"), ("csv", "".join(lines))):
+        out = tmp_path / f"spectrum.{fmt}"
+        assert main(["spectrum", "--family", family, "--method", method,
+                     "--format", fmt, "--output", str(out)]) == 0
+        assert out.read_text() == expected
+
+
+def test_spectrum_output_costs_about_what_the_spectrum_does(tmp_path):
+    # kron(K3,C33333): the closed form peaks near 1.4 MiB traced and writing
+    # it a chunk at a time near 1.6 MiB; a dict per pair and the whole JSON
+    # text made for one json.dumps peaked at 11.8 MiB, six times the
+    # closed form's 1.8 MiB then
+    spec = Kron(Complete(3), Cycle(33333))
+    tracemalloc.start()
+    try:
+        verify.closed_form_distance_spectrum(spec, 1e-6)
+        compute = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        code = main(["spectrum", "--family", "kron(K3,C33333)", "--method", "closed",
+                     "--output", str(tmp_path / "out.json")])
+        emit = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert emit <= 2 * compute, (emit, compute)
 
 
 def test_verify_hamming_q2_reroute_notes(capsys):

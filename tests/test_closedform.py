@@ -38,7 +38,7 @@ from kronspectra.graphs import (
     family_to_string,
 )
 from kronspectra.numeric import symmetric_eigenvalues
-from kronspectra.spectrum import Spectrum, spectrum_from_values
+from kronspectra.spectrum import Spectrum, sort_rows, spectrum_from_values
 from kronspectra.verify import closed_form_distance_spectrum
 
 
@@ -164,7 +164,12 @@ def test_closed_forms_group_table_rows_not_repeated_values(monkeypatch):
         rows.append(len(values))
         return spectrum_from_values(values, group_tol, multiplicities)
 
-    monkeypatch.setattr(closedform, "spectrum_from_values", spy)
+    def sort_spy(values, multiplicities):
+        rows.append(len(values))
+        return sort_rows(values, multiplicities)
+
+    # closedform sorts the rows it owns before grouping them
+    monkeypatch.setattr(closedform, "sort_rows", sort_spy)
     monkeypatch.setattr(circulant, "spectrum_from_values", spy)
     for n in (5, 6, 4001, 100000):
         assert cycle_distance_spectrum(n).order == n
@@ -179,21 +184,28 @@ def test_closed_forms_group_table_rows_not_repeated_values(monkeypatch):
 def test_the_largest_closed_scale_case_keeps_few_full_length_arrays():
     # kron(K3,C490093) peaked at 62.9 MB when every step of the cycle
     # columns, the law and the grouping allocated a fresh full-length
-    # array, and at 37.9 MB filled in place while the law kept the cycle
-    # table (5.9 MB) and the grouping its sorted terms, starts and sizes
-    # through the Spectrum's checks.  Once each drops what it no longer
-    # reads it peaks near 27.4 MB.  The bound, 0.8 of the 37.9 MB peak
-    # (30.3 MB), leaves room for a scratch buffer or two that a numpy
-    # release may trace, but not for the table kept alive again.
-    length = 490093
-    tracemalloc.start()
-    try:
-        sp, _ = closed_form_distance_spectrum(Kron(Complete(3), Cycle(length)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sp.order == 3 * length
-    assert peak <= 0.8 * 37.9e6, peak
+    # array, at 37.9 MB filled in place, and at 27.4 MB once the law's
+    # `del table` freed the cycle table (5.9 MB) that kron_cycle_odd_spectrum
+    # hands over without keeping it (a table a caller keeps stays alive).
+    # The grouping's caller still held the law's unsorted rows (7.8 MB)
+    # through the grouping, and np.diff(..., append=) made one more group-
+    # length temporary (3.8 MB).  Now the law drops its rows once their
+    # sorted copies exist, and the peak, 20.6 MB, is the Spectrum's checks
+    # with the sorted copies still held.  C921722 peaked at 21.8 MB and now
+    # peaks at the sort, 14.8 MB: its half columns, the argsort index and
+    # the sorted values, four 3.7 MB arrays.  Each bound leaves about 2 MB
+    # for a scratch buffer that a numpy release may trace, but not the
+    # table, the unsorted rows or another group-length array kept alive.
+    for spec, order, bound in ((Kron(Complete(3), Cycle(490093)), 3 * 490093, 23.0e6),
+                               (Cycle(921722), 921722, 16.5e6)):
+        tracemalloc.start()
+        try:
+            sp, _ = closed_form_distance_spectrum(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sp.order == order
+        assert peak <= bound, (spec, peak)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import functools
 import gc
 import itertools
+import json
 import math
 import operator
 import warnings
@@ -24,7 +25,7 @@ from kronspectra.graphs import (
     translation_shape,
 )
 from kronspectra.numeric import max_asymmetry, symmetric_eigenvalues
-from kronspectra.spectrum import Spectrum, spectra_match, spectrum_from_values
+from kronspectra.spectrum import PAIR_CHUNK, Spectrum, spectra_match, spectrum_from_values
 from kronspectra.verify import (
     FamilyOracle,
     closed_form_distance_spectrum,
@@ -635,6 +636,72 @@ def test_pairs_view_reads_like_a_tuple_of_pairs():
     assert sp.value_array.dtype == np.float64 and sp.multiplicity_array.dtype == np.int64
 
 
+CHUNK_SIZES = [0, 1, PAIR_CHUNK - 1, PAIR_CHUNK, PAIR_CHUNK + 1, 3 * PAIR_CHUNK + 5]
+
+
+def _spectrum_of_size(size, huge=False):
+    """A spectrum of ``size`` pairs, int64 multiplicities or, with
+    ``huge``, dtype object ones (one of them 2**70)."""
+    values = np.arange(size, 0, -1) * 0.75 - size // 3
+    mults = [k % 7 + 1 for k in range(size)]
+    if huge and size:
+        mults[size // 2] = 2**70
+    return Spectrum(zip(values.tolist(), mults), 0.5)
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+@pytest.mark.parametrize("huge", [False, True])
+def test_pairs_walk_the_arrays_by_chunks(size, huge):
+    sp = _spectrum_of_size(size, huge)
+    assert sp.multiplicity_array.dtype == (object if huge and size else np.int64)
+    expected = tuple(zip(sp.value_array.tolist(), sp.multiplicity_array.tolist()))
+    walked = tuple(sp.pairs)
+    assert walked == expected and len(walked) == size
+    assert all(type(v) is float and type(m) is int for v, m in walked)
+    assert sp.pairs == expected and not sp.pairs != expected
+    if size:
+        assert sp.pairs != expected[:-1]
+        assert sp.pairs != expected[:-1] + ((expected[-1][0], expected[-1][1] + 1),)
+    assert repr(sp.pairs) == repr(expected)
+    chunks = list(sp.pairs.chunks())
+    assert [len(v) for v, _ in chunks] == [len(m) for _, m in chunks]
+    assert all(0 < len(v) <= PAIR_CHUNK for v, _ in chunks)
+    assert len(chunks) == -(-size // PAIR_CHUNK)
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+@pytest.mark.parametrize("huge", [False, True])
+def test_json_writer_is_json_dumps_of_to_dict(size, huge):
+    sp = _spectrum_of_size(size, huge)
+    text = sp.to_json()
+    assert text == json.dumps(sp.to_dict())
+    assert "".join(sp.json_chunks()) == text
+    # the values are quarters, exact in 12 digits, so the text reads back
+    assert Spectrum.from_json(text) == sp
+
+
+def test_json_writer_renders_every_float_format():
+    # integral floats, signed zero, .12g rounding to an exponent (from
+    # 1e12), repr's own exponent (from 1e16) and small values, in a
+    # spectrum of more than one chunk
+    formats = [3e300, 1.5e16, 1e16, 123456789012345.67, 2.5e12, 1e12,
+               999999999999.5, 2.0, 1.0 / 3.0, 1e-5, 1.234e-7, -0.0,
+               -1e-5, -2.0, -1e12, -7.77e15, -1e17]
+    rng = np.random.default_rng(11)
+    filler = np.sort(rng.uniform(-1e13, 1e13, PAIR_CHUNK))
+    values = np.unique(np.concatenate([formats, filler]))[::-1]
+    mults = rng.integers(1, 10**6, values.size)
+    for tol in (0.0, 1.25e-8):
+        sp = Spectrum(zip(values.tolist(), mults.tolist()), tol)
+        assert sp.to_json() == json.dumps(sp.to_dict())
+    one = Spectrum(((2.0, 3), (-0.0, 1), (-1e16, 2)), 0.25)
+    assert one.to_json() == ('{"order": 6, "pairs": [{"value": 2.0, "multiplicity": 3},'
+                             ' {"value": 0.0, "multiplicity": 1},'
+                             ' {"value": -1e+16, "multiplicity": 2}], "tol": 0.25}')
+    back = Spectrum.from_json(one.to_json())
+    assert back == one and back.pairs[1] == (0.0, 1)
+
+
 def test_spectrum_is_immutable_and_compares_by_value():
     sp = Spectrum(((3.0, 2), (1.0, 5)), 0.5)
     with pytest.raises(AttributeError):
@@ -714,9 +781,21 @@ def test_trace_and_expanded_match_pairwise_loops():
     assert Spectrum(()).trace() == 0 and Spectrum(()).expanded() == []
 
 
-def _full_asymmetry(a):
-    """The whole-matrix reference for max_asymmetry."""
-    return float(np.max(np.abs(a - a.conj().T)))
+def _pairwise_asymmetry(a):
+    """max |a[i, j] - conj(a[j, i])| by a loop over index pairs in Python
+    numbers: NaN once any difference is NaN, 0.0 for an empty matrix."""
+    worst = 0.0
+    for i in range(a.shape[0]):
+        for j in range(a.shape[0]):
+            gap = abs(a[i, j].item() - a[j, i].item().conjugate())
+            if math.isnan(gap):
+                return math.nan
+            worst = max(worst, gap)
+    return worst
+
+
+def _same_float(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
 
 
 @pytest.mark.parametrize("n", [1, 7, 300, 1000])
@@ -724,6 +803,8 @@ def test_symmetry_scan_finds_nonfinite_lower_triangle_entries(n):
     for bad in (np.nan, np.inf, -np.inf):
         m = np.ones((n, n))
         m[n - 1, n // 3] = bad  # lower triangle (the diagonal when n == 1)
+        if n <= 7:
+            assert _same_float(max_asymmetry(m), _pairwise_asymmetry(m))
         with warnings.catch_warnings(), \
                 pytest.raises(NonSymmetricMatrixError, match="non-finite entries"):
             warnings.simplefilter("error")
@@ -732,27 +813,57 @@ def test_symmetry_scan_finds_nonfinite_lower_triangle_entries(n):
 
 def test_symmetry_scan_reports_the_full_matrix_deviation():
     rng = np.random.default_rng(3)
-    for n in (2, 252, 1000):
+    for n in (2, 9, 252, 1000):
         m = rng.normal(size=(n, n))
         m = m + m.T
         assert max_asymmetry(m) == 0.0
         m[n - 1, 0] += 1e-8  # an asymmetry below the diagonal only
-        assert max_asymmetry(m) == _full_asymmetry(m) > 0.0
+        # the one asymmetric pair of indices sets the deviation
+        assert max_asymmetry(m) == abs(m[n - 1, 0] - m[0, n - 1]) > 0.0
+        if n <= 9:
+            assert max_asymmetry(m) == _pairwise_asymmetry(m)
         with pytest.raises(NonSymmetricMatrixError,
                            match=r"symmetry deviation 1\.000e-08 exceeds tolerance 1\.0e-09"):
             symmetric_eigenvalues(m)
-    assert max_asymmetry(np.zeros((0, 0))) == 0.0
+    assert max_asymmetry(np.zeros((0, 0))) == 0.0 == _pairwise_asymmetry(np.zeros((0, 0)))
 
 
 def test_symmetry_scan_conjugates_complex_input():
     rng = np.random.default_rng(4)
-    n = 300
-    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    h = h + h.conj().T
-    assert max_asymmetry(h) == 0.0
-    assert (symmetric_eigenvalues(h) == np.linalg.eigvalsh(h)).all()
-    s = h + 1j * h.real  # complex symmetric, not Hermitian
-    assert max_asymmetry(s) == _full_asymmetry(s) > 1.0
-    off = h.copy()
-    off[17, 17] += 1j  # an imaginary diagonal is not Hermitian
-    assert max_asymmetry(off) == _full_asymmetry(off) == 2.0
+    for n in (9, 300):
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = h + h.conj().T
+        assert max_asymmetry(h) == 0.0
+        assert (symmetric_eigenvalues(h) == np.linalg.eigvalsh(h)).all()
+        s = h + 1j * h.real  # complex symmetric, not Hermitian
+        assert max_asymmetry(s) > 1.0
+        if n <= 9:
+            assert max_asymmetry(s) == _pairwise_asymmetry(s)
+        off = h.copy()
+        off[5, 5] += 1j  # an imaginary diagonal is not Hermitian
+        assert max_asymmetry(off) == 2.0
+        if n <= 9:
+            assert _pairwise_asymmetry(off) == 2.0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_symmetry_scan_matches_a_pairwise_loop(dtype):
+    rng = np.random.default_rng(5)
+    specials = [np.nan, np.inf, -np.inf, 1j * np.inf, np.inf + 1j * np.nan]
+    if dtype is np.float64:
+        specials = specials[:3]
+    for n in (1, 2, 5, 8):
+        for trial in range(12):
+            m = rng.normal(size=(n, n)).astype(dtype)
+            if dtype is np.complex128:
+                m += 1j * rng.normal(size=(n, n))
+            if trial % 3:
+                m = m + m.conj().T  # Hermitian but for the entries set below
+            for _ in range(trial % 4):  # up to three special entries
+                i, j = rng.integers(n, size=2)
+                m[i, j] = specials[rng.integers(len(specials))]
+            if trial == 11:
+                m[0, n - 1] = m[n - 1, 0] = np.inf  # inf - inf: NaN
+            got = max_asymmetry(m)
+            assert type(got) is float
+            assert _same_float(got, _pairwise_asymmetry(m)), (m, got)
