@@ -190,10 +190,37 @@ def block_spectrum_union(hs: Sequence[np.ndarray], tol: float = 1e-6) -> Spectru
 # Cycle graphs: closed forms for A, D and s*A + t*D
 # ---------------------------------------------------------------------------
 
-def _adjacency_column(n: int, rows: int) -> np.ndarray:
-    """2*cos(2*pi*j/n) at j = 0..rows-1, evaluated in one buffer."""
+def _j_values(n: int, half: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float64 j values of a cycle column, with the views of its even
+    and of its odd j.
+
+    A full column lists j = 0..n-1 in order.  The half table's rows
+    j = 0..n//2 are listed parity-major: the even j ascending, then the odd
+    j ascending.  Each parity is one monotone family of values (the
+    distance column's sec^2 and csc^2 terms, a descending cosine for the
+    adjacency column), so the table's columns, and the law's rows made
+    from them, are a few monotone runs that a stable sort merges in linear
+    time.  Every j is an exact integer of one ``arange``, so each row's
+    value is bit-identical to the full column's at that j.
+    """
+    if not half:
+        j = np.arange(n, dtype=np.float64)
+        return j, j[::2], j[1::2]
+    rows = n // 2 + 1
+    j = np.arange(rows, dtype=np.float64)
+    evens = (rows + 1) // 2
+    even, odd = j[:evens], j[evens:]
+    even *= 2.0
+    odd -= evens
+    odd *= 2.0
+    odd += 1.0
+    return j, even, odd
+
+
+def _adjacency_column(n: int, half: bool) -> np.ndarray:
+    """2*cos(2*pi*j/n) over the j of ``_j_values``, evaluated in one buffer."""
     Cycle(n)  # domain check
-    a = np.arange(rows, dtype=np.float64)
+    a, _, _ = _j_values(n, half)
     a *= 2.0 * math.pi
     a /= n
     np.cos(a, out=a)
@@ -201,8 +228,9 @@ def _adjacency_column(n: int, rows: int) -> np.ndarray:
     return a
 
 
-def _distance_column(n: int, rows: int) -> np.ndarray:
-    """Distance eigenvalues of C_n at j = 0..rows-1, evaluated in one buffer:
+def _distance_column(n: int, half: bool) -> np.ndarray:
+    """Distance eigenvalues of C_n over the j of ``_j_values``, evaluated
+    in one buffer:
 
       even n:  j = 0        -> n^2/4
                j even, != 0 -> 0
@@ -212,23 +240,21 @@ def _distance_column(n: int, rows: int) -> np.ndarray:
                j odd        -> -(1/4) / sin^2(pi j / 2n)
 
     For j <= n/2 the odd-n cos^2 argument is at most pi/4, far from its
-    zero at j = n.
+    zero at j = n.  j = 0 is the first row in both layouts.
     """
     Cycle(n)  # domain check
-    d = np.arange(rows, dtype=np.float64)
+    d, even, odd = _j_values(n, half)
     if n % 2 == 0:
-        odd = d[1::2]
         odd *= math.pi
         odd /= n
         np.sin(odd, out=odd)
         np.square(odd, out=odd)
         np.divide(-1.0, odd, out=odd)
-        d[::2] = 0.0
+        even[...] = 0.0
         d[0] = n * n / 4.0
     else:
         d *= math.pi
         d /= 2 * n
-        even, odd = d[::2], d[1::2]
         np.cos(even, out=even)
         np.sin(odd, out=odd)
         np.square(d, out=d)
@@ -238,40 +264,43 @@ def _distance_column(n: int, rows: int) -> np.ndarray:
 
 
 def _half_multiplicities(n: int) -> np.ndarray:
-    mult = np.full(n // 2 + 1, 2, dtype=np.int64)
+    """1 at the rows of j = 0 and, for even n, of j = n/2, which closes the
+    even or the odd half; 2 elsewhere."""
+    rows = n // 2 + 1
+    mult = np.full(rows, 2, dtype=np.int64)
     mult[0] = 1
     if n % 2 == 0:
-        mult[-1] = 1
+        mult[(rows + 1) // 2 - 1 if n % 4 == 0 else -1] = 1
     return mult
 
 
 def cycle_half_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct rows (a, d, mult) of C_n's joint adjacency and distance
-    eigenvalues: j = 0..n//2, since j and n - j give the same pair.
+    eigenvalues: j = 0..n//2, since j and n - j give the same pair, listed
+    parity-major (even j ascending, then odd j ascending; ``_j_values``).
 
     mult is 1 at j = 0 and, for even n, at j = n/2, and 2 elsewhere, so it
-    sums to n.  Each column is evaluated as the full columns are, so they
-    agree bit for bit on the rows they share.
+    sums to n.  Each column is evaluated as the full columns are, so every
+    row is bit for bit the full columns' entry at its j.
     """
-    rows = n // 2 + 1
-    return _adjacency_column(n, rows), _distance_column(n, rows), _half_multiplicities(n)
+    return _adjacency_column(n, True), _distance_column(n, True), _half_multiplicities(n)
 
 
 def cycle_half_adjacency(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The adjacency column of ``cycle_half_table`` and its multiplicities,
     with the distance column never evaluated."""
-    return _adjacency_column(n, n // 2 + 1), _half_multiplicities(n)
+    return _adjacency_column(n, True), _half_multiplicities(n)
 
 
 def cycle_half_distance(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The distance column of ``cycle_half_table`` and its multiplicities,
     with the adjacency column never evaluated."""
-    return _distance_column(n, n // 2 + 1), _half_multiplicities(n)
+    return _distance_column(n, True), _half_multiplicities(n)
 
 
 def cycle_adjacency_eigenvalues(n: int) -> np.ndarray:
     """Adjacency eigenvalues of C_n: 2*cos(2*pi*j/n), j = 0..n-1."""
-    return _adjacency_column(n, n)
+    return _adjacency_column(n, False)
 
 
 def cycle_distance_row(n: int) -> list[int]:
@@ -287,7 +316,7 @@ def cycle_distance_row(n: int) -> list[int]:
 def cycle_distance_eigenvalues(n: int) -> np.ndarray:
     """Distance eigenvalues of C_n, indexed j = 0..n-1 (formulas at
     ``_distance_column``)."""
-    return _distance_column(n, n)
+    return _distance_column(n, False)
 
 
 def cycle_combo_eigenvalues(n: int, s: float, t: float) -> np.ndarray:
@@ -296,7 +325,7 @@ def cycle_combo_eigenvalues(n: int, s: float, t: float) -> np.ndarray:
     A(C_n) and D(C_n) are circulants of the same order, so the combination
     acts eigenvalue-wise on the two closed-form columns.
     """
-    return s * _adjacency_column(n, n) + t * _distance_column(n, n)
+    return s * _adjacency_column(n, False) + t * _distance_column(n, False)
 
 
 def cycle_combo_spectrum(n: int, s: float, t: float,

@@ -176,9 +176,10 @@ class EigenTable:
     eigenvalue, so a multiplicity is read off the table and never rebuilt
     by grouping repeated values.  Integer tables hold Python ints (dtype
     object), so sums stay exact at any size.  The table of C_n holds the
-    float64 rows j = 0..n//2 with an int64 multiplicity column: 1 at j = 0
-    and, for even n, at j = n/2, and 2 elsewhere (row j stands for j and
-    n - j).
+    float64 rows j = 0..n//2, even j ascending and then odd j ascending
+    (``circulant.cycle_half_table``), with an int64 multiplicity column: 1
+    at j = 0 and, for even n, at j = n/2, and 2 elsewhere (row j stands
+    for j and n - j).
     """
 
     a: np.ndarray

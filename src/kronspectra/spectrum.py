@@ -130,9 +130,12 @@ class Spectrum:
             if bad_mult[np.argmax(bad)]:
                 raise ValueError("multiplicities must be positive")
             raise ValueError("eigenvalues must be finite")
-        if (values[:-1] < values[1:]).any():
+        # the values are finite, so a gap is below 0 just where a pair is
+        # out of order
+        closest = (values[:-1] - values[1:]).min(initial=math.inf)
+        if closest < 0:
             raise ValueError("pairs must be sorted by descending value")
-        if (values[:-1] - values[1:] <= grouping_tol).any():
+        if closest <= grouping_tol:
             raise ValueError("consecutive values must differ by more than grouping_tol")
         values.flags.writeable = False
         mults.flags.writeable = False

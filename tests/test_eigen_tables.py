@@ -24,7 +24,7 @@ from kronspectra.graphs import (
     distance_matrix,
 )
 from kronspectra.numeric import symmetric_eigenvalues
-from kronspectra.spectrum import Spectrum
+from kronspectra.spectrum import Spectrum, group_sorted, sort_rows
 
 FACTORS = (
     [Cycle(n) for n in range(4, 10)]
@@ -84,6 +84,17 @@ def test_integer_tables_are_shared_and_read_only():
     assert eigen_table(Cycle(9)) is not eigen_table(Cycle(9))
 
 
+def parity_major(n):
+    """j = 0..n//2 in the half table's row order: even j ascending, then
+    odd j ascending."""
+    j = np.arange(n // 2 + 1)
+    return np.concatenate([j[::2], j[1::2]])
+
+
+def same_bytes(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 @pytest.mark.parametrize("n", list(range(3, 41)) + [999, 1000, 4001])
 def test_cycle_table_is_the_half_table_of_the_public_columns(n):
     table = eigen_table(Cycle(n))
@@ -92,11 +103,12 @@ def test_cycle_table_is_the_half_table_of_the_public_columns(n):
     assert table.mult.dtype == np.int64 and table.mult.sum() == n
     # j and n - j are one row of multiplicity 2; j = 0, and j = n/2 for
     # even n, stand alone
-    singles = [0, rows - 1] if n % 2 == 0 else [0]
+    order = parity_major(n)
+    singles = np.flatnonzero((order == 0) | (2 * order == n)).tolist()
     assert np.flatnonzero(table.mult == 1).tolist() == singles
     assert np.all(np.delete(table.mult, singles) == 2)
-    assert np.array_equal(table.a, cycle_adjacency_eigenvalues(n)[:rows])
-    assert np.array_equal(table.d, cycle_distance_eigenvalues(n)[:rows])
+    assert same_bytes(table.a, cycle_adjacency_eigenvalues(n)[order])
+    assert same_bytes(table.d, cycle_distance_eigenvalues(n)[order])
 
 
 def plain_columns(n, rows):
@@ -114,8 +126,13 @@ def plain_columns(n, rows):
     return a, d
 
 
-def same_bytes(x, y):
-    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+def plain_multiplicities(n):
+    """The half table's multiplicities in j order."""
+    mult = np.full(n // 2 + 1, 2, dtype=np.int64)
+    mult[0] = 1
+    if n % 2 == 0:
+        mult[-1] = 1
+    return mult
 
 
 @pytest.mark.parametrize("n", list(range(3, 61)) + [999, 1000, 4001, 10**6])
@@ -123,12 +140,14 @@ def test_in_place_cycle_columns_are_the_plain_expressions_bit_for_bit(n):
     a, d = plain_columns(n, n)
     assert same_bytes(cycle_adjacency_eigenvalues(n), a)
     assert same_bytes(cycle_distance_eigenvalues(n), d)
-    rows = n // 2 + 1
+    order = parity_major(n)
+    mult = plain_multiplicities(n)[order]
     table = eigen_table(Cycle(n))
-    assert same_bytes(table.a, a[:rows]) and same_bytes(table.d, d[:rows])
+    assert same_bytes(table.a, a[order]) and same_bytes(table.d, d[order])
+    assert same_bytes(table.mult, mult)
     for half_column, column in ((cycle_half_adjacency, a), (cycle_half_distance, d)):
-        half, mult = half_column(n)
-        assert same_bytes(half, column[:rows]) and same_bytes(mult, table.mult)
+        half, half_mult = half_column(n)
+        assert same_bytes(half, column[order]) and same_bytes(half_mult, mult)
 
 
 def test_a_cycle_half_column_evaluates_only_its_own_formula(monkeypatch):
@@ -136,16 +155,86 @@ def test_a_cycle_half_column_evaluates_only_its_own_formula(monkeypatch):
     for name in ("_adjacency_column", "_distance_column"):
         real = getattr(circulant, name)
         monkeypatch.setattr(circulant, name,
-                            lambda n, rows, _real=real, _name=name:
-                            calls.append(_name) or _real(n, rows))
+                            lambda n, half, _real=real, _name=name:
+                            calls.append((_name, half)) or _real(n, half))
     cycle_half_adjacency(10)
     cycle_half_distance(10)
     closedform.cycle_distance_spectrum(11)
     closedform.cycle_adjacency_spectrum(11)
     cycle_distance_eigenvalues(12)
     cycle_adjacency_eigenvalues(12)
-    assert calls == ["_adjacency_column", "_distance_column", "_distance_column",
-                     "_adjacency_column", "_distance_column", "_adjacency_column"]
+    assert calls == [("_adjacency_column", True), ("_distance_column", True),
+                     ("_distance_column", True), ("_adjacency_column", True),
+                     ("_distance_column", False), ("_adjacency_column", False)]
+
+
+def sort_runs(x):
+    """Runs of x as a stable merge sort finds them, left to right: each a
+    maximal strictly descending stretch, or else a maximal non-descending
+    one; the element that ends a run starts the next."""
+    descents = x[1:] < x[:-1]
+    # where the descent pattern changes, so where a run of either kind ends
+    changes = np.flatnonzero(descents[1:] != descents[:-1]) + 1
+    runs, start = 0, 0
+    while start < x.size:
+        runs += 1
+        end = changes[np.searchsorted(changes, start, side="right"):][:1]
+        start = (int(end[0]) if end.size else x.size - 1) + 1
+    return runs
+
+
+def test_sort_runs_counts_the_greedy_runs():
+    for x, runs in (([], 0), ([1.0], 1), ([1, 2, 2, 3], 1), ([3, 2, 1], 1),
+                    ([3, 2, 2, 1], 2), ([1, 0, 1, 0, 1], 3), ([0, 1, 0, 1, 0], 3),
+                    ([2, 1, 0, 0, 5, -9, 1], 3), ([5, 4, 0, 0, 0, -3, -2], 3)):
+        assert sort_runs(np.array(x, dtype=float)) == runs, x
+
+
+def test_cycle_half_columns_are_a_few_monotone_runs():
+    for n in list(range(3, 3001)) + [100001, 502327, 921722, 10**6]:
+        assert sort_runs(cycle_half_distance(n)[0]) <= 3, n
+        assert sort_runs(cycle_half_adjacency(n)[0]) <= 2, n
+
+
+def test_the_cycle_law_sorts_a_few_monotone_runs(monkeypatch):
+    runs = []
+    sorting = closedform.sort_rows
+    monkeypatch.setattr(closedform, "sort_rows",
+                        lambda v, m: runs.append(sort_runs(v)) or sorting(v, m))
+    for length in range(4, 1500):
+        table = eigen_table(Cycle(length))
+        for n in range(3, 9):
+            kron_complete_law(n, table)
+    closedform.kron_cycle_odd_spectrum(3, 490093 // 2)
+    assert len(runs) == 6 * 1496 + 1 and max(runs) <= 6
+
+
+def j_order_spectrum(values, mults):
+    return group_sorted(*sort_rows(values, mults), 1e-6)
+
+
+def same_spectrum(x, y):
+    return (x.grouping_tol == y.grouping_tol
+            and same_bytes(x.value_array, y.value_array)
+            and same_bytes(x.multiplicity_array, y.multiplicity_array))
+
+
+@pytest.mark.parametrize("n", list(range(3, 41)) + [998, 999, 1000, 4001, 100001, 10**6])
+def test_cycle_spectra_are_those_of_the_j_order_rows_bit_for_bit(n):
+    a, d = plain_columns(n, n // 2 + 1)
+    mult = plain_multiplicities(n)
+    assert same_spectrum(closedform.cycle_distance_spectrum(n), j_order_spectrum(d, mult))
+    assert same_spectrum(closedform.cycle_adjacency_spectrum(n), j_order_spectrum(a, mult))
+    for s, t in ((1, 0), (0, 1), (2, -1), (0.5, 3), (1, 1)):
+        assert same_spectrum(circulant.cycle_combo_spectrum(n, s, t),
+                             j_order_spectrum(s * a + t * d, mult)), (s, t)
+    if n >= 4:
+        a_law = 2 * a
+        for left in (3, 4, 7):
+            values = np.concatenate([left * d + a_law + 2 * (left - 1), a_law - 2])
+            mults = np.concatenate([mult, (left - 1) * mult])
+            assert same_spectrum(kron_complete_law(left, eigen_table(Cycle(n))),
+                                 j_order_spectrum(values, mults)), left
 
 
 @pytest.mark.parametrize("length", list(range(3, 21)) + [999, 1000, 4001])

@@ -303,6 +303,9 @@ def _raised(pairs, tol):
     (((5.0, 1), (-np.inf, 1), (-np.inf, 1), (1.0, 1)), 0.0, "eigenvalues must be finite"),
     (((5.0, 1), (np.inf, 1), (-np.inf, 1), (1.0, 1)), 0.0, "eigenvalues must be finite"),
     (((np.nan, 1),), 0.0, "eigenvalues must be finite"),
+    # a zero and a negative zero are in order and too close, either way round
+    (((0.0, 1), (-0.0, 1)), 0.0, "consecutive values must differ by more than grouping_tol"),
+    (((-0.0, 1), (0.0, 1)), 0.0, "consecutive values must differ by more than grouping_tol"),
 ])
 def test_checks_keep_each_message_and_its_precedence(pairs, tol, message):
     assert _raised(pairs, tol) == [message]

@@ -318,6 +318,18 @@ def unshaped_products():
             Kron(Johnson(6, 2), Johnson(5, 2)), Kron(Hamming(2, 2), Johnson(6, 3))]
 
 
+def test_oracle_eigenvalues_are_ascending_on_every_grid_family():
+    # verify_family groups them as they come, with no sort of its own
+    checked = 0
+    for spec, kind in verify.default_grid(1200):
+        if kind != "distance-polynomial":
+            values = FamilyOracle(spec).eigenvalues(kind.removesuffix("-spectrum"))
+            assert values.size == graphs.family_order(spec)
+            assert np.all(values[:-1] <= values[1:]), (spec, kind)
+            checked += 1
+    assert checked == 444
+
+
 def test_oracle_eigenvalues_are_bit_identical_to_references_off_the_built_graph():
     # every spectrum check of the grid, against numpy run directly on the
     # built graph's D or A: a shaped family's sorted real DFT of row 0, and
