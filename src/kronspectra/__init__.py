@@ -68,6 +68,7 @@ from .graphs import (
     walk_gamma,
 )
 from .numeric import symmetric_eigenvalues
+from .oracle import oracle_distance_spectrum
 from .polynomials import (
     Polynomial,
     hamming_distance_polynomial,
@@ -79,7 +80,6 @@ from .polynomials import (
 from .spectrum import MatchReport, Spectrum, spectra_match, spectrum_from_values
 from .verify import (
     closed_form_distance_spectrum,
-    oracle_distance_spectrum,
     verify_family,
 )
 from .cli import parse_family

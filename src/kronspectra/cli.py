@@ -33,16 +33,14 @@ from .graphs import (
     to_edge_list_text,
 )
 from .numeric import dense_matrix_cap
+from .oracle import FamilyOracle, oracle_adjacency_spectrum, oracle_distance_spectrum
 from .polynomials import distance_polynomial
 from .spectrum import Spectrum, spectra_match
 from .verify import (
-    FamilyOracle,
     closed_form_adjacency_spectrum,
     closed_form_distance_spectrum,
     default_grid,
     iter_grid,
-    oracle_adjacency_spectrum,
-    oracle_distance_spectrum,
     poly_report,
     verify_family,
 )

@@ -4,27 +4,12 @@ In a distance-regular graph of diameter d the distance-i matrix is v_i(A),
 where v_0 = 1, v_1 = x and c_{i+1} v_{i+1} = (x - a_i) v_i - b_{i-1} v_{i-1}
 in the intersection numbers, so D = p(A) with p = sum_i i * v_i of degree d.
 `distance_polynomial` takes p, in exact fractions, from the intersection
-array of a Johnson or Hamming graph (`closedform.IntersectionArray`), and
-this module evaluates it on A; `verify.poly_report` checks p(A) entrywise
-against the BFS distances of the family's shared oracle, the D of its
-``FamilyOracle.blocks``.  Lagrange/Vandermonde interpolation stays as an
-exact general tool, and ``matrix_polynomial_eval`` as a dense Horner for
-callers that hold one dense matrix.
-
-The check reads the rows of the family's orbit representatives alone.
-Its neighbour table is proven to carry a group of automorphisms that acts
-freely (``graphs.orbit_table``): the translations of a shaped family
-(every Hamming graph and J(m, 1)), with one representative, vertex 0, and
-for J(m, r >= 2) a cyclic group of point permutations, with b.  A and D
-commute with every automorphism P (P A P^T = A, and P preserves
-distances), so p(A) - D does too, and every entry of it occurs on a
-representative's row: the largest entrywise gap is the largest gap on
-those rows.  They are d steps of a sparse Horner over the neighbour array
-(``polynomial_rows``), instead of d - 1 n x n matrix products.  That
-Horner sums each vertex's row, which is r A only for a symmetric A; no
-``Graph`` checks a shaped table, so it relies on the translation proof's
-own symmetry check (N(0) = -N(0)), and a J(m, r >= 2) table is a
-validated ``Graph``'s.
+array of a Johnson or Hamming graph (`closedform.IntersectionArray`);
+`verify.poly_report` checks p(A) entrywise against the D of the family's
+shared oracle (``oracle.FamilyOracle.polynomial_gap``), and this module
+reads no oracle.  Lagrange/Vandermonde interpolation stays as an exact
+general tool, and ``matrix_polynomial_eval`` as a dense Horner for callers
+that hold one dense matrix.
 """
 
 from __future__ import annotations
@@ -39,7 +24,7 @@ import numpy as np
 from .closedform import intersection_array
 from .errors import NonSymmetricMatrixError
 from .graphs import FamilySpec, Hamming, Johnson
-# not called here (the FamilyOracle builds A and D); they stay importable
+# not called here (the oracle module builds A and D); they stay importable
 # from this module, where benchmarks/tracing.py wraps them
 from .graphs import build_family, distance_matrix  # noqa: F401
 from .numeric import SYMMETRY_TOL, max_asymmetry
@@ -52,7 +37,6 @@ __all__ = [
     "johnson_distance_polynomial",
     "hamming_distance_polynomial",
     "matrix_polynomial_eval",
-    "polynomial_rows",
 ]
 
 Number = Fraction | int | float
@@ -212,31 +196,3 @@ def matrix_polynomial_eval(p: Polynomial, a: np.ndarray) -> np.ndarray:
     if max_asymmetry(result) > SYMMETRY_TOL:
         raise NonSymmetricMatrixError("evaluation lost symmetry beyond tolerance")
     return result
-
-
-# entries gathered by one Horner step of a block of rows, so that one
-# block's (rows, n, degree) gather, not all rows', sets the temporaries
-_HORNER_BLOCK_ENTRIES = 1 << 21
-
-
-def polynomial_rows(p: Polynomial, nbrs: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Rows ``sources`` of p(A), shape (len(sources), n), for the adjacency
-    matrix A of a regular graph whose vertex x has the neighbours
-    ``nbrs[x]``, by Horner on each row: each step is r <- r A, the sum of
-    r over each vertex's neighbours, and each coefficient goes onto the
-    row's own vertex.  That is d steps of O(n * degree) a row, on blocks
-    of rows of at most ``_HORNER_BLOCK_ENTRIES`` gathered entries."""
-    coeffs = p.as_floats()
-    n, degree = nbrs.shape
-    step = max(1, _HORNER_BLOCK_ENTRIES // max(n * degree, 1))
-    blocks = []
-    for first in range(0, len(sources), step):
-        block = sources[first:first + step]
-        own = np.arange(len(block)) * n + block  # each row's own vertex, flat
-        rows = np.zeros(len(block) * n)
-        rows[own] = coeffs[-1]
-        for c in coeffs[-2::-1]:
-            rows = rows.reshape(-1, n).take(nbrs, axis=1).sum(axis=2).ravel()
-            rows[own] += c
-        blocks.append(rows.reshape(-1, n))
-    return np.concatenate(blocks)

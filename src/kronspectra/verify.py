@@ -1,22 +1,14 @@
 """Closed-form vs oracle verification: per-family reports and the full grid.
 
 The two routes are kept strictly separate.  The closed-form side dispatches
-a family spec to the applicable formula; the oracle side reads the
-family's D and A as block group matrices over a group of its
-automorphisms that acts freely (``FamilyOracle.blocks``) and solves them
-with one solver, ``numeric.block_group_matrix_eigenvalues``: one DFT, and
-a batched solve of the b x b blocks where b > 1.  An atom's group and its
-numbering of the vertices are proven on its neighbour table: a shaped
-atom's translations, whose blocks are row 0, and for ``J(m,r>=2)`` a
-cyclic group of point permutations, whose blocks are read off the rows
-of its b orbit representatives.  A product's blocks are read off its
-atoms' walks, with no product graph built and no product BFS.  No family
-builds an n x n matrix or solves one.  A report records both
-spectra, the match verdict, the largest eigenvalue gap and any discrepancy
-notes attached to the closed form used.
-The Johnson and Hamming certificate D = p(A) is checked here too
-(``poly_report``), on the same oracle: ``polynomials`` gives p and
-evaluates it, and reads no oracle itself.
+a family spec to the applicable formula; the oracle side is the ``oracle``
+module's ``FamilyOracle``, which reads the family's D and A from its graph
+alone and imports no formula code.  A report records both spectra, the
+match verdict, the largest eigenvalue gap and any discrepancy notes
+attached to the closed form used.  The Johnson and Hamming certificate
+D = p(A) is checked here too (``poly_report``), on the same oracle:
+``polynomials`` gives p, and ``FamilyOracle.polynomial_gap`` compares p(A)
+with D.
 
 The notes are first-class output: where a published enumeration of these
 spectra is ambiguous or wrong, the note states the resolution this package
@@ -25,7 +17,6 @@ implements and the oracle check on the same report line is the evidence.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -33,27 +24,16 @@ import numpy as np
 
 from . import closedform, polynomials
 from .errors import FamilyDomainError, KronSpectraError, NoClosedFormError
-from .graphs import (
-    Complete,
-    Cycle,
-    FamilySpec,
-    Hamming,
-    Johnson,
-    Kron,
-    atom_blocks,
-    family_order,
-    family_to_string,
-    orbit_table,
-    product_blocks,
-    refuse_past_product_cap,
-)
-# not called here (graphs builds and reads every atom, and every solve is
-# block_group_matrix_eigenvalues); they stay importable from this module,
-# where benchmarks/tracing.py wraps them
+from .graphs import Complete, Cycle, FamilySpec, Hamming, Johnson, Kron
+from .graphs import family_order, family_to_string
+from .oracle import FamilyOracle, oracle_adjacency_spectrum, oracle_distance_spectrum
+from .spectrum import Spectrum, spectra_match
+# not called here (the oracle module reads and solves every family, and
+# groups its spectra); they stay importable from this module, where
+# benchmarks/tracing.py wraps them
 from .graphs import build_family, distance_matrix  # noqa: F401
-from .numeric import block_group_matrix_eigenvalues, refuse_past_dense_cap
 from .numeric import symmetric_eigenvalues  # noqa: F401
-from .spectrum import Spectrum, group_sorted, spectra_match, spectrum_from_values
+from .spectrum import spectrum_from_values  # noqa: F401
 
 __all__ = [
     "NOTE_EVEN_CYCLE_INDEX_ZERO",
@@ -206,98 +186,6 @@ def closed_form_adjacency_spectrum(
 
 
 # ---------------------------------------------------------------------------
-# Oracle side
-# ---------------------------------------------------------------------------
-
-class FamilyOracle:
-    """A family's D and A as block group matrices (``blocks``) and their
-    eigenvalues, each computed the first time a check reads it and then
-    shared by the family's later checks.
-
-    Every family is a block group matrix over a group ``Z_{n_1} x ... x
-    Z_{n_k}`` of its automorphisms that acts freely (Babai 1979), and one
-    solver reads them all (``numeric.block_group_matrix_eigenvalues``).  An
-    atom's group and its numbering of the vertices are proven on its
-    neighbour table (``orbits``, ``graphs.orbit_table``), and its blocks
-    are read off its orbit representatives' rows
-    (``graphs.atom_blocks``): a shaped atom's are 1 x 1, its row 0, one
-    BFS from vertex 0 and the neighbours of vertex 0; a ``J(m,r>=2)``
-    family's are b x b over a cyclic group Z_k of point permutations, b =
-    n / k, one bitset BFS from its b representatives.  A product's blocks
-    are ``graphs.product_blocks``, read off its atoms' walks over the
-    product of their groups.  So no family builds an n x n matrix, runs an
-    all-sources BFS or solves a dense n x n matrix.  ``refuse`` turns away
-    a family past the product cap or the dense cap before anything is
-    built.
-
-    A computation that raises stores nothing, so every check that reads it
-    raises the same error.
-    """
-
-    def __init__(self, spec: FamilySpec):
-        self.spec = spec
-        self._blocks: dict[str, np.ndarray] = {}
-        self._eigenvalues: dict[str, np.ndarray] = {}
-
-    @functools.cached_property
-    def orbits(self) -> tuple[np.ndarray, np.ndarray]:
-        """An atom's proven (n, degree) neighbour table and its orbit
-        numbering of shape ``G + (b,)`` (``graphs.orbit_table``)."""
-        return orbit_table(self.spec)
-
-    def refuse(self, matrix: str) -> int:
-        """The family's order; raises OrderCapError, before anything is
-        built, past the product cap and then past the dense cap: a policy on
-        the order of D (``"distance"``) or A, of which only blocks are built."""
-        n = refuse_past_product_cap(self.spec)
-        refuse_past_dense_cap(n, "distance matrix" if matrix == "distance" else "matrix")
-        return n
-
-    def blocks(self, matrix: str) -> np.ndarray:
-        """D (``"distance"``) or A (``"adjacency"``) as read-only int64
-        blocks of shape ``G + (b, b)``
-        (``numeric.block_group_matrix_eigenvalues``): a product's
-        ``graphs.product_blocks``, an atom's ``graphs.atom_blocks``;
-        refused past either cap (``refuse``) before anything is built."""
-        if matrix not in self._blocks:
-            self.refuse(matrix)
-            if matrix not in ("distance", "adjacency"):
-                raise ValueError(f"unknown matrix kind {matrix!r}")
-            if isinstance(self.spec, Kron):
-                blocks = product_blocks(self.spec, matrix)
-            else:
-                blocks = atom_blocks(*self.orbits, matrix)
-            blocks.setflags(write=False)
-            self._blocks[matrix] = blocks
-        return self._blocks[matrix]
-
-    def eigenvalues(self, matrix: str) -> np.ndarray:
-        """Ascending eigenvalues of D (``"distance"``) or A
-        (``"adjacency"``), read-only: the one solve of their ``blocks``."""
-        if matrix not in self._eigenvalues:
-            values = block_group_matrix_eigenvalues(self.blocks(matrix))
-            values.setflags(write=False)
-            self._eigenvalues[matrix] = values
-        return self._eigenvalues[matrix]
-
-
-def _oracle_for(spec: FamilySpec, oracle: FamilyOracle | None) -> FamilyOracle:
-    if oracle is None:
-        return FamilyOracle(spec)
-    if oracle.spec != spec:
-        raise ValueError(f"oracle of {oracle.spec!r} passed for {spec!r}")
-    return oracle
-
-
-def oracle_distance_spectrum(spec: FamilySpec, group_tol: float = 1e-6) -> Spectrum:
-    return spectrum_from_values(FamilyOracle(spec).eigenvalues("distance"), group_tol)
-
-
-def oracle_adjacency_spectrum(spec: FamilySpec, group_tol: float = 1e-6) -> Spectrum:
-    return spectrum_from_values(FamilyOracle(spec).eigenvalues("adjacency"), group_tol)
-
-
-# ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
 
@@ -338,6 +226,14 @@ def _elementwise_gap(closed: Spectrum, oracle_values: np.ndarray) -> float:
     return float(np.max(np.abs(expanded - oracle_values)))
 
 
+def _oracle_for(spec: FamilySpec, oracle: FamilyOracle | None) -> FamilyOracle:
+    if oracle is None:
+        return FamilyOracle(spec)
+    if oracle.spec != spec:
+        raise ValueError(f"oracle of {oracle.spec!r} passed for {spec!r}")
+    return oracle
+
+
 def verify_family(
     spec: FamilySpec,
     tol: float = 1e-6,
@@ -363,11 +259,9 @@ def verify_family(
         closed, notes = closed_form_adjacency_spectrum(spec, tol)
     else:
         raise ValueError(f"unknown matrix kind {matrix!r}")
-    # ascending already, so grouped as they come
-    oracle_values = oracle.eigenvalues(matrix)
-    oracle_spectrum = group_sorted(oracle_values.copy(), None, tol)
+    oracle_spectrum = oracle.spectrum(matrix, tol)
     report = spectra_match(closed, oracle_spectrum, tol)
-    gap = _elementwise_gap(closed, oracle_values)
+    gap = _elementwise_gap(closed, oracle.eigenvalues(matrix))
     matched = report.matches and gap <= tol
     return FamilyReport(
         family=name,
@@ -383,22 +277,12 @@ def verify_family(
 def poly_report(spec: FamilySpec, tol: float = 1e-8,
                 oracle: FamilyOracle | None = None) -> FamilyReport:
     """Compare p(A) with D entrywise for the distance polynomial p of a
-    Johnson or Hamming family (any other raises FamilyDomainError); D is
-    read from ``oracle``'s ``blocks`` once p exists, and a family past a
-    cap is refused (``FamilyOracle.refuse``) before anything is built.
-    Both matrices commute with the family's proven automorphisms, so the
-    rows of its orbit representatives decide them (``polynomials`` module
-    docstring): p(A) is evaluated on those rows alone, over the proven
-    neighbour table, and compared with every entry of D's blocks."""
+    Johnson or Hamming family (any other raises FamilyDomainError), by
+    ``oracle``'s ``polynomial_gap`` once p exists; a family past a cap is
+    refused (``FamilyOracle.refuse``) before anything is built."""
     oracle = _oracle_for(spec, oracle)
     poly = polynomials.distance_polynomial(spec)
-    target = oracle.blocks("distance")
-    table, vertices = oracle.orbits
-    rows = polynomials.polynomial_rows(poly, table, vertices.reshape(-1, vertices.shape[-1])[0])
-    # the rows in the blocks' layout, |p(A) - D| in place
-    evaluated = np.moveaxis(rows[:, vertices], 0, -2)
-    np.abs(np.subtract(evaluated, target, out=evaluated), out=evaluated)
-    gap = float(np.max(evaluated)) if target.size else 0.0
+    gap = oracle.polynomial_gap(poly.as_floats())
     return FamilyReport(family=family_to_string(spec), check="distance-polynomial",
                         closed_form=None, oracle=None, match=gap < tol, max_abs_gap=gap)
 

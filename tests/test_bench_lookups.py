@@ -88,7 +88,7 @@ def test_complete_like_products_route_through_kron_complete_spectrum(monkeypatch
 def test_shaped_families_reach_the_eigensolve_without_the_dense_solve(monkeypatch):
     """The tracer's ``numeric.eig`` and ``graphs.bfs`` spans wrap
     ``verify.symmetric_eigenvalues`` and ``verify.distance_matrix``.  Every
-    family's solve is ``verify.block_group_matrix_eigenvalues``, so no
+    family's solve is ``oracle.block_group_matrix_eigenvalues``, so no
     family reaches ``symmetric_eigenvalues`` (a traced grid reads
     ``numeric.eig.calls`` 0), and no family builds an n x n matrix: no
     ``Graph.adjacency_matrix`` and no all-sources BFS.  A family with a

@@ -287,6 +287,18 @@ def test_verify_all_prints_both_reports(capsys):
     assert all(r["match"] for r in records)
 
 
+@pytest.mark.parametrize("family", ["kron(K3,C7)", "J(6,3)", "H(3,3)", "kron(K3,J(5,2))"])
+def test_spectrum_and_verify_print_the_same_oracle_spectrum(family, capsys):
+    # both commands group the oracle's eigenvalues one way, at the given tol
+    tol = ["--tol", "1e-7"]
+    assert main(["spectrum", "--family", family, "--method", "oracle", *tol]) == 0
+    [printed] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert main(["verify", "--family", family, "--check", "spectrum", *tol]) == 0
+    [report] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert printed["spectrum"]["tol"] == 1e-7
+    assert printed["spectrum"] == report["oracle"]
+
+
 def test_poly_rejects_cycle(capsys):
     assert main(["poly", "--family", "C5"]) == 1
     captured = capsys.readouterr()

@@ -4,7 +4,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
-import re
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +41,9 @@ def imported_modules(path):
 
 def test_oracle_modules_import_no_formula_code():
     formula = {"closedform", "circulant", "polynomials", "verify"}
-    for name in ("graphs", "numeric"):
+    for name in ("graphs", "numeric", "oracle"):
         assert not imported_modules(PACKAGE / f"{name}.py") & formula, name
+    assert imported_modules(PACKAGE / "oracle.py") <= {"graphs", "numeric", "spectrum", "errors"}
 
 
 def test_closedform_does_not_import_polynomials():
@@ -81,18 +82,34 @@ def test_only_graphs_proves_a_translation_shape():
     assert "translation_table" in defined and "translation_neighbours" not in defined
 
 
-def test_verify_solves_only_through_the_block_group_solver():
-    # every oracle spectrum is one block_group_matrix_eigenvalues call, so
-    # verify calls no other eigensolver or DFT
-    solvers = {"eigvalsh", "eigh", "eigvals", "eig", "fft", "fftn",
-               "symmetric_eigenvalues", "group_matrix_eigenvalues", "oracle_spectrum"}
+def calls_made(path):
+    """The called name of every call in a source file, one entry per call."""
     called = []
-    for node in ast.walk(ast.parse((PACKAGE / "verify.py").read_text())):
+    for node in ast.walk(ast.parse(Path(path).read_text())):
         if isinstance(node, ast.Call):
             func = node.func
             called.append(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return called
+
+
+def test_verify_solves_only_through_the_block_group_solver():
+    # every oracle spectrum is the one block_group_matrix_eigenvalues call
+    # in oracle, which calls no other eigensolver or DFT; verify calls none
+    solvers = {"eigvalsh", "eigh", "eigvals", "eig", "fft", "fftn",
+               "symmetric_eigenvalues", "group_matrix_eigenvalues", "oracle_spectrum"}
+    called = calls_made(PACKAGE / "oracle.py")
     assert not solvers & set(called), sorted(solvers & set(called))
     assert called.count("block_group_matrix_eigenvalues") == 1
+    called = set(calls_made(PACKAGE / "verify.py"))
+    assert not (solvers | {"block_group_matrix_eigenvalues"}) & called
+
+
+def test_only_the_oracle_reads_blocks_orbits_and_rows():
+    # verify and polynomials reach the oracle through FamilyOracle alone
+    internals = {"orbit_table", "atom_blocks", "product_blocks",
+                 "block_group_matrix_eigenvalues", "polynomial_rows", "orbits"}
+    for name in ("verify", "polynomials"):
+        assert not names_used(PACKAGE / f"{name}.py") & internals, name
 
 
 def test_a_shaped_atom_oracle_keeps_no_graph(monkeypatch):
@@ -163,7 +180,7 @@ def test_every_public_definition_is_in_its_modules_all():
                    and (inspect.isclass(value) or inspect.isfunction(inspect.unwrap(value)))
                    and value.__module__ == module.__name__}
         assert defined <= set(module.__all__), (info.name, sorted(defined - set(module.__all__)))
-    assert checked == 7
+    assert checked == 8
 
 
 def test_imported_modules_sees_every_import_form(tmp_path):
@@ -182,10 +199,7 @@ def test_imported_modules_sees_every_import_form(tmp_path):
 
 
 def test_the_distribution_is_named_and_versioned_as_the_package():
-    # read without tomllib, which Python 3.10 lacks: the [project] table's
-    # one-line string fields
-    text = (PACKAGE.parents[1] / "pyproject.toml").read_text()
-    table = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
-    fields = dict(re.findall(r'^([\w-]+) = "([^"]*)"$', table, re.M))
+    with open(PACKAGE.parents[1] / "pyproject.toml", "rb") as stream:
+        fields = tomllib.load(stream)["project"]
     assert fields["name"] == kronspectra.__name__ == "kronspectra"
     assert fields["version"] == kronspectra.__version__

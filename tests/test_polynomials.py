@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kronspectra import polynomials
+from kronspectra import oracle
 from kronspectra.closedform import (
     hamming_adjacency_eigenvalues,
     johnson_adjacency_eigenvalues,
@@ -28,9 +28,9 @@ from kronspectra.polynomials import (
     johnson_distance_polynomial,
     lagrange_basis,
     matrix_polynomial_eval,
-    polynomial_rows,
     vandermonde_solve,
 )
+from kronspectra.oracle import polynomial_rows
 from kronspectra.verify import default_grid, poly_report
 
 F = Fraction
@@ -237,7 +237,7 @@ def _assert_row_matches(p, a, nbrs, scale):
     # row 0 alone, and rows 0, n - 1 and n // 2 at once
     n = a.shape[0]
     for sources in ([0], [0, n - 1, n // 2]):
-        rows = polynomial_rows(p, nbrs, np.array(sources))
+        rows = polynomial_rows(p.as_floats(), nbrs, np.array(sources))
         assert rows.shape == (len(sources), a.shape[0])
         expected = matrix_polynomial_eval(p, a)[sources]
         assert np.max(np.abs(rows - expected)) <= 1e-12 * max(1.0, scale)
@@ -246,10 +246,10 @@ def _assert_row_matches(p, a, nbrs, scale):
 def test_row_blocks_give_the_rows_of_one_block(monkeypatch):
     # a budget of one row's gather a block: every row is its own block
     g = build_family(Johnson(7, 3))
-    nbrs, p = _neighbours(g), distance_polynomial(Johnson(7, 3))
+    nbrs, p = _neighbours(g), distance_polynomial(Johnson(7, 3)).as_floats()
     sources = np.array([0, 3, 17, 34])
     whole = polynomial_rows(p, nbrs, sources)
-    monkeypatch.setattr(polynomials, "_HORNER_BLOCK_ENTRIES", nbrs.size)
+    monkeypatch.setattr(oracle, "_HORNER_BLOCK_ENTRIES", nbrs.size)
     assert np.array_equal(polynomial_rows(p, nbrs, sources), whole)
     assert np.array_equal(whole, np.concatenate([polynomial_rows(p, nbrs, sources[i:i + 1])
                                                  for i in range(4)]))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kronspectra import circulant, closedform, graphs, polynomials, verify
+from kronspectra import oracle as oracle_module
 from kronspectra.cli import main
 from kronspectra.errors import (
     DisconnectedGraphError,
@@ -181,8 +182,9 @@ def test_poly_check_evaluates_row_zero_of_a_group_matrix_only(monkeypatch):
             return result
         return wrapper
 
-    for name in ("matrix_polynomial_eval", "polynomial_rows"):
-        monkeypatch.setattr(polynomials, name, spy(getattr(polynomials, name)))
+    for namespace, name in ((polynomials, "matrix_polynomial_eval"),
+                            (oracle_module, "polynomial_rows")):
+        monkeypatch.setattr(namespace, name, spy(getattr(namespace, name)))
     for spec in (Hamming(3, 3), Johnson(6, 3)):
         assert poly_report(spec).match
     assert shapes == [(1, 27), (4, 20)]
@@ -190,8 +192,8 @@ def test_poly_check_evaluates_row_zero_of_a_group_matrix_only(monkeypatch):
 
 def test_family_oracle_solves_each_matrix_once(monkeypatch):
     calls = []
-    solve = verify.block_group_matrix_eigenvalues
-    monkeypatch.setattr(verify, "block_group_matrix_eigenvalues",
+    solve = oracle_module.block_group_matrix_eigenvalues
+    monkeypatch.setattr(oracle_module, "block_group_matrix_eigenvalues",
                         lambda blocks: calls.append(blocks.shape) or solve(blocks))
     for spec, shape in ((Hamming(3, 3), (3, 3, 3, 1, 1)),  # a shaped atom
                         (Kron(Complete(3), Cycle(5)), (3, 5, 1, 1)),  # a shaped product
@@ -286,7 +288,7 @@ def test_shaped_product_builds_only_its_atoms(monkeypatch):
 def test_shaped_product_refusals_keep_their_text_and_order(monkeypatch):
     calls = []
     for namespace, name in ((graphs, "build_family"), (graphs, "kronecker_product"),
-                            (verify, "product_blocks")):
+                            (oracle_module, "product_blocks")):
         monkeypatch.setattr(namespace, name, lambda *args, _name=name: calls.append(_name))
     big = Kron(Complete(200), Cycle(200))
     product_cap = r"^kron\(K200,C200\) has 40000 vertices, cap is 20000$"
@@ -425,7 +427,8 @@ def test_a_planted_asymmetric_block_is_refused(atom, change, monkeypatch):
 
 @pytest.mark.parametrize("cap, spec, order", [
     (None, Kron(Complete(1), Johnson(6, 2)), 15),
-    # J(10,5)'s double cover (504 vertices) is past the cap, the product not
+    # under a dense cap of 300 the product (252 vertices) is not refused,
+    # and its K_1 atom answers for both matrices before J(10,5) is built
     ("300", Kron(Complete(1), Johnson(10, 5)), 252),
 ])
 def test_an_unshaped_product_with_a_k1_atom_is_disconnected(cap, spec, order, monkeypatch):
@@ -442,8 +445,8 @@ def test_unshaped_product_refusals_keep_their_text_and_order(monkeypatch):
     calls = []
     for namespace, name in ((graphs, "build_family"), (graphs, "kronecker_product"),
                             (graphs, "_atom_walks"), (verify, "build_family"),
-                            (verify, "product_blocks"), (verify, "orbit_table"),
-                            (verify, "atom_blocks"),
+                            (oracle_module, "product_blocks"), (oracle_module, "orbit_table"),
+                            (oracle_module, "atom_blocks"),
                             (verify, "closed_form_distance_spectrum"),
                             (verify, "closed_form_adjacency_spectrum")):
         monkeypatch.setattr(namespace, name, lambda *args, _name=name: calls.append(_name))
