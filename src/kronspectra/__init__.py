@@ -8,11 +8,8 @@ matrices; certify distance integrality.
 """
 
 from .circulant import (
-    apgp_sum,
     block_circulant_matrix,
     block_circulant_reduce,
-    block_spectrum_union,
-    circulant_combo_eigenvalues,
     circulant_eigenvalues,
     circulant_matrix,
     cycle_combo_eigenvalues,

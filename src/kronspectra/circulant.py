@@ -22,19 +22,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonSymmetricMatrixError
-from .graphs import Cycle
+from .families import Cycle
 from .spectrum import Spectrum, spectrum_from_values
 
 __all__ = [
-    "apgp_sum",
     "circulant_eigenvalues",
-    "circulant_combo_eigenvalues",
-    "is_symmetric_circulant",
-    "real_circulant_spectrum",
     "circulant_matrix",
     "block_circulant_reduce",
     "block_circulant_matrix",
-    "block_spectrum_union",
     "cycle_half_table",
     "cycle_half_adjacency",
     "cycle_half_distance",
@@ -45,24 +40,7 @@ __all__ = [
     "cycle_combo_spectrum",
 ]
 
-IMAG_TOL = 1e-9
 HERMITIAN_TOL = 1e-9
-_R_ONE_TOL = 1e-12
-
-
-def apgp_sum(a: complex, d: complex, r: complex, n: int) -> complex:
-    """Sum of the first n terms of (a + k*d) * r^k, k = 0..n-1.
-
-    For r != 1 this is the closed form
-        [a + (n-1)d] (r^n - 1)/(r - 1) - d/(r - 1) [(r^n - 1)/(r - 1) - n];
-    within 1e-12 of r = 1 the direct arithmetic-series value is returned.
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if abs(r - 1) <= _R_ONE_TOL:
-        return n * a + d * n * (n - 1) / 2
-    geo = (r ** n - 1) / (r - 1)
-    return (a + (n - 1) * d) * geo - d / (r - 1) * (geo - n)
 
 
 def _shifts(n: int) -> np.ndarray:
@@ -76,45 +54,6 @@ def circulant_eigenvalues(first_row: Sequence[complex]) -> np.ndarray:
     if c.ndim != 1 or c.size < 1:
         raise ValueError("first row must be a nonempty 1-d sequence")
     return c.size * np.fft.ifft(c)
-
-
-def circulant_combo_eigenvalues(s: float, row_a: Sequence[complex],
-                                t: float, row_b: Sequence[complex]) -> np.ndarray:
-    """Eigenvalues of s*A + t*B for circulants A, B of equal order.
-
-    Both are diagonalized by the same root-of-unity eigenvectors, so the
-    combination acts eigenvalue-wise: s*lambda_j + t*mu_j.
-    """
-    a = np.asarray(row_a, dtype=complex)
-    b = np.asarray(row_b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"order mismatch: {a.shape} vs {b.shape}")
-    return s * circulant_eigenvalues(a) + t * circulant_eigenvalues(b)
-
-
-def is_symmetric_circulant(first_row: Sequence[float], tol: float = 0.0) -> bool:
-    """True iff c_k == c_{n-k} for all k >= 1 (the matrix is symmetric)."""
-    c = np.asarray(first_row, dtype=float)
-    return bool((np.abs(c[1:] - c[:0:-1]) <= tol).all())
-
-
-def real_circulant_spectrum(first_row: Sequence[float],
-                            group_tol: float = 1e-6) -> Spectrum:
-    """Spectrum of a symmetric circulant, with the imaginary parts checked.
-
-    The eigenvalues of a symmetric circulant are real; residual imaginary
-    parts above 1e-9 indicate a formula or input error and raise instead of
-    being silently discarded.
-    """
-    if not is_symmetric_circulant(first_row):
-        raise NonSymmetricMatrixError("first row is not symmetric (c_k != c_{n-k})")
-    vals = circulant_eigenvalues(first_row)
-    worst = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-    if worst > IMAG_TOL:
-        raise NonSymmetricMatrixError(
-            f"imaginary residue {worst:.3e} exceeds {IMAG_TOL:.1e}"
-        )
-    return spectrum_from_values(vals.real, group_tol)
 
 
 def circulant_matrix(first_row: Sequence[complex]) -> np.ndarray:
@@ -172,18 +111,6 @@ def block_circulant_matrix(blocks: Sequence[np.ndarray]) -> np.ndarray:
     mats = np.stack([np.asarray(b, dtype=float) for b in blocks])
     n, rows, cols = mats.shape
     return mats[_shifts(n)].transpose(0, 2, 1, 3).reshape(n * rows, n * cols)
-
-
-def block_spectrum_union(hs: Sequence[np.ndarray], tol: float = 1e-6) -> Spectrum:
-    """Concatenate the eigenvalues of Hermitian blocks into one Spectrum."""
-    values: list[float] = []
-    for hj in hs:
-        a = np.asarray(hj)
-        dev = float(np.max(np.abs(a - a.conj().T)))
-        if dev > HERMITIAN_TOL:
-            raise NonSymmetricMatrixError(f"block not Hermitian (deviation {dev:.3e})")
-        values.extend(np.linalg.eigvalsh(a))
-    return spectrum_from_values(values, tol)
 
 
 # ---------------------------------------------------------------------------

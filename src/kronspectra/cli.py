@@ -20,18 +20,9 @@ import json
 import sys
 from typing import IO, Iterator
 
-from .errors import FamilyDomainError, FamilyParseError, KronSpectraError, OrderCapError
-from .graphs import (
-    Complete,
-    Cycle,
-    FamilySpec,
-    Hamming,
-    Johnson,
-    Kron,
-    build_family,
-    family_to_string,
-    to_edge_list_text,
-)
+from .errors import FamilyDomainError, KronSpectraError, OrderCapError
+from .families import family_to_string, parse_family
+from .graphs import build_family, to_edge_list_text
 from .numeric import dense_matrix_cap
 from .oracle import FamilyOracle, oracle_adjacency_spectrum, oracle_distance_spectrum
 from .polynomials import distance_polynomial
@@ -48,90 +39,6 @@ from .verify import (
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MISMATCH = 2
-
-
-# ---------------------------------------------------------------------------
-# Family string parsing
-# ---------------------------------------------------------------------------
-
-# Deepest ``kron(`` nesting that parses.  64 atoms already give a shaped
-# family 64 group axes, numpy's limit on an array's dimensions, which the
-# oracle's row has; and a product of atoms of 2 or more vertices passes
-# PRODUCT_VERTEX_CAP within 14 levels.  Deeper text would end in a
-# RecursionError, not a parse error.
-KRON_NESTING_CAP = 63
-
-
-def parse_family(text: str) -> FamilySpec:
-    """Parse 'C5', 'K3', 'J(4,2)', 'H(2,3)' or 'kron(<family>,<family>)',
-    with ``kron(`` nested at most KRON_NESTING_CAP deep."""
-    parser = _FamilyParser(text)
-    spec = parser.parse_family()
-    parser.skip_spaces()
-    if parser.pos != len(parser.text):
-        raise FamilyParseError("trailing characters after family", parser.pos)
-    return spec
-
-
-class _FamilyParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-
-    def error(self, message: str) -> FamilyParseError:
-        return FamilyParseError(message, self.pos)
-
-    def skip_spaces(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def expect(self, ch: str) -> None:
-        self.skip_spaces()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def integer(self) -> int:
-        self.skip_spaces()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an integer")
-        return int(self.text[start:self.pos])
-
-    def parse_family(self) -> FamilySpec:
-        self.skip_spaces()
-        if self.pos >= len(self.text):
-            raise self.error("expected a family")
-        if self.text.startswith("kron(", self.pos):
-            if self.depth == KRON_NESTING_CAP:
-                raise self.error(f"kron( nested more than {KRON_NESTING_CAP} deep")
-            self.pos += len("kron(")
-            self.depth += 1
-            left = self.parse_family()
-            self.expect(",")
-            right = self.parse_family()
-            self.expect(")")
-            self.depth -= 1
-            return Kron(left, right)
-        head = self.text[self.pos]
-        if head == "C":
-            self.pos += 1
-            return Cycle(self.integer())
-        if head == "K":
-            self.pos += 1
-            return Complete(self.integer())
-        if head in ("J", "H"):
-            self.pos += 1
-            self.expect("(")
-            a = self.integer()
-            self.expect(",")
-            b = self.integer()
-            self.expect(")")
-            return Johnson(a, b) if head == "J" else Hamming(a, b)
-        raise self.error(f"unexpected character {head!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ import numpy as np
 
 from .circulant import cycle_half_adjacency, cycle_half_distance, cycle_half_table
 from .errors import FamilyDomainError, NoClosedFormError
-from .graphs import Complete, Cycle, FamilySpec, Hamming, Johnson, family_to_string
+from .families import Complete, Cycle, FamilySpec, Hamming, Johnson, family_to_string
 from .spectrum import Spectrum, group_sorted, sort_rows, spectrum_from_values
 
 __all__ = [

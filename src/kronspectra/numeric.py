@@ -99,12 +99,12 @@ def block_group_matrix_eigenvalues(blocks: np.ndarray) -> np.ndarray:
     ``G = Z_{n_1} x ... x Z_{n_k}``, k >= 1, with ``M[(x, u), (y, v)] =
     blocks[y - x][u, v]``, given ``blocks`` of shape ``(n_1, ..., n_k, b,
     b)``: b = 1 is a group matrix given by its row 0.  That M is such a
-    matrix is the caller's proof (``graphs.orbit_table``).
+    matrix is the caller's proof (``atoms.orbit_table``).
 
     A character of G turns M into the Hermitian b x b block ``sum_y
     blocks[y] chi(y)`` (Babai 1979), so one DFT over the group axes gives
     all |G| of them.  For b = 1 they are the eigenvalues, and M's
-    symmetry is the caller's proof too (``graphs.translation_table``
+    symmetry is the caller's proof too (``atoms.translation_table``
     proves the graph undirected); nothing here checks it.  Otherwise M is
     symmetric iff ``blocks[-y] == blocks[y].T`` for every y, which is
     checked first, exactly (the oracle's entries are integers), and raises

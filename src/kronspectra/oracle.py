@@ -1,13 +1,13 @@
 """The oracle: a family's D and A from its graph alone, and their spectra.
 
 This is the brute-force side of every dual-route check, so it imports no
-formula code, only ``graphs``, ``numeric`` and ``spectrum``.
-Every family is a block group matrix over a group ``Z_{n_1} x ... x
-Z_{n_k}`` of its automorphisms that acts freely (Babai 1979), and one
-solver reads them all (``numeric.block_group_matrix_eigenvalues``): one
-DFT, and a batched solve of the b x b blocks where b > 1.  No family
-builds an n x n matrix, runs an all-sources BFS or solves a dense n x n
-matrix.
+formula code and no CSR ``graphs.Graph``, only ``atoms``, ``families``,
+``numeric`` and ``spectrum``.  Every family is a block group matrix over
+a group ``Z_{n_1} x ... x Z_{n_k}`` of its automorphisms that acts freely
+(Babai 1979), and one solver reads them all
+(``numeric.block_group_matrix_eigenvalues``): one DFT, and a batched
+solve of the b x b blocks where b > 1.  No family builds an n x n
+matrix, runs an all-sources BFS or solves a dense n x n matrix.
 
 The same blocks check a distance polynomial: A and D commute with every
 automorphism P (P A P^T = A, and P preserves distances), so p(A) - D does
@@ -15,9 +15,9 @@ too, and every entry of it occurs on an orbit representative's row.  So
 ``FamilyOracle.polynomial_gap`` evaluates p(A) on those rows alone, d
 steps of a sparse Horner over the neighbour table (``polynomial_rows``)
 instead of d - 1 n x n matrix products.  That Horner sums each vertex's
-row, which is r A only for a symmetric A; no ``Graph`` checks a shaped
-table, so it relies on the translation proof's own symmetry check (N(0) =
--N(0)), and a J(m, r >= 2) table is a validated ``Graph``'s.
+row, which is r A only for a symmetric A: a shaped table's symmetry is
+the translation proof's (N(0) = -N(0)), and a J(m, r >= 2) table's the
+neighbour validator's (``atoms.validate_neighbours``).
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import functools
 
 import numpy as np
 
-from .graphs import FamilySpec, Kron, atom_blocks, orbit_table, product_blocks
-from .graphs import refuse_past_product_cap
+from .atoms import atom_blocks, orbit_table, product_blocks
+from .families import FamilySpec, Kron, refuse_past_product_cap
 from .numeric import block_group_matrix_eigenvalues, refuse_past_dense_cap
 from .spectrum import Spectrum, group_sorted
 
@@ -45,11 +45,11 @@ class FamilyOracle:
     shared by the family's later checks.
 
     An atom's blocks are read off its orbit representatives' rows
-    (``orbits``, ``graphs.atom_blocks``): a shaped atom's are 1 x 1, its
+    (``orbits``, ``atoms.atom_blocks``): a shaped atom's are 1 x 1, its
     row 0, one BFS from vertex 0 and the neighbours of vertex 0; a
     ``J(m,r>=2)`` family's are b x b over a cyclic group Z_k of point
     permutations, b = n / k, one bitset BFS from its b representatives.  A
-    product's blocks are ``graphs.product_blocks``, read off its atoms'
+    product's blocks are ``atoms.product_blocks``, read off its atoms'
     walks over the product of their groups.  ``refuse`` turns away a
     family past the product cap or the dense cap before anything is built.
 
@@ -65,7 +65,7 @@ class FamilyOracle:
     @functools.cached_property
     def orbits(self) -> tuple[np.ndarray, np.ndarray]:
         """An atom's proven (n, degree) neighbour table and its orbit
-        numbering of shape ``G + (b,)`` (``graphs.orbit_table``)."""
+        numbering of shape ``G + (b,)`` (``atoms.orbit_table``)."""
         return orbit_table(self.spec)
 
     def refuse(self, matrix: str) -> int:
@@ -80,7 +80,7 @@ class FamilyOracle:
         """D (``"distance"``) or A (``"adjacency"``) as read-only int64
         blocks of shape ``G + (b, b)``
         (``numeric.block_group_matrix_eigenvalues``): a product's
-        ``graphs.product_blocks``, an atom's ``graphs.atom_blocks``;
+        ``atoms.product_blocks``, an atom's ``atoms.atom_blocks``;
         refused past either cap (``refuse``) before anything is built."""
         if matrix not in self._blocks:
             self.refuse(matrix)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .closedform import intersection_array
 from .errors import NonSymmetricMatrixError
-from .graphs import FamilySpec, Hamming, Johnson
+from .families import FamilySpec, Hamming, Johnson
 # not called here (the oracle module builds A and D); they stay importable
 # from this module, where benchmarks/tracing.py wraps them
 from .graphs import build_family, distance_matrix  # noqa: F401

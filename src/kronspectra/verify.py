@@ -24,8 +24,8 @@ import numpy as np
 
 from . import closedform, polynomials
 from .errors import FamilyDomainError, KronSpectraError, NoClosedFormError
-from .graphs import Complete, Cycle, FamilySpec, Hamming, Johnson, Kron
-from .graphs import family_order, family_to_string
+from .families import Complete, Cycle, FamilySpec, Hamming, Johnson, Kron
+from .families import family_order, family_to_string
 from .oracle import FamilyOracle, oracle_adjacency_spectrum, oracle_distance_spectrum
 from .spectrum import Spectrum, spectra_match
 # not called here (the oracle module reads and solves every family, and

@@ -6,55 +6,15 @@ import numpy as np
 import pytest
 
 from kronspectra.circulant import (
-    apgp_sum,
     block_circulant_matrix,
     block_circulant_reduce,
-    block_spectrum_union,
-    circulant_combo_eigenvalues,
     circulant_eigenvalues,
     circulant_matrix,
     cycle_combo_eigenvalues,
     cycle_combo_spectrum,
     cycle_distance_row,
-    is_symmetric_circulant,
-    real_circulant_spectrum,
 )
 from kronspectra.errors import NonSymmetricMatrixError
-
-
-# ---------------------------------------------------------------------------
-# AP x GP series identity
-# ---------------------------------------------------------------------------
-
-def direct_apgp(a, d, r, n):
-    return sum((a + k * d) * r ** k for k in range(n))
-
-
-def test_apgp_examples():
-    assert apgp_sum(1, 1, 2, 3) == pytest.approx(17)
-    assert apgp_sum(5, 0, 3, 4) == pytest.approx(200)
-    # direct complex summation: 0 + i + 2i^2 + 3i^3 = -2 - 2i
-    assert apgp_sum(0, 1, 1j, 4) == pytest.approx(-2 - 2j)
-    assert direct_apgp(0, 1, 1j, 4) == pytest.approx(-2 - 2j)
-
-
-def test_apgp_r_equal_one_fallback():
-    assert apgp_sum(2, 3, 1, 5) == pytest.approx(direct_apgp(2, 3, 1, 5))
-    assert apgp_sum(1, 1, 1 + 1e-13, 4) == pytest.approx(direct_apgp(1, 1, 1, 4))
-
-
-def test_apgp_random_draws_match_direct_sum():
-    rng = np.random.RandomState(42)
-    for _ in range(1000):
-        a = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        d = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        r = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        if abs(r - 1) <= 1e-6:
-            continue
-        n = int(rng.randint(1, 51))
-        expected = direct_apgp(a, d, r, n)
-        got = apgp_sum(a, d, r, n)
-        assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +34,7 @@ def test_symmetric_circulant_matches_dense(n):
     row = np.zeros(n)
     for k in range(n):
         row[k] = half[min(k, n - k)]
-    assert is_symmetric_circulant(row)
+    assert np.array_equal(row[1:], row[:0:-1])  # c_k == c_{n-k}: symmetric
     vals = np.sort(circulant_eigenvalues(row).real)
     dense = np.sort(np.linalg.eigvalsh(circulant_matrix(row).astype(float)))
     assert np.max(np.abs(vals - dense)) < 1e-8
@@ -88,44 +48,6 @@ def test_larger_symmetric_circulant_spot_checks(n):
     vals = np.sort(circulant_eigenvalues(row).real)
     dense = np.sort(np.linalg.eigvalsh(circulant_matrix(row).astype(float)))
     assert np.max(np.abs(vals - dense)) < 1e-8
-
-
-def test_real_circulant_spectrum_requires_symmetry():
-    with pytest.raises(NonSymmetricMatrixError):
-        real_circulant_spectrum([0, 1, 2])
-
-
-def test_combo_eigenvalue_examples():
-    assert circulant_combo_eigenvalues(2, [0, 1, 1], 3, [1, 0, 0]) == pytest.approx(
-        [7, 1, 1]
-    )
-    assert circulant_combo_eigenvalues(1, [0, 1, 0, 0], 0, [9, 9, 9, 9])[0] == (
-        pytest.approx(1)
-    )
-    # A(C_4) + D(C_4) = circ(0,2,2,2); dense oracle gives {6, -2, -2, -2}
-    combo = circulant_combo_eigenvalues(1, [0, 1, 0, 1], 1, [0, 1, 2, 1])
-    dense = np.linalg.eigvalsh(circulant_matrix([0.0, 2.0, 2.0, 2.0]))
-    assert np.sort(combo.real) == pytest.approx(np.sort(dense), abs=1e-9)
-
-
-def test_combo_rejects_order_mismatch():
-    with pytest.raises(ValueError):
-        circulant_combo_eigenvalues(1, [0, 1], 1, [0, 1, 1])
-
-
-def test_random_combos_match_dense():
-    rng = np.random.RandomState(3)
-    for n in (3, 6, 11, 20):
-        half_a = rng.randn(n // 2 + 1)
-        half_b = rng.randn(n // 2 + 1)
-        row_a = np.array([half_a[min(k, n - k)] for k in range(n)])
-        row_b = np.array([half_b[min(k, n - k)] for k in range(n)])
-        s, t = rng.randint(-3, 4), rng.randint(-3, 4)
-        combo = np.sort(circulant_combo_eigenvalues(s, row_a, t, row_b).real)
-        dense = np.sort(np.linalg.eigvalsh(
-            s * circulant_matrix(row_a) + t * circulant_matrix(row_b)
-        ))
-        assert np.max(np.abs(combo - dense)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -145,21 +67,6 @@ def test_block_reduce_three_blocks_j_zero():
     b1 = np.array([[1.0, 2.0], [0.0, 1.0]])
     hs = block_circulant_reduce([b0, b1, b1.T])
     assert np.allclose(hs[0], b0 + b1 + b1.T)
-
-
-def test_block_union_matches_dense_six_by_six():
-    b0 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    eye = np.eye(2)
-    hs = block_circulant_reduce([b0, eye, eye])
-    union = block_spectrum_union(hs, tol=1e-8)
-    dense = np.linalg.eigvalsh(block_circulant_matrix([b0, eye, eye]))
-    assert np.array(union.expanded()) == pytest.approx(np.sort(dense), abs=1e-8)
-
-
-def test_block_union_counts_multiplicity():
-    hs = block_circulant_reduce([np.eye(3) * 2, np.zeros((3, 3))])
-    union = block_spectrum_union(hs)
-    assert union.order == 6
 
 
 def test_block_reduce_rejects_asymmetric():

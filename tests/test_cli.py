@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kronspectra import cli, closedform, graphs, polynomials, verify
+from kronspectra import atoms, cli, closedform, graphs, polynomials, verify
 from kronspectra.cli import main, parse_family
 from kronspectra.errors import FamilyDomainError, FamilyParseError
 from kronspectra.graphs import (
@@ -217,18 +217,20 @@ def test_verify_all_builds_and_bfs_once(capsys, monkeypatch):
             return fn(*args)
         return wrapper
 
-    # J(6,3) is built once, in graphs, and its distances come from one
-    # bitset BFS from its orbit representatives, not from an all-sources one
+    # J(6,3)'s table is built once, by its atom builder, with no CSR graph,
+    # and its distances come from one bitset BFS from its orbit
+    # representatives, not from an all-sources one
     for namespace, name in ((verify, "build_family"), (graphs, "build_family"),
-                            (verify, "distance_matrix"), (graphs, "_bitset_distances")):
+                            (atoms, "_atom_table"), (verify, "distance_matrix"),
+                            (atoms, "_bitset_distances")):
         monkeypatch.setattr(namespace, name, counted(f"{namespace.__name__}.{name}",
                                                      getattr(namespace, name)))
     code = main(["verify", "--family", "J(6,3)", "--check", "all"])
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert code == 0
     assert [r["check"] for r in records] == ["distance-spectrum", "distance-polynomial"]
-    assert calls == Counter({"kronspectra.graphs.build_family": 1,
-                             "kronspectra.graphs._bitset_distances": 1})
+    assert calls == Counter({"kronspectra.atoms._atom_table": 1,
+                             "kronspectra.atoms._bitset_distances": 1})
 
 
 def test_spectrum_adjacency_past_the_dense_cap(capsys, monkeypatch):
@@ -322,13 +324,13 @@ def test_grid_small_subset(tmp_path, capsys):
 
 
 def test_grid_output_does_not_depend_on_warm_memos(capsys):
-    graphs._atom_walks.cache_clear()
+    atoms._atom_walks.cache_clear()
     closedform._integer_table.cache_clear()
     runs = []
     for _ in range(2):  # cold memos, then warm
         assert main(["grid", "--max-order", "60"]) == 0
         runs.append(capsys.readouterr())
-    assert graphs._atom_walks.cache_info().currsize
+    assert atoms._atom_walks.cache_info().currsize
     assert closedform._integer_table.cache_info().currsize
     assert runs[0] == runs[1]
 
@@ -388,16 +390,16 @@ def test_grid_builds_and_bfs_each_family_once(tmp_path, monkeypatch):
             return distance_matrix(graph)
         return wrapper
 
-    bitset, bitset_distances = [], graphs._bitset_distances
-    monkeypatch.setattr(graphs, "_bitset_distances", lambda slots, sources: bitset.append(
+    bitset, bitset_distances = [], atoms._bitset_distances
+    monkeypatch.setattr(atoms, "_bitset_distances", lambda slots, sources: bitset.append(
         (slots.shape[1], len(sources))) or bitset_distances(slots, sources))
 
-    graphs._atom_walks.cache_clear()
+    atoms._atom_walks.cache_clear()
     for module in (verify, polynomials, graphs):
         monkeypatch.setattr(module, "build_family", counted_build(module.build_family))
-    # every atom's graph or proven table comes from one call of its builder
-    tables, build_table = Counter(), graphs._atom_table
-    monkeypatch.setattr(graphs, "_atom_table",
+    # every atom's validated or proven table comes from one call of its builder
+    tables, build_table = Counter(), atoms._atom_table
+    monkeypatch.setattr(atoms, "_atom_table",
                         lambda atom: tables.update([atom]) or build_table(atom))
     for module in (verify, polynomials):
         monkeypatch.setattr(module, "distance_matrix", counted_bfs(module.distance_matrix))
@@ -406,15 +408,14 @@ def test_grid_builds_and_bfs_each_family_once(tmp_path, monkeypatch):
     cases = verify.default_grid(64)
     # a product is read off its atoms' walks, so only an atom is built: a
     # top-level atom once, and each distinct atom of the products once
-    # more, for the atom memo, shaped or not; only an unshaped atom as a
-    # graph, a shaped one as its proven table
+    # more, for the atom memo, shaped or not; each as its table, and none
+    # as a graph
     products = {spec for spec, _ in cases if isinstance(spec, Kron)}
     assert any(translation_shape(spec) is None for spec in products)
-    atoms = {atom for spec in products for atom in graphs._atoms(spec)}
+    product_atoms = {atom for spec in products for atom in atoms._atoms(spec)}
     assert tables == (Counter({spec: 1 for spec, _ in cases if spec not in products})
-                      + Counter(atoms))
-    assert builds == Counter({spec: count for spec, count in tables.items()
-                              if translation_shape(spec) is None})
+                      + Counter(product_atoms))
+    assert builds == Counter()
     # a shaped family reads its distances off one BFS from vertex 0, and
     # no family needs the all-sources BFS: a top-level J(m,r>=2) runs one
     # bitset BFS from its b orbit representatives, and each distinct
@@ -422,11 +423,11 @@ def test_grid_builds_and_bfs_each_family_once(tmp_path, monkeypatch):
     assert bfs == Counter()
     johnson = {spec for spec, kind in cases if kind != "adjacency-spectrum"
                and translation_shape(spec) is None and spec not in products}
-    covers = {atom for atom in atoms if translation_shape(atom) is None}
+    covers = {atom for atom in product_atoms if translation_shape(atom) is None}
     assert johnson and covers
-    expected = [(family_order(spec), family_order(spec) // graphs._orbit_shape(spec)[0])
+    expected = [(family_order(spec), family_order(spec) // atoms._orbit_shape(spec)[0])
                 for spec in johnson]
-    expected += [(2 * family_order(atom), family_order(atom) // graphs._orbit_shape(atom)[0])
+    expected += [(2 * family_order(atom), family_order(atom) // atoms._orbit_shape(atom)[0])
                  for atom in covers]
     assert sorted(bitset) == sorted(expected)
 

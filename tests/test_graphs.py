@@ -9,7 +9,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from kronspectra import graphs
+from kronspectra import atoms, families, graphs
 from kronspectra.errors import (
     BipartiteGraphError,
     DisconnectedGraphError,
@@ -165,7 +165,7 @@ def test_every_builder_gives_its_definition():
         g = build_family(spec)
         expected = adjacency_by_definition(spec)
         assert np.array_equal(g.adjacency_matrix() == 1, expected), family_to_string(spec)
-        table = graphs._atom_table(spec)
+        table = atoms._atom_table(spec)
         assert table.dtype == np.int32 and table.shape[0] == family_order(spec)
         assert np.array_equal(table.ravel(), g.indices), family_to_string(spec)
 
@@ -218,7 +218,7 @@ def test_product_cap():
 
 @pytest.mark.parametrize("spec", [Cycle(101), Complete(101), Johnson(9, 4)])
 def test_build_family_checks_the_cap_before_building(spec, monkeypatch):
-    monkeypatch.setattr(graphs, "PRODUCT_VERTEX_CAP", 100)
+    monkeypatch.setattr(families, "PRODUCT_VERTEX_CAP", 100)
     message = f"{family_to_string(spec)} has {family_order(spec)} vertices, cap is 100"
     with pytest.raises(OrderCapError, match=f"^{re.escape(message)}$"):
         build_family(spec)
@@ -266,17 +266,17 @@ def count_builds_and_proofs(monkeypatch):
     """Lists that record every ``Graph`` built, every atom table built and
     every translation proof, by the shape proven."""
     inits, tables, proven = [], [], []
-    init, build = Graph.__init__, graphs._atom_table
-    prove = graphs._prove_translation_table
+    init, build = Graph.__init__, atoms._atom_table
+    prove = atoms._prove_translation_table
     monkeypatch.setattr(Graph, "__init__", lambda self, *a: inits.append(1) or init(self, *a))
-    monkeypatch.setattr(graphs, "_atom_table", lambda atom: tables.append(atom) or build(atom))
-    monkeypatch.setattr(graphs, "_prove_translation_table",
+    monkeypatch.setattr(atoms, "_atom_table", lambda atom: tables.append(atom) or build(atom))
+    monkeypatch.setattr(atoms, "_prove_translation_table",
                         lambda table, shape: proven.append(shape) or prove(table, shape))
     return inits, tables, proven
 
 
 def test_product_factors_are_built_anew_and_proven_once(monkeypatch):
-    graphs._atom_walks.cache_clear()
+    atoms._atom_walks.cache_clear()
     inits, tables, proven = count_builds_and_proofs(monkeypatch)
     spec = Kron(Complete(4), Kron(Complete(3), Cycle(5)))
     for _ in range(2):
@@ -292,10 +292,10 @@ def test_product_factors_are_built_anew_and_proven_once(monkeypatch):
     # each distinct atom is tabulated and proven once, and no graph built
     assert sorted(proven) == [(3,), (4,), (5,)] and inits == []
     assert tables == [Complete(4), Complete(3), Cycle(5)]
-    assert graphs._atom_walks.cache_info().currsize == 3  # K4, K3, C5
+    assert atoms._atom_walks.cache_info().currsize == 3  # K4, K3, C5
     # every product reads the memo's rows, so none may write to them
     for atom in (Complete(4), Complete(3), Cycle(5)):
-        assert not any(row.flags.writeable for row in graphs._atom_walks(atom))
+        assert not any(row.flags.writeable for row in atoms._atom_walks(atom))
 
 
 def shaped_products():
@@ -359,7 +359,7 @@ def test_product_row_allocates_no_product_table(monkeypatch):
     # and a few int64 rows of length n (0.16 MB each).  That is about 1 MB;
     # it measures 0.7 MB (1.4 MB when each atom was built as a validated
     # CSR), and 8 MB is the bound.
-    graphs._atom_walks.cache_clear()
+    atoms._atom_walks.cache_clear()
     monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", "20000")
     tracemalloc.start()
     try:
@@ -372,10 +372,10 @@ def test_product_row_allocates_no_product_table(monkeypatch):
 
 
 def test_translation_table_proves_each_atom_graph_once(monkeypatch):
-    graphs._atom_walks.cache_clear()
+    atoms._atom_walks.cache_clear()
     proven = []
-    prove = graphs._prove_translation_table
-    monkeypatch.setattr(graphs, "_prove_translation_table",
+    prove = atoms._prove_translation_table
+    monkeypatch.setattr(atoms, "_prove_translation_table",
                         lambda table, shape: proven.append(table) or prove(table, shape))
     products = [spec for spec, _ in default_grid(1200)
                 if isinstance(spec, Kron) and translation_shape(spec) is not None]
@@ -383,17 +383,18 @@ def test_translation_table_proves_each_atom_graph_once(monkeypatch):
         product_blocks(spec, "distance")
     # one proof per distinct atom table, however many products share it
     assert len({id(table) for table in proven}) == len(proven)
-    atoms = set()
+    factor_atoms = set()
     for spec in products:
-        atoms.update(factor for factor in (spec.left, spec.right) if not isinstance(factor, Kron))
-    assert len(proven) == len(atoms)
+        factor_atoms.update(factor for factor in (spec.left, spec.right)
+                            if not isinstance(factor, Kron))
+    assert len(proven) == len(factor_atoms)
     # a top-level atom is proven afresh on every call, and a product's atom
     # once the memo has dropped it
     translation_table(Cycle(7))
-    assert len(proven) == len(atoms) + 1
-    graphs._atom_walks.cache_clear()
+    assert len(proven) == len(factor_atoms) + 1
+    atoms._atom_walks.cache_clear()
     product_blocks(Kron(Complete(3), Cycle(7)), "distance")
-    assert len(proven) == len(atoms) + 3
+    assert len(proven) == len(factor_atoms) + 3
 
 
 def test_translation_table_builds_no_graph_and_proves_once(monkeypatch):
@@ -410,7 +411,7 @@ def planted_tables(n):
     """Tables for C_n (n >= 7), each with one fault that a CSR ``Graph``
     used to reject, or of the wrong order, which the translation proof
     must refuse, and the message it raises."""
-    cycle = graphs._atom_table(Cycle(n))
+    cycle = atoms._atom_table(Cycle(n))
     faults = {}
     for name, row, value in (("above", 3, (2, n)), ("below", 3, (-1, 4)),
                              ("repeated", 3, (4, 4)), ("unsorted", 3, (4, 2))):
@@ -423,7 +424,7 @@ def planted_tables(n):
     x = np.arange(n, dtype=np.int32)[:, None]
     faults["loop"] = np.sort((x + [0, 1]) % n, axis=1)
     faults["directed"] = np.sort((x + [1, 2]) % n, axis=1)
-    faults["order"] = graphs._atom_table(Cycle(n + 1))
+    faults["order"] = atoms._atom_table(Cycle(n + 1))
     messages = {
         "order": rf"^graph of order {n + 1} is not a Cayley graph over Z_\({n},\)$",
         "above": f"^neighbour {n} of 3 out of range$",
@@ -440,10 +441,10 @@ def planted_tables(n):
 @pytest.mark.parametrize("fault", planted_tables(7))
 def test_the_proof_refuses_a_planted_table(fault, monkeypatch):
     table, message = planted_tables(7)[fault]
-    build = graphs._atom_table
-    monkeypatch.setattr(graphs, "_atom_table",
+    build = atoms._atom_table
+    monkeypatch.setattr(atoms, "_atom_table",
                         lambda atom: table.copy() if atom == Cycle(7) else build(atom))
-    graphs._atom_walks.cache_clear()
+    atoms._atom_walks.cache_clear()
     with pytest.raises(NonSymmetricMatrixError, match=message):
         translation_table(Cycle(7))
     for spec in (Cycle(7), Kron(Complete(3), Cycle(7))):
@@ -463,11 +464,11 @@ def test_every_johnson_graph_up_to_m_25_has_a_free_cyclic_group():
     # fixes an r-subset, and the order is a point permutation's
     for m in range(4, 26):
         for r in range(2, m // 2 + 1):
-            length, cycles = graphs._free_cycle_type(m, r)
+            length, cycles = atoms._free_cycle_type(m, r)
             assert length > 1 and math.comb(m, r) % length == 0, (m, r)
             if m > 12:
                 continue
-            generator, k = graphs._johnson_generator(Johnson(m, r))
+            generator, k = atoms._johnson_generator(Johnson(m, r))
             assert k == length
             power = np.arange(math.comb(m, r))
             for j in range(1, k):
@@ -475,11 +476,11 @@ def test_every_johnson_graph_up_to_m_25_has_a_free_cyclic_group():
                 assert not (power == np.arange(power.size)).any(), (m, r, j)
             assert (generator[power] == np.arange(power.size)).all(), (m, r)
     # the largest fibre under the cap, J(14,7): a 13-cycle, one point fixed
-    assert graphs._free_cycle_type(14, 7) == (13, 1)
-    assert graphs._orbit_shape(Johnson(14, 7)) == (13, 264)
+    assert atoms._free_cycle_type(14, 7) == (13, 1)
+    assert atoms._orbit_shape(Johnson(14, 7)) == (13, 264)
     # an m-cycle exactly when gcd(m, r) = 1; J(4,2) needs a 3-cycle
-    assert graphs._free_cycle_type(16, 5) == (16, 1)
-    assert graphs._free_cycle_type(4, 2) == (3, 1)
+    assert atoms._free_cycle_type(16, 5) == (16, 1)
+    assert atoms._free_cycle_type(4, 2) == (3, 1)
 
 
 def test_orbit_table_numbers_every_vertex_once_by_proven_automorphisms():
@@ -502,14 +503,14 @@ def planted_generators() -> dict:
     """Vertex permutations of J(6,2) planted for the proof of its orbit
     numbering, each with the order it claims and the message the proof
     raises.  J(6,2) is Z_5, a 5-cycle of the points with 5 fixed, b = 3."""
-    generator, k = graphs._johnson_generator(Johnson(6, 2))
+    generator, k = atoms._johnson_generator(Johnson(6, 2))
     assert k == 5
     # the shift of the vertex numbers by 3 acts freely with order 5, but
     # does not move the neighbours of vertex 0 onto those of its image 3
     shift = (np.arange(15) + 3) % 15
     # the rotation of all six points is an automorphism, but its cube fixes
     # every pair of opposite points, first {0, 3}, vertex 2
-    pairs = graphs._johnson_subsets(6, 2).tolist()
+    pairs = atoms._johnson_subsets(6, 2).tolist()
     rotation = np.array([pairs.index(sorted((p + 1) % 6 for p in pair)) for pair in pairs])
     return {
         "automorphism": ((shift, 5), "^vertex permutation is no automorphism: it maps the"
@@ -527,9 +528,9 @@ def planted_generators() -> dict:
 def test_the_orbit_proof_refuses_a_planted_generator(fault, monkeypatch):
     spec = Johnson(6, 2)
     (generator, k), message = planted_generators()[fault]
-    monkeypatch.setattr(graphs, "_johnson_generator",
+    monkeypatch.setattr(atoms, "_johnson_generator",
                         lambda atom: (generator, k) if atom == spec else pytest.fail(atom))
-    graphs._atom_walks.cache_clear()
+    atoms._atom_walks.cache_clear()
     try:
         with pytest.raises(NonSymmetricMatrixError, match=message):
             graphs.orbit_table(spec)
@@ -539,7 +540,7 @@ def test_the_orbit_proof_refuses_a_planted_generator(fault, monkeypatch):
                 with pytest.raises(NonSymmetricMatrixError, match=message):
                     FamilyOracle(family).eigenvalues(matrix)
     finally:
-        graphs._atom_walks.cache_clear()
+        atoms._atom_walks.cache_clear()
 
 
 def test_boolean_rows_of_unequal_length_are_not_regular():
@@ -549,8 +550,8 @@ def test_boolean_rows_of_unequal_length_are_not_regular():
     for blocks in ([rows[:3]], [rows[3:], rows[:3]]):
         with pytest.raises(NonSymmetricMatrixError,
                            match=r"^graph is not regular, so not a Cayley graph over Z_\(4,\)$"):
-            graphs._table_from_boolean_rows(blocks, (4,))
-    assert graphs._table_from_boolean_rows([rows[:1], rows[3:]], (4,)).tolist() == [[1, 2]] * 2
+            atoms._table_from_boolean_rows(blocks, (4,))
+    assert atoms._table_from_boolean_rows([rows[:1], rows[3:]], (4,)).tolist() == [[1, 2]] * 2
 
 
 def unshaped_products():
@@ -570,9 +571,9 @@ def orbit_numbering(spec) -> np.ndarray:
     of shape G + (b,): an atom's ``orbit_table`` numbering, and for a
     product the canonical index of the tuple of its atoms' vertices
     ``V_i[x_i, u_i]``, the atoms' group axes first."""
-    atoms = graphs._atoms(spec)
-    numberings = [graphs.orbit_table(atom)[1] for atom in atoms]
-    orders = [family_order(atom) for atom in atoms]
+    specs = atoms._atoms(spec)
+    numberings = [graphs.orbit_table(atom)[1] for atom in specs]
+    orders = [family_order(atom) for atom in specs]
     group = sum((v.shape[:-1] for v in numberings), ())
     index = np.zeros(group + tuple(v.shape[-1] for v in numberings), dtype=np.int64)
     axis = 0
@@ -610,10 +611,10 @@ def test_product_blocks_refuse_a_bipartite_unshaped_atom(monkeypatch):
     # J(m, r >= 2) has a triangle; one built as C6 is refused by the proof
     # of its orbit numbering, as the rotation of J(4,2)'s points 0, 1, 2
     # moves the neighbours 1, 5 of vertex 0 to 0, 2, not to those of 3
-    build = graphs.build_family
-    monkeypatch.setattr(graphs, "build_family",
+    build = atoms._atom_table
+    monkeypatch.setattr(atoms, "_atom_table",
                         lambda spec: build(Cycle(6)) if spec == Johnson(4, 2) else build(spec))
-    graphs._atom_walks.cache_clear()
+    atoms._atom_walks.cache_clear()
     try:
         for matrix in ("distance", "adjacency"):
             with pytest.raises(NonSymmetricMatrixError,
@@ -621,7 +622,7 @@ def test_product_blocks_refuse_a_bipartite_unshaped_atom(monkeypatch):
                                      " neighbours of 0 onto no neighbours of 3$"):
                 product_blocks(Kron(Complete(3), Johnson(4, 2)), matrix)
     finally:
-        graphs._atom_walks.cache_clear()
+        atoms._atom_walks.cache_clear()
 
 
 def test_product_blocks_read_a_bipartite_atom_with_a_fibre(monkeypatch):
@@ -631,17 +632,17 @@ def test_product_blocks_read_a_bipartite_atom_with_a_fibre(monkeypatch):
     parts = ([0, 1, 3], [2, 4, 5])
     bipartite = from_edge_list_text("p 6 9\n" + "".join(
         f"{min(u, v)} {max(u, v)}\n" for u in parts[0] for v in parts[1]))
-    build = graphs.build_family
-    monkeypatch.setattr(graphs, "build_family",
-                        lambda spec: bipartite if spec == Johnson(4, 2) else build(spec))
-    graphs._atom_walks.cache_clear()
+    table, build = bipartite.indices.reshape(6, 3), atoms._atom_table
+    monkeypatch.setattr(atoms, "_atom_table",
+                        lambda spec: table if spec == Johnson(4, 2) else build(spec))
+    atoms._atom_walks.cache_clear()
     try:
-        even, odd = graphs._atom_walks(Johnson(4, 2))
+        even, odd = atoms._atom_walks(Johnson(4, 2))
         assert even.shape == odd.shape == (3, 2, 2)
-        assert (even[odd != graphs._NO_WALK] == graphs._NO_WALK).all()
+        assert (even[odd != atoms._NO_WALK] == atoms._NO_WALK).all()
         for left in (Complete(3), Cycle(4)):
             spec = Kron(left, Johnson(4, 2))
-            g = kronecker_product(build(left), bipartite)
+            g = kronecker_product(build_family(left), bipartite)
             if left == Cycle(4):  # two bipartite atoms: two components
                 with pytest.raises(DisconnectedGraphError, match="^graph is disconnected$"):
                     product_blocks(spec, "distance")
@@ -650,31 +651,31 @@ def test_product_blocks_read_a_bipartite_atom_with_a_fibre(monkeypatch):
                                  ("adjacency", g.adjacency_matrix())):
                 assert np.array_equal(product_blocks(spec, matrix), built_blocks(full, spec))
     finally:
-        graphs._atom_walks.cache_clear()
+        atoms._atom_walks.cache_clear()
 
 
 def test_product_blocks_with_a_k1_atom_read_no_fibre_walks(monkeypatch):
     # kron(K1, J(10,5)) has no edge, which its K1 atom tells before J(10,5)
     # is built, proven or walked; its blocks still have J(10,5)'s Z_9 axis
     # and its fibre of 28 representatives
-    atom_table = graphs._atom_table
-    monkeypatch.setattr(graphs, "_atom_table", lambda atom: (
+    atom_table = atoms._atom_table
+    monkeypatch.setattr(atoms, "_atom_table", lambda atom: (
         pytest.fail("J(10,5) was built") if atom == Johnson(10, 5) else atom_table(atom)))
-    graphs._atom_walks.cache_clear()
+    atoms._atom_walks.cache_clear()
     spec = Kron(Complete(1), Johnson(10, 5))
     with pytest.raises(DisconnectedGraphError, match="^graph is disconnected$"):
         product_blocks(spec, "distance")
     blocks = product_blocks(spec, "adjacency")
     assert blocks.shape == (1, 9, 28, 28) and blocks.dtype == np.int64 and not blocks.any()
-    assert graphs._atom_walks.cache_info().currsize == 1  # K1 only
+    assert atoms._atom_walks.cache_info().currsize == 1  # K1 only
 
 
 def test_unshaped_atom_walks_are_contiguous_read_only_matrices():
     # the all-pairs walks at the rows of the representatives, over the
     # orbit numbering: J(6,2) is Z_5 with b = 3
-    graphs._atom_walks.cache_clear()
+    atoms._atom_walks.cache_clear()
     g = build_family(Johnson(6, 2))
-    walks = graphs._atom_walks(Johnson(6, 2))
+    walks = atoms._atom_walks(Johnson(6, 2))
     assert len(walks) == 2
     for array, want in zip(walks, graphs._shortest_walks(g)):
         assert array.shape == (5, 3, 3) and array.dtype == np.int64
@@ -685,11 +686,12 @@ def test_unshaped_atom_walks_are_contiguous_read_only_matrices():
 def test_every_grid_atom_keeps_two_walk_arrays_whose_walks_of_length_1_are_a():
     # an edge is exactly a walk of length 1, so A is odd == 1: row 0 of a
     # shaped atom's, the representatives' rows of a J(m, r >= 2)
-    graphs._atom_walks.cache_clear()
-    atoms = dict.fromkeys(atom for spec, _ in default_grid(1200) for atom in graphs._atoms(spec))
-    assert len(atoms) == 125
-    for atom in atoms:
-        walks, name = graphs._atom_walks(atom), family_to_string(atom)
+    atoms._atom_walks.cache_clear()
+    grid_atoms = dict.fromkeys(atom for spec, _ in default_grid(1200)
+                               for atom in atoms._atoms(spec))
+    assert len(grid_atoms) == 125
+    for atom in grid_atoms:
+        walks, name = atoms._atom_walks(atom), family_to_string(atom)
         assert isinstance(walks, tuple) and len(walks) == 2, name
         assert all(array.dtype == np.int64 and not array.flags.writeable
                    for array in walks), name
@@ -705,7 +707,7 @@ def test_product_adjacency_blocks_build_no_adjacency_matrix(monkeypatch):
         raise AssertionError("an adjacency matrix was built")
 
     monkeypatch.setattr(Graph, "adjacency_matrix", refuse)
-    graphs._atom_walks.cache_clear()
+    atoms._atom_walks.cache_clear()
     for spec in specs:
         blocks = product_blocks(spec, "adjacency")
         assert blocks.dtype == np.int64, family_to_string(spec)
@@ -815,8 +817,8 @@ def test_distance_matrix_against_naive_bfs(spec):
 def test_bfs_stops_once_every_pair_has_a_distance(monkeypatch):
     # levels 2 .. diameter take one bitset step each; none is left to find
     # nothing
-    step, calls = graphs._bitset_reach, []
-    monkeypatch.setattr(graphs, "_bitset_reach",
+    step, calls = atoms._bitset_reach, []
+    monkeypatch.setattr(atoms, "_bitset_reach",
                         lambda *args: calls.append(1) or step(*args))
     for spec in (Complete(5), Johnson(6, 3), Hamming(5, 3), Kron(Complete(4), Cycle(61)),
                  Kron(Complete(9), Complete(8))):
@@ -878,9 +880,9 @@ def test_bfs_depths_at_every_narrow_level_constant(monkeypatch):
     # every edge count runs every level in the queue
     for g in bfs_step_graphs():
         expected, components = naive_component_depths(g)
-        for constant in (0, 10 ** 9, graphs._NARROW_LEVEL_EDGES):
-            monkeypatch.setattr(graphs, "_NARROW_LEVEL_EDGES", constant)
-            depth, count = graphs._bfs_depths(g)
+        for constant in (0, 10 ** 9, atoms._NARROW_LEVEL_EDGES):
+            monkeypatch.setattr(atoms, "_NARROW_LEVEL_EDGES", constant)
+            depth, count = atoms._bfs_depths(g)
             assert depth.dtype == np.int64
             assert depth.tolist() == expected.tolist(), (constant, g.vertex_count)
             assert count == components
@@ -889,10 +891,10 @@ def test_bfs_depths_at_every_narrow_level_constant(monkeypatch):
 def spy_on_bfs_steps(monkeypatch) -> list[str]:
     steps = []
     for name in ("_queue_level", "_top_down_level", "_bottom_up_level"):
-        def spy(*args, _step=getattr(graphs, name), _name=name):
+        def spy(*args, _step=getattr(atoms, name), _name=name):
             steps.append(_name)
             return _step(*args)
-        monkeypatch.setattr(graphs, name, spy)
+        monkeypatch.setattr(atoms, name, spy)
     return steps
 
 
@@ -966,7 +968,7 @@ def disjoint_copies(component: Graph, copies: int) -> Graph:
 ], ids=["isolated", "matching"])
 def test_bfs_depths_on_many_components(component, copies):
     g = disjoint_copies(component, copies)
-    depth, components = graphs._bfs_depths(g)
+    depth, components = atoms._bfs_depths(g)
     assert components == copies
     assert depth.tolist() == np.tile(naive_bfs_distances(component)[0], copies).tolist()
 

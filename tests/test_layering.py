@@ -1,4 +1,5 @@
-"""Import layering: the oracle stays free of formula code."""
+"""Import layering: the oracle stays free of formula code, and the code
+that both routes trust is the specs alone."""
 
 import ast
 import importlib
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import kronspectra
-from kronspectra import graphs, polynomials, verify
+from kronspectra import atoms, graphs, polynomials, verify
 from kronspectra.graphs import Complete, Graph, Hamming, Johnson, Kron, translation_shape
 from kronspectra.verify import FamilyOracle, poly_report, verify_family
 
@@ -41,9 +42,87 @@ def imported_modules(path):
 
 def test_oracle_modules_import_no_formula_code():
     formula = {"closedform", "circulant", "polynomials", "verify"}
-    for name in ("graphs", "numeric", "oracle"):
+    for name in ("families", "atoms", "graphs", "numeric", "oracle"):
         assert not imported_modules(PACKAGE / f"{name}.py") & formula, name
-    assert imported_modules(PACKAGE / "oracle.py") <= {"graphs", "numeric", "spectrum", "errors"}
+
+
+# every package module that each of these may import: the oracle reads the
+# atoms and never the CSR library, the atoms read the specs alone, and the
+# specs, which both routes read, read nothing
+IMPORTS_ALLOWED = {
+    "oracle": {"atoms", "families", "numeric", "spectrum", "errors"},
+    "atoms": {"families", "errors"},
+    "families": {"errors"},
+}
+GRAPH_SIDE = {"families", "atoms", "graphs"}
+# the graph modules that each formula module may import
+GRAPH_SIDE_ALLOWED = {
+    "closedform": {"families"},
+    "circulant": {"families"},
+    "polynomials": {"families", "graphs"},
+    "verify": {"families", "graphs"},
+}
+
+
+def test_each_layer_imports_only_what_it_may():
+    for name, allowed in IMPORTS_ALLOWED.items():
+        imported = imported_modules(PACKAGE / f"{name}.py")
+        assert imported <= allowed, (name, sorted(imported - allowed))
+    for name, allowed in GRAPH_SIDE_ALLOWED.items():
+        imported = imported_modules(PACKAGE / f"{name}.py") & GRAPH_SIDE
+        assert imported <= allowed, (name, sorted(imported - allowed))
+
+
+def names_imported_from(path, module):
+    """(name, marked) for every name that an import of the package module
+    ``module`` binds in a source file, the module itself for ``from . import
+    module`` or ``import kronspectra.module``, and whether the import is
+    marked ``# noqa: F401``."""
+    lines = Path(path).read_text().splitlines()
+    found = []
+    for node in ast.walk(ast.parse("\n".join(lines))):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "kronspectra":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                names = [alias.name for alias in node.names] if parts[0] == module else []
+            else:  # from . import x, from kronspectra import x
+                names = [alias.name for alias in node.names if alias.name == module]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names if alias.name == f"kronspectra.{module}"]
+        else:
+            continue
+        marked = any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
+        found += [(name, marked) for name in names]
+    return found
+
+
+def test_formula_modules_read_the_library_only_for_the_tracer():
+    # polynomials and verify keep two unused library names for
+    # benchmarks/tracing.py, and read nothing else from graphs
+    for name in ("polynomials", "verify"):
+        assert sorted(names_imported_from(PACKAGE / f"{name}.py", "graphs")) == [
+            ("build_family", True), ("distance_matrix", True)], name
+    for name in ("closedform", "circulant", "oracle", "atoms", "families"):
+        assert names_imported_from(PACKAGE / f"{name}.py", "graphs") == [], name
+
+
+def test_names_imported_from_sees_every_import_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .graphs import a, b  # noqa: F401\n"
+        "from . import graphs\n"
+        "import kronspectra.graphs\n"
+        "from kronspectra.graphs import (\n    c,\n)\n"
+        "from .atoms import graphs as other\n"
+        "from numpy import graphs\n"
+    )
+    assert names_imported_from(probe, "graphs") == [
+        ("a", True), ("b", True), ("graphs", False), ("kronspectra.graphs", False),
+        ("c", False)]
 
 
 def test_closedform_does_not_import_polynomials():
@@ -68,16 +147,16 @@ def names_used(path):
     return found
 
 
-def test_only_graphs_proves_a_translation_shape():
-    # graphs.translation_table builds and proves every shaped atom's table,
+def test_only_atoms_proves_a_translation_shape():
+    # atoms.translation_table builds and proves every shaped atom's table,
     # and a product's rows are read off its atoms, so no other module
     # reaches the proof itself, and the proof has that one entry
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name != "graphs.py":
+        if path.name != "atoms.py":
             for name in ("translation_neighbours", "_prove_translation_table"):
                 assert name not in names_used(path), (path.name, name)
-    assert "_prove_translation_table" in names_used(PACKAGE / "graphs.py")
-    defined = {node.name for node in ast.walk(ast.parse((PACKAGE / "graphs.py").read_text()))
+    assert "_prove_translation_table" in names_used(PACKAGE / "atoms.py")
+    defined = {node.name for node in ast.walk(ast.parse((PACKAGE / "atoms.py").read_text()))
                if isinstance(node, ast.FunctionDef)}
     assert "translation_table" in defined and "translation_neighbours" not in defined
 
@@ -129,6 +208,28 @@ def test_a_shaped_atom_oracle_keeps_no_graph(monkeypatch):
         assert set(vars(oracle)) == {"spec", "orbits", "_blocks", "_eigenvalues"}, spec
 
 
+def test_no_oracle_path_builds_a_library_graph(monkeypatch):
+    # a J(m,r>=2) atom's table passes the neighbour validator with no CSR
+    # Graph, alone or as a product's atom, and a shaped atom is proven
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached the CSR library")
+
+    for namespace, name in ((graphs, "Graph"), (graphs, "build_family"), (Graph, "__init__")):
+        monkeypatch.setattr(namespace, name, refuse)
+    specs = (Johnson(6, 3), Hamming(3, 3), Kron(Complete(3), Johnson(5, 2)))
+    cases = [case for case in verify.default_grid(1200) if case[0] in specs]
+    assert sorted(set(spec for spec, _ in cases), key=str) == sorted(specs, key=str)
+    atoms._atom_walks.cache_clear()
+    try:
+        reports = verify.run_grid(cases)
+        # the grid reads only the product's D; its A takes the same route
+        assert FamilyOracle(specs[-1]).eigenvalues("adjacency").size == 30
+    finally:
+        atoms._atom_walks.cache_clear()
+    assert [report.error for report in reports] == [None] * len(cases) == [None] * 7
+    assert all(report.match for report in reports)
+
+
 def test_no_family_reaches_a_dense_n_by_n_route(monkeypatch):
     # every grid family, the largest J(m,r>=2) fibre under the cap and two
     # products with large J(m,r>=2) atoms: no all-sources BFS, dense A,
@@ -149,7 +250,7 @@ def test_no_family_reaches_a_dense_n_by_n_route(monkeypatch):
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", solve)
-    graphs._atom_walks.cache_clear()
+    atoms._atom_walks.cache_clear()
     cases = verify.default_grid(1200)
     kinds = ("adjacency-spectrum", "distance-spectrum", "distance-polynomial")
     cases += [(Johnson(14, 7), kind) for kind in kinds]
@@ -163,7 +264,7 @@ def test_no_family_reaches_a_dense_n_by_n_route(monkeypatch):
             assert oracle.eigenvalues(matrix).size == graphs.family_order(spec)
     # the largest block is J(14,7)'s 264 x 264, over Z_13
     assert largest == [264]
-    graphs._atom_walks.cache_clear()
+    atoms._atom_walks.cache_clear()
 
 
 def test_every_public_definition_is_in_its_modules_all():
@@ -180,7 +281,7 @@ def test_every_public_definition_is_in_its_modules_all():
                    and (inspect.isclass(value) or inspect.isfunction(inspect.unwrap(value)))
                    and value.__module__ == module.__name__}
         assert defined <= set(module.__all__), (info.name, sorted(defined - set(module.__all__)))
-    assert checked == 8
+    assert checked == 10
 
 
 def test_imported_modules_sees_every_import_form(tmp_path):

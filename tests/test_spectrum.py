@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kronspectra import graphs
+from kronspectra import atoms
 from kronspectra.errors import NonSymmetricMatrixError, OrderCapError
 from kronspectra.graphs import (
     Complete,
@@ -471,19 +471,19 @@ def assert_graph_route_refuses(oracle, match):
 
 
 # the genuine atom builder, which a planted one falls back on
-ATOM_TABLE = graphs._atom_table
+ATOM_TABLE = atoms._atom_table
 
 
 def mutate_graph(oracle, monkeypatch, mutate):
     """Make ``oracle`` read ``mutate(graph)`` for its graph, as the atom
-    builder ``graphs._atom_table`` makes it: the mutated graph's boolean
+    builder ``atoms._atom_table`` makes it: the mutated graph's boolean
     adjacency rows go through the builders' ``_table_from_boolean_rows``,
     which tabulates a regular graph and refuses an irregular one.  A
     product's graph is never built, so the mutation goes into its right
     factor, whose proof and walk rows the product's rows are read from."""
     spec = oracle.spec
     target = spec.right if isinstance(spec, Kron) else spec
-    monkeypatch.setattr(graphs, "_atom_table", ATOM_TABLE)  # no earlier planting
+    monkeypatch.setattr(atoms, "_atom_table", ATOM_TABLE)  # no earlier planting
     original = build_family(target)
     mutated = mutate(original)
 
@@ -491,10 +491,10 @@ def mutate_graph(oracle, monkeypatch, mutate):
         if other != target:
             return ATOM_TABLE(other)
         rows = mutated.adjacency_matrix() > 0
-        return graphs._table_from_boolean_rows([rows], translation_shape(target))
+        return atoms._table_from_boolean_rows([rows], translation_shape(target))
 
-    monkeypatch.setattr(graphs, "_atom_table", planted)
-    graphs._atom_walks.cache_clear()
+    monkeypatch.setattr(atoms, "_atom_table", planted)
+    atoms._atom_walks.cache_clear()
     return original, mutated
 
 
@@ -529,7 +529,7 @@ def test_group_matrix_route_refuses_an_irregular_graph(monkeypatch):
 
 def prove_table(g, shape):
     """The translation proof on a regular graph's neighbour table."""
-    return graphs._prove_translation_table(g.indices.reshape(g.vertex_count, -1), shape)
+    return atoms._prove_translation_table(g.indices.reshape(g.vertex_count, -1), shape)
 
 
 def test_group_matrix_route_checks_the_wrapped_translations():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kronspectra import circulant, closedform, graphs, polynomials, verify
+from kronspectra import atoms, circulant, closedform, graphs, polynomials, verify
 from kronspectra import oracle as oracle_module
 from kronspectra.cli import main
 from kronspectra.errors import (
@@ -41,8 +41,8 @@ from kronspectra.verify import (
 
 def test_family_oracle_computes_each_part_on_first_use(monkeypatch):
     calls = []
-    bfs = graphs._bitset_distances
-    monkeypatch.setattr(graphs, "_bitset_distances",
+    bfs = atoms._bitset_distances
+    monkeypatch.setattr(atoms, "_bitset_distances",
                         lambda slots, sources: calls.append(sources) or bfs(slots, sources))
     spec = Johnson(6, 3)
     oracle = FamilyOracle(spec)
@@ -123,21 +123,21 @@ def _with_edges_changed(graph, removed=(), added=()):
 
 
 def _build_instead(monkeypatch, spec, graph):
-    """Make the atom builder ``graphs._atom_table`` build ``graph`` for
+    """Make the atom builder ``atoms._atom_table`` build ``graph`` for
     ``spec``, as a top-level family or as a product's atom, with no atom's
     walk rows kept from before.  Its boolean adjacency rows go through the
     builders' ``_table_from_boolean_rows``, which tabulates a regular graph
     and refuses an irregular one."""
-    build = graphs._atom_table
+    build = atoms._atom_table
 
     def planted(other):
         if other != spec:
             return build(other)
         rows = graph.adjacency_matrix() > 0
-        return graphs._table_from_boolean_rows([rows], translation_shape(spec))
+        return atoms._table_from_boolean_rows([rows], translation_shape(spec))
 
-    monkeypatch.setattr(graphs, "_atom_table", planted)
-    graphs._atom_walks.cache_clear()
+    monkeypatch.setattr(atoms, "_atom_table", planted)
+    atoms._atom_walks.cache_clear()
 
 
 # Mutations of H(3,3), whose vertex x is the base-3 numeral of its tuple:
@@ -215,8 +215,8 @@ def test_family_oracle_solves_each_matrix_once(monkeypatch):
 
 def test_family_oracle_keeps_no_failed_solve(monkeypatch):
     calls = []
-    prove = graphs._prove_translation_table
-    monkeypatch.setattr(graphs, "_prove_translation_table",
+    prove = atoms._prove_translation_table
+    monkeypatch.setattr(atoms, "_prove_translation_table",
                         lambda table, shape: calls.append(shape) or prove(table, shape))
     spec = Hamming(3, 3)
     _build_instead(monkeypatch, spec, _with_edges_changed(graphs.build_family(spec),
@@ -255,10 +255,10 @@ def test_product_route_refuses_a_mutated_factor(spec, mutation, monkeypatch):
 
 
 def test_shaped_product_builds_only_its_atoms(monkeypatch):
-    graphs._atom_walks.cache_clear()
+    atoms._atom_walks.cache_clear()
     orders = []
-    build = graphs._atom_table
-    monkeypatch.setattr(graphs, "_atom_table",
+    build = atoms._atom_table
+    monkeypatch.setattr(atoms, "_atom_table",
                         lambda atom: orders.append(graphs.family_order(atom)) or build(atom))
 
     def no_graph(self, *args):
@@ -270,7 +270,7 @@ def test_shaped_product_builds_only_its_atoms(monkeypatch):
         raise AssertionError("a shaped product built its CSR")
 
     monkeypatch.setattr(graphs, "kronecker_product", no_product)
-    for spec, atoms in ((Kron(Complete(3), Cycle(7)), [3, 7]),
+    for spec, atom_orders in ((Kron(Complete(3), Cycle(7)), [3, 7]),
                         (Kron(Complete(4), Kron(Complete(3), Cycle(7))), [4]),
                         (Kron(Hamming(2, 3), Cycle(7)), [9])):
         orders.clear()
@@ -278,7 +278,7 @@ def test_shaped_product_builds_only_its_atoms(monkeypatch):
         for matrix in ("distance", "adjacency"):
             assert oracle.eigenvalues(matrix).size == graphs.family_order(spec)
         # K3 and C7 come from the memo the second time
-        assert orders == atoms, spec
+        assert orders == atom_orders, spec
         assert "orbits" not in vars(oracle)
     orders.clear()
     assert verify_family(Kron(Complete(3), Cycle(7))).match
@@ -363,14 +363,14 @@ def test_an_asymmetric_johnson_distance_matrix_is_refused(offset, monkeypatch):
     # the blocks of J(m,r>=2)'s D are checked exactly: one entry, D[0, 1],
     # moved off symmetry by far less than any tolerance is refused, as a
     # whole unit is
-    bfs = graphs._bitset_distances
+    bfs = atoms._bitset_distances
 
     def planted(slots, sources):
         d = bfs(slots, sources).astype(np.float64)
         d[1, 0] += offset
         return d
 
-    monkeypatch.setattr(graphs, "_bitset_distances", planted)
+    monkeypatch.setattr(atoms, "_bitset_distances", planted)
     with pytest.raises(NonSymmetricMatrixError, match="not the transpose"):
         verify_family(Johnson(6, 3))
 
@@ -397,7 +397,7 @@ def test_unshaped_product_eigenvalues_match_the_dense_solve(monkeypatch):
     build = graphs.build_family
     monkeypatch.setattr(graphs, "build_family", lambda spec: no_dense() if isinstance(spec, Kron)
                         else build(spec))
-    graphs._atom_walks.cache_clear()
+    atoms._atom_walks.cache_clear()
     for spec in specs:
         oracle = FamilyOracle(spec)
         for matrix in ("distance", "adjacency"):
@@ -411,7 +411,7 @@ def test_unshaped_product_eigenvalues_match_the_dense_solve(monkeypatch):
     (Complete(3), lambda even: even.__setitem__(2, 4)),  # e(2) != e(-2)
 ], ids=["fibre", "group"])
 def test_a_planted_asymmetric_block_is_refused(atom, change, monkeypatch):
-    walks = graphs._atom_walks
+    walks = atoms._atom_walks
 
     def planted(other):
         even, odd = walks(other)
@@ -420,7 +420,7 @@ def test_a_planted_asymmetric_block_is_refused(atom, change, monkeypatch):
             change(even)
         return even, odd
 
-    monkeypatch.setattr(graphs, "_atom_walks", planted)
+    monkeypatch.setattr(atoms, "_atom_walks", planted)
     with pytest.raises(NonSymmetricMatrixError, match="not the transpose"):
         FamilyOracle(Kron(Complete(3), Johnson(5, 2))).eigenvalues("distance")
 
@@ -434,7 +434,7 @@ def test_a_planted_asymmetric_block_is_refused(atom, change, monkeypatch):
 def test_an_unshaped_product_with_a_k1_atom_is_disconnected(cap, spec, order, monkeypatch):
     if cap is not None:
         monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", cap)
-    graphs._atom_walks.cache_clear()
+    atoms._atom_walks.cache_clear()
     oracle = FamilyOracle(spec)
     with pytest.raises(DisconnectedGraphError, match="^graph is disconnected$"):
         oracle.eigenvalues("distance")
@@ -444,7 +444,7 @@ def test_an_unshaped_product_with_a_k1_atom_is_disconnected(cap, spec, order, mo
 def test_unshaped_product_refusals_keep_their_text_and_order(monkeypatch):
     calls = []
     for namespace, name in ((graphs, "build_family"), (graphs, "kronecker_product"),
-                            (graphs, "_atom_walks"), (verify, "build_family"),
+                            (atoms, "_atom_walks"), (verify, "build_family"),
                             (oracle_module, "product_blocks"), (oracle_module, "orbit_table"),
                             (oracle_module, "atom_blocks"),
                             (verify, "closed_form_distance_spectrum"),
