@@ -32,7 +32,7 @@ shortest even and odd walk blocks (``product_blocks``), with no product
 graph, table or BFS.  So no family builds an n x n matrix.
 
 This module imports neither ``graphs`` nor any formula code: the oracle
-reads it, and the CSR library reuses its BFS.
+reads it, and ``graphs`` hands it tables.
 """
 
 from __future__ import annotations
@@ -99,14 +99,6 @@ def validate_neighbours(indptr: np.ndarray, indices: np.ndarray) -> None:
         else:
             v, u = divmod(int(transposed[first]), n)
         raise ValueError(f"edge {u}-{v} not symmetric")
-
-
-def _gather(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenation of ``values[starts[k]:starts[k] + lengths[k]]`` over k."""
-    ends = np.cumsum(lengths)
-    positions = np.repeat(starts - ends + lengths, lengths)
-    positions += np.arange(positions.size)
-    return values[positions]
 
 
 def translation_shape(spec: FamilySpec) -> tuple[int, ...] | None:
@@ -226,48 +218,41 @@ def _hamming_table(d: int, q: int) -> np.ndarray:
 _NARROW_LEVEL_EDGES = 128
 
 
-def _bfs_depths(g) -> tuple[np.ndarray, int]:
+def _bfs_depths(table: np.ndarray) -> tuple[np.ndarray, int]:
     """BFS depth of every vertex from the lowest vertex of its component,
-    and the number of components, for the (n, degree) neighbour table of a
-    regular graph or for a CSR graph (anything with ``indptr`` and
-    ``indices``, such as ``graphs.Graph``).
+    and the number of components, for an (n, width) neighbour table whose
+    entry n, where present, is a spare vertex meaning "no neighbour".
 
     Level-synchronous; each level takes one of three exact steps, which
     all write the same depths:
 
     * a queue step (``_queue_level``) in plain Python when the frontier has
-      at most ``_NARROW_LEVEL_EDGES`` edges (128: a queue edge costs
-      44-120 ns and a numpy level 8-15 us).  It reads each frontier
+      at most ``_NARROW_LEVEL_EDGES`` neighbour slots (128: a queue edge
+      costs 44-120 ns and a numpy level 8-15 us).  It reads each frontier
       vertex's neighbours as a slice ``flat[ends[x]:ends[x + 1]]`` of
-      memoryviews of the graph's ``indices`` and ``indptr``, or of the
-      flattened table and ``degree * arange(n + 1)``, so no row is copied;
-    * on a regular graph, a bottom-up step (``_bottom_up_level``; Beamer,
-      Asanovic and Patterson, "Direction-optimizing breadth-first search",
-      SC 2012) from the first wider level whose unvisited vertices are no
-      more than its frontier, and on every wider level after it: both
-      numpy steps gather (k, degree) neighbour rows, so the smaller k wins
-      and the rule needs no fitted constant;
+      memoryviews of the flattened table and ``width * arange(n + 1)``, so
+      no row is copied;
+    * a bottom-up step (``_bottom_up_level``; Beamer, Asanovic and
+      Patterson, "Direction-optimizing breadth-first search", SC 2012)
+      from the first wider level whose unvisited vertices are no more than
+      its frontier, and on every wider level after it: both numpy steps
+      gather (k, width) neighbour rows, so the smaller k wins and the rule
+      needs no fitted constant;
     * otherwise a top-down numpy step (``_top_down_level``).
 
-    Depths are read and written through a ``memoryview`` of the int64
-    array, so a change of step copies nothing.  The unvisited count is
-    kept level by level, and the search stops as soon as it reaches zero,
-    so a connected graph runs exactly as many levels as vertex 0's
-    eccentricity.  Each component starts at the next unvisited vertex,
-    found by a scan forward from the previous start, so k components cost
-    O(n), not O(k·n).
+    The spare vertex is held at depth n, so every step treats it as
+    visited and no level (always below n) takes it as a parent.  Depths
+    are read and written through a ``memoryview`` of the int64 array, so a
+    change of step copies nothing.  The unvisited count is kept level by
+    level, and the search stops as soon as it reaches zero, so a connected
+    graph runs exactly as many levels as vertex 0's eccentricity.  Each
+    component starts at the next unvisited vertex, found by a scan forward
+    from the previous start, so k components cost O(n), not O(k·n).
     """
-    if isinstance(g, np.ndarray):
-        table = g
-        flat, ends = memoryview(g.reshape(-1)), memoryview(g.shape[1] * np.arange(len(g) + 1))
-    else:
-        table = _regular_table(g.indptr, g.indices)
-        flat, ends = memoryview(g.indices), memoryview(g.indptr)
-    if table is not None:
-        n, degree = table.shape
-    else:
-        n, degrees = len(g.indptr) - 1, np.diff(g.indptr)
-    depth = np.full(n, -1, dtype=np.int64)
+    n, width = table.shape
+    flat, ends = memoryview(table.reshape(-1)), memoryview(width * np.arange(n + 1))
+    depth = np.full(n + 1, -1, dtype=np.int64)
+    depth[n] = n
     seen = memoryview(depth)
     owner = np.empty(n, dtype=np.intp)
     pending = None
@@ -282,31 +267,18 @@ def _bfs_depths(g) -> tuple[np.ndarray, int]:
         while unvisited and len(frontier):
             level += 1
             size = len(frontier)
-            if table is not None:
-                edges = size * degree
-            else:
-                edges = int(degrees[frontier].sum())
-            if edges <= _NARROW_LEVEL_EDGES:
+            if size * width <= _NARROW_LEVEL_EDGES:
                 if not isinstance(frontier, list):
                     frontier = frontier.tolist()
                 frontier = _queue_level(flat, ends, frontier, seen, level)
-            elif table is not None and (pending is not None or unvisited <= size):
+            elif pending is not None or unvisited <= size:
                 if pending is None:
                     pending = np.flatnonzero(depth < 0)
                 pending, frontier = _bottom_up_level(table, depth, pending, level)
             else:
-                frontier = _top_down_level(g, table, depth, owner, frontier, level)
+                frontier = _top_down_level(table, depth, owner, frontier, level)
             unvisited -= len(frontier)
-    return depth, components
-
-
-def _regular_table(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray | None:
-    """The (n, degree) neighbour table of a regular CSR graph, or None."""
-    n = len(indptr) - 1
-    degree = int(indptr[1]) if n else 0
-    if (np.diff(indptr) != degree).any():
-        return None
-    return indices.reshape(n, degree)
+    return depth[:n], components
 
 
 def _queue_level(flat: memoryview, ends: memoryview, frontier: list[int],
@@ -323,19 +295,14 @@ def _queue_level(flat: memoryview, ends: memoryview, frontier: list[int],
     return found
 
 
-def _top_down_level(g, table: np.ndarray | None, depth: np.ndarray,
-                    owner: np.ndarray, frontier, level: int) -> np.ndarray:
+def _top_down_level(table: np.ndarray, depth: np.ndarray, owner: np.ndarray,
+                    frontier, level: int) -> np.ndarray:
     """Top-down numpy step: gather the frontier's neighbours, drop the
     visited ones and keep one copy of each without sorting.  ``owner`` is
     scratch of length n: after ``owner[cand] = arange``, exactly one
     position of each vertex holds its own index, in whatever order numpy
     applies the writes."""
-    frontier = np.asarray(frontier)
-    if table is not None:
-        cand = table[frontier].ravel()
-    else:
-        starts = g.indptr[frontier]
-        cand = _gather(g.indices, starts, g.indptr[frontier + 1] - starts)
+    cand = table[np.asarray(frontier)].ravel()
     cand = cand[depth[cand] < 0]
     positions = np.arange(cand.size)
     owner[cand] = positions
@@ -346,22 +313,21 @@ def _top_down_level(g, table: np.ndarray | None, depth: np.ndarray,
 
 def _bottom_up_level(table: np.ndarray, depth: np.ndarray, pending: np.ndarray,
                      level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bottom-up step on a regular graph: every still unvisited vertex of
-    ``pending`` with a neighbour at depth ``level - 1`` gets depth
-    ``level``.  Returns the still unvisited vertices checked and those
-    found."""
+    """Bottom-up step: every still unvisited vertex of ``pending`` with a
+    neighbour at depth ``level - 1`` gets depth ``level``.  Returns the
+    still unvisited vertices checked and those found."""
     pending = pending[depth[pending] < 0]
     found = pending[(depth[table[pending]] == level - 1).any(axis=1)]
     depth[found] = level
     return pending, found
 
 
-def distance_row(g) -> np.ndarray:
-    """Row 0 of D, for a regular graph's (n, degree) neighbour table or a
-    CSR graph: the BFS depth of every vertex from vertex 0, by the hybrid
+def distance_row(table: np.ndarray) -> np.ndarray:
+    """Row 0 of D, for an (n, width) neighbour table as ``_bfs_depths``
+    reads it: the BFS depth of every vertex from vertex 0, by the hybrid
     BFS of ``_bfs_depths``.  Raises DisconnectedGraphError unless that BFS
     reaches every vertex."""
-    depth, components = _bfs_depths(g)
+    depth, components = _bfs_depths(table)
     if components > 1:
         raise DisconnectedGraphError("graph is disconnected")
     return depth
@@ -672,7 +638,7 @@ def _atom_walks(atom: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
         walks = _distance_columns(cover, 2 * sources)
         even, odd = walks[0::2], walks[1::2]
     else:
-        depths = _distance_columns(table, sources)
+        depths = depth[:, None] if sources.tolist() == [0] else _distance_columns(table, sources)
         even = np.where(depths % 2 == 0, depths, _NO_WALK)
         odd = np.where(depths % 2 == 1, depths, _NO_WALK)
     blocks = _orbit_blocks(even, vertices), _orbit_blocks(odd, vertices)

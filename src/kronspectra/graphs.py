@@ -4,13 +4,15 @@
 oracle's neighbour validator (``atoms.validate_neighbours``), and
 ``build_family`` makes a family's graph in the canonical vertex order of
 ``atoms``: an atom's builder table as a CSR, a product the Kronecker
-product of its factors'.  No oracle route builds a ``Graph``; the library
-serves the commands, the acceptance criteria and the tests: connectivity
-and parity from the row BFS (``atoms.distance_row``), the all-sources
-``distance_matrix`` by the bitset BFS, diameter, walk-length closure, the
-diameter prediction for products with complete multipartite graphs, and
-edge-list IO.  It re-exports the specs of ``families`` and the public
-names of ``atoms``, so every earlier import path still holds.
+product of its factors'.  The CSR format is this module's alone:
+``atoms`` reads neighbour tables (``Graph._table()``).  No oracle route
+builds a ``Graph``; the library serves the commands, the acceptance
+criteria and the tests: connectivity, parity and ``distance_row`` from
+the row BFS, the all-sources ``distance_matrix`` by the bitset BFS,
+diameter, walk-length closure, the diameter prediction for products with
+complete multipartite graphs, and edge-list IO.  It re-exports the specs
+of ``families`` and the public names of ``atoms``, so every earlier
+import path still holds.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .atoms import _atom_table, _bfs_depths, _bitset_distances, _gather
-from .atoms import atom_blocks, distance_row, orbit_table, product_blocks
-from .atoms import translation_shape, translation_table, validate_neighbours
+from . import atoms
+from .atoms import _atom_table, _bfs_depths, _bitset_distances, atom_blocks, orbit_table
+from .atoms import product_blocks, translation_shape, translation_table, validate_neighbours
 from .errors import BipartiteGraphError, DisconnectedGraphError, FamilyDomainError, OrderCapError
 from .families import PRODUCT_VERTEX_CAP, Complete, Cycle, FamilySpec, Hamming, Johnson, Kron
 from .families import family_order, family_to_string, refuse_past_product_cap
-from .numeric import refuse_past_dense_cap
+from .numeric import dense_matrix_cap, refuse_past_dense_cap
 
 __all__ = [
     "Graph",
@@ -105,6 +107,24 @@ class Graph:
         upper = rows < self.indices
         return zip(rows[upper].tolist(), self.indices[upper].tolist())
 
+    def _table(self) -> np.ndarray:
+        """The (n, width) neighbour table that ``atoms`` reads: row u holds
+        u's neighbours, then the spare vertex n up to the largest degree.
+        A read-only view of ``indices`` if regular, else a padded copy of
+        n x width slots, refused past the square of the dense cap: no
+        larger than the largest dense matrix."""
+        n, degrees = self.vertex_count, self.degrees()
+        width = int(degrees.max()) if n else 0
+        if (degrees == width).all():
+            return self.indices.reshape(n, width)
+        cap = dense_matrix_cap()
+        if n * width > cap * cap:
+            raise OrderCapError(f"padded neighbour table of {n} x {width} slots "
+                                f"exceeds the dense cap {cap} squared")
+        table = np.full((n, width), n, dtype=self.indices.dtype)
+        table[np.arange(width) < degrees[:, None]] = self.indices
+        return table
+
     def adjacency_matrix(self, dtype=np.int64) -> np.ndarray:
         """Dense A; an order past the dense cap is refused before allocating."""
         n = self.vertex_count
@@ -124,6 +144,14 @@ def build_family(spec: FamilySpec) -> Graph:
         return kronecker_product(build_family(spec.left), build_family(spec.right))
     table = _atom_table(spec)
     return Graph(table.shape[1] * np.arange(n + 1), table.ravel())
+
+
+def _gather(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of ``values[starts[k]:starts[k] + lengths[k]]`` over k."""
+    ends = np.cumsum(lengths)
+    positions = np.repeat(starts - ends + lengths, lengths)
+    positions += np.arange(positions.size)
+    return values[positions]
 
 
 def kronecker_product(g: Graph, h: Graph) -> Graph:
@@ -158,7 +186,7 @@ def kronecker_product(g: Graph, h: Graph) -> Graph:
 
 def is_connected(g: Graph) -> bool:
     """True iff one BFS from vertex 0 reaches every vertex."""
-    return _bfs_depths(g)[1] <= 1
+    return _bfs_depths(g._table())[1] <= 1
 
 
 def has_odd_cycle(g: Graph) -> bool:
@@ -170,7 +198,7 @@ def _connected_and_odd(g: Graph) -> tuple[bool, bool]:
     """``is_connected(g)`` and ``has_odd_cycle(g)`` from one BFS: the graph
     is non-bipartite iff some edge joins two vertices whose BFS depths have
     the same parity, so BFS 2-coloring fails."""
-    depth, components = _bfs_depths(g)
+    depth, components = _bfs_depths(g._table())
     parity = depth % 2
     return components <= 1, bool((parity[g._rows()] == parity[g.indices]).any())
 
@@ -202,12 +230,15 @@ def distance_matrix(g: Graph) -> np.ndarray:
     refuse_past_dense_cap(n, "distance matrix")
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    # slot j holds the j-th neighbour of every vertex, or the spare zero
-    # row n of the frontier for a vertex with fewer neighbours
-    degrees = g.degrees()
-    slots = np.full((int(degrees.max()), n), n, dtype=g.indices.dtype)
-    slots[np.arange(g.indices.size) - np.repeat(g.indptr[:-1], degrees), g._rows()] = g.indices
-    return _bitset_distances(slots, np.arange(n))
+    # slot j holds the j-th neighbour of every vertex, or the spare row n
+    return _bitset_distances(np.ascontiguousarray(g._table().T), np.arange(n))
+
+
+def distance_row(g: Graph | np.ndarray) -> np.ndarray:
+    """Row 0 of D by the row BFS of ``atoms.distance_row``, for a Graph or
+    a neighbour table as that BFS reads it: raises DisconnectedGraphError
+    unless it reaches every vertex."""
+    return atoms.distance_row(g if isinstance(g, np.ndarray) else g._table())
 
 
 def diameter(g: Graph) -> int:

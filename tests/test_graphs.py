@@ -211,9 +211,42 @@ def test_product_adjacency_bit_exhaustive(left, right):
                     assert ap[u * nh + v, x * nh + y] == ag[u, x] * ah[v, y]
 
 
+def test_product_adjacency_of_uneven_factors():
+    # an uneven factor's table is padded with its spare vertex, whose
+    # slots the product drops: uneven x uneven, uneven x regular both ways,
+    # and a factor with an isolated vertex
+    first, second = uneven_graph(20, 6, seed=20), uneven_graph(12, 3, seed=12)
+    isolated = Graph([0, 1, 2, 2], [1, 0])
+    c5, k4 = build_family(Cycle(5)), build_family(Complete(4))
+    for g, h in ((first, second), (first, c5), (k4, second), (isolated, k4), (c5, isolated),
+                 (first, isolated), (isolated, isolated)):
+        assert any(len(set(f.degrees().tolist())) > 1 for f in (g, h))
+        expected = np.kron(g.adjacency_matrix(), h.adjacency_matrix())
+        assert np.array_equal(kronecker_product(g, h).adjacency_matrix(), expected), (
+            g.vertex_count, h.vertex_count)
+
+
 def test_product_cap():
     with pytest.raises(OrderCapError):
         kronecker_product(build_family(Complete(150)), build_family(Complete(150)))
+
+
+def test_product_of_uneven_factors_builds_only_its_entries():
+    # K_{1,199} x K_{1,99}: 20000 vertices, at the cap, and 78804 stored
+    # neighbours.  The product gathers its factors' CSR rows, so it holds
+    # O(entries + vertices) arrays: it measures 4.0 MB, and the bound is
+    # 64 bytes an entry and a vertex, 6.3 MB.  A broadcast of the padded
+    # tables would hold 20000 x 199 x 99 slots and a mask, about 2 GB.
+    first, second = star(199), star(99)
+    tracemalloc.start()
+    try:
+        product = kronecker_product(first, second)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert product.vertex_count == graphs.PRODUCT_VERTEX_CAP
+    assert product.indices.size == first.indices.size * second.indices.size == 78804
+    assert peak <= 64 * (product.indices.size + product.vertex_count), peak
 
 
 @pytest.mark.parametrize("spec", [Cycle(101), Complete(101), Johnson(9, 4)])
@@ -683,6 +716,21 @@ def test_unshaped_atom_walks_are_contiguous_read_only_matrices():
         assert np.array_equal(array, built_blocks(want, Johnson(6, 2)))
 
 
+@pytest.mark.parametrize("atom", [Cycle(8), Hamming(3, 2), Complete(2)])
+def test_a_bipartite_atoms_walks_take_one_row_bfs(atom, monkeypatch):
+    # the depths of the bipartite check are the walks from vertex 0, the
+    # one representative of a shaped atom, so no second BFS runs
+    bfs, calls = atoms._bfs_depths, []
+    monkeypatch.setattr(atoms, "_bfs_depths", lambda table: calls.append(table) or bfs(table))
+    atoms._atom_walks.cache_clear()
+    even, odd = atoms._atom_walks(atom)
+    assert len(calls) == 1
+    d = distance_matrix(build_family(atom))
+    for array, parity in ((even, 0), (odd, 1)):
+        expected = np.where(d % 2 == parity, d, atoms._NO_WALK)
+        assert np.array_equal(array, built_blocks(expected, atom)), parity
+
+
 def test_every_grid_atom_keeps_two_walk_arrays_whose_walks_of_length_1_are_a():
     # an edge is exactly a walk of length 1, so A is odd == 1: row 0 of a
     # shaped atom's, the representatives' rows of a J(m, r >= 2)
@@ -827,6 +875,12 @@ def test_bfs_stops_once_every_pair_has_a_distance(monkeypatch):
         assert len(calls) == levels - 1, spec
 
 
+def graph_of_edges(n: int, edges) -> Graph:
+    """The graph on 0..n-1 with the given edges (u, v), u < v."""
+    edges = sorted(edges)
+    return from_edge_list_text(f"p {n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+
+
 def uneven_graph(n: int, extra: int, seed: int) -> Graph:
     """A connected graph of uneven degrees: a random tree plus random chords."""
     rng = np.random.default_rng(seed)
@@ -834,8 +888,7 @@ def uneven_graph(n: int, extra: int, seed: int) -> Graph:
     while len(edges) < n - 1 + extra:
         u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
         edges.add((u, v))
-    text = f"p {n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges))
-    return from_edge_list_text(text)
+    return graph_of_edges(n, edges)
 
 
 @pytest.mark.parametrize("n, extra", [(70, 10), (130, 60)])
@@ -882,7 +935,7 @@ def test_bfs_depths_at_every_narrow_level_constant(monkeypatch):
         expected, components = naive_component_depths(g)
         for constant in (0, 10 ** 9, atoms._NARROW_LEVEL_EDGES):
             monkeypatch.setattr(atoms, "_NARROW_LEVEL_EDGES", constant)
-            depth, count = atoms._bfs_depths(g)
+            depth, count = atoms._bfs_depths(g._table())
             assert depth.dtype == np.int64
             assert depth.tolist() == expected.tolist(), (constant, g.vertex_count)
             assert count == components
@@ -919,6 +972,92 @@ def test_bfs_steps_and_levels(monkeypatch):
                              "_bottom_up_level", "_bottom_up_level"]
 
 
+def padded_graphs() -> dict[str, Graph]:
+    """Uneven graphs, whose tables hold the spare vertex n: two random
+    trees with chords; a star, vertex 0 joined to 1..199, with an arm, the
+    path 199..300; and C100 with the isolated vertex 100."""
+    star = [(0, v) for v in range(1, 200)] + [(v, v + 1) for v in range(199, 300)]
+    cycle = [(v, v + 1) for v in range(99)] + [(0, 99)]
+    return {"uneven70": uneven_graph(70, 10, seed=70), "uneven130": uneven_graph(130, 60, seed=130),
+            "star": graph_of_edges(301, star), "isolated": graph_of_edges(101, cycle)}
+
+
+def test_bfs_steps_hold_the_spare_vertex_as_visited(monkeypatch):
+    # every step reads the spare entries of a padded table; none may visit
+    # the spare vertex or take it as a parent
+    steps, kinds = spy_on_bfs_steps(monkeypatch), {}
+    for name, g in padded_graphs().items():
+        table = g._table()
+        assert (table == g.vertex_count).any(), name
+        steps.clear()
+        expected, components = naive_component_depths(g)
+        depth, count = atoms._bfs_depths(table)
+        assert depth.tolist() == expected.tolist() and count == components, name
+        kinds[name] = list(steps)
+    assert set(sum(kinds.values(), [])) == {"_queue_level", "_top_down_level", "_bottom_up_level"}
+    # 199 neighbours of vertex 0, then the 101 arm vertices left, one a level
+    assert kinds["star"] == ["_top_down_level"] + ["_bottom_up_level"] * 101
+    assert set(kinds["isolated"]) == {"_queue_level"}
+
+
+def test_a_regular_graphs_table_is_a_view_of_its_indices():
+    for spec in small_atoms() + [Kron(Complete(3), Cycle(5)), Kron(Johnson(5, 2), Hamming(2, 3))]:
+        g, name = build_family(spec), family_to_string(spec)
+        table = g._table()
+        assert table.shape == (g.vertex_count, g.degrees()[0]), name
+        assert table.base is g.indices and not table.flags.writeable, name
+        # K1's table is empty, and an empty array shares no memory
+        assert np.shares_memory(table, g.indices) or spec == Complete(1), name
+
+
+def star(m: int) -> Graph:
+    """K_{1,m}: vertex 0 joined to 1..m."""
+    return graph_of_edges(m + 1, [(0, v) for v in range(1, m + 1)])
+
+
+def path(n: int) -> Graph:
+    """The path 0 - 1 - ... - n-1."""
+    return graph_of_edges(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def test_a_padded_table_past_the_dense_cap_squared_is_refused(monkeypatch):
+    # a padded table holds n x (largest degree) slots, so it is bounded as
+    # a dense matrix is: 100 x 100 slots at a cap of 100
+    monkeypatch.setenv("KRON_SPECTRA_MAX_ORDER", "100")
+    assert path(5000)._table().size == 10_000
+    assert is_connected(path(5000)) and not has_odd_cycle(path(5000))
+    assert graphs.distance_row(path(5000)).tolist() == list(range(5000))
+    for g in (path(5001), star(100)):
+        for library_bfs in (is_connected, has_odd_cycle, graphs.distance_row):
+            with pytest.raises(OrderCapError, match="padded neighbour table"):
+                library_bfs(g)
+    # a regular graph's table is a view, whatever its size
+    assert is_connected(build_family(Cycle(20000)))
+
+
+def test_a_padded_table_is_refused_before_it_is_allocated():
+    # K_{1,20000} would pad to 20001 x 20000 int32 slots, 1.6 GB
+    g = star(20000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderCapError, match="20001 x 20000 slots"):
+            is_connected(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+def test_an_uneven_graphs_table_holds_the_spare_vertex_in_its_unused_slots():
+    for name, g in padded_graphs().items():
+        n, table, degrees = g.vertex_count, g._table(), g.degrees()
+        assert table.shape == (n, degrees.max()) and table.dtype == g.indices.dtype, name
+        for u in range(n):
+            row = table[u].tolist()
+            assert row[:degrees[u]] == g.indices[g.indptr[u]:g.indptr[u + 1]].tolist(), name
+            assert row[degrees[u]:] == [n] * (len(row) - degrees[u]), name
+
+
 def cycle_rows(m: int) -> np.ndarray:
     """The (m, 2) sorted neighbour table of C_m, built by hand."""
     i = np.arange(m)
@@ -926,9 +1065,9 @@ def cycle_rows(m: int) -> np.ndarray:
 
 
 def test_row_bfs_copies_no_neighbour_row():
-    # The BFS keeps depth (int64) and owner (intp), 16 bytes a vertex, and
-    # for a table also ends = degree * arange(n + 1), 8 more: 24 bytes a
-    # vertex for a table and 16 for a graph, whose ends is its own indptr.
+    # The BFS keeps depth (int64), owner (intp) and ends = width *
+    # arange(n + 1) (int64): 24 bytes a vertex for both inputs, the graph's
+    # table being a view of its indices, as the cycle is regular.
     # The bound, 32 bytes a vertex, leaves one more int64 array of margin
     # and no room for the neighbour rows as Python lists (about 159 bytes
     # a vertex for C20001 and 238 for kron(K3,C6667) when every row was
@@ -968,7 +1107,7 @@ def disjoint_copies(component: Graph, copies: int) -> Graph:
 ], ids=["isolated", "matching"])
 def test_bfs_depths_on_many_components(component, copies):
     g = disjoint_copies(component, copies)
-    depth, components = atoms._bfs_depths(g)
+    depth, components = atoms._bfs_depths(g._table())
     assert components == copies
     assert depth.tolist() == np.tile(naive_bfs_distances(component)[0], copies).tolist()
 

@@ -161,6 +161,43 @@ def test_only_atoms_proves_a_translation_shape():
     assert "translation_table" in defined and "translation_neighbours" not in defined
 
 
+def csr_reads(path):
+    """(definition, read) for every ``indptr`` name or argument, and every
+    ``.indptr`` or ``.indices`` attribute, in a source file, under the
+    top-level definition that holds it (None outside any)."""
+    found = []
+    for top in ast.parse(Path(path).read_text()).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in ("indptr", "indices"):
+                found.append((owner, "." + node.attr))
+            elif getattr(node, "id", None) == "indptr" or getattr(node, "arg", None) == "indptr":
+                found.append((owner, "indptr"))
+    return found
+
+
+def test_only_the_neighbour_validator_reads_csr_arrays_in_atoms():
+    # the atoms' BFS reads one format, the (n, width) neighbour table;
+    # only the check of a Graph's outside input takes CSR arrays
+    found = csr_reads(PACKAGE / "atoms.py")
+    assert found and set(found) == {("validate_neighbours", "indptr")}, sorted(set(found))
+
+
+def test_csr_reads_sees_names_arguments_and_attributes(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def validate_neighbours(indptr, indices):\n    return indptr\n"
+        "def _bfs_depths(g):\n    return g.indptr\n"
+        "class Table:\n    def rows(self, indptr=None):\n        return self.indices\n"
+        "SIZE = len(graph.indices)\n"
+        "def _queue_level(indices):\n    return indices\n"
+    )
+    assert sorted(csr_reads(probe), key=repr) == sorted([
+        ("validate_neighbours", "indptr"), ("validate_neighbours", "indptr"),
+        ("_bfs_depths", ".indptr"), ("Table", "indptr"), ("Table", ".indices"),
+        (None, ".indices")], key=repr)
+
+
 def calls_made(path):
     """The called name of every call in a source file, one entry per call."""
     called = []
