@@ -25,11 +25,12 @@ translations, with 1 x 1 blocks, and for ``J(m,r>=2)`` the cyclic group
 of a permutation of the m points (``_free_cycle_type``,
 ``_prove_free_action``), with b x b blocks over its b orbit
 representatives.  An atom's blocks are read off its representatives'
-rows (``atom_blocks``): of D one row BFS from vertex 0 (``distance_row``)
-or one bitset BFS from all b representatives (``_bitset_distances``), and
-of A their neighbours.  A product's blocks are read off its atoms'
-shortest even and odd walk blocks (``product_blocks``), with no product
-graph, table or BFS.  So no family builds an n x n matrix.
+rows (``atom_blocks``): of D one row BFS from vertex 0 (``distance_row``,
+queue and top-down steps that gather each row at most once) or one bitset
+BFS from all b representatives (``_bitset_distances``), and of A their
+neighbours.  A product's blocks are read off its atoms' shortest even and
+odd walk blocks (``product_blocks``), with no product graph, table or
+BFS.  So no family builds an n x n matrix.
 
 This module imports neither ``graphs`` nor any formula code: the oracle
 reads it, and ``graphs`` hands it tables.
@@ -223,22 +224,15 @@ def _bfs_depths(table: np.ndarray) -> tuple[np.ndarray, int]:
     and the number of components, for an (n, width) neighbour table whose
     entry n, where present, is a spare vertex meaning "no neighbour".
 
-    Level-synchronous; each level takes one of three exact steps, which
-    all write the same depths:
-
-    * a queue step (``_queue_level``) in plain Python when the frontier has
-      at most ``_NARROW_LEVEL_EDGES`` neighbour slots (128: a queue edge
-      costs 44-120 ns and a numpy level 8-15 us).  It reads each frontier
-      vertex's neighbours as a slice ``flat[ends[x]:ends[x + 1]]`` of
-      memoryviews of the flattened table and ``width * arange(n + 1)``, so
-      no row is copied;
-    * a bottom-up step (``_bottom_up_level``; Beamer, Asanovic and
-      Patterson, "Direction-optimizing breadth-first search", SC 2012)
-      from the first wider level whose unvisited vertices are no more than
-      its frontier, and on every wider level after it: both numpy steps
-      gather (k, width) neighbour rows, so the smaller k wins and the rule
-      needs no fitted constant;
-    * otherwise a top-down numpy step (``_top_down_level``).
+    Level-synchronous; each level takes one of two exact steps, which
+    write the same depths: a queue step (``_queue_level``) in plain Python
+    when the frontier has at most ``_NARROW_LEVEL_EDGES`` neighbour slots,
+    reading row x as the slice ``flat[x * width:(x + 1) * width]`` of a
+    memoryview of the flattened table, so that no row is copied, and
+    otherwise a top-down numpy step (``_top_down_level``).  Each vertex
+    enters exactly one frontier, so a search gathers each row at most
+    once, O(n x width) in all, and holds two arrays of length n: depth
+    and owner.
 
     The spare vertex is held at depth n, so every step treats it as
     visited and no level (always below n) takes it as a parent.  Depths
@@ -250,12 +244,11 @@ def _bfs_depths(table: np.ndarray) -> tuple[np.ndarray, int]:
     from the previous start, so k components cost O(n), not O(k·n).
     """
     n, width = table.shape
-    flat, ends = memoryview(table.reshape(-1)), memoryview(width * np.arange(n + 1))
+    flat = memoryview(table.reshape(-1))
     depth = np.full(n + 1, -1, dtype=np.int64)
     depth[n] = n
     seen = memoryview(depth)
     owner = np.empty(n, dtype=np.intp)
-    pending = None
     unvisited, components, start = n, 0, 0
     while unvisited:
         while seen[start] >= 0:
@@ -266,29 +259,24 @@ def _bfs_depths(table: np.ndarray) -> tuple[np.ndarray, int]:
         frontier = [start]
         while unvisited and len(frontier):
             level += 1
-            size = len(frontier)
-            if size * width <= _NARROW_LEVEL_EDGES:
+            if len(frontier) * width <= _NARROW_LEVEL_EDGES:
                 if not isinstance(frontier, list):
                     frontier = frontier.tolist()
-                frontier = _queue_level(flat, ends, frontier, seen, level)
-            elif pending is not None or unvisited <= size:
-                if pending is None:
-                    pending = np.flatnonzero(depth < 0)
-                pending, frontier = _bottom_up_level(table, depth, pending, level)
+                frontier = _queue_level(flat, width, frontier, seen, level)
             else:
                 frontier = _top_down_level(table, depth, owner, frontier, level)
             unvisited -= len(frontier)
     return depth[:n], components
 
 
-def _queue_level(flat: memoryview, ends: memoryview, frontier: list[int],
+def _queue_level(flat: memoryview, width: int, frontier: list[int],
                  seen: memoryview, level: int) -> list[int]:
     """Queue step: the unvisited neighbours of the frontier, vertex x's
-    read as ``flat[ends[x]:ends[x + 1]]``, in the order found, each given
-    depth ``level``."""
+    read as ``flat[x * width:(x + 1) * width]``, in the order found, each
+    given depth ``level``."""
     found = []
     for x in frontier:
-        for v in flat[ends[x]:ends[x + 1]]:
+        for v in flat[x * width:(x + 1) * width]:
             if seen[v] < 0:
                 seen[v] = level
                 found.append(v)
@@ -309,17 +297,6 @@ def _top_down_level(table: np.ndarray, depth: np.ndarray, owner: np.ndarray,
     cand = cand[owner[cand] == positions]
     depth[cand] = level
     return cand
-
-
-def _bottom_up_level(table: np.ndarray, depth: np.ndarray, pending: np.ndarray,
-                     level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bottom-up step: every still unvisited vertex of ``pending`` with a
-    neighbour at depth ``level - 1`` gets depth ``level``.  Returns the
-    still unvisited vertices checked and those found."""
-    pending = pending[depth[pending] < 0]
-    found = pending[(depth[table[pending]] == level - 1).any(axis=1)]
-    depth[found] = level
-    return pending, found
 
 
 def distance_row(table: np.ndarray) -> np.ndarray:
@@ -682,9 +659,9 @@ def product_blocks(spec: Kron, matrix: str) -> np.ndarray:
     for D if some vertex does not reach every vertex; the product cap and
     the atoms' proofs raise as in ``orbit_table``.
     """
-    n = refuse_past_product_cap(spec)
     if matrix not in ("distance", "adjacency"):
         raise ValueError(f"unknown matrix kind {matrix!r}")
+    n = refuse_past_product_cap(spec)
     atoms = _atoms(spec)
     walks = [_atom_walks(atom) if translation_shape(atom) is not None else None
              for atom in atoms]

@@ -201,6 +201,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    """An int of at least 1: ``--max-order 0`` is a usage error, not an empty grid."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="kronspectra",
@@ -246,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grid = sub.add_parser("grid", help="run the full verification grid")
     add_common(p_grid, family=False)
-    p_grid.add_argument("--max-order", type=int, default=1200,
+    p_grid.add_argument("--max-order", type=_positive_int, default=1200,
                         help="skip cases with more vertices than this")
     p_grid.set_defaults(func=cmd_grid)
     return parser

@@ -69,9 +69,12 @@ class FamilyOracle:
         return orbit_table(self.spec)
 
     def refuse(self, matrix: str) -> int:
-        """The family's order; raises OrderCapError, before anything is
-        built, past the product cap and then past the dense cap: a policy on
-        the order of D (``"distance"``) or A, of which only blocks are built."""
+        """The family's order; raises, before anything is built, ValueError
+        unless ``matrix`` is ``"distance"`` (D) or ``"adjacency"`` (A), then
+        OrderCapError past the product cap and then past the dense cap: a
+        policy on the order of D or A, of which only blocks are built."""
+        if matrix not in ("distance", "adjacency"):
+            raise ValueError(f"unknown matrix kind {matrix!r}")
         n = refuse_past_product_cap(self.spec)
         refuse_past_dense_cap(n, "distance matrix" if matrix == "distance" else "matrix")
         return n
@@ -80,12 +83,11 @@ class FamilyOracle:
         """D (``"distance"``) or A (``"adjacency"``) as read-only int64
         blocks of shape ``G + (b, b)``
         (``numeric.block_group_matrix_eigenvalues``): a product's
-        ``atoms.product_blocks``, an atom's ``atoms.atom_blocks``;
-        refused past either cap (``refuse``) before anything is built."""
+        ``atoms.product_blocks``, an atom's ``atoms.atom_blocks``; an
+        unknown kind, or a family past either cap, is refused (``refuse``)
+        before anything is built."""
         if matrix not in self._blocks:
             self.refuse(matrix)
-            if matrix not in ("distance", "adjacency"):
-                raise ValueError(f"unknown matrix kind {matrix!r}")
             if isinstance(self.spec, Kron):
                 blocks = product_blocks(self.spec, matrix)
             else:

@@ -246,19 +246,17 @@ def verify_family(
     multiplicities) and the reported gap is the largest elementwise
     difference between the two sorted eigenvalue multisets.  ``oracle``
     supplies the family's A and D when a caller shares them between
-    checks; otherwise they are computed here.  A family the oracle refuses
-    (``FamilyOracle.refuse``) is refused before its closed form is
-    computed.
+    checks; otherwise they are computed here.  A matrix kind or family the
+    oracle refuses (``FamilyOracle.refuse``) is refused before its closed
+    form is computed.
     """
     name = family_to_string(spec)
     oracle = _oracle_for(spec, oracle)
     oracle.refuse(matrix)
     if matrix == "distance":
         closed, notes = closed_form_distance_spectrum(spec, tol)
-    elif matrix == "adjacency":
-        closed, notes = closed_form_adjacency_spectrum(spec, tol)
     else:
-        raise ValueError(f"unknown matrix kind {matrix!r}")
+        closed, notes = closed_form_adjacency_spectrum(spec, tol)
     oracle_spectrum = oracle.spectrum(matrix, tol)
     report = spectra_match(closed, oracle_spectrum, tol)
     gap = _elementwise_gap(closed, oracle.eigenvalues(matrix))

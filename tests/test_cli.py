@@ -437,7 +437,9 @@ def test_usage_error_exit_code(capsys):
     # argparse's own usage errors exit 1 too, not its default 2
     for argv in (["spectrum", "--family", "C5", "--method", "exact"],
                  ["verify"],
-                 ["grid", "--max-order", "many"]):
+                 ["grid", "--max-order", "many"],
+                 # a grid of no cases would pass
+                 ["grid", "--max-order", "0"], ["grid", "--max-order", "-5"]):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 1

@@ -902,7 +902,7 @@ def test_bitset_step_on_uneven_degrees(n, extra):
 
 @pytest.mark.parametrize("spec", [
     Complete(1), Cycle(9), Johnson(6, 3), Hamming(5, 3), Kron(Complete(4), Cycle(61)),
-    # queue steps only; a top-down step and then a bottom-up step
+    # queue steps only; two top-down steps
     Cycle(600), Kron(Complete(36), Complete(33)),
 ])
 def test_distance_row_is_row_zero_of_the_distance_matrix(spec):
@@ -913,12 +913,12 @@ def test_distance_row_is_row_zero_of_the_distance_matrix(spec):
 
 
 def bfs_step_graphs():
-    """Graphs whose BFS levels take every step at some narrow-level
+    """Graphs whose BFS levels take both steps at some narrow-level
     constant: deep, wide, regular, uneven and disconnected."""
     specs = [Cycle(9), Cycle(600), Kron(Complete(4), Cycle(61)),
              Kron(Complete(36), Complete(33)), Hamming(5, 3), Johnson(6, 3),
-             # two bottom-up levels, the second of which sees vertices the
-             # first found next to each other
+             # top-down levels whose frontier rows share most of their
+             # unvisited neighbours, each kept once
              Johnson(10, 5),
              Kron(Complete(2), Cycle(8)), Kron(Complete(2), Complete(2)),
              # wide tables, whose narrow levels are their first and last few
@@ -943,7 +943,7 @@ def test_bfs_depths_at_every_narrow_level_constant(monkeypatch):
 
 def spy_on_bfs_steps(monkeypatch) -> list[str]:
     steps = []
-    for name in ("_queue_level", "_top_down_level", "_bottom_up_level"):
+    for name in ("_queue_level", "_top_down_level"):
         def spy(*args, _step=getattr(atoms, name), _name=name):
             steps.append(_name)
             return _step(*args)
@@ -963,13 +963,29 @@ def test_bfs_steps_and_levels(monkeypatch):
         if spec == Cycle(600):
             assert set(steps) == {"_queue_level"}
         if spec == Kron(Complete(36), Complete(33)):
-            # 1120 neighbours of vertex 0, then the 67 vertices left find a parent
-            assert steps == ["_top_down_level", "_bottom_up_level"]
+            # 1120 neighbours of vertex 0, then the 67 vertices left
+            assert steps == ["_top_down_level"] * 2
         if spec == Johnson(10, 5):
-            # levels of 25, 100, 100, 25 and 1 vertices: once 26 vertices are
-            # left behind a frontier of 100, every wide level is bottom-up
-            assert steps == ["_queue_level", "_top_down_level", "_top_down_level",
-                             "_bottom_up_level", "_bottom_up_level"]
+            # levels of 25, 100, 100, 25 and 1 vertices, of degree 25: only
+            # vertex 0's 25 neighbour slots fit a queue step
+            assert steps == ["_queue_level"] + ["_top_down_level"] * 4
+
+
+def test_row_bfs_gathers_each_row_at_most_once(monkeypatch):
+    # every vertex enters one frontier, so the steps are handed at most n
+    # frontier rows in all, whatever the narrow-level constant: O(n x width)
+    rows = []
+    for name, at in (("_queue_level", 2), ("_top_down_level", 3)):
+        def spy(*args, _step=getattr(atoms, name), _at=at):
+            rows.append(len(args[_at]))  # the frontier's argument
+            return _step(*args)
+        monkeypatch.setattr(atoms, name, spy)
+    for g in bfs_step_graphs() + list(padded_graphs().values()):
+        for constant in (0, 10 ** 9, atoms._NARROW_LEVEL_EDGES):
+            monkeypatch.setattr(atoms, "_NARROW_LEVEL_EDGES", constant)
+            rows.clear()
+            atoms._bfs_depths(g._table())
+            assert sum(rows) <= g.vertex_count, (constant, g.vertex_count, sum(rows))
 
 
 def padded_graphs() -> dict[str, Graph]:
@@ -994,9 +1010,10 @@ def test_bfs_steps_hold_the_spare_vertex_as_visited(monkeypatch):
         depth, count = atoms._bfs_depths(table)
         assert depth.tolist() == expected.tolist() and count == components, name
         kinds[name] = list(steps)
-    assert set(sum(kinds.values(), [])) == {"_queue_level", "_top_down_level", "_bottom_up_level"}
-    # 199 neighbours of vertex 0, then the 101 arm vertices left, one a level
-    assert kinds["star"] == ["_top_down_level"] + ["_bottom_up_level"] * 101
+    assert set(sum(kinds.values(), [])) == {"_queue_level", "_top_down_level"}
+    # 199 neighbours of vertex 0, then the 101 arm vertices left, one a
+    # level, each a frontier of one row of 199 slots
+    assert kinds["star"] == ["_top_down_level"] * 102
     assert set(kinds["isolated"]) == {"_queue_level"}
 
 
@@ -1065,10 +1082,10 @@ def cycle_rows(m: int) -> np.ndarray:
 
 
 def test_row_bfs_copies_no_neighbour_row():
-    # The BFS keeps depth (int64), owner (intp) and ends = width *
-    # arange(n + 1) (int64): 24 bytes a vertex for both inputs, the graph's
-    # table being a view of its indices, as the cycle is regular.
-    # The bound, 32 bytes a vertex, leaves one more int64 array of margin
+    # The BFS keeps two arrays of length n, depth (int64) and owner
+    # (intp): 16 bytes a vertex for both inputs, the graph's table being a
+    # view of its indices, as the cycle is regular.
+    # The bound, 24 bytes a vertex, leaves one more int64 array of margin
     # and no room for the neighbour rows as Python lists (about 159 bytes
     # a vertex for C20001 and 238 for kron(K3,C6667) when every row was
     # converted, as at 200001 vertices).  Both inputs are hand-built, the
@@ -1088,7 +1105,7 @@ def test_row_bfs_copies_no_neighbour_row():
         finally:
             tracemalloc.stop()
         assert depth.size == n and int(depth.max()) == eccentricity
-        assert peak <= 32 * n, peak
+        assert peak <= 24 * n, peak
 
 
 def disjoint_copies(component: Graph, copies: int) -> Graph:

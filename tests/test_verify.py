@@ -113,6 +113,19 @@ def test_family_oracle_blocks_carry_the_group_shape():
         FamilyOracle(Johnson(6, 3)).eigenvalues("laplacian")
 
 
+def test_an_unknown_matrix_kind_is_refused_before_any_cap():
+    # a typo in the kind reads as a ValueError, not as a size refusal: C5000
+    # is past the dense cap, and kron(K3,C9000) past the product cap too
+    product = Kron(Complete(3), Cycle(9000))
+    oracle = FamilyOracle(product)
+    for refused in (lambda: verify_family(Cycle(5000), matrix="laplacian"),
+                    lambda: oracle.eigenvalues("laplacian"),
+                    lambda: oracle.blocks("laplacian"),
+                    lambda: atoms.product_blocks(product, "laplacian")):
+        with pytest.raises(ValueError, match="^unknown matrix kind 'laplacian'$"):
+            refused()
+
+
 def _with_edges_changed(graph, removed=(), added=()):
     """A copy of ``graph`` with some edges, all off vertex 0, removed and
     added, so that row 0 of A is the same."""
